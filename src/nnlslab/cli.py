@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import copy
 import csv
+import math
 import multiprocessing
 import os
 import sys
@@ -123,7 +124,14 @@ def _evolution(cfg):
     sec = cfg.get("evolution", {})
     T = float(sec.get("T", 1.0))
     dt = float(sec.get("dt", 1e-3))
-    sample_every = int(sec.get("sample_every", 50))
+    sample_every = sec.get("sample_every", 50)
+    if not (math.isfinite(T) and T >= 0):
+        raise ConfigError("evolution.T must be finite and >= 0, got %r" % T)
+    if not (math.isfinite(dt) and dt > 0):
+        raise ConfigError("evolution.dt must be finite and > 0, got %r" % dt)
+    if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
+        raise ConfigError("evolution.sample_every must be an integer >= 1, got %r"
+                          % (sample_every,))
     norms = [tuple(map(float, pair)) for pair in sec.get("norms", [])]
     return T, dt, sample_every, norms
 

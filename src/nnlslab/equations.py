@@ -16,12 +16,11 @@ import numpy as np
 
 from .grid import (
     SpectralField,
-    apply_multiplier,
-    dealiased_product,
     derivative,
+    derivative_symbol,
     inverse_transform,
     nonlocal_conjugate,
-    zero_field,
+    product_plan,
 )
 
 NNLS = "NNLS"
@@ -67,38 +66,47 @@ def quintic_coefficient(alpha, beta, mode):
     return (alpha / 2.0) * (alpha - 1.5 * beta)
 
 
-def nonlinear_term(fld, spec):
-    """N(u) in the evolution form u_t = i u_xx + i N(u)."""
+def nonlinear_coeffs(coeffs, grid, spec):
+    """N(u) on raw Fourier coefficients; the core of :func:`nonlinear_term`.
+
+    Neither the input nor the result is validated, so evolution loops can
+    call it without building a :class:`SpectralField` per substep.
+    """
     a, b = spec.alpha, spec.beta
-    us = nonlocal_conjugate(fld)
+    u, us = coeffs, np.conj(coeffs)
+    cubic = product_plan(grid, 3)
+    d = derivative_symbol(grid)
     if spec.kind == NNLS:
         if a == 0:
-            return zero_field(fld.grid)
-        cubic = dealiased_product([fld, fld, us])
-        return SpectralField(fld.grid, a * cubic.coeffs)
+            return np.zeros(grid.n_modes, dtype=np.complex128)
+        return a * cubic.product([u, u, us])
     if spec.kind == NDNLS:
         if a == 0:
-            return zero_field(fld.grid)
-        term = dealiased_product([fld, us, derivative(fld)])
-        return SpectralField(fld.grid, a * term.coeffs)
+            return np.zeros(grid.n_modes, dtype=np.complex128)
+        return a * cubic.product([u, us, u * d])
     if spec.kind == GNDNLS:
-        out = np.zeros(fld.grid.n_modes, dtype=np.complex128)
+        out = np.zeros(grid.n_modes, dtype=np.complex128)
         if a != 0:
-            out += a * dealiased_product([fld, us, derivative(fld)]).coeffs
+            out += a * cubic.product([u, us, u * d])
         if b != 0:
-            out += b * dealiased_product([fld, fld, derivative(us)]).coeffs
-        return SpectralField(fld.grid, out)
+            out += b * cubic.product([u, u, us * d])
+        return out
     if spec.kind == GAUGED_NDNLS:
         cubic_coeff, quintic = -a, -(a ** 2) / 2.0
     else:  # GAUGED_GNDNLS
         cubic_coeff = -(a - b)
         quintic = -quintic_coefficient(a, b, spec.gauged_coefficient_mode)
-    out = np.zeros(fld.grid.n_modes, dtype=np.complex128)
+    out = np.zeros(grid.n_modes, dtype=np.complex128)
     if cubic_coeff != 0:
-        out += cubic_coeff * dealiased_product([fld, fld, derivative(us)]).coeffs
+        out += cubic_coeff * cubic.product([u, u, us * d])
     if quintic != 0:
-        out += quintic * dealiased_product([fld, fld, fld, us, us]).coeffs
-    return SpectralField(fld.grid, out)
+        out += quintic * product_plan(grid, 5).product([u, u, u, us, us])
+    return out
+
+
+def nonlinear_term(fld, spec):
+    """N(u) in the evolution form u_t = i u_xx + i N(u)."""
+    return SpectralField(fld.grid, nonlinear_coeffs(fld.coeffs, fld.grid, spec))
 
 
 def rhs(fld, spec):

@@ -9,12 +9,15 @@ agreement is a genuine cross-check.
 
 from __future__ import annotations
 
+import functools
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .equations import energy, mass, nonlinear_term, support_leakage
+from .equations import energy, mass, nonlinear_coeffs, nonlinear_term, support_leakage
 from .grid import SpectralField, l2_distance
 from .spaces import esigma_norm
 
@@ -35,6 +38,17 @@ def linear_propagator(fld, t):
     return SpectralField(fld.grid, fld.coeffs * np.exp(-1j * t * xi ** 2))
 
 
+@functools.lru_cache(maxsize=64)
+def _lawson_phases(grid, dt):
+    """Read-only e^{(dt/2) L} and e^{dt L} on ``grid``."""
+    xi = grid.frequencies
+    half = np.exp(-1j * (dt / 2.0) * xi ** 2)
+    full = half * half
+    half.flags.writeable = False
+    full.flags.writeable = False
+    return half, full
+
+
 def step(fld, dt, spec):
     """One Lawson-RK4 step of u_t = i u_xx + i N(u); local error O(dt^5)."""
     if not (dt > 0):
@@ -45,30 +59,23 @@ def step(fld, dt, spec):
             "dt * xi_max^2 = %.3g exceeds the guard %.0f"
             % (dt * grid.xi_max ** 2, CFL_LIMIT)
         )
-    xi = grid.frequencies
-    half = np.exp(-1j * (dt / 2.0) * xi ** 2)  # e^{(dt/2) L}
-    full = half * half
+    half, full = _lawson_phases(grid, dt)
 
     def nl(coeffs):
-        f = SpectralField(grid, coeffs)
-        return 1j * nonlinear_term(f, spec).coeffs
+        return 1j * nonlinear_coeffs(coeffs, grid, spec)
 
     # interaction picture: g(tau, w) = e^{-tau L} N(e^{tau L} w)
     w = fld.coeffs
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):
-            k1 = nl(w)
-            a = half * (w + (dt / 2.0) * k1)
-            k2 = nl(a) / half
-            b = half * w + (dt / 2.0) * half * k2
-            k3 = nl(b) / half
-            c = full * w + dt * full * k3
-            k4 = nl(c) / full
-            w_new = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            out = full * w_new
-    except (ValueError, FloatingPointError) as exc:
-        # overflow inside a substep surfaces as a field-validation error
-        raise BlowUpError("non-finite coefficients inside substep") from exc
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = nl(w)
+        a = half * (w + (dt / 2.0) * k1)
+        k2 = nl(a) / half
+        b = half * w + (dt / 2.0) * half * k2
+        k3 = nl(b) / half
+        c = full * w + dt * full * k3
+        k4 = nl(c) / full
+        w_new = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        out = full * w_new
     if not np.all(np.isfinite(out)):
         raise BlowUpError("non-finite coefficients after step")
     return SpectralField(grid, out)
@@ -100,24 +107,36 @@ def _diagnostics(fld, spec, eps0, norm_params):
 
 
 def solve(u0, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
-    """Repeatedly step from u0 to time T, recording sampled diagnostics."""
-    if T < 0:
-        raise ValueError("T must be nonnegative")
+    """Repeatedly step from u0 to time T, recording sampled diagnostics.
+
+    When T is not a whole number of steps dt (to 1e-9 relative), a final
+    shortened step ends the trajectory exactly at T.
+    """
+    if not (math.isfinite(dt) and dt > 0):
+        raise ValueError("dt must be finite and positive, got %r" % (dt,))
+    if not (math.isfinite(T) and T >= 0):
+        raise ValueError("T must be finite and nonnegative, got %r" % (T,))
+    if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
+        raise ValueError("sample_every must be an integer >= 1, got %r" % (sample_every,))
     norm_params = tuple(norm_params)
     traj = Trajectory([0.0], [u0], [_diagnostics(u0, spec, eps0, norm_params)])
     if T == 0:
         return traj
-    n_steps = int(round(T / dt))
+    n_full = int(round(T / dt))
+    n_steps = n_full
+    if abs(T / dt - n_full) > 1e-9 * (T / dt):
+        n_full = int(T // dt)
+        n_steps = n_full + 1
     u, t = u0, 0.0
     for i in range(1, n_steps + 1):
+        h, t_next = (dt, i * dt) if i <= n_full else (T - n_full * dt, T)
         try:
-            u = step(u, dt, spec)
-        except BlowUpError as exc:
+            u = step(u, h, spec)
+        except BlowUpError:
             traj.blown_up = True
-            traj.blowup_time = t + dt
-            exc.time = traj.blowup_time
+            traj.blowup_time = t + h
             return traj
-        t = i * dt
+        t = t_next
         if i % sample_every == 0 or i == n_steps:
             traj.times.append(t)
             traj.states.append(u)

@@ -12,10 +12,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equations import EquationSpec, GAUGED_GNDNLS, GAUGED_NDNLS, GNDNLS, NDNLS, NNLS
+from .equations import (
+    EquationSpec,
+    GAUGED_GNDNLS,
+    GAUGED_NDNLS,
+    GNDNLS,
+    NDNLS,
+    NNLS,
+    support_leakage,
+)
 from .evolve import picard_solve, solve
 from .gauge import gauge_forward
-from .grid import SpectralField, l2_distance, l2_norm
+from .grid import EndpointDecayWarning, SpectralField, forward_transform, l2_distance, l2_norm
 from .spaces import dilate, esigma_norm, scaling_bound_check
 
 DATA_KINDS = ("gaussian", "modulated_gaussian", "halfline_bump", "plemelj_derivative", "two_bump")
@@ -79,16 +87,12 @@ def make_initial_data(kind, grid, **params):
         a = params.get("amplitude", 1.0)
         w = params.get("width", 1.0)
         x = grid.points
-        from .grid import forward_transform
-
         return forward_transform(a * np.exp(-(x / w) ** 2 / 2.0).astype(complex), grid)
     if kind == "modulated_gaussian":
         a = params.get("amplitude", 1.0)
         w = params.get("width", 1.0)
         carrier = params.get("carrier", 3.0)
         x = grid.points
-        from .grid import forward_transform
-
         s = a * np.exp(1j * carrier * x) * np.exp(-(x / w) ** 2 / 2.0)
         return forward_transform(s, grid)
     if kind == "halfline_bump":
@@ -153,8 +157,6 @@ def exp_gauge_equivalence(alpha, beta, u0, T, dt, mode="rederived", tolerance=1e
     else:
         spec_u = EquationSpec(GNDNLS, alpha=alpha, beta=beta)
         spec_v = EquationSpec(GAUGED_GNDNLS, alpha=alpha, beta=beta, gauged_coefficient_mode=mode)
-    from .grid import EndpointDecayWarning
-
     v0 = gauge_forward(u0, delta)
     tr_u = solve(u0, T, dt, spec_u, sample_every=sample_every)
     tr_v = solve(v0, T, dt, spec_v, sample_every=sample_every)
@@ -180,8 +182,6 @@ def exp_gauge_equivalence(alpha, beta, u0, T, dt, mode="rederived", tolerance=1e
 
 def exp_support_invariance(spec, eps0, u0, T, dt, tolerance=1e-10, sample_every=50):
     """Verify that spectral support above eps0 is preserved along the flow."""
-    from .equations import support_leakage
-
     if support_leakage(u0, eps0) > 1e-13:
         raise ValueError("initial data leaks below eps0 already")
     t0 = time.perf_counter()

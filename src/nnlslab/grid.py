@@ -13,6 +13,7 @@ so that ``u(x_j) = (1/L) * sum_m coeffs[m] exp(i xi_m x_j)``.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -152,20 +153,63 @@ def nonlocal_conjugate(fld):
     return SpectralField(fld.grid, np.conj(fld.coeffs))
 
 
-def _embed(coeffs, n, n_fine):
-    out = np.zeros(n_fine, dtype=np.complex128)
-    off = n_fine // 2 - n // 2
-    out[off:off + n] = coeffs
-    return out
+class ProductPlan:
+    """Per-(grid, degree) constants of the zero-padded pointwise product.
+
+    The padded size is at least (p+1)/2 times the base mode count for a
+    p-fold product, so no aliased contribution can reach the retained band.
+    ``index`` maps the n ascending coefficients to their places in the
+    unshifted fine array; ``signs`` and ``scale`` are the fine-grid sign and
+    ``dx * sign`` vectors of the inverse and forward transforms on that band.
+    """
+
+    def __init__(self, grid, degree):
+        n = grid.n_modes
+        n_fine = int(np.ceil((degree + 1) * n / 2))
+        if n_fine % 2:
+            n_fine += 1
+        off = n_fine // 2 - n // 2
+        fine_signs = _signs(n_fine)
+        self.n_fine = n_fine
+        self.dx_fine = grid.length / n_fine
+        self.index = (np.arange(n) - n // 2) % n_fine
+        self.signs = fine_signs[off:off + n]
+        self.scale = (self.dx_fine * fine_signs)[off:off + n]
+        for a in (self.index, self.signs, self.scale):
+            a.flags.writeable = False  # shared by every caller of the cache
+
+    def samples(self, coeffs):
+        """Fine-grid samples of the field with ``coeffs`` zero padded."""
+        f = np.zeros(self.n_fine, dtype=np.complex128)
+        # sign first, then divide by dx, as inverse_transform does, so the
+        # samples round exactly as the transform of the padded field would
+        f[self.index] = coeffs * self.signs / self.dx_fine
+        return np.fft.ifft(f)
+
+    def product(self, factors):
+        """Retained coefficients of the product of coefficient arrays.
+
+        Each distinct array (by identity) is transformed once; the samples
+        are multiplied left to right.
+        """
+        samples = {}
+        prod = None
+        for c in factors:
+            s = samples.get(id(c))
+            if s is None:
+                s = samples[id(c)] = self.samples(c)
+            prod = s if prod is None else prod * s
+        return self.scale * np.fft.fft(prod)[self.index]
+
+
+@functools.lru_cache(maxsize=64)
+def product_plan(grid, degree):
+    """The cached :class:`ProductPlan` of ``degree``-fold products on ``grid``."""
+    return ProductPlan(grid, degree)
 
 
 def dealiased_product(fields):
-    """Pointwise product of 2-5 fields, exact for the retained modes.
-
-    Computed on a zero-padded grid of at least (p+1)/2 times the base mode
-    count for a p-fold product, so no aliased contribution can reach the
-    retained band.
-    """
+    """Pointwise product of 2-5 fields, exact for the retained modes."""
     p = len(fields)
     if not (2 <= p <= 5):
         raise ValueError("dealiased_product takes 2 to 5 fields, got %d" % p)
@@ -173,26 +217,21 @@ def dealiased_product(fields):
     for f in fields[1:]:
         if f.grid != grid:
             raise GridMismatchError("all factors must share one grid")
-    n = grid.n_modes
-    n_fine = int(np.ceil((p + 1) * n / 2))
-    if n_fine % 2:
-        n_fine += 1
-    fine = FrequencyGrid(n_fine, grid.length)
-    prod = None
-    for f in fields:
-        s = inverse_transform(SpectralField(fine, _embed(f.coeffs, n, n_fine)))
-        prod = s if prod is None else prod * s
-    c_fine = forward_transform(prod, fine).coeffs
-    off = n_fine // 2 - n // 2
-    return SpectralField(grid, c_fine[off:off + n])
+    return SpectralField(grid, product_plan(grid, p).product([f.coeffs for f in fields]))
+
+
+@functools.lru_cache(maxsize=64)
+def derivative_symbol(grid):
+    """The read-only multiplier i*xi of :func:`derivative`, cached per grid."""
+    m = 1j * grid.frequencies
+    m[0] = 0.0  # asymmetric Nyquist mode
+    m.flags.writeable = False
+    return m
 
 
 def derivative(fld):
     """Spectral derivative: multiply by i*xi, Nyquist mode zeroed."""
-    xi = fld.grid.frequencies
-    m = 1j * xi
-    m[0] = 0.0  # asymmetric Nyquist mode
-    return SpectralField(fld.grid, fld.coeffs * m)
+    return SpectralField(fld.grid, fld.coeffs * derivative_symbol(fld.grid))
 
 
 def _smoothstep(x, center, width, xi_max, x_lo, x_hi):

@@ -46,6 +46,27 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("override", ["evolution.dt=nan", "evolution.dt=0"])
+def test_bad_dt_is_exit_2(tmp_path, capsys, override):
+    path = write_cfg(tmp_path, BASE_CFG)
+    assert main(["solve", "--config", path, "--override", override]) == 2
+    assert "evolution.dt must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["evolution.T=.inf", "evolution.T=-1.0"])
+def test_bad_horizon_is_exit_2(tmp_path, capsys, override):
+    path = write_cfg(tmp_path, BASE_CFG)
+    assert main(["solve", "--config", path, "--override", override]) == 2
+    assert "evolution.T must be finite and >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", ["evolution.sample_every=0", "evolution.sample_every=2.5"])
+def test_bad_sample_every_is_exit_2(tmp_path, capsys, override):
+    path = write_cfg(tmp_path, BASE_CFG)
+    assert main(["solve", "--config", path, "--override", override]) == 2
+    assert "evolution.sample_every must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_unknown_experiment_is_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, BASE_CFG)
     assert main(["experiment", "frobnicate", "--config", path]) == 2

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import random_field
+from reference import reference_nonlinear_term
 from nnlslab.equations import (
+    COEFFICIENT_MODES,
     KINDS,
     EquationSpec,
     energy,
@@ -85,6 +87,36 @@ def test_general_term_combines_linearly(grid):
     part_b = dealiased_product([f, f, derivative(nonlocal_conjugate(f))])
     expect = part_a.coeffs + b * part_b.coeffs
     assert np.max(np.abs(got.coeffs - expect)) <= 1e-13 * np.max(np.abs(expect))
+
+
+def test_nonlinear_term_matches_reference_bit_for_bit(grid):
+    f = random_field(grid, 11, decay=3.0)
+    for kind in KINDS:
+        for alpha, beta in ((1.0, 0.0), (0.0, 0.0), (0.0, 0.6), (0.8, 0.3), (-1.7, 1.2)):
+            for mode in COEFFICIENT_MODES:
+                spec = EquationSpec(kind, alpha=alpha, beta=beta, gauged_coefficient_mode=mode)
+                got = nonlinear_term(f, spec).coeffs
+                assert np.array_equal(got, reference_nonlinear_term(f, spec).coeffs), spec
+
+
+def _counting(fn, calls):
+    def counted(*args, **kwargs):
+        calls.append(fn.__name__)
+        return fn(*args, **kwargs)
+
+    return counted
+
+
+@pytest.mark.parametrize("kind,ffts", [("NNLS", 3), ("GaugedNdNLS", 6)])
+def test_nonlinear_term_transforms_each_distinct_factor_once(grid, monkeypatch, kind, ffts):
+    # NNLS: u, u* in and u u u* out; gauged: (u, (u*)_x | u u (u*)_x) and
+    # (u, u* | u u u u* u*) on their own padded grids
+    f = random_field(grid, 12, decay=3.0)
+    calls = []
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, _counting(getattr(np.fft, name), calls))
+    nonlinear_term(f, EquationSpec(kind, alpha=1.0))
+    assert len(calls) == ffts
 
 
 def test_zero_alpha_is_free_equation(grid):

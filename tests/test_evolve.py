@@ -83,6 +83,59 @@ def test_solve_zero_horizon(grid, gaussian):
         solve(gaussian, -1.0, 0.01, NNLS)
 
 
+@pytest.mark.parametrize("dt", [np.nan, np.inf, 0.0, -0.01])
+def test_solve_rejects_bad_dt(gaussian, dt):
+    with pytest.raises(ValueError, match="dt must be finite and positive"):
+        solve(gaussian, 0.1, dt, NNLS)
+
+
+@pytest.mark.parametrize("T", [np.nan, np.inf, -1.0])
+def test_solve_rejects_bad_horizon(gaussian, T):
+    with pytest.raises(ValueError, match="T must be finite and nonnegative"):
+        solve(gaussian, T, 0.01, NNLS)
+
+
+@pytest.mark.parametrize("sample_every", [0, -3, 2.5])
+def test_solve_rejects_bad_sample_every(gaussian, sample_every):
+    with pytest.raises(ValueError, match="sample_every must be an integer >= 1"):
+        solve(gaussian, 0.1, 0.01, NNLS, sample_every=sample_every)
+
+
+def coarse_gaussian():
+    # coarse enough that dt = 0.3 passes the CFL guard
+    return even_gaussian(FrequencyGrid(32, 40.0))
+
+
+def test_solve_ends_exactly_at_T():
+    gaussian = coarse_gaussian()
+    traj = solve(gaussian, 1.0, 0.3, NNLS)
+    # three whole steps to 0.8999999999999999, then one of 0.1000000000000001
+    assert traj.times == [0.0, 0.3, 2 * 0.3, 3 * 0.3, 1.0]
+    u = gaussian
+    for _ in range(3):
+        u = step(u, 0.3, NNLS)
+    u = step(u, 1.0 - 3 * 0.3, NNLS)
+    assert np.array_equal(traj.states[-1].coeffs, u.coeffs)
+
+
+def test_solve_horizon_shorter_than_dt():
+    gaussian = coarse_gaussian()
+    traj = solve(gaussian, 0.01, 0.03, NNLS)
+    assert traj.times == [0.0, 0.01]
+    assert np.array_equal(traj.states[-1].coeffs, step(gaussian, 0.01, NNLS).coeffs)
+
+
+def test_solve_commensurate_horizon_keeps_whole_steps():
+    gaussian = coarse_gaussian()
+    # 0.3 / 0.1 is 3 to rounding: three whole steps, times i * dt as before
+    traj = solve(gaussian, 0.3, 0.1, NNLS)
+    assert traj.times == [0.0, 0.1, 0.2, 3 * 0.1]
+    u = gaussian
+    for _ in range(3):
+        u = step(u, 0.1, NNLS)
+    assert np.array_equal(traj.states[-1].coeffs, u.coeffs)
+
+
 def test_solve_linear_composition(grid, gaussian):
     traj = solve(gaussian, 0.5, 0.005, FREE)
     exact = linear_propagator(gaussian, 0.5)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field
+from reference import reference_product
 from nnlslab.grid import (
     Band,
     EndpointDecayWarning,
@@ -179,6 +180,20 @@ def test_dealiased_product_fine_grid_oracle(grid):
     oracle = forward_transform(direct, fine).coeffs[off:off + n]
     rel = np.max(np.abs(prod.coeffs - oracle)) / np.max(np.abs(oracle))
     assert rel <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((8, 10, 62, 256, 1024, 4096)),
+    pattern=st.lists(st.integers(0, 2), min_size=2, max_size=5),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_dealiased_product_matches_reference_bit_for_bit(n, pattern, seed):
+    # repeated indices give repeated factors, which are transformed once
+    g = FrequencyGrid(n, 30.0)
+    pool = [random_field(g, seed + k) for k in range(3)]
+    fields = [pool[k] for k in pattern]
+    assert np.array_equal(dealiased_product(fields).coeffs, reference_product(fields).coeffs)
 
 
 def test_dealiased_product_support_arithmetic(grid):
