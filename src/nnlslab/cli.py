@@ -88,14 +88,19 @@ def load_config(path, overrides=()):
         if "=" not in item:
             raise ConfigError("override %r is not of the form key=value" % item)
         key, _, raw = item.partition("=")
-        node = cfg
-        parts = key.split(".")
-        for p in parts[:-1]:
-            node = node.setdefault(p, {})
-            if not isinstance(node, dict):
-                raise ConfigError("override path %r crosses a non-mapping" % key)
-        node[parts[-1]] = yaml.safe_load(raw)
+        _apply_override(cfg, key, yaml.safe_load(raw))
     return cfg
+
+
+def _apply_override(cfg, key, value):
+    """Set the dotted path ``key`` of ``cfg`` to ``value``, making missing mappings."""
+    node = cfg
+    parts = str(key).split(".")
+    for p in parts[:-1]:
+        node = node.setdefault(p, {})
+        if not isinstance(node, dict):
+            raise ConfigError("override path %r crosses a non-mapping" % key)
+    node[parts[-1]] = value
 
 
 def build_grid(cfg):
@@ -263,13 +268,11 @@ def cmd_sweep(cfg, out_dir, jobs):
     name = _require(cfg.get("experiment", {}), "name", "experiment")
     tasks = []
     for i, entry in enumerate(_require(sec, "overrides", "sweep")):
+        if not isinstance(entry, dict):
+            raise ConfigError("sweep.overrides entry %d is not a mapping" % i)
         sub = copy.deepcopy(cfg)
         for key, value in entry.items():
-            node = sub
-            parts = key.split(".")
-            for p in parts[:-1]:
-                node = node.setdefault(p, {})
-            node[parts[-1]] = value
+            _apply_override(sub, key, value)
         tasks.append((name, sub, os.path.join(out_dir, "job_%03d" % i)))
     if jobs > 1:
         with multiprocessing.Pool(jobs) as pool:

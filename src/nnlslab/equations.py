@@ -69,8 +69,10 @@ def quintic_coefficient(alpha, beta, mode):
 def nonlinear_coeffs(coeffs, grid, spec):
     """N(u) on raw Fourier coefficients; the core of :func:`nonlinear_term`.
 
-    Neither the input nor the result is validated, so evolution loops can
-    call it without building a :class:`SpectralField` per substep.
+    ``coeffs`` is one field ``(n_modes,)`` or a batch ``(batch, n_modes)``;
+    each row of a batch gives the bits of its own 1-D call.  Neither the
+    input nor the result is validated, so evolution loops can call it
+    without building a :class:`SpectralField` per substep.
     """
     a, b = spec.alpha, spec.beta
     u, us = coeffs, np.conj(coeffs)
@@ -78,14 +80,14 @@ def nonlinear_coeffs(coeffs, grid, spec):
     d = derivative_symbol(grid)
     if spec.kind == NNLS:
         if a == 0:
-            return np.zeros(grid.n_modes, dtype=np.complex128)
+            return np.zeros(u.shape, dtype=np.complex128)
         return a * cubic.product([u, u, us])
     if spec.kind == NDNLS:
         if a == 0:
-            return np.zeros(grid.n_modes, dtype=np.complex128)
+            return np.zeros(u.shape, dtype=np.complex128)
         return a * cubic.product([u, us, u * d])
+    out = np.zeros(u.shape, dtype=np.complex128)
     if spec.kind == GNDNLS:
-        out = np.zeros(grid.n_modes, dtype=np.complex128)
         if a != 0:
             out += a * cubic.product([u, us, u * d])
         if b != 0:
@@ -96,7 +98,6 @@ def nonlinear_coeffs(coeffs, grid, spec):
     else:  # GAUGED_GNDNLS
         cubic_coeff = -(a - b)
         quintic = -quintic_coefficient(a, b, spec.gauged_coefficient_mode)
-    out = np.zeros(grid.n_modes, dtype=np.complex128)
     if cubic_coeff != 0:
         out += cubic_coeff * cubic.product([u, u, us * d])
     if quintic != 0:

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from .equations import energy, mass, nonlinear_coeffs, nonlinear_term, support_leakage
-from .grid import SpectralField, l2_distance
+from .equations import energy, mass, nonlinear_coeffs, support_leakage
+from .grid import SpectralField
 from .spaces import esigma_norm
 
 CFL_LIMIT = 50.0  # guard on dt * xi_max^2 for the nonlinear substep
@@ -154,8 +154,39 @@ class PicardReport:
     T_used: float = 0.0
 
 
-def _free_sequence(u0, times):
-    return [linear_propagator(u0, t) for t in times]
+def _check_nodes(n_nodes):
+    if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 9):
+        raise ValueError("the Duhamel map needs at least 9 time nodes, got %r" % (n_nodes,))
+    if n_nodes % 2 == 0:
+        raise ValueError("the Duhamel map needs an odd node count for Simpson, got %r"
+                         % (n_nodes,))
+
+
+def _node_phases(times, grid):
+    """e^{+i t xi^2} and e^{-i t xi^2}, one row per time node."""
+    xi2 = grid.frequencies ** 2
+    t = times[:, None]
+    plus = np.exp(1j * t * xi2)
+    minus = np.exp(-1j * t * xi2)
+    return plus, minus
+
+
+def _duhamel(coeffs, c0, times, plus, minus, grid, spec):
+    """The Duhamel map on the raw ``(n_nodes, n_modes)`` iterate ``coeffs``.
+
+    Each row rounds exactly as the same node evaluated on its own.
+    """
+    nl = 1j * nonlinear_coeffs(coeffs, grid, spec)
+    integrand = plus * nl
+    # cumulative_simpson works on real arrays; two calls on the real and
+    # imaginary parts run faster than one on their interleaved float64 view
+    cum = cumulative_simpson(
+        integrand.real, x=times, axis=0, initial=0.0
+    ) + 1j * cumulative_simpson(integrand.imag, x=times, axis=0, initial=0.0)
+    # bound to a name: numpy would reuse a large temporary sum in place and
+    # round total * minus, which is not bitwise minus * total
+    total = c0 + cum
+    return minus * total
 
 
 def picard_map(states, u0, T, spec):
@@ -165,45 +196,44 @@ def picard_map(states, u0, T, spec):
     integral evaluated by cumulative composite-Simpson quadrature of the
     interaction-picture integrand.
     """
-    n = len(states)
-    if n < 9:
-        raise ValueError("picard_map needs at least 9 time nodes")
-    if n % 2 == 0:
-        raise ValueError("picard_map needs an odd node count for Simpson")
-    times = np.linspace(0.0, T, n)
+    _check_nodes(len(states))
     grid = u0.grid
-    xi = grid.frequencies
-    integrand = np.empty((n, grid.n_modes), dtype=np.complex128)
-    for i, (t, u) in enumerate(zip(times, states)):
-        nl = 1j * nonlinear_term(u, spec).coeffs
-        integrand[i] = np.exp(1j * t * xi ** 2) * nl
-    # cumulative_simpson works on real arrays; integrate parts separately
-    cum = cumulative_simpson(
-        integrand.real, x=times, axis=0, initial=0.0
-    ) + 1j * cumulative_simpson(integrand.imag, x=times, axis=0, initial=0.0)
-    out = []
-    for i, t in enumerate(times):
-        phase = np.exp(-1j * t * xi ** 2)
-        out.append(SpectralField(grid, phase * (u0.coeffs + cum[i])))
-    return out
+    times = np.linspace(0.0, T, len(states))
+    plus, minus = _node_phases(times, grid)
+    coeffs = np.stack([u.coeffs for u in states])
+    new = _duhamel(coeffs, u0.coeffs, times, plus, minus, grid, spec)
+    return [SpectralField(grid, c) for c in new]
 
 
 def picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
-    """Iterate the Duhamel map from the free solution; never raises on divergence."""
+    """Iterate the Duhamel map from the free solution.
+
+    Divergence ends the iteration without raising: a non-finite iterate is
+    dropped, and three growing distances in a row stop the loop.  Invalid
+    arguments raise ``ValueError``.
+    """
     if n_iter < 1:
         raise ValueError("n_iter must be >= 1")
+    _check_nodes(n_nodes)
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be finite and positive, got %r" % (T,))
+    grid = u0.grid
     times = np.linspace(0.0, T, n_nodes)
-    current = _free_sequence(u0, times)
+    plus, minus = _node_phases(times, grid)
+    c0 = u0.coeffs
+    # the free flow, c0 first as in linear_propagator: a complex product is
+    # not bitwise commutative
+    current = c0 * minus
     report = PicardReport(T_used=T)
     growth_streak = 0
     for _ in range(n_iter):
-        try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                new = picard_map(current, u0, T, spec)
-        except (ValueError, FloatingPointError):
-            # iterate left the representable range: divergence, not a crash
-            break
-        dist = max(l2_distance(a, b) for a, b in zip(new, current))
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = _duhamel(current, c0, times, plus, minus, grid, spec)
+        if not np.all(np.isfinite(new)):
+            break  # the iterate left the representable range: divergence
+        diff = new - current
+        rows = np.sqrt(np.sum(np.abs(diff) ** 2, axis=-1) / grid.length)
+        dist = float(np.max(rows))  # the largest l2_distance over the nodes
         if report.iterates_distances:
             prev = report.iterates_distances[-1]
             if prev > 0:
@@ -216,4 +246,4 @@ def picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
             break
         if growth_streak >= 3 or not np.isfinite(dist):
             break
-    return current, report
+    return [SpectralField(grid, c) for c in current], report

@@ -161,6 +161,9 @@ class ProductPlan:
     ``index`` maps the n ascending coefficients to their places in the
     unshifted fine array; ``signs`` and ``scale`` are the fine-grid sign and
     ``dx * sign`` vectors of the inverse and forward transforms on that band.
+
+    Coefficient arrays are ``(n,)`` or ``(batch, n)``; every transform runs
+    along the last axis, row by row, so a batch rounds exactly as its rows.
     """
 
     def __init__(self, grid, degree):
@@ -171,6 +174,10 @@ class ProductPlan:
         off = n_fine // 2 - n // 2
         fine_signs = _signs(n_fine)
         self.n_fine = n_fine
+        # index as slices, far cheaper than a fancy index on a batch: modes
+        # m >= 0 (the upper half) lead the fine array and modes m < 0 end it
+        h = n // 2
+        self.head, self.tail, self.upper = np.s_[..., :h], np.s_[..., -h:], np.s_[..., h:]
         self.dx_fine = grid.length / n_fine
         self.index = (np.arange(n) - n // 2) % n_fine
         self.signs = fine_signs[off:off + n]
@@ -179,11 +186,16 @@ class ProductPlan:
             a.flags.writeable = False  # shared by every caller of the cache
 
     def samples(self, coeffs):
-        """Fine-grid samples of the field with ``coeffs`` zero padded."""
-        f = np.zeros(self.n_fine, dtype=np.complex128)
+        """Fine-grid samples of the field(s) with ``coeffs`` zero padded."""
+        f = np.zeros(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
         # sign first, then divide by dx, as inverse_transform does, so the
         # samples round exactly as the transform of the padded field would
-        f[self.index] = coeffs * self.signs / self.dx_fine
+        c = coeffs * self.signs / self.dx_fine
+        f[self.head] = c[self.upper]
+        f[self.tail] = c[self.head]
+        # freed before the transform allocates its output: holding c made a
+        # 1-D step at n_fine = 8192 about 10% slower (an allocator effect)
+        del c
         return np.fft.ifft(f)
 
     def product(self, factors):
@@ -199,7 +211,7 @@ class ProductPlan:
             if s is None:
                 s = samples[id(c)] = self.samples(c)
             prod = s if prod is None else prod * s
-        return self.scale * np.fft.fft(prod)[self.index]
+        return self.scale * np.fft.fft(prod).take(self.index, axis=-1)
 
 
 @functools.lru_cache(maxsize=64)

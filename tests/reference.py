@@ -3,19 +3,24 @@
 ``reference_product`` embeds every factor in a freshly built fine grid,
 transforms each factor separately and crops the forward transform of the
 product; ``reference_nonlinear_term`` builds every right-hand side from it,
-kind by kind.  The planned kernels in ``nnlslab.grid`` and
-``nnlslab.equations`` perform the same floating-point operations in the same
+kind by kind.  ``reference_picard_map`` and ``reference_picard_solve`` are
+the Duhamel/Picard engine node by node, one validated field per node.  The
+planned and batched kernels in ``nnlslab.grid``, ``nnlslab.equations`` and
+``nnlslab.evolve`` perform the same floating-point operations in the same
 order, so they must agree with these bit for bit.
 """
 
 import numpy as np
+from scipy.integrate import cumulative_simpson
 
-from nnlslab.equations import quintic_coefficient
+from nnlslab.equations import nonlinear_term, quintic_coefficient
+from nnlslab.evolve import PicardReport, linear_propagator
 from nnlslab.grid import (
     FrequencyGrid,
     SpectralField,
     forward_transform,
     inverse_transform,
+    l2_distance,
     nonlocal_conjugate,
     zero_field,
 )
@@ -79,3 +84,53 @@ def reference_nonlinear_term(fld, spec):
     if quintic != 0:
         out += quintic * reference_product([fld, fld, fld, us, us]).coeffs
     return SpectralField(fld.grid, out)
+
+
+def reference_picard_map(states, u0, T, spec):
+    n = len(states)
+    if n < 9:
+        raise ValueError("picard_map needs at least 9 time nodes")
+    if n % 2 == 0:
+        raise ValueError("picard_map needs an odd node count for Simpson")
+    times = np.linspace(0.0, T, n)
+    grid = u0.grid
+    xi = grid.frequencies
+    integrand = np.empty((n, grid.n_modes), dtype=np.complex128)
+    for i, (t, u) in enumerate(zip(times, states)):
+        nl = 1j * nonlinear_term(u, spec).coeffs
+        integrand[i] = np.exp(1j * t * xi ** 2) * nl
+    cum = cumulative_simpson(
+        integrand.real, x=times, axis=0, initial=0.0
+    ) + 1j * cumulative_simpson(integrand.imag, x=times, axis=0, initial=0.0)
+    out = []
+    for i, t in enumerate(times):
+        phase = np.exp(-1j * t * xi ** 2)
+        out.append(SpectralField(grid, phase * (u0.coeffs + cum[i])))
+    return out
+
+
+def reference_picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
+    times = np.linspace(0.0, T, n_nodes)
+    current = [linear_propagator(u0, t) for t in times]
+    report = PicardReport(T_used=T)
+    growth_streak = 0
+    for _ in range(n_iter):
+        try:
+            with np.errstate(over="ignore", invalid="ignore"):
+                new = reference_picard_map(current, u0, T, spec)
+        except (ValueError, FloatingPointError):
+            break
+        dist = max(l2_distance(a, b) for a, b in zip(new, current))
+        if report.iterates_distances:
+            prev = report.iterates_distances[-1]
+            if prev > 0:
+                report.contraction_ratios.append(dist / prev)
+            growth_streak = growth_streak + 1 if dist > prev else 0
+        report.iterates_distances.append(dist)
+        current = new
+        if dist <= tol:
+            report.converged = True
+            break
+        if growth_streak >= 3 or not np.isfinite(dist):
+            break
+    return current, report

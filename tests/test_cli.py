@@ -131,3 +131,21 @@ def test_sweep_runs_jobs(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "job_000: pass" in printed and "job_001: pass" in printed
     assert os.path.exists(os.path.join(out, "job_001", "report.txt"))
+
+
+def test_override_through_a_value_is_exit_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, BASE_CFG)
+    assert main(["solve", "--config", path, "--override", "grid.n_modes.x.y=1"]) == 2
+    assert "crosses a non-mapping" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("entry", [{"grid.n_modes.x.y": 1}, "equation.alpha=0.5"])
+def test_bad_sweep_entry_is_exit_2(tmp_path, capsys, entry):
+    # sweep entries go through the same override applier as --override
+    cfg = dict(BASE_CFG)
+    cfg["sweep"] = {"overrides": [{"equation.alpha": 0.5}, entry]}
+    path = write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", path, "--out", out]) == 2
+    assert "invalid configuration" in capsys.readouterr().err
+    assert not os.path.exists(out)  # rejected before any job ran

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_field
 from reference import reference_nonlinear_term
@@ -11,6 +13,7 @@ from nnlslab.equations import (
     EquationSpec,
     energy,
     mass,
+    nonlinear_coeffs,
     nonlinear_term,
     quintic_coefficient,
     rhs,
@@ -97,6 +100,26 @@ def test_nonlinear_term_matches_reference_bit_for_bit(grid):
                 spec = EquationSpec(kind, alpha=alpha, beta=beta, gauged_coefficient_mode=mode)
                 got = nonlinear_term(f, spec).coeffs
                 assert np.array_equal(got, reference_nonlinear_term(f, spec).coeffs), spec
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((8, 10, 62, 256)),
+    batch=st.sampled_from((1, 2, 9, 65)),
+    kind=st.sampled_from(KINDS),
+    coeffs=st.sampled_from(((1.0, 0.0), (0.0, 0.6), (0.8, 0.3), (-1.7, 1.2))),
+    mode=st.sampled_from(COEFFICIENT_MODES),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_batched_nonlinear_coeffs_match_rows_bit_for_bit(n, batch, kind, coeffs, mode, seed):
+    # 65 rows of 256 modes cross numpy's in-place temporary threshold
+    g = FrequencyGrid(n, 30.0)
+    rows = np.stack([random_field(g, seed + k).coeffs for k in range(batch)])
+    spec = EquationSpec(kind, alpha=coeffs[0], beta=coeffs[1], gauged_coefficient_mode=mode)
+    got = nonlinear_coeffs(rows, g, spec)
+    want = np.stack([nonlinear_coeffs(r, g, spec) for r in rows])
+    assert got.shape == rows.shape
+    assert np.array_equal(got, want)
 
 
 def _counting(fn, calls):

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import random_field
+from reference import reference_picard_map, reference_picard_solve
 from nnlslab.equations import EquationSpec, mass
 from nnlslab.evolve import (
     linear_propagator,
@@ -192,6 +194,109 @@ def test_picard_node_validation(grid, gaussian):
         picard_map([gaussian] * 5, gaussian, 0.1, NNLS)
     with pytest.raises(ValueError):
         picard_map([gaussian] * 10, gaussian, 0.1, NNLS)
+
+
+@pytest.mark.parametrize("n_nodes", [5, 8, 10, 9.0])
+def test_picard_solve_rejects_bad_node_count(gaussian, n_nodes):
+    # an error, not the free flow with no iterate
+    with pytest.raises(ValueError, match="time nodes|odd node count"):
+        picard_solve(gaussian, 0.1, NNLS, n_nodes=n_nodes)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+def test_picard_solve_rejects_bad_horizon(gaussian, T):
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        picard_solve(gaussian, T, NNLS)
+
+
+def test_picard_map_rejects_non_finite_iterate(grid, gaussian):
+    huge = SpectralField(grid, 1e200 * gaussian.coeffs)
+    with pytest.raises(ValueError, match="non-finite"):
+        with np.errstate(over="ignore", invalid="ignore"):
+            picard_map([huge] * 9, gaussian, 0.1, NNLS)
+
+
+PICARD_SPECS = [
+    NNLS,
+    EquationSpec("NdNLS", alpha=1.0),
+    EquationSpec("gNdNLS", alpha=0.8, beta=0.3),
+    EquationSpec("GaugedNdNLS", alpha=1.0),
+    EquationSpec("GaugedGNdNLS", alpha=0.8, beta=0.3, gauged_coefficient_mode="printed"),
+    EquationSpec("GaugedGNdNLS", alpha=0.8, beta=0.3, gauged_coefficient_mode="rederived"),
+]
+
+
+def shifted_wave(grid, amp):
+    # neither even nor real, so u* differs from conj(u) at every node
+    x = grid.points
+    return forward_transform(amp * np.exp(-(x - 0.5) ** 2 / 2.0 + 0.7j * x), grid)
+
+
+def assert_same_picard(got, want):
+    (states, report), (ref_states, ref_report) = got, want
+    assert len(states) == len(ref_states)
+    for a, b in zip(states, ref_states):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    assert report.iterates_distances == ref_report.iterates_distances
+    assert report.contraction_ratios == ref_report.contraction_ratios
+    assert report.converged == ref_report.converged
+
+
+@pytest.mark.parametrize("n_nodes", [9, 33, 65, 129])
+@pytest.mark.parametrize("spec", PICARD_SPECS, ids=lambda s: "%s-%s" % (s.kind, s.gauged_coefficient_mode))
+def test_picard_solve_matches_node_loop_bit_for_bit(grid, spec, n_nodes):
+    # 65 and more nodes of 256 modes make temporaries large enough for numpy
+    # to reuse them in place; the batch must still round as the node loop
+    u0 = shifted_wave(grid, 0.3)
+    got = picard_solve(u0, 0.2, spec, n_nodes=n_nodes)
+    assert got[1].converged
+    assert_same_picard(got, reference_picard_solve(u0, 0.2, spec, n_nodes=n_nodes))
+
+
+@pytest.mark.parametrize("kind,amp,T", [
+    ("NNLS", 40.0, 20.0),  # three growing distances in a row
+    ("GaugedNdNLS", 40.0, 20.0),  # an overflowing distance
+    ("NNLS", 1e5, 1.0),  # a non-finite fourth iterate
+    ("GaugedNdNLS", 1e100, 1.0),  # a non-finite first iterate
+])
+def test_picard_divergence_matches_node_loop(grid, kind, amp, T):
+    u0 = shifted_wave(grid, amp)
+    spec = EquationSpec(kind, alpha=1.0)
+    with np.errstate(over="ignore"):
+        got = picard_solve(u0, T, spec)
+        want = reference_picard_solve(u0, T, spec)
+    assert not got[1].converged
+    assert_same_picard(got, want)
+
+
+def test_picard_map_matches_node_loop_bit_for_bit(grid):
+    u0 = shifted_wave(grid, 1.0)
+    states = [random_field(grid, seed, decay=3.0) for seed in range(33)]
+    spec = EquationSpec("gNdNLS", alpha=0.8, beta=0.3)
+    got = picard_map(states, u0, 0.4, spec)
+    want = reference_picard_map(states, u0, 0.4, spec)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert np.array_equal(a.coeffs, b.coeffs)
+
+
+def test_picard_iteration_transforms_all_nodes_at_once(grid, gaussian, monkeypatch):
+    # NNLS: one batched inverse FFT for u, one for u*, one forward FFT of the
+    # product, whatever the node count
+    calls = []
+
+    def counting(fn):
+        def counted(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    _, report = picard_solve(gaussian, 0.1, NNLS, n_nodes=33, n_iter=1)
+    assert len(report.iterates_distances) == 1
+    assert sorted(calls) == ["fft", "ifft", "ifft"]
 
 
 def test_picard_free_equation_converges_immediately(grid, gaussian):
