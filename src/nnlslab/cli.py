@@ -230,7 +230,7 @@ def run_experiment(name, cfg, out_dir):
                                     sprime=float(exp.get("sprime", -1.0)),
                                     sigmaprime=float(exp.get("sigmaprime", 0.0)),
                                     equation=spec.kind,
-                                    n_nodes=int(exp.get("n_nodes", 16)))
+                                    n_nodes=exp.get("n_nodes", 16))
     else:
         raise ConfigError("unknown experiment %r; see the list subcommand" % name)
     os.makedirs(out_dir, exist_ok=True)

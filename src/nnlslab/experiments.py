@@ -53,8 +53,9 @@ class TwoBumpData:
     s: float
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("k must be a positive integer")
+        if not (float(self.k).is_integer() and self.k >= 1):
+            raise ValueError("k must be a positive integer, got %r" % (self.k,))
+        object.__setattr__(self, "k", int(self.k))
         if not self.s < 0:
             raise ValueError("s must be negative")
 
@@ -113,7 +114,7 @@ def make_initial_data(kind, grid, **params):
         coeffs = np.where(xi >= 1.0, c * (1j * (xi - 1.0)) ** order, 0.0)
         return SpectralField(grid, coeffs)
     if kind == "two_bump":
-        prof = TwoBumpData(int(params["k"]), float(params["s"]))
+        prof = TwoBumpData(params["k"], float(params["s"]))
         xi = grid.frequencies
         up, dn = prof.upper_box, prof.lower_box
         ind = ((xi >= up[0]) & (xi <= up[1])) | ((xi >= dn[0]) & (xi <= dn[1]))
@@ -350,40 +351,81 @@ def rho_kernel(t, xi, xi1, xi2):
     return first - second
 
 
+def _ratio(e, z):
+    # (e - 1)/z for e = e^{iz}; _phase_ratio's series takes over where |z| < 1e-6
+    small = np.abs(z) < 1e-6
+    out = e - 1.0
+    if small.any():
+        out *= 1.0 / np.where(small, 1.0, z)
+        out[small] = _phase_ratio(z[small])
+    else:
+        out *= 1.0 / z  # a real factor, cheaper than a complex division
+    return out
+
+
 def _combo_integral(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track=False):
-    """Integral over xi1 in b1, xi2 in b2, xi - xi1 - xi2 in b3 of the kernel."""
+    """Integral over xi1 in b1, xi2 in b2, xi - xi1 - xi2 in b3 of the kernel.
+
+    The xi1 range is cut where the xi2 range changes form, and the n1 Gauss
+    nodes x1_i of every panel become the rows of one array.  Row i has the n2
+    inner nodes x2_ij = mid_i + h_i g_j.  The code relies on two facts:
+
+    - the kernel phase z_ij = 2t(xi - x1_i)(xi - x2_ij) = A_i - B_i g_j is
+      affine in g_j, and so is the rho phase 2t(xi - x1_i)(x1_i + x2_ij)
+      = A2_i + B_i g_j, with the same B_i;
+    - the ``leggauss`` nodes are exactly antisymmetric: g[::-1] == -g bit for
+      bit, and the middle node of an odd count is 0.
+
+    So z_ij + z_i(n2-1-j) = 2 A_i, and e^{iz} is evaluated on the lower half
+    of j only (the middle node included); the upper half is e^{2iA_i} times
+    the conjugate of the lower half, reversed.  The rho exponential is
+    e^{i(A2_i - A_i)} times e^{iz} reversed, and -Im rho comes from the two
+    phase ratios, so ``rho_kernel`` is not called.  The weighted sum is two
+    matrix-vector products.  Returns (integral, min of -Im rho over the nodes
+    when rho_track, else inf).
+    """
     lo1, hi1 = b1
     lo2, hi2 = b2
     lo3, hi3 = b3
     a = max(lo1, xi - hi3 - hi2)
     b = min(hi1, xi - lo3 - lo2)
-    min_rho = np.inf
-    if b <= a:
-        return 0.0 + 0.0j, min_rho
     cuts = sorted({a, b, xi - hi3 - lo2, xi - lo3 - hi2})
     cuts = [a] + [c for c in cuts if a < c < b] + [b]
+    panels = [(pa, pb) for pa, pb in zip(cuts[:-1], cuts[1:]) if pb - pa > 1e-15]
+    if not panels:  # also when b <= a: the one candidate panel is then empty
+        return 0.0 + 0.0j, np.inf
     g1, w1 = _gl(n1)
     g2, w2 = _gl(n2)
-    total = 0.0 + 0.0j
-    for pa, pb in zip(cuts[:-1], cuts[1:]):
-        if pb - pa <= 1e-15:
-            continue
-        x1 = 0.5 * (pa + pb) + 0.5 * (pb - pa) * g1
-        wx1 = 0.5 * (pb - pa) * w1
-        in_lo = np.maximum(lo2, xi - x1 - hi3)
-        in_hi = np.minimum(hi2, xi - x1 - lo3)
-        h = 0.5 * (in_hi - in_lo)
-        mid = 0.5 * (in_hi + in_lo)
-        x2 = mid[:, None] + h[:, None] * g2[None, :]
-        w = (wx1 * h)[:, None] * w2[None, :]
-        vals = _kernel(xi, x1[:, None], x2, t)
-        if with_xi2_factor:
-            vals = vals * (1j * x2)
-        total += complex(np.sum(w * vals))
-        if rho_track:
-            rho = rho_kernel(t, xi, x1[:, None], x2)
-            min_rho = min(min_rho, float(np.min(-rho.imag)))
-    return total, min_rho
+    pa, pb = np.array(panels).T[:, :, None]
+    x1 = (0.5 * (pa + pb) + 0.5 * (pb - pa) * g1).ravel()
+    wx1 = (0.5 * (pb - pa) * w1).ravel()
+    in_lo = np.maximum(lo2, xi - x1 - hi3)
+    in_hi = np.minimum(hi2, xi - x1 - lo3)
+    h = 0.5 * (in_hi - in_lo)
+    mid = 0.5 * (in_hi + in_lo)
+    d = 2.0 * t * (xi - x1)
+    A = (d * (xi - mid))[:, None]
+    Bg = (d * h)[:, None] * g2
+    z = A - Bg
+    half = (n2 + 1) // 2
+    e = np.empty(z.shape, dtype=np.complex128)
+    np.cos(z[:, :half], out=e.real[:, :half])
+    np.sin(z[:, :half], out=e.imag[:, :half])
+    np.multiply(np.exp(2j * A), np.conjugate(e[:, :n2 // 2][:, ::-1]), out=e[:, half:])
+    r = _ratio(e, z)
+    w = wx1 * h
+    if with_xi2_factor:
+        # i x2_ij = i (mid_i + h_i g_j): a mid_i column and an h_i g_j column
+        total = 1j * t * ((w * mid) @ (r @ w2) + (w * h) @ (r @ (w2 * g2)))
+    else:
+        total = t * (w @ (r @ w2))
+    min_rho = np.inf
+    if rho_track:
+        # -Im rho = t (2 Im r2 - Im r1), r1 = r and r2 the ratio at the rho phase
+        A2 = (d * (x1 + mid))[:, None]
+        r2 = _ratio(np.exp(1j * (A2 - A)) * e[:, ::-1], A2 + Bg)
+        min_rho = t * float(np.min(2.0 * r2.imag - r.imag))
+    return complex(total), min_rho
 
 
 def third_derivative_field(phi, t, equation=NNLS, xi=None, n_outer=24, n_inner=24, alpha=1.0):
@@ -393,8 +435,8 @@ def third_derivative_field(phi, t, equation=NNLS, xi=None, n_outer=24, n_inner=2
     band near [1/2, 1] and the worst value of -Im rho over the symmetric-box
     quadrature nodes.
     """
-    if t < 0:
-        raise ValueError("t must be nonnegative")
+    if not (np.isfinite(t) and t >= 0):
+        raise ValueError("t must be finite and nonnegative, got %r" % (t,))
     if equation not in (NNLS, NDNLS):
         raise ValueError("third derivative is available for NNLS and NdNLS")
     if xi is None:
@@ -443,20 +485,26 @@ def exp_norm_inflation(s=-1.0, k_list=(8, 16, 32), kappa=0.1, sprime=-1.0, sigma
     """Growth in k of the weighted band norm of the third derivative at t = kappa/k^2."""
     if not s < 0:
         raise ValueError("s must be negative")
-    if kappa > 0.1:
-        raise ValueError("kappa must be <= 0.1")
+    if not 0 < kappa <= 0.1:
+        raise ValueError("kappa must be in (0, 0.1], got %r" % (kappa,))
+    if not (float(n_nodes).is_integer() and n_nodes >= 1):
+        raise ValueError("n_nodes must be an integer >= 1, got %r" % (n_nodes,))
+    phis = [TwoBumpData(k, s) for k in k_list]
+    if len(phis) < 2 or any(b.k <= a.k for a, b in zip(phis, phis[1:])):
+        raise ValueError("k_list must hold at least two strictly increasing values, got %r"
+                         % (tuple(k_list),))
+    n_nodes = int(n_nodes)
     t0 = time.perf_counter()
     norms, rho_ok, quad_ok = [], True, True
-    for k in k_list:
-        phi = TwoBumpData(int(k), s)
-        t = kappa / k ** 2
+    for phi in phis:
+        t = kappa / phi.k ** 2
         coarse, _ = _band_norm(phi, t, equation, sprime, sigmaprime, n_nodes)
         fine, min_rho = _band_norm(phi, t, equation, sprime, sigmaprime, 2 * n_nodes)
         quad_ok = quad_ok and abs(fine - coarse) <= quad_tol * abs(fine)
         rho_ok = rho_ok and min_rho >= t / 2.0
         norms.append(fine)
     log2n = np.log2(norms)
-    slope, r2 = _linefit(np.asarray(k_list, dtype=float), log2n)
+    slope, r2 = _linefit(np.array([phi.k for phi in phis], dtype=float), log2n)
     target = -s / 2.0
     monotone = all(b > a for a, b in zip(norms, norms[1:]))
     passed = quad_ok and rho_ok and monotone and slope >= target * 0.8

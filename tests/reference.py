@@ -8,13 +8,19 @@ the Duhamel/Picard engine node by node, one validated field per node.  The
 planned and batched kernels in ``nnlslab.grid``, ``nnlslab.equations`` and
 ``nnlslab.evolve`` perform the same floating-point operations in the same
 order, so they must agree with these bit for bit.
+
+``reference_third_derivative_field`` is the norm-inflation quadrature panel by
+panel, one complex exponential per kernel value and ``rho_kernel`` at every
+node.  ``nnlslab.experiments`` factors the Gauss-node phase instead, which
+reorders the arithmetic, so the two agree to roundoff, not bit for bit.
 """
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from nnlslab.equations import nonlinear_term, quintic_coefficient
+from nnlslab.equations import NDNLS, NNLS, nonlinear_term, quintic_coefficient
 from nnlslab.evolve import PicardReport, linear_propagator
+from nnlslab.experiments import _gl, _kernel, rho_kernel
 from nnlslab.grid import (
     FrequencyGrid,
     SpectralField,
@@ -134,3 +140,60 @@ def reference_picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
         if growth_streak >= 3 or not np.isfinite(dist):
             break
     return current, report
+
+
+def _reference_combo_integral(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track=False):
+    lo1, hi1 = b1
+    lo2, hi2 = b2
+    lo3, hi3 = b3
+    a = max(lo1, xi - hi3 - hi2)
+    b = min(hi1, xi - lo3 - lo2)
+    min_rho = np.inf
+    if b <= a:
+        return 0.0 + 0.0j, min_rho
+    cuts = sorted({a, b, xi - hi3 - lo2, xi - lo3 - hi2})
+    cuts = [a] + [c for c in cuts if a < c < b] + [b]
+    g1, w1 = _gl(n1)
+    g2, w2 = _gl(n2)
+    total = 0.0 + 0.0j
+    for pa, pb in zip(cuts[:-1], cuts[1:]):
+        if pb - pa <= 1e-15:
+            continue
+        x1 = 0.5 * (pa + pb) + 0.5 * (pb - pa) * g1
+        wx1 = 0.5 * (pb - pa) * w1
+        in_lo = np.maximum(lo2, xi - x1 - hi3)
+        in_hi = np.minimum(hi2, xi - x1 - lo3)
+        h = 0.5 * (in_hi - in_lo)
+        mid = 0.5 * (in_hi + in_lo)
+        x2 = mid[:, None] + h[:, None] * g2[None, :]
+        w = (wx1 * h)[:, None] * w2[None, :]
+        vals = _kernel(xi, x1[:, None], x2, t)
+        if with_xi2_factor:
+            vals = vals * (1j * x2)
+        total += complex(np.sum(w * vals))
+        if rho_track:
+            rho = rho_kernel(t, xi, x1[:, None], x2)
+            min_rho = min(min_rho, float(np.min(-rho.imag)))
+    return total, min_rho
+
+
+def reference_third_derivative_field(phi, t, equation=NNLS, xi=None, n_outer=24, n_inner=24,
+                                     alpha=1.0):
+    if xi is None:
+        xi = np.linspace(0.5, 1.0, 65)
+    xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    up, dn = phi.upper_box, phi.lower_box
+    combos = [(up, up, dn), (dn, up, up), (up, dn, up)]
+    with_factor = equation == NDNLS
+    values = np.zeros(xi.shape, dtype=np.complex128)
+    min_rho = np.inf
+    pref = 6.0 * alpha * phi.amplitude ** 3 / (4.0 * np.pi ** 2)
+    for i, x in enumerate(xi):
+        acc = 0.0 + 0.0j
+        for j, (b1, b2, b3) in enumerate(combos):
+            val, mr = _reference_combo_integral(x, t, b1, b2, b3, n_outer, n_inner,
+                                                with_factor, rho_track=(j == 0 and t > 0))
+            acc += val
+            min_rho = min(min_rho, mr)
+        values[i] = pref * np.exp(-1j * t * x ** 2) * acc
+    return xi, values, min_rho

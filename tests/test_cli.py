@@ -139,6 +139,13 @@ def test_override_through_a_value_is_exit_2(tmp_path, capsys):
     assert "crosses a non-mapping" in capsys.readouterr().err
 
 
+def test_non_integral_bump_frequency_is_exit_2(capsys):
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "norm_inflation.yaml")
+    assert main(["experiment", "norm_inflation", "--config", config,
+                 "--override", "experiment.k_list=[4.5,8]"]) == 2
+    assert "k must be a positive integer" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", [{"grid.n_modes.x.y": 1}, "equation.alpha=0.5"])
 def test_bad_sweep_entry_is_exit_2(tmp_path, capsys, entry):
     # sweep entries go through the same override applier as --override

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from reference import reference_third_derivative_field
 from nnlslab.equations import EquationSpec
 from nnlslab.experiments import (
     TwoBumpData,
@@ -30,6 +33,15 @@ def test_two_bump_profile():
         TwoBumpData(0, -1.0)
     with pytest.raises(ValueError):
         TwoBumpData(4, 0.5)
+    assert TwoBumpData(8.0, -1.0).k == 8
+
+
+@pytest.mark.parametrize("k", [4.5, np.nan, np.inf])
+def test_two_bump_rejects_non_integral_k(grid, k):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        TwoBumpData(k, -1.0)
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        make_initial_data("two_bump", grid, k=k, s=-1.0)
 
 
 def test_make_initial_data_gaussian(grid):
@@ -93,6 +105,12 @@ def test_third_derivative_zero_time():
         third_derivative_field(prof, 0.1, equation="gNdNLS")
 
 
+@pytest.mark.parametrize("t", [np.nan, np.inf])
+def test_third_derivative_rejects_non_finite_time(t):
+    with pytest.raises(ValueError, match="t must be finite and nonnegative"):
+        third_derivative_field(TwoBumpData(8, -1.0), t)
+
+
 def test_third_derivative_quadrature_converges():
     prof = TwoBumpData(8, -1.0)
     t = 0.1 / 64.0
@@ -100,6 +118,36 @@ def test_third_derivative_quadrature_converges():
     _, coarse, _ = third_derivative_field(prof, t, xi=xi, n_outer=12, n_inner=12)
     _, fine, _ = third_derivative_field(prof, t, xi=xi, n_outer=24, n_inner=24)
     assert abs(coarse[0] - fine[0]) <= 1e-8 * abs(fine[0])
+
+
+# kappa stays >= 0.07: below about 0.05 the NdNLS value cancels to leading
+# order across the three box combinations, and both quadratures carry roundoff
+# of about eps/z^2 relative to it (at kappa = 0.01 each is 2-4e-14 away from
+# an exactly rounded phase ratio, and they are 4e-14 apart)
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.sampled_from([4, 8, 16, 32]),
+    n_outer=st.sampled_from([1, 2, 7, 12, 33, 64]),
+    n_inner=st.sampled_from([1, 2, 7, 12, 33, 64]),
+    equation=st.sampled_from(["NNLS", "NdNLS"]),
+    kappa=st.sampled_from([0.0, 0.07, 0.1]),
+    band=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=4),
+)
+def test_third_derivative_matches_panel_oracle(k, n_outer, n_inner, equation, kappa, band):
+    prof = TwoBumpData(k, -1.0)
+    t = kappa / k ** 2
+    # the last two output frequencies lie outside every box combination's support
+    xi = np.array(band + [-10.0 * k, 10.0 * k])
+    _, got, got_rho = third_derivative_field(prof, t, equation, xi=xi,
+                                             n_outer=n_outer, n_inner=n_inner)
+    _, want, want_rho = reference_third_derivative_field(prof, t, equation, xi=xi,
+                                                         n_outer=n_outer, n_inner=n_inner)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.all(got[-2:] == 0) and np.all(want[-2:] == 0)
+    if np.isfinite(want_rho):
+        assert abs(got_rho - want_rho) <= 1e-14 * abs(want_rho)
+    else:  # t = 0, or no rho node: the first combination has no support
+        assert got_rho == want_rho
 
 
 def test_conservation_experiment(grid):
@@ -175,6 +223,30 @@ def test_norm_inflation_small_case():
         exp_norm_inflation(s=0.5)
     with pytest.raises(ValueError):
         exp_norm_inflation(kappa=0.5)
+
+
+def test_norm_inflation_rejects_non_integral_k():
+    # before: k = 4.5 ran the k = 4 data at t = kappa/4.5^2 and passed
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        exp_norm_inflation(k_list=(4.5, 8), n_nodes=8)
+
+
+@pytest.mark.parametrize("k_list", [(8,), (), (16, 8), (8, 8, 16)])
+def test_norm_inflation_needs_increasing_k_list(k_list):
+    with pytest.raises(ValueError, match="at least two strictly increasing"):
+        exp_norm_inflation(k_list=k_list, n_nodes=8)
+
+
+@pytest.mark.parametrize("kappa", [0.0, -0.05, np.nan, 0.1000001])
+def test_norm_inflation_rejects_kappa_outside_range(kappa):
+    with pytest.raises(ValueError, match=r"kappa must be in \(0, 0.1\]"):
+        exp_norm_inflation(k_list=(4, 8), kappa=kappa, n_nodes=8)
+
+
+@pytest.mark.parametrize("n_nodes", [0, -2, 2.5, np.nan])
+def test_norm_inflation_rejects_bad_node_count(n_nodes):
+    with pytest.raises(ValueError, match="n_nodes must be an integer >= 1"):
+        exp_norm_inflation(k_list=(4, 8), n_nodes=n_nodes)
 
 
 def test_norm_inflation_derivative_grows_faster():
