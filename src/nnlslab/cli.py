@@ -8,17 +8,19 @@ run passed, 1 means an experiment failed (the report is still written), and
 from __future__ import annotations
 
 import argparse
+import collections
 import copy
 import csv
 import math
 import multiprocessing
 import os
 import sys
+import time
 
 import yaml
 
 from .equations import EquationSpec, KINDS, NNLS, energy, mass
-from .evolve import solve
+from .evolve import norm_key, solve
 from .experiments import (
     exp_conservation,
     exp_gauge_equivalence,
@@ -29,39 +31,6 @@ from .experiments import (
     make_initial_data,
 )
 from .grid import FrequencyGrid
-
-EXPERIMENTS = {
-    "conservation": {
-        "claim": "mass-energy-conservation",
-        "about": "mass (and energy for the cubic equation) stay constant along the flow",
-        "csv": "t, Re M, Im M, Re E, Im E, leakage, plus one column per requested (s, sigma) norm",
-    },
-    "gauge_equivalence": {
-        "claim": "gauge-equivalence",
-        "about": "evolving the gauged data by the gauged equation matches gauging the evolved data",
-        "csv": "report only",
-    },
-    "support_invariance": {
-        "claim": "halfline-support-invariance",
-        "about": "spectral support above a positive frequency threshold is preserved",
-        "csv": "t, Re M, Im M, Re E, Im E, leakage",
-    },
-    "scaling_global": {
-        "claim": "dilation-scaling-bound",
-        "about": "dilation norm bound holds and the dilation-weighted norm decays along solves",
-        "csv": "report only",
-    },
-    "picard_window": {
-        "claim": "contraction-window-scaling",
-        "about": "the contracting horizon of the fixed-point map shrinks as a power of the data norm",
-        "csv": "report only",
-    },
-    "norm_inflation": {
-        "claim": "third-derivative-norm-inflation",
-        "about": "the third derivative of the data-to-solution map grows geometrically in the bump frequency",
-        "csv": "report only",
-    },
-}
 
 
 class ConfigError(ValueError):
@@ -88,7 +57,11 @@ def load_config(path, overrides=()):
         if "=" not in item:
             raise ConfigError("override %r is not of the form key=value" % item)
         key, _, raw = item.partition("=")
-        _apply_override(cfg, key, yaml.safe_load(raw))
+        try:
+            value = yaml.safe_load(raw)
+        except yaml.YAMLError as exc:
+            raise ConfigError("override %r has a malformed value: %s" % (item, exc))
+        _apply_override(cfg, key, value)
     return cfg
 
 
@@ -119,10 +92,11 @@ def build_equation(cfg):
                         gauged_coefficient_mode=sec.get("gauged_coefficient_mode", "rederived"))
 
 
-def build_initial_data(cfg, grid):
+def build_initial_data(cfg, grid, **params):
+    """The configured initial data; keyword ``params`` override ``initial_data.params``."""
     sec = _require(cfg, "initial_data", "root")
     return make_initial_data(_require(sec, "kind", "initial_data"), grid,
-                             **sec.get("params", {}))
+                             **dict(sec.get("params", {}), **params))
 
 
 def _evolution(cfg):
@@ -145,11 +119,10 @@ def _fmt(x):
     return "%.17g" % x
 
 
-def write_timeseries(path, traj, norms):
+def write_timeseries(path, traj):
     header = ["t", "Re M", "Im M", "Re E", "Im E", "leakage"]
-    pairs = [p for p in norms if "esigma(%g,%g)" % p in traj.diagnostics[0]]
-    keys = ["esigma(%g,%g)" % p for p in pairs]
-    header += ["Es(%g,%g)" % p for p in pairs]
+    header += ["Es(%g,%g)" % p for p in traj.norm_params]
+    keys = [norm_key(*p) for p in traj.norm_params]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
@@ -172,100 +145,137 @@ def _flat(prefix, value, out):
         out[prefix] = str(value)
 
 
-def write_report(path, report):
+def write_report(path, fields):
+    """Write the mapping ``fields`` as sorted key=value lines, nested keys dotted."""
     flat = {}
-    _flat("", {
-        "claim_id": report.claim_id,
-        "passed": report.passed,
-        "tolerance": report.tolerance,
-        "runtime_seconds": report.runtime_seconds,
-        "parameters": report.parameters,
-        "measurements": report.measurements,
-    }, flat)
+    _flat("", fields, flat)
     with open(path, "w") as fh:
         for k in sorted(flat):
             fh.write("%s=%s\n" % (k, flat[k]))
 
 
-def run_experiment(name, cfg, out_dir):
+def _trajectory_inputs(cfg):
+    """(spec, u0, T, dt, sample_every, norms) of a run that steps a trajectory."""
+    grid = build_grid(cfg)
+    return (build_equation(cfg), build_initial_data(cfg, grid)) + _evolution(cfg)
+
+
+def _run_conservation(cfg, exp):
+    spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
+    return exp_conservation(spec, u0, T, dt, tolerance=float(exp.get("tolerance", 1e-6)),
+                            sample_every=sample_every, norm_params=norms)
+
+
+def _run_gauge_equivalence(cfg, exp):
+    spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
+    return exp_gauge_equivalence(spec.alpha, spec.beta, u0, T, dt,
+                                 mode=spec.gauged_coefficient_mode,
+                                 tolerance=float(exp.get("tolerance", 1e-4)),
+                                 sample_every=sample_every)
+
+
+def _run_support_invariance(cfg, exp):
+    spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
+    return exp_support_invariance(spec, float(exp.get("eps0", 1.0)), u0, T, dt,
+                                  tolerance=float(exp.get("tolerance", 1e-10)),
+                                  sample_every=sample_every)
+
+
+def _run_scaling_global(cfg, exp):
+    spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
+    return exp_scaling_global(u0, float(exp.get("s", -1.0)), float(exp.get("sigma", 0.0)),
+                              float(exp.get("eps0", 1.0)),
+                              tuple(exp.get("lambdas", (1, 2, 4, 8))),
+                              spec=spec, T_max=T, dt=dt, sample_every=sample_every)
+
+
+def _run_picard_window(cfg, exp):
     grid = build_grid(cfg)
     spec = build_equation(cfg)
-    T, dt, sample_every, norms = _evolution(cfg)
-    exp = cfg.get("experiment", {})
-    if name == "conservation":
-        u0 = build_initial_data(cfg, grid)
-        report = exp_conservation(spec, u0, T, dt,
-                                  tolerance=float(exp.get("tolerance", 1e-6)),
-                                  sample_every=sample_every, norm_params=norms)
-    elif name == "gauge_equivalence":
-        u0 = build_initial_data(cfg, grid)
-        report = exp_gauge_equivalence(spec.alpha, spec.beta, u0, T, dt,
-                                       mode=spec.gauged_coefficient_mode,
-                                       tolerance=float(exp.get("tolerance", 1e-4)),
-                                       sample_every=sample_every)
-    elif name == "support_invariance":
-        u0 = build_initial_data(cfg, grid)
-        report = exp_support_invariance(spec, float(exp.get("eps0", 1.0)), u0, T, dt,
-                                        tolerance=float(exp.get("tolerance", 1e-10)),
-                                        sample_every=sample_every)
-    elif name == "scaling_global":
-        u0 = build_initial_data(cfg, grid)
-        report = exp_scaling_global(u0, float(exp.get("s", -1.0)), float(exp.get("sigma", 0.0)),
-                                    float(exp.get("eps0", 1.0)),
-                                    tuple(exp.get("lambdas", (1, 2, 4, 8))),
-                                    spec=spec, T_max=T, dt=dt, sample_every=sample_every)
-    elif name == "picard_window":
-        sec = _require(cfg, "initial_data", "root")
-        params = dict(sec.get("params", {}))
-        family = []
-        for a in exp.get("amplitudes", (4.0, 12.6, 40.0, 126.0, 400.0)):
-            params["amplitude"] = float(a)
-            family.append(make_initial_data(_require(sec, "kind", "initial_data"), grid, **params))
-        report = exp_picard_window(family, spec, s=float(exp.get("s", -1.0)),
-                                   sigma=float(exp.get("sigma", 0.0)))
-    elif name == "norm_inflation":
-        report = exp_norm_inflation(s=float(exp.get("s", -1.0)),
-                                    k_list=tuple(exp.get("k_list", (8, 16, 32))),
-                                    kappa=float(exp.get("kappa", 0.1)),
-                                    sprime=float(exp.get("sprime", -1.0)),
-                                    sigmaprime=float(exp.get("sigmaprime", 0.0)),
-                                    equation=spec.kind,
-                                    n_nodes=exp.get("n_nodes", 16))
-    else:
-        raise ConfigError("unknown experiment %r; see the list subcommand" % name)
+    family = [build_initial_data(cfg, grid, amplitude=float(a))
+              for a in exp.get("amplitudes", (4.0, 12.6, 40.0, 126.0, 400.0))]
+    return exp_picard_window(family, spec, s=float(exp.get("s", -1.0)),
+                             sigma=float(exp.get("sigma", 0.0)))
+
+
+def _run_norm_inflation(cfg, exp):
+    return exp_norm_inflation(s=float(exp.get("s", -1.0)),
+                              k_list=tuple(exp.get("k_list", (8, 16, 32))),
+                              kappa=float(exp.get("kappa", 0.1)),
+                              sprime=float(exp.get("sprime", -1.0)),
+                              sigmaprime=float(exp.get("sigmaprime", 0.0)),
+                              equation=build_equation(cfg).kind,
+                              n_nodes=exp.get("n_nodes", 16))
+
+
+# name -> (claim, runner(cfg, cfg["experiment"]) -> ExperimentReport, description, CSV columns)
+Experiment = collections.namedtuple("Experiment", "claim run about csv", defaults=("report only",))
+
+EXPERIMENTS = {
+    "conservation": Experiment(
+        "mass-energy-conservation", _run_conservation,
+        "mass (and energy for the cubic equation) stay constant along the flow",
+        "t, Re M, Im M, Re E, Im E, leakage, plus one column per requested (s, sigma) norm"),
+    "gauge_equivalence": Experiment(
+        "gauge-equivalence", _run_gauge_equivalence,
+        "evolving the gauged data by the gauged equation matches gauging the evolved data"),
+    "support_invariance": Experiment(
+        "halfline-support-invariance", _run_support_invariance,
+        "spectral support above a positive frequency threshold is preserved",
+        "t, Re M, Im M, Re E, Im E, leakage"),
+    "scaling_global": Experiment(
+        "dilation-scaling-bound", _run_scaling_global,
+        "dilation norm bound holds and the dilation-weighted norm decays along solves"),
+    "picard_window": Experiment(
+        "contraction-window-scaling", _run_picard_window,
+        "the contracting horizon of the fixed-point map shrinks as a power of the data norm"),
+    "norm_inflation": Experiment(
+        "third-derivative-norm-inflation", _run_norm_inflation,
+        "the third derivative of the data-to-solution map grows geometrically in the bump frequency"),
+}
+
+
+def _experiment(name):
+    if name not in EXPERIMENTS:
+        raise ConfigError("unknown experiment %r; see the list subcommand" % (name,))
+    return EXPERIMENTS[name]
+
+
+def run_experiment(name, cfg, out_dir):
+    t0 = time.perf_counter()
+    report = _experiment(name).run(cfg, cfg.get("experiment", {}))
+    runtime = time.perf_counter() - t0
     os.makedirs(out_dir, exist_ok=True)
-    write_report(os.path.join(out_dir, "report.txt"), report)
+    fields = {k: v for k, v in vars(report).items() if k != "trajectory"}
+    write_report(os.path.join(out_dir, "report.txt"), dict(fields, runtime_seconds=runtime))
     if report.trajectory is not None:
-        write_timeseries(os.path.join(out_dir, "timeseries.csv"), report.trajectory, norms)
+        write_timeseries(os.path.join(out_dir, "timeseries.csv"), report.trajectory)
     return report
 
 
 def cmd_solve(cfg, out_dir):
-    grid = build_grid(cfg)
-    spec = build_equation(cfg)
-    u0 = build_initial_data(cfg, grid)
-    T, dt, sample_every, norms = _evolution(cfg)
+    spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
     eps0 = float(cfg.get("experiment", {}).get("eps0", 0.0))
     traj = solve(u0, T, dt, spec, sample_every=sample_every, eps0=eps0, norm_params=norms)
     os.makedirs(out_dir, exist_ok=True)
-    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, norms)
-    with open(os.path.join(out_dir, "report.txt"), "w") as fh:
-        fh.write("blown_up=%s\n" % traj.blown_up)
-        fh.write("final_time=%s\n" % _fmt(traj.times[-1]))
-        fh.write("final_mass_re=%s\n" % _fmt(mass(traj.states[-1]).real))
-        fh.write("final_energy_re=%s\n" % _fmt(energy(traj.states[-1], spec.alpha).real))
+    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj)
+    write_report(os.path.join(out_dir, "report.txt"), {
+        "blown_up": traj.blown_up,
+        "final_time": traj.times[-1],
+        "final_mass_re": mass(traj.states[-1]).real,
+        "final_energy_re": energy(traj.states[-1], spec.alpha).real,
+    })
     return 0 if not traj.blown_up else 1
 
 
 def _sweep_job(args):
-    name, cfg, out_dir = args
-    report = run_experiment(name, cfg, out_dir)
-    return report.passed
+    return run_experiment(*args).passed
 
 
 def cmd_sweep(cfg, out_dir, jobs):
     sec = _require(cfg, "sweep", "root")
     name = _require(cfg.get("experiment", {}), "name", "experiment")
+    _experiment(name)
     tasks = []
     for i, entry in enumerate(_require(sec, "overrides", "sweep")):
         if not isinstance(entry, dict):
@@ -285,10 +295,10 @@ def cmd_sweep(cfg, out_dir, jobs):
 
 
 def cmd_list():
-    for name, info in EXPERIMENTS.items():
-        print("%-20s claim=%s" % (name, info["claim"]))
-        print("    %s" % info["about"])
-        print("    csv: %s" % info["csv"])
+    for name, experiment in EXPERIMENTS.items():
+        print("%-20s claim=%s" % (name, experiment.claim))
+        print("    %s" % experiment.about)
+        print("    csv: %s" % experiment.csv)
     return 0
 
 
@@ -296,7 +306,6 @@ def main(argv=None):
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to the YAML run configuration")
     common.add_argument("--out", default="out", help="output directory")
-    common.add_argument("--jobs", type=int, default=1, help="worker processes for sweep")
     common.add_argument("--override", action="append", default=[],
                         help="dotted-path config override, e.g. equation.alpha=2.0")
     parser = argparse.ArgumentParser(prog="nnlslab",
@@ -305,7 +314,8 @@ def main(argv=None):
     sub.add_parser("solve", parents=[common], help="run one solve and write the time series")
     p_exp = sub.add_parser("experiment", parents=[common], help="run one named experiment")
     p_exp.add_argument("name", help="experiment name (see list)")
-    sub.add_parser("sweep", parents=[common], help="run the configured experiment over a list of overrides")
+    p_sweep = sub.add_parser("sweep", parents=[common], help="run the configured experiment over a list of overrides")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="worker processes")
     sub.add_parser("list", help="list available experiments")
     args = parser.parse_args(argv)
 

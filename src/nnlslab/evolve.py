@@ -27,10 +27,6 @@ CFL_LIMIT = 50.0  # guard on dt * xi_max^2 for the nonlinear substep
 class BlowUpError(RuntimeError):
     """Raised when a step produces non-finite coefficients."""
 
-    def __init__(self, message, time=None):
-        super().__init__(message)
-        self.time = time
-
 
 def linear_propagator(fld, t):
     """Free Schroedinger flow e^{it d^2/dx^2}: symbol e^{-i t xi^2}; unitary."""
@@ -90,9 +86,15 @@ class Trajectory:
     diagnostics: list  # one dict per sample
     blown_up: bool = False
     blowup_time: float | None = None
+    norm_params: tuple = ()  # the (s, sigma) pairs whose norms the diagnostics hold
 
     def diagnostic_series(self, key):
         return np.array([d[key] for d in self.diagnostics])
+
+
+def norm_key(s, sigma):
+    """Diagnostics key of the E^s_sigma norm."""
+    return "esigma(%g,%g)" % (s, sigma)
 
 
 def _diagnostics(fld, spec, eps0, norm_params):
@@ -102,7 +104,7 @@ def _diagnostics(fld, spec, eps0, norm_params):
         "leakage": support_leakage(fld, eps0),
     }
     for s, sigma in norm_params:
-        d["esigma(%g,%g)" % (s, sigma)] = esigma_norm(fld, s, sigma)
+        d[norm_key(s, sigma)] = esigma_norm(fld, s, sigma)
     return d
 
 
@@ -118,8 +120,11 @@ def solve(u0, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
         raise ValueError("T must be finite and nonnegative, got %r" % (T,))
     if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
         raise ValueError("sample_every must be an integer >= 1, got %r" % (sample_every,))
-    norm_params = tuple(norm_params)
-    traj = Trajectory([0.0], [u0], [_diagnostics(u0, spec, eps0, norm_params)])
+    norm_params = tuple((s, sigma) for s, sigma in norm_params)
+    if len({norm_key(*p) for p in norm_params}) < len(norm_params):
+        raise ValueError("norm_params %r repeat a diagnostics key" % (norm_params,))
+    traj = Trajectory([0.0], [u0], [_diagnostics(u0, spec, eps0, norm_params)],
+                      norm_params=norm_params)
     if T == 0:
         return traj
     n_full = int(round(T / dt))

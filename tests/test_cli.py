@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 import yaml
 
-from nnlslab.cli import EXPERIMENTS, load_config, main
+from nnlslab.cli import (EXPERIMENTS, build_grid, build_initial_data, load_config, main,
+                         write_timeseries)
+from nnlslab.equations import EquationSpec
+from nnlslab.evolve import norm_key, solve
 
 BASE_CFG = {
     "grid": {"n_modes": 256, "length": 40.0},
@@ -30,8 +33,8 @@ def test_list_command(capsys):
     assert "gauge_equivalence" in out
     assert "norm_inflation" in out
     assert len(EXPERIMENTS) >= 6
-    for info in EXPERIMENTS.values():
-        assert info["claim"]
+    for experiment in EXPERIMENTS.values():
+        assert experiment.claim and experiment.about and callable(experiment.run)
 
 
 def test_missing_config_is_exit_2(capsys):
@@ -72,6 +75,43 @@ def test_unknown_experiment_is_exit_2(tmp_path, capsys):
     assert main(["experiment", "frobnicate", "--config", path]) == 2
 
 
+def test_unknown_experiment_is_named_before_the_grid_is_read(tmp_path, capsys):
+    path = write_cfg(tmp_path, {k: v for k, v in BASE_CFG.items() if k != "grid"})
+    assert main(["experiment", "frobnicate", "--config", path]) == 2
+    assert "unknown experiment 'frobnicate'" in capsys.readouterr().err
+
+
+def test_unknown_sweep_experiment_is_exit_2_before_any_job(tmp_path, capsys):
+    cfg = dict(BASE_CFG, experiment={"name": "frobnicate"},
+               sweep={"overrides": [{"equation.alpha": 0.5}]})
+    path = write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", path, "--out", out]) == 2
+    assert "unknown experiment 'frobnicate'" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_jobs_is_a_sweep_option_only(tmp_path, capsys):
+    path = write_cfg(tmp_path, BASE_CFG)
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--config", path, "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "--jobs" in capsys.readouterr().err
+
+
+def test_malformed_override_value_is_exit_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, BASE_CFG)
+    assert main(["solve", "--config", path, "--override", "evolution.T=[1,"]) == 2
+    assert "malformed value" in capsys.readouterr().err
+
+
+def test_colliding_norm_keys_are_exit_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, BASE_CFG)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out"),
+                 "--override", "evolution.norms=[[-1.0,0.0],[-1.0000001,0.0]]"]) == 2
+    assert "repeat a diagnostics key" in capsys.readouterr().err
+
+
 def test_solve_writes_timeseries(tmp_path):
     path = write_cfg(tmp_path, BASE_CFG)
     out = str(tmp_path / "out")
@@ -89,6 +129,30 @@ def test_solve_writes_timeseries(tmp_path):
     assert os.path.exists(os.path.join(out, "report.txt"))
 
 
+def test_solve_report_keys(tmp_path):
+    path = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out)]) == 0
+    lines = dict(l.split("=", 1) for l in (out / "report.txt").read_text().splitlines())
+    assert sorted(lines) == ["blown_up", "final_energy_re", "final_mass_re", "final_time"]
+    assert lines["blown_up"] == "False" and float(lines["final_time"]) == 0.1
+
+
+def test_timeseries_has_one_column_per_recorded_norm(tmp_path):
+    grid = build_grid(BASE_CFG)
+    u0 = build_initial_data(BASE_CFG, grid)
+    pairs = [(-1.0, 0.0), (-0.5, 0.25), (0.0, 1.0)]
+    traj = solve(u0, 0.01, 5e-3, EquationSpec("NNLS"), norm_params=pairs)
+    assert traj.norm_params == tuple(pairs)
+    path = tmp_path / "ts.csv"
+    write_timeseries(str(path), traj)
+    with open(path) as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][6:] == ["Es(-1,0)", "Es(-0.5,0.25)", "Es(0,1)"]
+    for row, d in zip(rows[1:], traj.diagnostics):
+        assert [float(v) for v in row[6:]] == [d[norm_key(*p)] for p in pairs]
+
+
 def test_experiment_pass_and_report(tmp_path, capsys):
     path = write_cfg(tmp_path, BASE_CFG)
     out = str(tmp_path / "out")
@@ -98,6 +162,7 @@ def test_experiment_pass_and_report(tmp_path, capsys):
     assert lines["claim_id"] == "mass-energy-conservation"
     assert lines["passed"] == "True"
     assert float(lines["measurements.mass_drift"]) <= 1e-6
+    assert float(lines["runtime_seconds"]) > 0
 
 
 def test_experiment_failure_is_exit_1_with_report(tmp_path):

@@ -158,6 +158,12 @@ def test_solve_reports_norms(grid, gaussian):
     assert np.all(series > 0)
 
 
+def test_solve_rejects_norm_params_sharing_a_key(gaussian):
+    # %g keeps six significant digits, so both pairs would be "esigma(-1,0)"
+    with pytest.raises(ValueError, match="repeat a diagnostics key"):
+        solve(gaussian, 0.01, 0.005, NNLS, norm_params=[(-1.0, 0.0), (-1.0000001, 0.0)])
+
+
 def test_solve_blowup_flag(grid):
     # absurd amplitude overflows within a few steps; the trajectory reports
     # it instead of raising

@@ -70,6 +70,16 @@ def test_plemelj_derivative_norm_oracle():
     assert abs(esigma_norm(f, -1.0, 1.0) - oracle) <= 1e-6 * oracle
 
 
+def test_plemelj_derivative_order_must_be_integral():
+    g = FrequencyGrid(64, 20.0)
+    with pytest.raises(ValueError, match="derivative order k must be an integer"):
+        make_initial_data("plemelj_derivative", g, k=2.5)
+    with pytest.raises(ValueError, match="derivative order k must be an integer"):
+        make_initial_data("plemelj_derivative", g, k=-1)
+    as_float = make_initial_data("plemelj_derivative", g, k=3.0)
+    assert np.array_equal(as_float.coeffs, make_initial_data("plemelj_derivative", g, k=3).coeffs)
+
+
 def test_plemelj_derivative_overflow_guard():
     g = FrequencyGrid(512, 40.0)
     with pytest.raises(ValueError):
