@@ -78,8 +78,10 @@ def _apply_override(cfg, key, value):
 
 def build_grid(cfg):
     sec = _require(cfg, "grid", "root")
-    return FrequencyGrid(int(_require(sec, "n_modes", "grid")),
-                         float(_require(sec, "length", "grid")))
+    n_modes = _require(sec, "n_modes", "grid")
+    if not float(n_modes).is_integer():
+        raise ConfigError("grid.n_modes must be an integer, got %r" % (n_modes,))
+    return FrequencyGrid(int(n_modes), float(_require(sec, "length", "grid")))
 
 
 def build_equation(cfg):
@@ -273,6 +275,8 @@ def _sweep_job(args):
 
 
 def cmd_sweep(cfg, out_dir, jobs):
+    if jobs < 1:
+        raise ConfigError("--jobs must be >= 1, got %d" % jobs)
     sec = _require(cfg, "sweep", "root")
     name = _require(cfg.get("experiment", {}), "name", "experiment")
     _experiment(name)

@@ -14,14 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import (
-    SpectralField,
-    derivative,
-    derivative_symbol,
-    inverse_transform,
-    nonlocal_conjugate,
-    product_plan,
-)
+from .grid import SpectralField, derivative_symbol, product_plan
 
 NNLS = "NNLS"
 NDNLS = "NdNLS"
@@ -119,18 +112,16 @@ def rhs(fld, spec):
 
 def mass(fld):
     """M(u) = int u(x) u*(x) dx, complex-valued in general."""
-    u = inverse_transform(fld)
-    us = inverse_transform(nonlocal_conjugate(fld))
-    return complex(np.sum(u * us) * fld.grid.dx)
+    plan, c = product_plan(fld.grid, 1), fld.coeffs
+    return complex(np.sum(plan.samples(c) * plan.samples(np.conj(c))) * fld.grid.dx)
 
 
 def energy(fld, alpha):
     """E(u) = int (du)(du)* + (alpha/2) u^2 (u*)^2 dx."""
-    du = derivative(fld)
-    du_s = inverse_transform(du)
-    dus_s = inverse_transform(nonlocal_conjugate(du))
-    u = inverse_transform(fld)
-    us = inverse_transform(nonlocal_conjugate(fld))
+    plan, c = product_plan(fld.grid, 1), fld.coeffs
+    dc = c * derivative_symbol(fld.grid)
+    du_s, dus_s = plan.samples(dc), plan.samples(np.conj(dc))
+    u, us = plan.samples(c), plan.samples(np.conj(c))
     integrand = du_s * dus_s + (alpha / 2.0) * (u * us) ** 2
     return complex(np.sum(integrand) * fld.grid.dx)
 

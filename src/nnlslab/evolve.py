@@ -28,17 +28,20 @@ class BlowUpError(RuntimeError):
     """Raised when a step produces non-finite coefficients."""
 
 
+def _free_phase(grid, t):
+    """The free-flow symbol e^{-i t xi^2}; an array ``t`` of shape (k, 1) gives k rows."""
+    return np.exp(-1j * t * grid.frequencies ** 2)
+
+
 def linear_propagator(fld, t):
     """Free Schroedinger flow e^{it d^2/dx^2}: symbol e^{-i t xi^2}; unitary."""
-    xi = fld.grid.frequencies
-    return SpectralField(fld.grid, fld.coeffs * np.exp(-1j * t * xi ** 2))
+    return SpectralField(fld.grid, fld.coeffs * _free_phase(fld.grid, t))
 
 
 @functools.lru_cache(maxsize=64)
 def _lawson_phases(grid, dt):
     """Read-only e^{(dt/2) L} and e^{dt L} on ``grid``."""
-    xi = grid.frequencies
-    half = np.exp(-1j * (dt / 2.0) * xi ** 2)
+    half = _free_phase(grid, dt / 2.0)
     full = half * half
     half.flags.writeable = False
     full.flags.writeable = False
@@ -169,11 +172,8 @@ def _check_nodes(n_nodes):
 
 def _node_phases(times, grid):
     """e^{+i t xi^2} and e^{-i t xi^2}, one row per time node."""
-    xi2 = grid.frequencies ** 2
-    t = times[:, None]
-    plus = np.exp(1j * t * xi2)
-    minus = np.exp(-1j * t * xi2)
-    return plus, minus
+    minus = _free_phase(grid, times[:, None])
+    return np.conj(minus), minus
 
 
 def _duhamel(coeffs, c0, times, plus, minus, grid, spec):

@@ -9,6 +9,11 @@ uniform frequency grid ``xi_m = m * 2*pi/L`` for
     coeffs[m]  ~  uhat(xi_m) = int u(x) exp(-i xi_m x) dx,
 
 so that ``u(x_j) = (1/L) * sum_m coeffs[m] exp(i xi_m x_j)``.
+
+:class:`ProductPlan` is the one place that spells this convention out as
+index, sign and ``dx`` vectors: the plan of degree 1 has no padding, and its
+``coeffs`` and ``samples`` are :func:`forward_transform` and
+:func:`inverse_transform`.  Higher degrees pad for dealiased products.
 """
 
 from __future__ import annotations
@@ -49,10 +54,13 @@ class FrequencyGrid:
     def dxi(self):
         return 2 * np.pi / self.length
 
-    @property
+    @functools.cached_property
     def frequencies(self):
+        """The read-only ascending frequencies xi_m, computed once per grid."""
         n = self.n_modes
-        return self.dxi * np.arange(-n // 2, n // 2)
+        xi = self.dxi * np.arange(-n // 2, n // 2)
+        xi.flags.writeable = False
+        return xi
 
     @property
     def points(self):
@@ -84,9 +92,6 @@ class SpectralField:
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
-    def samples(self):
-        return inverse_transform(self)
-
 
 @dataclass(frozen=True)
 class Band:
@@ -103,15 +108,6 @@ class Band:
         return (xi >= self.lo) & (xi < self.hi)
 
 
-def _signs(n):
-    # (-1)^m for m = -n/2 .. n/2-1, i.e. exp(-i xi_m x_0) with x_0 = -L/2
-    s = np.ones(n)
-    s[1::2] = -1.0
-    if (n // 2) % 2 == 1:
-        s = -s
-    return s
-
-
 def forward_transform(samples, grid):
     """Trapezoid approximation of uhat(xi) = int u exp(-i xi x) dx."""
     s = np.asarray(samples, dtype=np.complex128)
@@ -119,17 +115,12 @@ def forward_transform(samples, grid):
         raise ValueError(
             "samples length %d does not match n_modes %d" % (s.size, grid.n_modes)
         )
-    n = grid.n_modes
-    c = grid.dx * _signs(n) * np.fft.fftshift(np.fft.fft(s))
-    return SpectralField(grid, c)
+    return SpectralField(grid, product_plan(grid, 1).coeffs(s))
 
 
 def inverse_transform(fld):
     """Exact discrete inverse of :func:`forward_transform`."""
-    grid = fld.grid
-    n = grid.n_modes
-    f = np.fft.ifftshift(fld.coeffs * _signs(n)) / grid.dx
-    return np.fft.ifft(f)
+    return product_plan(fld.grid, 1).samples(fld.coeffs)
 
 
 def apply_multiplier(fld, multiplier):
@@ -154,13 +145,13 @@ def nonlocal_conjugate(fld):
 
 
 class ProductPlan:
-    """Per-(grid, degree) constants of the zero-padded pointwise product.
+    """Per-(grid, degree) constants of the transforms and the padded product.
 
     The padded size is at least (p+1)/2 times the base mode count for a
-    p-fold product, so no aliased contribution can reach the retained band.
-    ``index`` maps the n ascending coefficients to their places in the
-    unshifted fine array; ``signs`` and ``scale`` are the fine-grid sign and
-    ``dx * sign`` vectors of the inverse and forward transforms on that band.
+    p-fold product, so no aliased contribution can reach the retained band;
+    degree 1 pads nothing.  ``index`` maps the n ascending coefficients to
+    their places in the unshifted fine array; ``signs`` holds (-1)^m =
+    exp(-i xi_m x_0) and ``scale`` is ``dx * signs`` on the fine grid.
 
     Coefficient arrays are ``(n,)`` or ``(batch, n)``; every transform runs
     along the last axis, row by row, so a batch rounds exactly as its rows.
@@ -171,25 +162,23 @@ class ProductPlan:
         n_fine = int(np.ceil((degree + 1) * n / 2))
         if n_fine % 2:
             n_fine += 1
-        off = n_fine // 2 - n // 2
-        fine_signs = _signs(n_fine)
         self.n_fine = n_fine
         # index as slices, far cheaper than a fancy index on a batch: modes
         # m >= 0 (the upper half) lead the fine array and modes m < 0 end it
         h = n // 2
         self.head, self.tail, self.upper = np.s_[..., :h], np.s_[..., -h:], np.s_[..., h:]
         self.dx_fine = grid.length / n_fine
-        self.index = (np.arange(n) - n // 2) % n_fine
-        self.signs = fine_signs[off:off + n]
-        self.scale = (self.dx_fine * fine_signs)[off:off + n]
+        self.index = (np.arange(n) - h) % n_fine
+        self.signs = np.where(np.arange(-h, h) % 2, -1.0, 1.0)
+        self.scale = self.dx_fine * self.signs
         for a in (self.index, self.signs, self.scale):
             a.flags.writeable = False  # shared by every caller of the cache
 
     def samples(self, coeffs):
         """Fine-grid samples of the field(s) with ``coeffs`` zero padded."""
         f = np.zeros(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
-        # sign first, then divide by dx, as inverse_transform does, so the
-        # samples round exactly as the transform of the padded field would
+        # sign first, then divide by the fine dx: degree p rounds exactly as
+        # the degree-1 transform on the padded grid would
         c = coeffs * self.signs / self.dx_fine
         f[self.head] = c[self.upper]
         f[self.tail] = c[self.head]
@@ -197,6 +186,10 @@ class ProductPlan:
         # 1-D step at n_fine = 8192 about 10% slower (an allocator effect)
         del c
         return np.fft.ifft(f)
+
+    def coeffs(self, samples):
+        """Retained coefficients of the fine-grid ``samples``."""
+        return self.scale * np.fft.fft(samples).take(self.index, axis=-1)
 
     def product(self, factors):
         """Retained coefficients of the product of coefficient arrays.
@@ -211,7 +204,7 @@ class ProductPlan:
             if s is None:
                 s = samples[id(c)] = self.samples(c)
             prod = s if prod is None else prod * s
-        return self.scale * np.fft.fft(prod).take(self.index, axis=-1)
+        return self.coeffs(prod)
 
 
 @functools.lru_cache(maxsize=64)
@@ -268,7 +261,8 @@ def antiderivative_symmetric(fld, blend_fraction=0.08):
     field differentiates back to g away from the boundary.
     """
     grid = fld.grid
-    g = inverse_transform(fld)
+    plan = product_plan(grid, 1)
+    g = plan.samples(fld.coeffs)
     peak = np.max(np.abs(g))
     if peak > 0 and max(abs(g[0]), abs(g[-1])) > 1e-8 * peak:
         warnings.warn(
@@ -282,16 +276,15 @@ def antiderivative_symmetric(fld, blend_fraction=0.08):
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(xi != 0, fld.coeffs / (1j * xi), 0.0)
     h[grid.n_modes // 2] = 0.0
-    mean_free = inverse_transform(SpectralField(grid, h))
+    mean_free = plan.samples(h)
     x = grid.points
     x_min = -grid.length / 2
     cumulative = (mean_free - mean_free[0]) + (total / grid.length) * (x - x_min)
     f_vals = cumulative - total / 2
     w = blend_fraction * grid.length
-    xi_max = np.max(np.abs(xi))
-    step = _smoothstep(x, grid.length / 2 - w / 2, w, xi_max, x_min, grid.length / 2)
+    step = _smoothstep(x, grid.length / 2 - w / 2, w, grid.xi_max, x_min, grid.length / 2)
     f_vals = f_vals - total * step
-    return forward_transform(f_vals, grid)
+    return SpectralField(grid, plan.coeffs(f_vals))
 
 
 def l2_norm(fld):

@@ -1,13 +1,23 @@
-"""Plain compositions of the public transforms, kept as exact references.
+"""Plain compositions of the old transforms, kept as exact references.
+
+``reference_forward_transform`` and ``reference_inverse_transform`` are the
+fftshift transforms with a sign vector built per call.  ``nnlslab.grid``
+now transforms through the degree-1 ``ProductPlan``, so these check it
+without running it; the two must agree bit for bit.
+
+``reference_mass`` and ``reference_energy`` build the diagnostics from
+validated fields: the derivative, the nonlocal conjugate and one reference
+inverse transform per factor.
 
 ``reference_product`` embeds every factor in a freshly built fine grid,
-transforms each factor separately and crops the forward transform of the
-product; ``reference_nonlinear_term`` builds every right-hand side from it,
-kind by kind.  ``reference_picard_map`` and ``reference_picard_solve`` are
-the Duhamel/Picard engine node by node, one validated field per node.  The
-planned and batched kernels in ``nnlslab.grid``, ``nnlslab.equations`` and
-``nnlslab.evolve`` perform the same floating-point operations in the same
-order, so they must agree with these bit for bit.
+transforms each factor separately with the reference transforms and crops
+the forward transform of the product; ``reference_nonlinear_term`` builds
+every right-hand side from it, kind by kind.  ``reference_picard_map`` and
+``reference_picard_solve`` are the Duhamel/Picard engine node by node, one
+validated field per node.  The planned and batched kernels in
+``nnlslab.grid``, ``nnlslab.equations`` and ``nnlslab.evolve`` perform the
+same floating-point operations in the same order, so they must agree with
+these bit for bit.
 
 ``reference_third_derivative_field`` is the norm-inflation quadrature panel by
 panel, one complex exponential per kernel value and ``rho_kernel`` at every
@@ -21,15 +31,28 @@ from scipy.integrate import cumulative_simpson
 from nnlslab.equations import NDNLS, NNLS, nonlinear_term, quintic_coefficient
 from nnlslab.evolve import PicardReport, linear_propagator
 from nnlslab.experiments import _gl, _kernel, rho_kernel
-from nnlslab.grid import (
-    FrequencyGrid,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
-    l2_distance,
-    nonlocal_conjugate,
-    zero_field,
-)
+from nnlslab.grid import FrequencyGrid, SpectralField, l2_distance, nonlocal_conjugate, zero_field
+
+
+def _signs(n):
+    # (-1)^m for m = -n/2 .. n/2-1, i.e. exp(-i xi_m x_0) with x_0 = -L/2
+    s = np.ones(n)
+    s[1::2] = -1.0
+    if (n // 2) % 2 == 1:
+        s = -s
+    return s
+
+
+def reference_forward_transform(samples, grid):
+    s = np.asarray(samples, dtype=np.complex128)
+    c = grid.dx * _signs(grid.n_modes) * np.fft.fftshift(np.fft.fft(s))
+    return SpectralField(grid, c)
+
+
+def reference_inverse_transform(fld):
+    grid = fld.grid
+    f = np.fft.ifftshift(fld.coeffs * _signs(grid.n_modes)) / grid.dx
+    return np.fft.ifft(f)
 
 
 def _embed(coeffs, n, n_fine):
@@ -45,6 +68,22 @@ def _derivative(fld):
     return SpectralField(fld.grid, fld.coeffs * m)
 
 
+def reference_mass(fld):
+    u = reference_inverse_transform(fld)
+    us = reference_inverse_transform(nonlocal_conjugate(fld))
+    return complex(np.sum(u * us) * fld.grid.dx)
+
+
+def reference_energy(fld, alpha):
+    du = _derivative(fld)
+    du_s = reference_inverse_transform(du)
+    dus_s = reference_inverse_transform(nonlocal_conjugate(du))
+    u = reference_inverse_transform(fld)
+    us = reference_inverse_transform(nonlocal_conjugate(fld))
+    integrand = du_s * dus_s + (alpha / 2.0) * (u * us) ** 2
+    return complex(np.sum(integrand) * fld.grid.dx)
+
+
 def reference_product(fields):
     grid = fields[0].grid
     n = grid.n_modes
@@ -54,9 +93,9 @@ def reference_product(fields):
     fine = FrequencyGrid(n_fine, grid.length)
     prod = None
     for f in fields:
-        s = inverse_transform(SpectralField(fine, _embed(f.coeffs, n, n_fine)))
+        s = reference_inverse_transform(SpectralField(fine, _embed(f.coeffs, n, n_fine)))
         prod = s if prod is None else prod * s
-    c_fine = forward_transform(prod, fine).coeffs
+    c_fine = reference_forward_transform(prod, fine).coeffs
     off = n_fine // 2 - n // 2
     return SpectralField(grid, c_fine[off:off + n])
 

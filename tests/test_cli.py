@@ -198,6 +198,29 @@ def test_sweep_runs_jobs(tmp_path, capsys):
     assert os.path.exists(os.path.join(out, "job_001", "report.txt"))
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_sweep_jobs_below_one_is_exit_2_before_any_job(tmp_path, capsys, jobs):
+    cfg = dict(BASE_CFG, sweep={"overrides": [{"equation.alpha": 0.5}]})
+    path = write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "sweep")
+    assert main(["sweep", "--config", path, "--out", out, "--jobs", jobs]) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_non_integral_mode_count_is_exit_2(tmp_path, capsys):
+    path = write_cfg(tmp_path, BASE_CFG)
+    out = str(tmp_path / "run")
+    assert main(["solve", "--config", path, "--out", out,
+                 "--override", "grid.n_modes=300.7"]) == 2
+    assert "grid.n_modes must be an integer" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_integral_float_mode_count_is_accepted():
+    assert build_grid(dict(BASE_CFG, grid={"n_modes": 256.0, "length": 40.0})).n_modes == 256
+
+
 def test_override_through_a_value_is_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, BASE_CFG)
     assert main(["solve", "--config", path, "--override", "grid.n_modes.x.y=1"]) == 2

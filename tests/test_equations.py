@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field
-from reference import reference_nonlinear_term
+from reference import reference_energy, reference_mass, reference_nonlinear_term
 from nnlslab.equations import (
     COEFFICIENT_MODES,
     KINDS,
@@ -184,6 +184,16 @@ def test_energy_gaussian_oracle(grid):
     # -sqrt(pi)/2 + (alpha/2) sqrt(pi/2) with alpha = 2
     oracle = 0.36708721186274174
     assert abs(energy(f, 2.0) - oracle) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 10, 62, 256, 4096])
+def test_diagnostics_match_reference_bit_for_bit(n):
+    g = FrequencyGrid(n, 30.0)
+    for seed in range(3):
+        f = random_field(g, seed)
+        assert mass(f) == reference_mass(f)
+        for alpha in (1.0, -2.5):
+            assert energy(f, alpha) == reference_energy(f, alpha)
 
 
 def test_support_leakage(grid):

@@ -195,6 +195,43 @@ def test_even_data_matches_local_cubic_reference(grid):
     assert l2_distance(traj.states[-1], ref) <= 1e-6 * l2_norm(ref)
 
 
+def _soliton(grid, t, b=1.0):
+    # even data make u* = conj(u), so NNLS with alpha = 1 is the focusing
+    # cubic NLS, whose exact soliton is sqrt(2) b sech(b x) e^{i b^2 t}
+    x = grid.points
+    return forward_transform(np.sqrt(2.0) * b / np.cosh(b * x) * np.exp(1j * b * b * t), grid)
+
+
+def _orders(errors, ratio=2.0):
+    return [np.log(e0 / e1) / np.log(ratio) for e0, e1 in zip(errors, errors[1:])]
+
+
+def test_lawson_order_against_exact_soliton():
+    g = FrequencyGrid(256, 40.0)
+    T = 2.0
+    exact = _soliton(g, T)
+    errors = []
+    for dt in (0.04, 0.02, 0.01):
+        u = solve(_soliton(g, 0.0), T, dt, NNLS, sample_every=10 ** 6).states[-1]
+        errors.append(l2_distance(u, exact) / l2_norm(exact))
+    assert errors[-1] <= 1e-6
+    assert min(_orders(errors)) >= 3.9
+
+
+def test_picard_order_against_exact_soliton():
+    g = FrequencyGrid(256, 40.0)
+    T = 0.5
+    exact = _soliton(g, T)
+    errors = []
+    for n_nodes in (17, 33, 65):
+        states, report = picard_solve(_soliton(g, 0.0), T, NNLS, n_nodes=n_nodes)
+        assert report.converged
+        errors.append(l2_distance(states[-1], exact) / l2_norm(exact))
+    assert errors[-1] <= 1e-6
+    # node spacing halves from 17 to 33 to 65 nodes
+    assert min(_orders(errors)) >= 3.5
+
+
 def test_picard_node_validation(grid, gaussian):
     with pytest.raises(ValueError):
         picard_map([gaussian] * 5, gaussian, 0.1, NNLS)

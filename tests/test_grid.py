@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field
-from reference import reference_product
+from reference import reference_forward_transform, reference_inverse_transform, reference_product
 from nnlslab.grid import (
     Band,
     EndpointDecayWarning,
@@ -22,6 +22,7 @@ from nnlslab.grid import (
     l2_distance,
     l2_norm,
     nonlocal_conjugate,
+    product_plan,
     project_band,
     spectral_mass,
     zero_field,
@@ -87,6 +88,37 @@ def test_roundtrip_property(seed):
     s = rng.standard_normal(64) + 1j * rng.standard_normal(64)
     back = inverse_transform(forward_transform(s, g))
     assert np.max(np.abs(back - s)) <= 1e-12 * max(1.0, np.max(np.abs(s)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.sampled_from((8, 10, 62, 256, 1024, 4096)),
+    length=st.sampled_from((2 * np.pi, 17.0, 30.0, 40.0, 160.0)),
+    seed=st.integers(0, 2 ** 16),
+)
+def test_transforms_match_fftshift_reference_bit_for_bit(n, length, seed):
+    # n = 10 and 62 have an odd n/2, where the sign vector flips
+    g = FrequencyGrid(n, length)
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((3, n)) + 1j * rng.standard_normal((3, n))
+    ref_c = np.stack([reference_forward_transform(r, g).coeffs for r in rows])
+    ref_s = np.stack([reference_inverse_transform(SpectralField(g, r)) for r in rows])
+    for r, c, back in zip(rows, ref_c, ref_s):
+        assert np.array_equal(forward_transform(r, g).coeffs, c)
+        assert np.array_equal(inverse_transform(SpectralField(g, r)), back)
+    plan = product_plan(g, 1)
+    assert plan.n_fine == n
+    assert np.array_equal(plan.coeffs(rows), ref_c)
+    assert np.array_equal(plan.samples(rows), ref_s)
+
+
+def test_frequencies_cached_and_read_only(grid):
+    xi = grid.frequencies
+    assert grid.frequencies is xi
+    assert not xi.flags.writeable
+    with pytest.raises(ValueError):
+        xi[0] = 0.0
+    assert np.array_equal(xi, grid.dxi * np.arange(-grid.n_modes // 2, grid.n_modes // 2))
 
 
 def test_single_mode_inverse(grid):

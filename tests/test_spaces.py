@@ -150,6 +150,16 @@ def test_dilate_gaussian_oracle():
     assert np.max(np.abs(out.coeffs - exact)) <= 1e-8
 
 
+@pytest.mark.parametrize("lam", [1.5, 2.0, 3.7, 8.0])
+def test_dilate_gaussian_matches_analytic_dilation(lam):
+    # u(lam x) with u = e^{-x^2/2} has the transform sqrt(2 pi) e^{-(xi/lam)^2/2} / lam
+    g = FrequencyGrid(1024, 40.0)
+    x = g.points
+    out = dilate(forward_transform(np.exp(-x * x / 2.0).astype(complex), g), lam)
+    exact = np.sqrt(2 * np.pi) * np.exp(-((g.frequencies / lam) ** 2) / 2.0) / lam
+    assert np.max(np.abs(out.coeffs - exact)) <= 1e-14 * np.max(np.abs(exact))
+
+
 def test_dilate_roundtrip(grid):
     x = grid.points
     f = forward_transform(np.exp(-x * x / 2.0) * np.exp(1j * x), grid)
