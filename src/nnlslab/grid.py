@@ -46,6 +46,13 @@ class FrequencyGrid:
         if not (self.length > 0):
             raise ValueError("length must be positive, got %r" % (self.length,))
 
+    def __getstate__(self):
+        # drop the cached frequencies: a copy recomputes them read-only, where
+        # an unpickled array would come back writeable
+        state = dict(self.__dict__)
+        state.pop("frequencies", None)
+        return state
+
     @property
     def dx(self):
         return self.length / self.n_modes

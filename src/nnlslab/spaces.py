@@ -6,6 +6,10 @@ The central object is the weighted spectral norm
 
 computed as a Riemann sum over the frequency grid.  The L^2_xi measure is
 plain dxi; every quadrature oracle in the test-suite uses the same choice.
+
+:func:`dilate` resamples a smooth spectrum at xi/lam with a chirp-z transform
+(Rabiner, Schafer and Rader 1969; Bluestein 1970): three FFTs of about 2n
+points, with every chirp phase reduced exactly in integers.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
+from scipy.fft import next_fast_len
 
 from .grid import (
     FrequencyGrid,
@@ -115,18 +120,47 @@ def _support_indices(fld, rel_tol=1e-13):
 _SPARSE_MODE_LIMIT = 4  # at most this many isolated lines for the exact remap
 
 
+def _chirp(p, q, n):
+    """exp(-i pi (q/p) t^2 / n) for t = 0 .. n-1, for the exact rational q/p.
+
+    Each exponent q t^2 is reduced mod 2np in integers before it becomes a
+    float angle, so the phase is good to roundoff however large t^2 grows.
+    """
+    half = n * p
+    turns = [((q * t * t + half) % (2 * half) - half) / half for t in range(n)]
+    return np.exp(-1j * np.pi * np.array(turns))
+
+
+def _czt(samples, p, q):
+    """sum_j samples[j] exp(-2 pi i (q/p) m mu_j / n) for m, mu_j = -n/2 .. n/2-1.
+
+    Bluestein's identity m mu = (m^2 + mu^2 - (m - mu)^2)/2 turns the sum
+    into a convolution with the chirp, done by FFTs of length >= 2n - 1.
+    """
+    n = samples.size
+    c = _chirp(p, q, n)
+    c_m = np.concatenate((c[n // 2:0:-1], c[:n // 2]))  # c(|m|) in mode order
+    size = next_fast_len(2 * n - 1)
+    kernel = np.zeros(size, dtype=np.complex128)
+    kernel[:n] = c.conj()
+    kernel[size - n + 1:] = c[:0:-1].conj()  # lags -(n-1) .. -1
+    conv = np.fft.ifft(np.fft.fft(samples * c_m, size) * np.fft.fft(kernel))
+    return c_m * conv[:n]
+
+
 def dilate(fld, lam):
     """Dilation u -> u(lam x), acting as uhat(xi) -> uhat(xi/lam)/lam in frequency.
 
     A spectrum made of a few isolated lattice lines is dilated by an exact
     index remap (a pure mode at xi0 moves to lam*xi0 with its coefficient
     divided by lam).  A smooth spectrum is treated as samples of a continuum
-    transform and resampled at xi/lam by band-limited interpolation (direct
-    trapezoid transform of the physical samples), which is spectrally
-    accurate for decayed fields.
+    transform and resampled at xi/lam by band-limited interpolation (a
+    chirp-z transform of the physical samples, with lam taken as the exact
+    rational value of the float), which is spectrally accurate for decayed
+    fields.
     """
-    if not (lam > 0):
-        raise ValueError("dilation factor must be positive")
+    if not (np.isfinite(lam) and lam > 0):
+        raise ValueError("dilation factor must be positive and finite, got %r" % (lam,))
     grid = fld.grid
     if lam == 1.0:
         return SpectralField(grid, fld.coeffs)
@@ -139,29 +173,21 @@ def dilate(fld, lam):
                 "dilated spectrum exceeds the grid band (max |xi| %.3g >= %.3g)"
                 % (top, grid.xi_max)
             )
-    frac = Fraction(lam).limit_denominator(1 << 20)
-    exact = abs(float(frac) - lam) < 1e-14
-    m = np.arange(-n // 2, n // 2)
-    out = np.zeros(n, dtype=np.complex128)
-    if exact and 0 < sup.size <= _SPARSE_MODE_LIMIT:
-        src_m = m[sup]  # source mode indices
-        tgt = src_m * frac.numerator
-        on_lattice = tgt % frac.denominator == 0
-        if np.all(on_lattice):
-            tgt_idx = tgt // frac.denominator + n // 2
-            out[tgt_idx] = fld.coeffs[sup] / lam
+    if 0 < sup.size <= _SPARSE_MODE_LIMIT:
+        # a nearby small-denominator ratio: lam = 3.7 remaps mode 10 to 37
+        frac = Fraction(lam).limit_denominator(1 << 20)
+        tgt = (sup - n // 2) * frac.numerator
+        if abs(float(frac) - lam) < 1e-14 and np.all(tgt % frac.denominator == 0):
+            out = np.zeros(n, dtype=np.complex128)
+            out[tgt // frac.denominator + n // 2] = fld.coeffs[sup] / lam
             return SpectralField(grid, out)
-    # band-limited interpolation from physical samples, chunked over targets
-    s = inverse_transform(fld)
-    x = grid.points
-    zeta = grid.frequencies / lam
+    # x_j = mu_j dx with mu_j = j - n/2, so the phase exp(-i xi_m x_j / lam)
+    # is exp(-2 pi i (q/p) m mu_j / n) with lam = p/q exactly
+    p, q = Fraction(lam).as_integer_ratio()
+    out = grid.dx * _czt(inverse_transform(fld), p, q)
     # the source is band-limited, so targets beyond the band are exactly zero;
     # evaluating them anyway would alias on the sample lattice
-    live = np.nonzero(np.abs(zeta) <= grid.xi_max)[0]
-    for lo in range(0, live.size, 256):
-        idx = live[lo:lo + 256]
-        phase = np.exp(-1j * np.outer(zeta[idx], x))
-        out[idx] = grid.dx * phase @ s
+    out[np.abs(grid.frequencies / lam) > grid.xi_max] = 0.0
     return SpectralField(grid, out / lam)
 
 

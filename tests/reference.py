@@ -23,7 +23,14 @@ these bit for bit.
 panel, one complex exponential per kernel value and ``rho_kernel`` at every
 node.  ``nnlslab.experiments`` factors the Gauss-node phase instead, which
 reorders the arithmetic, so the two agree to roundoff, not bit for bit.
+
+``reference_dilate`` resamples a smooth spectrum at xi/lam by the dense
+trapezoid transform, one (256, n) block of complex exponentials at a time.
+``nnlslab.spaces.dilate`` computes the same sums as a chirp-z transform, so
+the two agree to roundoff, not bit for bit.
 """
+
+from fractions import Fraction
 
 import numpy as np
 from scipy.integrate import cumulative_simpson
@@ -31,7 +38,15 @@ from scipy.integrate import cumulative_simpson
 from nnlslab.equations import NDNLS, NNLS, nonlinear_term, quintic_coefficient
 from nnlslab.evolve import PicardReport, linear_propagator
 from nnlslab.experiments import _gl, _kernel, rho_kernel
-from nnlslab.grid import FrequencyGrid, SpectralField, l2_distance, nonlocal_conjugate, zero_field
+from nnlslab.grid import (
+    FrequencyGrid,
+    SpectralField,
+    inverse_transform,
+    l2_distance,
+    nonlocal_conjugate,
+    zero_field,
+)
+from nnlslab.spaces import _SPARSE_MODE_LIMIT, _support_indices
 
 
 def _signs(n):
@@ -236,3 +251,44 @@ def reference_third_derivative_field(phi, t, equation=NNLS, xi=None, n_outer=24,
             min_rho = min(min_rho, mr)
         values[i] = pref * np.exp(-1j * t * x ** 2) * acc
     return xi, values, min_rho
+
+
+def reference_dilate(fld, lam):
+    if not (lam > 0):
+        raise ValueError("dilation factor must be positive")
+    grid = fld.grid
+    if lam == 1.0:
+        return SpectralField(grid, fld.coeffs)
+    n = grid.n_modes
+    sup = _support_indices(fld)
+    if sup.size:
+        top = np.max(np.abs(grid.frequencies[sup])) * lam
+        if top >= grid.xi_max:
+            raise ValueError(
+                "dilated spectrum exceeds the grid band (max |xi| %.3g >= %.3g)"
+                % (top, grid.xi_max)
+            )
+    frac = Fraction(lam).limit_denominator(1 << 20)
+    exact = abs(float(frac) - lam) < 1e-14
+    m = np.arange(-n // 2, n // 2)
+    out = np.zeros(n, dtype=np.complex128)
+    if exact and 0 < sup.size <= _SPARSE_MODE_LIMIT:
+        src_m = m[sup]  # source mode indices
+        tgt = src_m * frac.numerator
+        on_lattice = tgt % frac.denominator == 0
+        if np.all(on_lattice):
+            tgt_idx = tgt // frac.denominator + n // 2
+            out[tgt_idx] = fld.coeffs[sup] / lam
+            return SpectralField(grid, out)
+    # band-limited interpolation from physical samples, chunked over targets
+    s = inverse_transform(fld)
+    x = grid.points
+    zeta = grid.frequencies / lam
+    # the source is band-limited, so targets beyond the band are exactly zero;
+    # evaluating them anyway would alias on the sample lattice
+    live = np.nonzero(np.abs(zeta) <= grid.xi_max)[0]
+    for lo in range(0, live.size, 256):
+        idx = live[lo:lo + 256]
+        phase = np.exp(-1j * np.outer(zeta[idx], x))
+        out[idx] = grid.dx * phase @ s
+    return SpectralField(grid, out / lam)

@@ -30,7 +30,7 @@ from nnlslab.grid import (
     l2_distance,
     l2_norm,
 )
-from nnlslab.spaces import esigma_norm
+from nnlslab.spaces import dilate, esigma_norm
 
 from conftest import random_field
 
@@ -106,14 +106,24 @@ def test_criterion_5_scaling_law():
     u0 = make_initial_data("modulated_gaussian", g, amplitude=1.0, width=2.0, carrier=4.5)
     rep = exp_scaling_global(u0, -1.0, 0.5, 1.0, [1, 2, 4, 8], T_max=0.3, dt=2e-3)
     ratios = rep.measurements["ratios"]
+    # exact answer: u = e^{-x^2/2} dilates to sqrt(2 pi) e^{-(xi/lam)^2/2} / lam
+    x, xi = g.points, g.frequencies
+    gauss = forward_transform(np.exp(-x * x / 2.0).astype(complex), g)
+    worst = 0.0
+    for lam in (1.5, 2.0, 3.7, 8.0):
+        exact = np.sqrt(2 * np.pi) * np.exp(-((xi / lam) ** 2) / 2.0) / lam
+        err = np.max(np.abs(dilate(gauss, lam).coeffs - exact)) / np.max(np.abs(exact))
+        worst = max(worst, err)
     ok = (rep.passed
           and all(lam in ratios and ratios[lam] <= 10.0 for lam in (2, 4, 8))
           and abs(rep.measurements["l2_identity_ratio"] - 1.0) <= 1e-10
-          and rep.measurements["monotone_decay"])
+          and rep.measurements["monotone_decay"]
+          and worst <= 1e-14)
     print("  ratios %s, monotone decay of sup-norms in lambda: %s"
           % ({k: round(v, 3) for k, v in ratios.items()}, rep.measurements["monotone_decay"]))
+    print("  analytic Gaussian dilation, worst relative error %.2e" % worst)
     _verdict("criterion 5 dilation scaling bound (ratio <= 10, L2 identity 1e-10, "
-             "monotone decay substitute)", ok)
+             "monotone decay substitute, analytic Gaussian dilation 1e-14)", ok)
 
 
 def test_criterion_6_picard_window():

@@ -1,5 +1,8 @@
 """Tests for the spectral discretization layer."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -119,6 +122,16 @@ def test_frequencies_cached_and_read_only(grid):
     with pytest.raises(ValueError):
         xi[0] = 0.0
     assert np.array_equal(xi, grid.dxi * np.arange(-grid.n_modes // 2, grid.n_modes // 2))
+
+
+@pytest.mark.parametrize("clone", [lambda g: pickle.loads(pickle.dumps(g)), copy.deepcopy])
+def test_copied_grid_frequencies_stay_read_only(grid, clone):
+    # equal grids share the per-grid caches, so a copy must not come back writeable
+    xi = grid.frequencies
+    twin = clone(grid)
+    assert twin == grid
+    assert not twin.frequencies.flags.writeable
+    assert np.array_equal(twin.frequencies, xi)
 
 
 def test_single_mode_inverse(grid):

@@ -1,10 +1,15 @@
 """Tests for the weighted-norm calculus and dilation machinery."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
+import nnlslab.spaces as spaces
 from conftest import random_field
-from nnlslab.grid import FrequencyGrid, SpectralField, forward_transform, l2_norm
+from nnlslab.grid import FrequencyGrid, SpectralField, forward_transform, l2_norm, zero_field
 from nnlslab.spaces import (
     DyadicCutoff,
     besov_norm,
@@ -15,6 +20,7 @@ from nnlslab.spaces import (
     littlewood_paley_blocks,
     scaling_bound_check,
 )
+from reference import reference_dilate
 
 
 def gaussian_hat(grid):
@@ -183,6 +189,68 @@ def test_dilate_band_guard(grid):
         dilate(SpectralField(grid, c), 4.0)
     with pytest.raises(ValueError):
         dilate(SpectralField(grid, c), -1.0)
+
+
+@pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan, 0.0])
+def test_dilate_rejects_non_finite_or_non_positive_factor(grid, lam):
+    # a zero field passes the band guard, so the factor itself must be refused
+    with pytest.raises(ValueError, match="positive and finite"):
+        dilate(zero_field(grid), lam)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.sampled_from([8, 10, 62, 256, 1024, 4096]),
+    lam=st.sampled_from([1 / 3, 0.5, 1.5, 2.0, 3.7, 8.0, np.pi]) | st.floats(0.25, 8.0),
+    spread=st.floats(0.03, 0.09),
+    carrier=st.sampled_from([0.0]) | st.floats(-0.25, 0.25),
+)
+@example(n=4096, lam=np.pi, spread=0.05, carrier=0.2)
+@example(n=8, lam=1 / 3, spread=0.05, carrier=0.0)
+def test_dilate_matches_dense_reference(n, lam, spread, carrier):
+    # a Gaussian spectrum centred at carrier * reach inside the band that the
+    # dilation leaves; its width keeps the samples decayed across the period,
+    # where the dense oracle's float phases xi*x stay accurate
+    g = FrequencyGrid(n, 40.0)
+    reach = g.xi_max / max(lam, 1.0)
+    width = max(4.0 / g.length, spread * reach)
+    f = SpectralField(g, np.exp(-(((g.frequencies - carrier * reach) / width) ** 2) / 2.0) + 0j)
+    try:
+        want = reference_dilate(f, lam).coeffs
+    except ValueError:
+        reject()  # band guard: the dilated spectrum leaves the grid
+    got = dilate(f, lam).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    assert np.all(got[np.abs(g.frequencies / lam) > g.xi_max] == 0.0)
+
+
+def test_dilate_is_one_inverse_transform_and_three_ffts(monkeypatch):
+    # the chirp-z path is O(n log n): no (n, n) or (256, n) phase matrix
+    g = FrequencyGrid(4096, 40.0)
+    x = g.points
+    f = forward_transform(np.exp(-x * x / 2.0).astype(complex), g)
+    calls, inverse = [], []
+
+    def counting(fn, log, name):
+        def counted(*args, **kwargs):
+            log.append(name)
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in ("fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name), calls, name))
+    monkeypatch.setattr(spaces, "inverse_transform",
+                        counting(spaces.inverse_transform, inverse, "inverse"))
+    tracemalloc.start()
+    try:
+        dilate(f, np.pi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert inverse == ["inverse"]
+    assert sorted(calls) == ["fft", "fft", "ifft", "ifft"]
+    assert peak < 64 * g.n_modes * 16  # well under a (64, n) complex block
 
 
 def test_scaling_bound_modulated_bump():
