@@ -199,6 +199,8 @@ def exp_scaling_global(u0, s, sigma, eps0, lambda_list, spec=None, T_max=0.5, dt
     """Dilation-bound ratios plus decay of the lam-weighted norm along solves."""
     if spec is None:
         spec = EquationSpec(NNLS, alpha=1.0)
+    # refuses a zero field or low support before any solve
+    l2_ratio = scaling_bound_check(u0, 0.0, 0.0, 2.0, eps0)
     ratios, sup_norms, skipped = {}, {}, []
     for lam in lambda_list:
         try:
@@ -212,7 +214,6 @@ def exp_scaling_global(u0, s, sigma, eps0, lambda_list, spec=None, T_max=0.5, dt
         traj = solve(data, horizon, dt, spec, sample_every=sample_every,
                      norm_params=[(s * lam, sigma)])
         sup_norms[lam] = float(np.max(traj.diagnostic_series(norm_key(s * lam, sigma))))
-    l2_ratio = scaling_bound_check(u0, 0.0, 0.0, 2.0, eps0)
     kept = [lam for lam in lambda_list if lam not in skipped]
     seq = [sup_norms[lam] for lam in kept]
     monotone = all(b < a for a, b in zip(seq, seq[1:]))

@@ -198,10 +198,12 @@ def scaling_bound_check(fld, s, sigma, lam, eps0):
     if s > 0:
         raise ValueError("scaling check requires s <= 0")
     total = spectral_mass(fld)
+    if total == 0:
+        raise ValueError("scaling check requires a nonzero field")
     below = float(
         np.sum(np.abs(fld.coeffs[fld.grid.frequencies < eps0]) ** 2) * fld.grid.dxi
     )
-    if total > 0 and below > 1e-10 * total:
+    if below > 1e-10 * total:
         raise ValueError(
             "spectrum not supported in [eps0, inf): leakage %.3g" % (below / total)
         )

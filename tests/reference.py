@@ -19,6 +19,11 @@ validated field per node.  The planned and batched kernels in
 same floating-point operations in the same order, so they must agree with
 these bit for bit.
 
+``reference_cumulative_simpson`` is scipy's cumulative Simpson rule on the
+real and imaginary parts, the quadrature ``reference_picard_map`` uses.
+``nnlslab.evolve.cumulative_simpson`` applies the same coefficients in the
+same order to the complex array in one pass, so the two agree bit for bit.
+
 ``reference_third_derivative_field`` is the norm-inflation quadrature panel by
 panel, one complex exponential per kernel value and ``rho_kernel`` at every
 node.  ``nnlslab.experiments`` factors the Gauss-node phase instead, which
@@ -146,6 +151,13 @@ def reference_nonlinear_term(fld, spec):
     return SpectralField(fld.grid, out)
 
 
+def reference_cumulative_simpson(y, times):
+    """scipy's cumulative Simpson integral of complex ``y`` along axis 0, from 0."""
+    return cumulative_simpson(
+        y.real, x=times, axis=0, initial=0.0
+    ) + 1j * cumulative_simpson(y.imag, x=times, axis=0, initial=0.0)
+
+
 def reference_picard_map(states, u0, T, spec):
     n = len(states)
     if n < 9:
@@ -159,9 +171,7 @@ def reference_picard_map(states, u0, T, spec):
     for i, (t, u) in enumerate(zip(times, states)):
         nl = 1j * nonlinear_term(u, spec).coeffs
         integrand[i] = np.exp(1j * t * xi ** 2) * nl
-    cum = cumulative_simpson(
-        integrand.real, x=times, axis=0, initial=0.0
-    ) + 1j * cumulative_simpson(integrand.imag, x=times, axis=0, initial=0.0)
+    cum = reference_cumulative_simpson(integrand, times)
     out = []
     for i, t in enumerate(times):
         phase = np.exp(-1j * t * xi ** 2)

@@ -234,6 +234,14 @@ def test_non_integral_bump_frequency_is_exit_2(capsys):
     assert "k must be a positive integer" in capsys.readouterr().err
 
 
+def test_zero_field_scaling_check_is_exit_2(tmp_path, capsys):
+    # the bound of a zero field is 0: refused, not a division by zero
+    config = os.path.join(os.path.dirname(__file__), "..", "configs", "scaling_global.yaml")
+    assert main(["experiment", "scaling_global", "--config", config, "--out", str(tmp_path),
+                 "--override", "initial_data.params.amplitude=0.0"]) == 2
+    assert "scaling check requires a nonzero field" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("entry", [{"grid.n_modes.x.y": 1}, "equation.alpha=0.5"])
 def test_bad_sweep_entry_is_exit_2(tmp_path, capsys, entry):
     # sweep entries go through the same override applier as --override

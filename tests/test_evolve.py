@@ -1,12 +1,21 @@
 """Tests for the Lawson stepper and the Duhamel iteration engine."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import nnlslab
 from conftest import random_field
-from reference import reference_picard_map, reference_picard_solve
+from reference import reference_cumulative_simpson, reference_picard_map, reference_picard_solve
 from nnlslab.equations import EquationSpec, mass
 from nnlslab.evolve import (
+    _simpson_weights,
+    cumulative_simpson,
     linear_propagator,
     picard_map,
     picard_solve,
@@ -250,6 +259,52 @@ def test_picard_solve_rejects_bad_node_count(gaussian, n_nodes):
 def test_picard_solve_rejects_bad_horizon(gaussian, T):
     with pytest.raises(ValueError, match="T must be finite and positive"):
         picard_solve(gaussian, T, NNLS)
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
+def test_picard_map_rejects_bad_horizon(gaussian, T):
+    with pytest.raises(ValueError, match="T must be finite and positive"):
+        picard_map([gaussian] * 9, gaussian, T, NNLS)
+
+
+@pytest.mark.parametrize("n_iter", [0, 2.5])
+def test_picard_solve_rejects_bad_iteration_count(gaussian, n_iter):
+    with pytest.raises(ValueError, match="n_iter must be an integer >= 1"):
+        picard_solve(gaussian, 0.1, NNLS, n_iter=n_iter)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(4, 64).map(lambda k: 2 * k + 1),
+    T=st.floats(1e-3, 256.0),
+    columns=st.integers(1, 256),
+    seed=st.integers(0, 10 ** 6),
+)
+@example(n=33, T=0.2, columns=256, seed=0)
+@example(n=35, T=1e-3, columns=1, seed=1)
+@example(n=65, T=256.0, columns=17, seed=2)
+@example(n=129, T=3.7, columns=256, seed=3)
+def test_cumulative_simpson_matches_scipy_bit_for_bit(n, T, columns, seed):
+    rng = np.random.default_rng(seed)
+    times = np.linspace(0.0, T, n)
+    y = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
+    got = cumulative_simpson(y, _simpson_weights(times))
+    assert np.array_equal(got, reference_cumulative_simpson(y, times))
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_simpson_weights_need_an_odd_node_count(n):
+    with pytest.raises(ValueError, match="odd node count"):
+        _simpson_weights(np.linspace(0.0, 1.0, n))
+
+
+def test_cli_import_leaves_scipy_integrate_out():
+    # scipy.integrate pulls in linalg, optimize, sparse and spatial: about
+    # 25 MB of resident memory and 0.4 s of import time on a 2-core host
+    src = os.path.dirname(os.path.dirname(nnlslab.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import nnlslab.cli, sys; assert 'scipy.integrate' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
 def test_picard_map_rejects_non_finite_iterate(grid, gaussian):

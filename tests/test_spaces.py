@@ -274,6 +274,8 @@ def test_scaling_bound_validation(grid, gaussian):
         scaling_bound_check(gaussian, -1.0, 0.0, 0.5, 1.0)
     with pytest.raises(ValueError):
         scaling_bound_check(gaussian, 0.5, 0.0, 2.0, 1.0)
+    with pytest.raises(ValueError, match="nonzero field"):
+        scaling_bound_check(zero_field(grid), -1.0, 0.0, 2.0, 1.0)
 
 
 def test_embedding_single_mode(grid):
