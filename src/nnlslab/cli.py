@@ -19,7 +19,7 @@ import time
 
 import yaml
 
-from .equations import EquationSpec, KINDS, NNLS, energy, mass
+from .equations import EquationSpec, GNDNLS, KINDS, NDNLS, NNLS, energy, mass
 from .evolve import norm_key, solve
 from .experiments import (
     exp_conservation,
@@ -170,6 +170,9 @@ def _run_conservation(cfg, exp):
 
 def _run_gauge_equivalence(cfg, exp):
     spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
+    if spec.kind not in (NDNLS, GNDNLS):
+        raise ConfigError("gauge_equivalence runs the %s or %s pair, not equation.kind %r"
+                          % (NDNLS, GNDNLS, spec.kind))
     return exp_gauge_equivalence(spec.alpha, spec.beta, u0, T, dt,
                                  mode=spec.gauged_coefficient_mode,
                                  tolerance=float(exp.get("tolerance", 1e-4)),
@@ -206,7 +209,7 @@ def _run_norm_inflation(cfg, exp):
                               kappa=float(exp.get("kappa", 0.1)),
                               sprime=float(exp.get("sprime", -1.0)),
                               sigmaprime=float(exp.get("sigmaprime", 0.0)),
-                              equation=build_equation(cfg).kind,
+                              spec=build_equation(cfg),
                               n_nodes=exp.get("n_nodes", 16))
 
 

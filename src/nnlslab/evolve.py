@@ -167,25 +167,6 @@ class PicardReport:
     T_used: float = 0.0
 
 
-def _check_nodes(n_nodes):
-    if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 9):
-        raise ValueError("the Duhamel map needs at least 9 time nodes, got %r" % (n_nodes,))
-    if n_nodes % 2 == 0:
-        raise ValueError("the Duhamel map needs an odd node count for Simpson, got %r"
-                         % (n_nodes,))
-
-
-def _check_horizon(T):
-    if not (math.isfinite(T) and T > 0):
-        raise ValueError("T must be finite and positive, got %r" % (T,))
-
-
-def _node_phases(times, grid):
-    """e^{+i t xi^2} and e^{-i t xi^2}, one row per time node."""
-    minus = _free_phase(grid, times[:, None])
-    return np.conj(minus), minus
-
-
 def _simpson_coefficients(dx):
     """scipy's ``_cumulative_simpson_unequal_intervals`` weights for spacings ``dx``.
 
@@ -237,11 +218,31 @@ def cumulative_simpson(y, weights):
     return out.view(np.complex128)
 
 
-def _duhamel(coeffs, c0, weights, plus, minus, grid, spec):
+def _duhamel_nodes(T, n_nodes, grid):
+    """Checked ``(weights, plus, minus)`` of the Duhamel map on ``n_nodes`` nodes of [0, T].
+
+    ``weights`` is ``_simpson_weights(times)`` and ``plus``, ``minus`` hold
+    e^{+i t xi^2} and e^{-i t xi^2}, one row per uniform time node.
+    """
+    if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 9):
+        raise ValueError("the Duhamel map needs at least 9 time nodes, got %r" % (n_nodes,))
+    if n_nodes % 2 == 0:
+        raise ValueError("the Duhamel map needs an odd node count for Simpson, got %r"
+                         % (n_nodes,))
+    if not (math.isfinite(T) and T > 0):
+        raise ValueError("T must be finite and positive, got %r" % (T,))
+    times = np.linspace(0.0, T, n_nodes)
+    minus = _free_phase(grid, times[:, None])
+    return _simpson_weights(times), np.conj(minus), minus
+
+
+def _duhamel(coeffs, c0, nodes, grid, spec):
     """The Duhamel map on the raw ``(n_nodes, n_modes)`` iterate ``coeffs``.
 
-    Each row rounds exactly as the same node evaluated on its own.
+    ``nodes`` is ``_duhamel_nodes(T, n_nodes, grid)``.  Each row rounds
+    exactly as the same node evaluated on its own.
     """
+    weights, plus, minus = nodes
     nl = 1j * nonlinear_coeffs(coeffs, grid, spec)
     # one cumulative_simpson call on the complex integrand, with the weights
     # computed once per solve
@@ -259,13 +260,10 @@ def picard_map(states, u0, T, spec):
     integral evaluated by cumulative composite-Simpson quadrature of the
     interaction-picture integrand.
     """
-    _check_nodes(len(states))
-    _check_horizon(T)
     grid = u0.grid
-    times = np.linspace(0.0, T, len(states))
-    plus, minus = _node_phases(times, grid)
+    nodes = _duhamel_nodes(T, len(states), grid)
     coeffs = np.stack([u.coeffs for u in states])
-    new = _duhamel(coeffs, u0.coeffs, _simpson_weights(times), plus, minus, grid, spec)
+    new = _duhamel(coeffs, u0.coeffs, nodes, grid, spec)
     return [SpectralField(grid, c) for c in new]
 
 
@@ -278,12 +276,9 @@ def picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
     """
     if not (isinstance(n_iter, numbers.Integral) and n_iter >= 1):
         raise ValueError("n_iter must be an integer >= 1, got %r" % (n_iter,))
-    _check_nodes(n_nodes)
-    _check_horizon(T)
     grid = u0.grid
-    times = np.linspace(0.0, T, n_nodes)
-    plus, minus = _node_phases(times, grid)
-    weights = _simpson_weights(times)
+    nodes = _duhamel_nodes(T, n_nodes, grid)
+    _, _, minus = nodes
     c0 = u0.coeffs
     # the free flow, c0 first as in linear_propagator: a complex product is
     # not bitwise commutative
@@ -292,7 +287,7 @@ def picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
     growth_streak = 0
     for _ in range(n_iter):
         with np.errstate(over="ignore", invalid="ignore"):
-            new = _duhamel(current, c0, weights, plus, minus, grid, spec)
+            new = _duhamel(current, c0, nodes, grid, spec)
         if not np.all(np.isfinite(new)):
             break  # the iterate left the representable range: divergence
         diff = new - current

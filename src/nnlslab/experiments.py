@@ -194,8 +194,11 @@ def exp_support_invariance(spec, eps0, u0, T, dt, tolerance=1e-10, sample_every=
     )
 
 
+_SCALING_RATIO_BOUND = 10.0  # largest accepted ratio to the dilation bound
+
+
 def exp_scaling_global(u0, s, sigma, eps0, lambda_list, spec=None, T_max=0.5, dt=2e-3,
-                       ratio_bound=10.0, sample_every=25):
+                       sample_every=25):
     """Dilation-bound ratios plus decay of the lam-weighted norm along solves."""
     if spec is None:
         spec = EquationSpec(NNLS, alpha=1.0)
@@ -217,7 +220,7 @@ def exp_scaling_global(u0, s, sigma, eps0, lambda_list, spec=None, T_max=0.5, dt
     kept = [lam for lam in lambda_list if lam not in skipped]
     seq = [sup_norms[lam] for lam in kept]
     monotone = all(b < a for a, b in zip(seq, seq[1:]))
-    ratio_ok = all(r <= ratio_bound for r in ratios.values())
+    ratio_ok = all(r <= _SCALING_RATIO_BOUND for r in ratios.values())
     identity_ok = abs(l2_ratio - 1.0) <= 1e-10
     return ExperimentReport(
         claim_id="dilation-scaling-bound",
@@ -229,7 +232,7 @@ def exp_scaling_global(u0, s, sigma, eps0, lambda_list, spec=None, T_max=0.5, dt
             "monotone_decay": monotone,
             "skipped": tuple(skipped),
         },
-        tolerance=ratio_bound,
+        tolerance=_SCALING_RATIO_BOUND,
         passed=bool(ratio_ok and identity_ok and monotone),
     )
 
@@ -244,24 +247,31 @@ def _contracting(u0, T, spec):
     return len(ratios) >= 2 and max(ratios) <= 0.5
 
 
-def largest_contracting_time(u0, spec, t_floor=1e-6, t_cap=256.0, rel_tol=0.02):
+# the horizon search: no window below _T_FLOOR, none reported above _T_CAP,
+# and bisection down to a relative bracket of _WINDOW_REL_TOL
+_T_FLOOR = 1e-6
+_T_CAP = 256.0
+_WINDOW_REL_TOL = 0.02
+
+
+def largest_contracting_time(u0, spec):
     """Bisect the largest horizon on which the Duhamel map still contracts."""
     T = 1.0
     if _contracting(u0, T, spec):
         lo = T
-        while lo < t_cap and _contracting(u0, min(2 * lo, t_cap), spec):
-            lo = min(2 * lo, t_cap)
-            if lo >= t_cap:
-                return t_cap
-        hi = min(2 * lo, t_cap)
+        while lo < _T_CAP and _contracting(u0, min(2 * lo, _T_CAP), spec):
+            lo = min(2 * lo, _T_CAP)
+            if lo >= _T_CAP:
+                return _T_CAP
+        hi = min(2 * lo, _T_CAP)
     else:
         hi = T
-        while hi > t_floor and not _contracting(u0, hi / 2, spec):
+        while hi > _T_FLOOR and not _contracting(u0, hi / 2, spec):
             hi = hi / 2
-        if hi <= t_floor:
+        if hi <= _T_FLOOR:
             return None
         lo = hi / 2
-    while hi / lo > 1 + rel_tol:
+    while hi / lo > 1 + _WINDOW_REL_TOL:
         mid = np.sqrt(lo * hi)
         if _contracting(u0, mid, spec):
             lo = mid
@@ -279,7 +289,10 @@ def _linefit(x, y):
     return float(slope), r2
 
 
-def exp_picard_window(u0_family, spec, s=-1.0, sigma=0.0, r2_min=0.9):
+_WINDOW_R2_MIN = 0.9  # least r^2 of the log-log window fit
+
+
+def exp_picard_window(u0_family, spec, s=-1.0, sigma=0.0):
     """Fit the contracting-window size against the data norm across a family."""
     norms, windows, excluded = [], [], []
     for i, u0 in enumerate(u0_family):
@@ -293,7 +306,7 @@ def exp_picard_window(u0_family, spec, s=-1.0, sigma=0.0, r2_min=0.9):
     slope, r2 = (np.nan, 0.0)
     if ok:
         slope, r2 = _linefit(np.log(norms), np.log(windows))
-        ok = slope < 0 and r2 >= r2_min
+        ok = slope < 0 and r2 >= _WINDOW_R2_MIN
     return ExperimentReport(
         claim_id="contraction-window-scaling",
         parameters={"kind": spec.kind, "alpha": spec.alpha, "s": s, "sigma": sigma},
@@ -304,7 +317,7 @@ def exp_picard_window(u0_family, spec, s=-1.0, sigma=0.0, r2_min=0.9):
             "r_squared": float(r2),
             "excluded": tuple(excluded),
         },
-        tolerance=r2_min,
+        tolerance=_WINDOW_R2_MIN,
         passed=bool(ok),
     )
 
@@ -458,20 +471,27 @@ def _band_nodes(n_per_segment):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _band_norm(phi, t, equation, sprime, sigmaprime, n_nodes, alpha=1.0):
+def _band_norm(phi, t, spec, sprime, sigmaprime, n_nodes):
     xi, w = _band_nodes(n_nodes)
-    _, vals, min_rho = third_derivative_field(phi, t, equation, xi=xi,
-                                              n_outer=n_nodes, n_inner=n_nodes, alpha=alpha)
+    _, vals, min_rho = third_derivative_field(phi, t, spec.kind, xi=xi, n_outer=n_nodes,
+                                              n_inner=n_nodes, alpha=spec.alpha)
     weight = (1.0 + xi ** 2) ** sigmaprime * 4.0 ** (sprime * np.abs(xi))
     norm = float(np.sqrt(np.sum(w * weight * np.abs(vals) ** 2)))
     return norm, min_rho
 
 
+_QUAD_TOL = 1e-6  # largest relative change of a band norm when the nodes double
+
+
 def exp_norm_inflation(s=-1.0, k_list=(8, 16, 32), kappa=0.1, sprime=-1.0, sigmaprime=0.0,
-                       equation=NNLS, n_nodes=16, quad_tol=1e-6):
+                       spec=None, n_nodes=16):
     """Growth in k of the weighted band norm of the third derivative at t = kappa/k^2."""
+    if spec is None:
+        spec = EquationSpec(NNLS, alpha=1.0)
     if not s < 0:
         raise ValueError("s must be negative")
+    if spec.alpha == 0:
+        raise ValueError("alpha must be nonzero: the third derivative vanishes at alpha = 0")
     if not 0 < kappa <= 0.1:
         raise ValueError("kappa must be in (0, 0.1], got %r" % (kappa,))
     if not (float(n_nodes).is_integer() and n_nodes >= 1):
@@ -484,9 +504,9 @@ def exp_norm_inflation(s=-1.0, k_list=(8, 16, 32), kappa=0.1, sprime=-1.0, sigma
     norms, rho_ok, quad_ok = [], True, True
     for phi in phis:
         t = kappa / phi.k ** 2
-        coarse, _ = _band_norm(phi, t, equation, sprime, sigmaprime, n_nodes)
-        fine, min_rho = _band_norm(phi, t, equation, sprime, sigmaprime, 2 * n_nodes)
-        quad_ok = quad_ok and abs(fine - coarse) <= quad_tol * abs(fine)
+        coarse, _ = _band_norm(phi, t, spec, sprime, sigmaprime, n_nodes)
+        fine, min_rho = _band_norm(phi, t, spec, sprime, sigmaprime, 2 * n_nodes)
+        quad_ok = quad_ok and abs(fine - coarse) <= _QUAD_TOL * abs(fine)
         rho_ok = rho_ok and min_rho >= t / 2.0
         norms.append(fine)
     log2n = np.log2(norms)
@@ -497,7 +517,8 @@ def exp_norm_inflation(s=-1.0, k_list=(8, 16, 32), kappa=0.1, sprime=-1.0, sigma
     return ExperimentReport(
         claim_id="third-derivative-norm-inflation",
         parameters={"s": s, "k_list": tuple(k_list), "kappa": kappa,
-                    "sprime": sprime, "sigmaprime": sigmaprime, "equation": equation},
+                    "sprime": sprime, "sigmaprime": sigmaprime, "equation": spec.kind,
+                    "alpha": spec.alpha},
         measurements={
             "norms": tuple(float(v) for v in norms),
             "slope": float(slope),

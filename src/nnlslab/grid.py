@@ -258,12 +258,15 @@ def _smoothstep(x, center, width, xi_max, x_lo, x_hi):
     return (erf((x - center) / sigma) - e0) / (e1 - e0)
 
 
-def antiderivative_symmetric(fld, blend_fraction=0.08):
+_BLEND_FRACTION = 0.08  # share of each domain end given to the smooth step
+
+
+def antiderivative_symmetric(fld):
     """Two-sided primitive F(x) = (1/2) (int_{-inf}^x - int_x^{inf}) g dy.
 
     Domain endpoints stand in for +-infinity.  The mean-free part of g is
     integrated spectrally and the total mass enters through an exact linear
-    ramp; a smooth step confined to the outer ``blend_fraction`` of each
+    ramp; a smooth step confined to the outer ``_BLEND_FRACTION`` of each
     domain end absorbs the ramp's periodic mismatch so that the returned
     field differentiates back to g away from the boundary.
     """
@@ -288,7 +291,7 @@ def antiderivative_symmetric(fld, blend_fraction=0.08):
     x_min = -grid.length / 2
     cumulative = (mean_free - mean_free[0]) + (total / grid.length) * (x - x_min)
     f_vals = cumulative - total / 2
-    w = blend_fraction * grid.length
+    w = _BLEND_FRACTION * grid.length
     step = _smoothstep(x, grid.length / 2 - w / 2, w, grid.xi_max, x_min, grid.length / 2)
     f_vals = f_vals - total * step
     return SpectralField(grid, plan.coeffs(f_vals))

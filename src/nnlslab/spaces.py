@@ -20,6 +20,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.fft import next_fast_len
 
+from .equations import support_leakage
 from .grid import (
     FrequencyGrid,
     SpectralField,
@@ -75,13 +76,16 @@ class DyadicCutoff:
         return max(2, int(np.ceil(np.log2(grid.xi_max))) + 1)
 
 
-def littlewood_paley_blocks(fld, cutoff=DyadicCutoff()):
+_CUTOFF = DyadicCutoff()
+
+
+def littlewood_paley_blocks(fld):
     """Dyadic decomposition [psi-block, shell_1 f, shell_2 f, ...]; sums back to f."""
     xi = fld.grid.frequencies
-    jmax = cutoff.n_blocks(fld.grid)
-    blocks = [SpectralField(fld.grid, fld.coeffs * cutoff.psi(xi))]
+    jmax = _CUTOFF.n_blocks(fld.grid)
+    blocks = [SpectralField(fld.grid, fld.coeffs * _CUTOFF.psi(xi))]
     for j in range(1, jmax):
-        blocks.append(SpectralField(fld.grid, fld.coeffs * cutoff.phi(j, xi)))
+        blocks.append(SpectralField(fld.grid, fld.coeffs * _CUTOFF.phi(j, xi)))
     return blocks
 
 
@@ -92,11 +96,11 @@ def _lp_norm(samples, dx, p):
     return float((np.sum(a ** p) * dx) ** (1.0 / p))
 
 
-def besov_norm(fld, sigma, p, q, cutoff=DyadicCutoff()):
+def besov_norm(fld, sigma, p, q):
     """Besov norm: l^q over dyadic blocks of 2^{j sigma} ||block||_{L^p}."""
     if p < 1 or q < 1:
         raise ValueError("Besov indices require p, q >= 1")
-    blocks = littlewood_paley_blocks(fld, cutoff)
+    blocks = littlewood_paley_blocks(fld)
     dx = fld.grid.dx
     terms = np.array(
         [
@@ -109,12 +113,15 @@ def besov_norm(fld, sigma, p, q, cutoff=DyadicCutoff()):
     return float(np.sum(terms ** q) ** (1.0 / q))
 
 
-def _support_indices(fld, rel_tol=1e-13):
+_SUPPORT_REL_TOL = 1e-13  # a coefficient below this fraction of the peak is off support
+
+
+def _support_indices(fld):
     a = np.abs(fld.coeffs)
     peak = a.max()
     if peak == 0:
         return np.array([], dtype=int)
-    return np.nonzero(a > rel_tol * peak)[0]
+    return np.nonzero(a > _SUPPORT_REL_TOL * peak)[0]
 
 
 _SPARSE_MODE_LIMIT = 4  # at most this many isolated lines for the exact remap
@@ -197,16 +204,12 @@ def scaling_bound_check(fld, s, sigma, lam, eps0):
         raise ValueError("scaling check requires lam > 1")
     if s > 0:
         raise ValueError("scaling check requires s <= 0")
-    total = spectral_mass(fld)
-    if total == 0:
+    # first: support_leakage reads 0 for a zero field
+    if spectral_mass(fld) == 0:
         raise ValueError("scaling check requires a nonzero field")
-    below = float(
-        np.sum(np.abs(fld.coeffs[fld.grid.frequencies < eps0]) ** 2) * fld.grid.dxi
-    )
-    if below > 1e-10 * total:
-        raise ValueError(
-            "spectrum not supported in [eps0, inf): leakage %.3g" % (below / total)
-        )
+    leakage = support_leakage(fld, eps0)
+    if leakage > 1e-10:
+        raise ValueError("spectrum not supported in [eps0, inf): leakage %.3g" % leakage)
     base = esigma_norm(fld, s, sigma)
     scaled = esigma_norm(dilate(fld, lam), s, sigma)
     bound = lam ** (-0.5 + max(sigma, 0.0)) * 2.0 ** (s * lam * eps0 / 2.0) * base

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import csv
+import glob
 import os
 
 import numpy as np
@@ -11,6 +12,8 @@ from nnlslab.cli import (EXPERIMENTS, build_grid, build_initial_data, load_confi
                          write_timeseries)
 from nnlslab.equations import EquationSpec
 from nnlslab.evolve import norm_key, solve
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 BASE_CFG = {
     "grid": {"n_modes": 256, "length": 40.0},
@@ -228,7 +231,7 @@ def test_override_through_a_value_is_exit_2(tmp_path, capsys):
 
 
 def test_non_integral_bump_frequency_is_exit_2(capsys):
-    config = os.path.join(os.path.dirname(__file__), "..", "configs", "norm_inflation.yaml")
+    config = os.path.join(CONFIGS, "norm_inflation.yaml")
     assert main(["experiment", "norm_inflation", "--config", config,
                  "--override", "experiment.k_list=[4.5,8]"]) == 2
     assert "k must be a positive integer" in capsys.readouterr().err
@@ -236,7 +239,7 @@ def test_non_integral_bump_frequency_is_exit_2(capsys):
 
 def test_zero_field_scaling_check_is_exit_2(tmp_path, capsys):
     # the bound of a zero field is 0: refused, not a division by zero
-    config = os.path.join(os.path.dirname(__file__), "..", "configs", "scaling_global.yaml")
+    config = os.path.join(CONFIGS, "scaling_global.yaml")
     assert main(["experiment", "scaling_global", "--config", config, "--out", str(tmp_path),
                  "--override", "initial_data.params.amplitude=0.0"]) == 2
     assert "scaling check requires a nonzero field" in capsys.readouterr().err
@@ -252,3 +255,55 @@ def test_bad_sweep_entry_is_exit_2(tmp_path, capsys, entry):
     assert main(["sweep", "--config", path, "--out", out]) == 2
     assert "invalid configuration" in capsys.readouterr().err
     assert not os.path.exists(out)  # rejected before any job ran
+
+
+def _report(path):
+    return dict(line.split("=", 1) for line in path.read_text().strip().splitlines())
+
+
+@pytest.mark.parametrize("config", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))),
+                         ids=lambda p: os.path.basename(p)[:-len(".yaml")])
+def test_every_shipped_config_runs(tmp_path, config):
+    # each runner must accept what its config gives it; a short horizon keeps it cheap
+    cfg = load_config(config)
+    argv = ["experiment", cfg["experiment"]["name"], "--config", config,
+            "--out", str(tmp_path)]
+    if "evolution" in cfg:
+        argv += ["--override", "evolution.T=0.1"]
+    assert main(argv) == 0
+    assert (tmp_path / "report.txt").exists()
+
+
+def test_norm_inflation_reads_alpha(tmp_path):
+    # before: equation.alpha never reached the third derivative, so both runs matched
+    config = os.path.join(CONFIGS, "norm_inflation.yaml")
+    small = ["--override", "experiment.k_list=[4,8]", "--override", "experiment.n_nodes=8"]
+    for alpha in ("1.0", "2.0"):
+        assert main(["experiment", "norm_inflation", "--config", config,
+                     "--out", str(tmp_path / alpha), "--override", "equation.alpha=" + alpha]
+                    + small) == 0
+    one, two = _report(tmp_path / "1.0" / "report.txt"), _report(tmp_path / "2.0" / "report.txt")
+    assert two["parameters.alpha"] == "2"
+    # alpha enters as a prefactor, so doubling it doubles every norm exactly
+    assert ([2.0 * float(v) for v in one["measurements.norms"].split()]
+            == [float(v) for v in two["measurements.norms"].split()])
+    assert float(two["measurements.slope"]) == pytest.approx(
+        float(one["measurements.slope"]), rel=1e-12)
+
+
+def test_norm_inflation_zero_alpha_is_exit_2(capsys):
+    config = os.path.join(CONFIGS, "norm_inflation.yaml")
+    assert main(["experiment", "norm_inflation", "--config", config,
+                 "--override", "equation.alpha=0.0"]) == 2
+    assert "alpha must be nonzero" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["NNLS", "GaugedNdNLS", "GaugedGNdNLS"])
+def test_gauge_equivalence_rejects_other_kinds(tmp_path, capsys, kind):
+    # before: any kind ran the NdNLS pair and reported pass
+    config = os.path.join(CONFIGS, "gauge_equivalence.yaml")
+    out = tmp_path / "run"
+    assert main(["experiment", "gauge_equivalence", "--config", config, "--out", str(out),
+                 "--override", "equation.kind=" + kind]) == 2
+    assert "not equation.kind %r" % kind in capsys.readouterr().err
+    assert not out.exists()

@@ -260,8 +260,8 @@ def test_norm_inflation_rejects_bad_node_count(n_nodes):
 
 
 def test_norm_inflation_derivative_grows_faster():
-    a = exp_norm_inflation(k_list=(4, 8), n_nodes=8, equation="NNLS")
-    b = exp_norm_inflation(k_list=(4, 8), n_nodes=8, equation="NdNLS")
+    a = exp_norm_inflation(k_list=(4, 8), n_nodes=8, spec=EquationSpec("NNLS"))
+    b = exp_norm_inflation(k_list=(4, 8), n_nodes=8, spec=EquationSpec("NdNLS"))
     assert b.measurements["slope"] > a.measurements["slope"]
 
 
