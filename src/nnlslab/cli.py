@@ -11,15 +11,17 @@ import argparse
 import collections
 import copy
 import csv
+import inspect
 import math
 import multiprocessing
 import os
+import re
 import sys
 import time
 
 import yaml
 
-from .equations import EquationSpec, GNDNLS, KINDS, NDNLS, NNLS, energy, mass
+from .equations import EquationSpec, GAUGED_GNDNLS, GNDNLS, KINDS, NDNLS, NNLS, energy, mass
 from .evolve import norm_key, solve
 from .experiments import (
     exp_conservation,
@@ -43,10 +45,40 @@ def _require(cfg, key, where):
     return cfg[key]
 
 
+def _section(cfg, key, where="root", required=False):
+    """The mapping ``cfg[key]``; {} when it is absent and not ``required``."""
+    sec = _require(cfg, key, where) if required else cfg.get(key, {})
+    if not isinstance(sec, dict):
+        raise ConfigError("key '%s' in section '%s' must be a mapping, got %r" % (key, where, sec))
+    return sec
+
+
+def _call(fn, where, section, *args, **kwargs):
+    """``fn(*args, **kwargs, **section)``; a key of config ``section`` that is not a
+    parameter of ``fn`` left free by ``args`` and ``kwargs`` raises ConfigError."""
+    free = [p for p in list(inspect.signature(fn).parameters)[len(args):] if p not in kwargs]
+    for key in section:
+        if key not in free:
+            raise ConfigError("unknown key '%s.%s'; %s takes %s"
+                              % (where, key, where, ", ".join(free)))
+    return fn(*args, **kwargs, **section)
+
+
+class _Loader(yaml.SafeLoader):
+    """SafeLoader that reads a number with an exponent, e.g. ``1e-3``, as a float
+    (YAML 1.2); PyYAML follows YAML 1.1, which reads it as a string."""
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)[eE][-+]?[0-9]+$"),
+    list("-+.0123456789"))
+
+
 def load_config(path, overrides=()):
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            cfg = yaml.load(fh, Loader=_Loader)
     except OSError as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc))
     except yaml.YAMLError as exc:
@@ -58,7 +90,7 @@ def load_config(path, overrides=()):
             raise ConfigError("override %r is not of the form key=value" % item)
         key, _, raw = item.partition("=")
         try:
-            value = yaml.safe_load(raw)
+            value = yaml.load(raw, Loader=_Loader)
         except yaml.YAMLError as exc:
             raise ConfigError("override %r has a malformed value: %s" % (item, exc))
         _apply_override(cfg, key, value)
@@ -77,7 +109,7 @@ def _apply_override(cfg, key, value):
 
 
 def build_grid(cfg):
-    sec = _require(cfg, "grid", "root")
+    sec = _section(cfg, "grid", required=True)
     n_modes = _require(sec, "n_modes", "grid")
     if not float(n_modes).is_integer():
         raise ConfigError("grid.n_modes must be an integer, got %r" % (n_modes,))
@@ -85,24 +117,25 @@ def build_grid(cfg):
 
 
 def build_equation(cfg):
-    sec = cfg.get("equation", {})
-    kind = sec.get("kind", NNLS)
+    rest = dict(_section(cfg, "equation"))
+    kind = rest.pop("kind", NNLS)
     if kind not in KINDS:
         raise ConfigError("equation.kind %r not one of %s" % (kind, (KINDS,)))
-    return EquationSpec(kind, alpha=float(sec.get("alpha", 1.0)),
-                        beta=float(sec.get("beta", 0.0)),
-                        gauged_coefficient_mode=sec.get("gauged_coefficient_mode", "rederived"))
+    if rest.get("beta") and kind not in (GNDNLS, GAUGED_GNDNLS):
+        raise ConfigError("equation.beta %r is read only by kinds %s and %s, not %r"
+                          % (rest["beta"], GNDNLS, GAUGED_GNDNLS, kind))
+    return _call(EquationSpec, "equation", rest, kind)
 
 
 def build_initial_data(cfg, grid, **params):
     """The configured initial data; keyword ``params`` override ``initial_data.params``."""
-    sec = _require(cfg, "initial_data", "root")
+    sec = _section(cfg, "initial_data", required=True)
     return make_initial_data(_require(sec, "kind", "initial_data"), grid,
-                             **dict(sec.get("params", {}), **params))
+                             **dict(_section(sec, "params", "initial_data"), **params))
 
 
 def _evolution(cfg):
-    sec = cfg.get("evolution", {})
+    sec = _section(cfg, "evolution")
     T = float(sec.get("T", 1.0))
     dt = float(sec.get("dt", 1e-3))
     sample_every = sec.get("sample_every", 50)
@@ -164,8 +197,8 @@ def _trajectory_inputs(cfg):
 
 def _run_conservation(cfg, exp):
     spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
-    return exp_conservation(spec, u0, T, dt, tolerance=float(exp.get("tolerance", 1e-6)),
-                            sample_every=sample_every, norm_params=norms)
+    return _call(exp_conservation, "experiment", exp, spec, u0, T, dt,
+                 sample_every=sample_every, norm_params=norms)
 
 
 def _run_gauge_equivalence(cfg, exp):
@@ -173,47 +206,37 @@ def _run_gauge_equivalence(cfg, exp):
     if spec.kind not in (NDNLS, GNDNLS):
         raise ConfigError("gauge_equivalence runs the %s or %s pair, not equation.kind %r"
                           % (NDNLS, GNDNLS, spec.kind))
-    return exp_gauge_equivalence(spec.alpha, spec.beta, u0, T, dt,
-                                 mode=spec.gauged_coefficient_mode,
-                                 tolerance=float(exp.get("tolerance", 1e-4)),
-                                 sample_every=sample_every)
+    return _call(exp_gauge_equivalence, "experiment", exp, spec.alpha, spec.beta, u0, T, dt,
+                 mode=spec.gauged_coefficient_mode, sample_every=sample_every)
 
 
 def _run_support_invariance(cfg, exp):
     spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
-    return exp_support_invariance(spec, float(exp.get("eps0", 1.0)), u0, T, dt,
-                                  tolerance=float(exp.get("tolerance", 1e-10)),
-                                  sample_every=sample_every)
+    return _call(exp_support_invariance, "experiment", dict({"eps0": 1.0}, **exp), spec,
+                 u0=u0, T=T, dt=dt, sample_every=sample_every)
 
 
 def _run_scaling_global(cfg, exp):
     spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
-    return exp_scaling_global(u0, float(exp.get("s", -1.0)), float(exp.get("sigma", 0.0)),
-                              float(exp.get("eps0", 1.0)),
-                              tuple(exp.get("lambdas", (1, 2, 4, 8))),
-                              spec=spec, T_max=T, dt=dt, sample_every=sample_every)
+    exp = dict({"s": -1.0, "sigma": 0.0, "eps0": 1.0, "lambdas": (1, 2, 4, 8)}, **exp)
+    return _call(exp_scaling_global, "experiment", exp, u0,
+                 spec=spec, T_max=T, dt=dt, sample_every=sample_every)
 
 
 def _run_picard_window(cfg, exp):
     grid = build_grid(cfg)
     spec = build_equation(cfg)
-    family = [build_initial_data(cfg, grid, amplitude=float(a))
-              for a in exp.get("amplitudes", (4.0, 12.6, 40.0, 126.0, 400.0))]
-    return exp_picard_window(family, spec, s=float(exp.get("s", -1.0)),
-                             sigma=float(exp.get("sigma", 0.0)))
+    exp = dict(exp)
+    family = [build_initial_data(cfg, grid, amplitude=a)
+              for a in exp.pop("amplitudes", (4.0, 12.6, 40.0, 126.0, 400.0))]
+    return _call(exp_picard_window, "experiment", exp, family, spec)
 
 
 def _run_norm_inflation(cfg, exp):
-    return exp_norm_inflation(s=float(exp.get("s", -1.0)),
-                              k_list=tuple(exp.get("k_list", (8, 16, 32))),
-                              kappa=float(exp.get("kappa", 0.1)),
-                              sprime=float(exp.get("sprime", -1.0)),
-                              sigmaprime=float(exp.get("sigmaprime", 0.0)),
-                              spec=build_equation(cfg),
-                              n_nodes=exp.get("n_nodes", 16))
+    return _call(exp_norm_inflation, "experiment", exp, spec=build_equation(cfg))
 
 
-# name -> (claim, runner(cfg, cfg["experiment"]) -> ExperimentReport, description, CSV columns)
+# name -> (claim, runner(cfg, experiment section) -> ExperimentReport, description, CSV columns)
 Experiment = collections.namedtuple("Experiment", "claim run about csv", defaults=("report only",))
 
 EXPERIMENTS = {
@@ -248,7 +271,9 @@ def _experiment(name):
 
 def run_experiment(name, cfg, out_dir):
     t0 = time.perf_counter()
-    report = _experiment(name).run(cfg, cfg.get("experiment", {}))
+    run = _experiment(name).run
+    exp = {k: v for k, v in _section(cfg, "experiment").items() if k != "name"}
+    report = run(cfg, exp)
     runtime = time.perf_counter() - t0
     os.makedirs(out_dir, exist_ok=True)
     fields = {k: v for k, v in vars(report).items() if k != "trajectory"}
@@ -260,8 +285,9 @@ def run_experiment(name, cfg, out_dir):
 
 def cmd_solve(cfg, out_dir):
     spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
-    eps0 = float(cfg.get("experiment", {}).get("eps0", 0.0))
-    traj = solve(u0, T, dt, spec, sample_every=sample_every, eps0=eps0, norm_params=norms)
+    exp = _section(cfg, "experiment")
+    eps0 = {"eps0": exp["eps0"]} if "eps0" in exp else {}
+    traj = solve(u0, T, dt, spec, sample_every=sample_every, norm_params=norms, **eps0)
     os.makedirs(out_dir, exist_ok=True)
     write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj)
     write_report(os.path.join(out_dir, "report.txt"), {
@@ -280,8 +306,8 @@ def _sweep_job(args):
 def cmd_sweep(cfg, out_dir, jobs):
     if jobs < 1:
         raise ConfigError("--jobs must be >= 1, got %d" % jobs)
-    sec = _require(cfg, "sweep", "root")
-    name = _require(cfg.get("experiment", {}), "name", "experiment")
+    sec = _section(cfg, "sweep", required=True)
+    name = _require(_section(cfg, "experiment"), "name", "experiment")
     _experiment(name)
     tasks = []
     for i, entry in enumerate(_require(sec, "overrides", "sweep")):

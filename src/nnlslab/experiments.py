@@ -7,6 +7,7 @@ an explicit pass flag; all are deterministic (no unseeded randomness).
 from __future__ import annotations
 
 import functools
+import inspect
 import warnings
 from dataclasses import dataclass, field
 
@@ -25,8 +26,6 @@ from .evolve import norm_key, picard_solve, solve
 from .gauge import gauge_forward
 from .grid import EndpointDecayWarning, SpectralField, forward_transform, l2_distance, l2_norm
 from .spaces import dilate, esigma_norm, scaling_bound_check
-
-DATA_KINDS = ("gaussian", "modulated_gaussian", "halfline_bump", "plemelj_derivative", "two_bump")
 
 
 @dataclass
@@ -81,45 +80,67 @@ def _bump_profile(xi, lo, hi):
     return out
 
 
-def make_initial_data(kind, grid, **params):
-    """Build one of the named initial profiles on the given grid."""
-    if kind == "gaussian":
-        a = params.get("amplitude", 1.0)
-        w = params.get("width", 1.0)
-        x = grid.points
-        return forward_transform(a * np.exp(-(x / w) ** 2 / 2.0).astype(complex), grid)
-    if kind == "modulated_gaussian":
-        a = params.get("amplitude", 1.0)
-        w = params.get("width", 1.0)
-        carrier = params.get("carrier", 3.0)
-        x = grid.points
-        s = a * np.exp(1j * carrier * x) * np.exp(-(x / w) ** 2 / 2.0)
-        return forward_transform(s, grid)
-    if kind == "halfline_bump":
-        a = params.get("amplitude", 1.0)
-        lo = params.get("lo", 1.0)
-        hi = params.get("hi", 2.0)
-        if not (lo < hi):
-            raise ValueError("halfline_bump needs lo < hi")
-        return SpectralField(grid, a * _bump_profile(grid.frequencies, lo, hi))
-    if kind == "plemelj_derivative":
-        c = params.get("amplitude", 1.0)
-        order = params.get("k", 3)
-        if not (float(order).is_integer() and order >= 0):
-            raise ValueError("derivative order k must be an integer >= 0, got %r" % (order,))
-        order = int(order)
-        if order * np.log10(max(grid.xi_max, 2.0)) > 280:
-            raise ValueError("derivative order %d overflows at the grid band" % order)
-        xi = grid.frequencies
-        coeffs = np.where(xi >= 1.0, c * (1j * (xi - 1.0)) ** order, 0.0)
-        return SpectralField(grid, coeffs)
-    if kind == "two_bump":
-        prof = TwoBumpData(params["k"], float(params["s"]))
-        xi = grid.frequencies
-        up, dn = prof.upper_box, prof.lower_box
-        ind = ((xi >= up[0]) & (xi <= up[1])) | ((xi >= dn[0]) & (xi <= dn[1]))
-        return SpectralField(grid, prof.amplitude * ind.astype(complex))
-    raise ValueError("unknown initial-data kind %r; expected one of %s" % (kind, (DATA_KINDS,)))
+def _gaussian(grid, amplitude=1.0, width=1.0):
+    x = grid.points
+    return forward_transform(amplitude * np.exp(-(x / width) ** 2 / 2.0).astype(complex), grid)
+
+
+def _modulated_gaussian(grid, amplitude=1.0, width=1.0, carrier=3.0):
+    x = grid.points
+    s = amplitude * np.exp(1j * carrier * x) * np.exp(-(x / width) ** 2 / 2.0)
+    return forward_transform(s, grid)
+
+
+def _halfline_bump(grid, amplitude=1.0, lo=1.0, hi=2.0):
+    if not (lo < hi):
+        raise ValueError("halfline_bump needs lo < hi")
+    return SpectralField(grid, amplitude * _bump_profile(grid.frequencies, lo, hi))
+
+
+def _plemelj_derivative(grid, amplitude=1.0, k=3):
+    if not (float(k).is_integer() and k >= 0):
+        raise ValueError("derivative order k must be an integer >= 0, got %r" % (k,))
+    order = int(k)
+    if order * np.log10(max(grid.xi_max, 2.0)) > 280:
+        raise ValueError("derivative order %d overflows at the grid band" % order)
+    xi = grid.frequencies
+    coeffs = np.where(xi >= 1.0, amplitude * (1j * (xi - 1.0)) ** order, 0.0)
+    return SpectralField(grid, coeffs)
+
+
+def _two_bump(grid, k, s):
+    prof = TwoBumpData(k, float(s))
+    xi = grid.frequencies
+    up, dn = prof.upper_box, prof.lower_box
+    ind = ((xi >= up[0]) & (xi <= up[1])) | ((xi >= dn[0]) & (xi <= dn[1]))
+    return SpectralField(grid, prof.amplitude * ind.astype(complex))
+
+
+# kind -> builder(grid, **params); each builder's keywords are its kind's parameters
+_DATA_BUILDERS = {
+    "gaussian": _gaussian,
+    "modulated_gaussian": _modulated_gaussian,
+    "halfline_bump": _halfline_bump,
+    "plemelj_derivative": _plemelj_derivative,
+    "two_bump": _two_bump,
+}
+DATA_KINDS = tuple(_DATA_BUILDERS)
+
+
+def make_initial_data(kind, grid, /, **params):
+    """Build one of the named initial profiles on the given grid.
+
+    ``params`` are the keywords of the kind's builder; an unknown or missing
+    one raises ValueError.
+    """
+    if kind not in _DATA_BUILDERS:
+        raise ValueError("unknown initial-data kind %r; expected one of %s" % (kind, (DATA_KINDS,)))
+    build = _DATA_BUILDERS[kind]
+    try:
+        inspect.signature(build).bind(grid, **params)
+    except TypeError as exc:
+        raise ValueError("initial-data kind %r: %s" % (kind, exc)) from None
+    return build(grid, **params)
 
 
 def exp_conservation(spec, u0, T, dt, tolerance=1e-6, sample_every=50, norm_params=()):
@@ -197,7 +218,7 @@ def exp_support_invariance(spec, eps0, u0, T, dt, tolerance=1e-10, sample_every=
 _SCALING_RATIO_BOUND = 10.0  # largest accepted ratio to the dilation bound
 
 
-def exp_scaling_global(u0, s, sigma, eps0, lambda_list, spec=None, T_max=0.5, dt=2e-3,
+def exp_scaling_global(u0, s, sigma, eps0, lambdas, spec=None, T_max=0.5, dt=2e-3,
                        sample_every=25):
     """Dilation-bound ratios plus decay of the lam-weighted norm along solves."""
     if spec is None:
@@ -205,7 +226,7 @@ def exp_scaling_global(u0, s, sigma, eps0, lambda_list, spec=None, T_max=0.5, dt
     # refuses a zero field or low support before any solve
     l2_ratio = scaling_bound_check(u0, 0.0, 0.0, 2.0, eps0)
     ratios, sup_norms, skipped = {}, {}, []
-    for lam in lambda_list:
+    for lam in lambdas:
         try:
             if lam > 1:
                 ratios[lam] = scaling_bound_check(u0, s, sigma, lam, eps0)
@@ -217,14 +238,14 @@ def exp_scaling_global(u0, s, sigma, eps0, lambda_list, spec=None, T_max=0.5, dt
         traj = solve(data, horizon, dt, spec, sample_every=sample_every,
                      norm_params=[(s * lam, sigma)])
         sup_norms[lam] = float(np.max(traj.diagnostic_series(norm_key(s * lam, sigma))))
-    kept = [lam for lam in lambda_list if lam not in skipped]
+    kept = [lam for lam in lambdas if lam not in skipped]
     seq = [sup_norms[lam] for lam in kept]
     monotone = all(b < a for a, b in zip(seq, seq[1:]))
     ratio_ok = all(r <= _SCALING_RATIO_BOUND for r in ratios.values())
     identity_ok = abs(l2_ratio - 1.0) <= 1e-10
     return ExperimentReport(
         claim_id="dilation-scaling-bound",
-        parameters={"s": s, "sigma": sigma, "eps0": eps0, "lambdas": tuple(lambda_list)},
+        parameters={"s": s, "sigma": sigma, "eps0": eps0, "lambdas": tuple(lambdas)},
         measurements={
             "ratios": {lam: float(r) for lam, r in ratios.items()},
             "l2_identity_ratio": float(l2_ratio),

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 import yaml
 
-from nnlslab.cli import (EXPERIMENTS, build_grid, build_initial_data, load_config, main,
-                         write_timeseries)
+from nnlslab.cli import (EXPERIMENTS, ConfigError, build_equation, build_grid,
+                         build_initial_data, load_config, main, write_timeseries)
 from nnlslab.equations import EquationSpec
 from nnlslab.evolve import norm_key, solve
 
@@ -271,7 +271,82 @@ def test_every_shipped_config_runs(tmp_path, config):
     if "evolution" in cfg:
         argv += ["--override", "evolution.T=0.1"]
     assert main(argv) == 0
-    assert (tmp_path / "report.txt").exists()
+    # the claim strings live in two files: the CLI table and each report
+    claim = EXPERIMENTS[cfg["experiment"]["name"]].claim
+    assert _report(tmp_path / "report.txt")["claim_id"] == claim
+
+
+@pytest.mark.parametrize("config", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))),
+                         ids=lambda p: os.path.basename(p)[:-len(".yaml")])
+def test_shipped_configs_load_as_with_safe_load(config):
+    with open(config) as fh:
+        assert load_config(config) == yaml.safe_load(fh)
+
+
+def test_exponent_floats_are_floats(tmp_path):
+    # YAML 1.1 (PyYAML's safe_load) reads 1e-3 as the string '1e-3'
+    path = tmp_path / "run.yaml"
+    path.write_text("evolution: {dt: 1e-3}\nsweep:\n  overrides:\n  - {evolution.dt: 2E-3}\n")
+    cfg = load_config(str(path), ["equation.alpha=5e+1"])
+    assert cfg["evolution"]["dt"] == 1e-3
+    assert cfg["sweep"]["overrides"][0]["evolution.dt"] == 2e-3
+    assert cfg["equation"]["alpha"] == 50.0
+
+
+def test_exponent_float_override_runs(tmp_path):
+    # before: the string '5e-1' reached numpy and the run exited 2
+    path = write_cfg(tmp_path, BASE_CFG)
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out"),
+                 "--override", "initial_data.params.amplitude=5e-1"]) == 0
+
+
+@pytest.mark.parametrize("command", [["solve"], ["experiment", "conservation"]])
+@pytest.mark.parametrize("section", ["experiment", "evolution", "equation", "initial_data",
+                                     "initial_data.params"])
+def test_non_mapping_section_is_exit_2(tmp_path, capsys, command, section):
+    # before: AttributeError: 'int' object has no attribute 'get', exit 1
+    path = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    assert main(command + ["--config", path, "--out", str(out), "--override", section + "=5"]) == 2
+    assert "must be a mapping, got 5" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, named", [
+    ("experiment.tolerence=1e-30", "experiment.tolerence"),
+    ("experiment.T=0.5", "experiment.T"),
+    ("equation.alfa=2.0", "equation.alfa"),
+    ("initial_data.params.widht=3.0", "'widht'"),
+])
+def test_misspelt_key_is_exit_2(tmp_path, capsys, override, named):
+    # before: each of these ran on the default and printed pass
+    path = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    assert main(["experiment", "conservation", "--config", path, "--out", str(out),
+                 "--override", override]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, reads_beta", [("NNLS", False), ("NdNLS", False),
+                                              ("GaugedNdNLS", False), ("gNdNLS", True),
+                                              ("GaugedGNdNLS", True)])
+def test_nonzero_beta_needs_a_kind_that_reads_it(kind, reads_beta):
+    # before: every kind took beta 0.5, and NNLS, NdNLS and GaugedNdNLS dropped it
+    cfg = dict(BASE_CFG, equation={"kind": kind, "beta": 0.5})
+    if reads_beta:
+        assert build_equation(cfg).beta == 0.5
+    else:
+        with pytest.raises(ConfigError, match="equation.beta 0.5 is read only by"):
+            build_equation(cfg)
+    assert build_equation(dict(BASE_CFG, equation={"kind": kind, "beta": 0.0})).kind == kind
+
+
+def test_gauge_equivalence_with_ndnls_and_beta_is_exit_2(tmp_path, capsys):
+    config = os.path.join(CONFIGS, "gauge_equivalence.yaml")
+    assert main(["experiment", "gauge_equivalence", "--config", config, "--out", str(tmp_path),
+                 "--override", "equation.beta=0.5"]) == 2
+    assert "equation.beta" in capsys.readouterr().err
 
 
 def test_norm_inflation_reads_alpha(tmp_path):

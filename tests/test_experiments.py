@@ -53,6 +53,19 @@ def test_make_initial_data_gaussian(grid):
         make_initial_data("soliton", grid)
 
 
+@pytest.mark.parametrize("kind, params, bad", [
+    ("gaussian", {"widht": 3.0}, "widht"),
+    ("modulated_gaussian", {"amplitude": 1.0, "carier": 3.0}, "carier"),
+    ("halfline_bump", {"low": 0.5}, "low"),
+    ("plemelj_derivative", {"order": 3}, "order"),
+    ("two_bump", {"k": 8, "s": -1.0, "amplitude": 2.0}, "amplitude"),
+])
+def test_make_initial_data_rejects_unknown_parameters(grid, kind, params, bad):
+    # before: an unknown key was ignored and the kind's default was used
+    with pytest.raises(ValueError, match="kind '%s'.*'%s'" % (kind, bad)):
+        make_initial_data(kind, grid, **params)
+
+
 def test_make_initial_data_halfline(grid):
     f = make_initial_data("halfline_bump", grid, amplitude=1.0, lo=0.5, hi=2.0)
     xi = grid.frequencies
