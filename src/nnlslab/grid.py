@@ -10,15 +10,16 @@ uniform frequency grid ``xi_m = m * 2*pi/L`` for
 
 so that ``u(x_j) = (1/L) * sum_m coeffs[m] exp(i xi_m x_j)``.
 
-:class:`ProductPlan` is the one place that spells this convention out as
-index, sign and ``dx`` vectors: the plan of degree 1 has no padding, and its
-``coeffs`` and ``samples`` are :func:`forward_transform` and
-:func:`inverse_transform`.  Higher degrees pad for dealiased products.
+:class:`ProductPlan` is the one place that spells this convention out, as
+index slices and sign and ``dx`` vectors: the plan of degree 1 has no
+padding, and its ``coeffs`` and ``samples`` are :func:`forward_transform`
+and :func:`inverse_transform`.  Higher degrees pad for dealiased products.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -156,12 +157,21 @@ class ProductPlan:
 
     The padded size is at least (p+1)/2 times the base mode count for a
     p-fold product, so no aliased contribution can reach the retained band;
-    degree 1 pads nothing.  ``index`` maps the n ascending coefficients to
-    their places in the unshifted fine array; ``signs`` holds (-1)^m =
-    exp(-i xi_m x_0) and ``scale`` is ``dx * signs`` on the fine grid.
+    degree 1 pads nothing.  The slices ``head``, ``tail`` and ``upper`` place
+    the n ascending coefficients in the unshifted fine array: modes m >= 0
+    (the upper half) lead it and modes m < 0 end it.  ``signs`` holds
+    (-1)^m = exp(-i xi_m x_0) and ``scale`` is ``dx * signs`` on the fine
+    grid.
 
     Coefficient arrays are ``(n,)`` or ``(batch, n)``; every transform runs
     along the last axis, row by row, so a batch rounds exactly as its rows.
+
+    The plan owns a grow-only work buffer: ``product`` pads, transforms and
+    multiplies its factors in place in this flat array, so a repeated
+    product allocates only its result.  The buffer keeps the size of the
+    largest product made so far, and ``product`` is not reentrant across
+    threads.  Every array the plan returns is freshly allocated; no caller
+    ever holds a view of the buffer.
     """
 
     def __init__(self, grid, degree):
@@ -169,49 +179,92 @@ class ProductPlan:
         n_fine = int(np.ceil((degree + 1) * n / 2))
         if n_fine % 2:
             n_fine += 1
-        self.n_fine = n_fine
-        # index as slices, far cheaper than a fancy index on a batch: modes
-        # m >= 0 (the upper half) lead the fine array and modes m < 0 end it
+        self.n, self.n_fine = n, n_fine
         h = n // 2
         self.head, self.tail, self.upper = np.s_[..., :h], np.s_[..., -h:], np.s_[..., h:]
+        self.middle = np.s_[..., h:n_fine - h]
         self.dx_fine = grid.length / n_fine
-        self.index = (np.arange(n) - h) % n_fine
-        self.signs = np.where(np.arange(-h, h) % 2, -1.0, 1.0)
+        # complex, as the arrays they multiply: a mixed-type ufunc casts
+        self.signs = np.where(np.arange(-h, h) % 2, -1.0, 1.0).astype(np.complex128)
         self.scale = self.dx_fine * self.signs
-        for a in (self.index, self.signs, self.scale):
+        for a in (self.signs, self.scale):
             a.flags.writeable = False  # shared by every caller of the cache
+        self._buffer = np.empty(0, dtype=np.complex128)
+        self._work = None
+
+    def _fine_samples(self, coeffs, signs, signed, f):
+        """Pad ``coeffs`` into the fine array ``f`` and inverse transform it in place.
+
+        ``signs`` is ``self.signs`` or its rows, ``signed`` scratch of the
+        shape of ``coeffs``.
+        """
+        # sign first, then divide by the fine dx: degree p rounds exactly as
+        # the degree-1 transform on the padded grid would
+        np.multiply(coeffs, signs, out=signed)
+        np.divide(signed, self.dx_fine, out=signed)
+        f[self.head] = signed[self.upper]
+        f[self.tail] = signed[self.head]
+        f[self.middle] = 0.0
+        return np.fft.ifft(f, out=f)
+
+    def _retained(self, fine, scale):
+        """Fresh retained coefficients of the forward-transformed ``fine``."""
+        out = np.empty(fine.shape[:-1] + (self.n,), dtype=np.complex128)
+        out[self.head] = fine[self.tail]
+        out[self.upper] = fine[self.head]
+        return np.multiply(scale, out, out=out)
+
+    def _work_arrays(self, lead, count):
+        """``(signs, scale, signed, fine)`` for factors of shape ``lead + (n,)``.
+
+        ``signs`` and ``scale`` are repeated to that shape, since numpy
+        allocates an iterator buffer for every ufunc call that broadcasts.
+        ``signed`` (scratch of that shape) and the list ``fine`` of at least
+        ``count`` arrays of shape ``lead + (n_fine,)`` are views of the flat
+        buffer.  All four are kept for the next call with the same ``lead``.
+        """
+        if self._work is None or self._work[0].shape[:-1] != lead or len(self._work[3]) < count:
+            rows, n, n_fine = math.prod(lead), self.n, self.n_fine
+            ends = [rows * (n + k * n_fine) for k in range(count + 1)]
+            if self._buffer.size < ends[-1]:
+                self._buffer = np.empty(ends[-1], dtype=np.complex128)
+            signed = self._buffer[:ends[0]].reshape(lead + (n,))
+            fine = [self._buffer[lo:hi].reshape(lead + (n_fine,))
+                    for lo, hi in zip(ends, ends[1:])]
+            # the rows are arrays of their own; folded into the flat buffer,
+            # they left glibc trimming the heap (17,500-20,400 minor faults
+            # per picard_window pass against under 10; numpy 2.4, glibc)
+            self._work = (np.broadcast_to(self.signs, signed.shape).copy(),
+                          np.broadcast_to(self.scale, signed.shape).copy(), signed, fine)
+        return self._work
 
     def samples(self, coeffs):
         """Fine-grid samples of the field(s) with ``coeffs`` zero padded."""
-        f = np.zeros(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
-        # sign first, then divide by the fine dx: degree p rounds exactly as
-        # the degree-1 transform on the padded grid would
-        c = coeffs * self.signs / self.dx_fine
-        f[self.head] = c[self.upper]
-        f[self.tail] = c[self.head]
-        # freed before the transform allocates its output: holding c made a
-        # 1-D step at n_fine = 8192 about 10% slower (an allocator effect)
-        del c
-        return np.fft.ifft(f)
+        f = np.empty(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
+        return self._fine_samples(coeffs, self.signs, np.empty(coeffs.shape, np.complex128), f)
 
     def coeffs(self, samples):
         """Retained coefficients of the fine-grid ``samples``."""
-        return self.scale * np.fft.fft(samples).take(self.index, axis=-1)
+        return self._retained(np.fft.fft(samples), self.scale)
 
     def product(self, factors):
         """Retained coefficients of the product of coefficient arrays.
 
-        Each distinct array (by identity) is transformed once; the samples
-        are multiplied left to right.
+        The factors share one shape.  Each distinct array (by identity) is
+        transformed once; the samples are multiplied left to right.
         """
-        samples = {}
+        distinct = {}
+        for c in factors:
+            distinct.setdefault(id(c), c)
+        signs, scale, signed, fine = self._work_arrays(factors[0].shape[:-1], len(distinct) + 1)
+        samples = {key: self._fine_samples(c, signs, signed, f)
+                   for f, (key, c) in zip(fine, distinct.items())}
+        acc = fine[len(distinct)]
         prod = None
         for c in factors:
-            s = samples.get(id(c))
-            if s is None:
-                s = samples[id(c)] = self.samples(c)
-            prod = s if prod is None else prod * s
-        return self.coeffs(prod)
+            s = samples[id(c)]
+            prod = s if prod is None else np.multiply(prod, s, out=acc)
+        return self._retained(np.fft.fft(prod, out=prod), scale)
 
 
 @functools.lru_cache(maxsize=64)

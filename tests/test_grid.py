@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -239,6 +240,58 @@ def test_dealiased_product_matches_reference_bit_for_bit(n, pattern, seed):
     pool = [random_field(g, seed + k) for k in range(3)]
     fields = [pool[k] for k in pattern]
     assert np.array_equal(dealiased_product(fields).coeffs, reference_product(fields).coeffs)
+
+
+def _batch(rng, n, rows):
+    shape = (n,) if rows is None else (rows, n)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def test_product_work_arrays_never_leak():
+    # one plan grows its work buffer, reuses a prefix of it and goes back to
+    # 1-D, twice over; no result or input may show a later call's work
+    g = FrequencyGrid(256, 30.0)
+    plan = product_plan(g, 5)
+    rng = np.random.default_rng(21)
+    results = []
+    for rows, pattern in 2 * ((None, (0, 0, 0, 1, 1)), (65, (0, 1, 2, 1, 0)),
+                              (33, (0, 0, 0, 1, 1)), (None, (2, 2, 1, 0, 1))):
+        u = _batch(rng, g.n_modes, rows)
+        pool = [u, np.conj(u), _batch(rng, g.n_modes, rows)]
+        before = [p.copy() for p in pool]
+        factors = [pool[k] for k in pattern]
+        out = plan.product(factors)
+        for p, b in zip(pool, before):
+            assert np.array_equal(p, b)
+        by_row = [np.atleast_2d(f) for f in factors]
+        expected = [reference_product([SpectralField(g, f[r]) for f in by_row]).coeffs
+                    for r in range(len(by_row[0]))]
+        assert np.array_equal(np.atleast_2d(out), np.stack(expected))
+        results.append((out, out.copy()))
+        for earlier, snapshot in results:
+            assert np.array_equal(earlier, snapshot)
+
+
+def test_batched_product_allocates_only_its_result():
+    # after a warm-up the plan pads and transforms in its own work arrays, so
+    # a (33, 256) cubic product traces less than one (33, n_fine) array
+    g = FrequencyGrid(256, 40.0)
+    plan = product_plan(g, 3)
+    u = _batch(np.random.default_rng(5), g.n_modes, 33)
+    factors = [u, u, np.conj(u)]
+    plan.product(factors)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        plan.product(factors)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 33 * plan.n_fine * 16
 
 
 def test_dealiased_product_support_arithmetic(grid):
