@@ -14,6 +14,7 @@ import csv
 import inspect
 import math
 import multiprocessing
+import numbers
 import os
 import re
 import sys
@@ -55,12 +56,17 @@ def _section(cfg, key, where="root", required=False):
 
 def _call(fn, where, section, *args, **kwargs):
     """``fn(*args, **kwargs, **section)``; a key of config ``section`` that is not a
-    parameter of ``fn`` left free by ``args`` and ``kwargs`` raises ConfigError."""
-    free = [p for p in list(inspect.signature(fn).parameters)[len(args):] if p not in kwargs]
-    for key in section:
+    parameter of ``fn`` left free by ``args`` and ``kwargs`` raises ConfigError, and
+    so does a value that is not a number, or is a bool, for a float default."""
+    params = inspect.signature(fn).parameters
+    free = [p for p in list(params)[len(args):] if p not in kwargs]
+    for key, value in section.items():
         if key not in free:
             raise ConfigError("unknown key '%s.%s'; %s takes %s"
                               % (where, key, where, ", ".join(free)))
+        if isinstance(params[key].default, float) and (
+                isinstance(value, bool) or not isinstance(value, numbers.Real)):
+            raise ConfigError("%s.%s must be a number, got %r" % (where, key, value))
     return fn(*args, **kwargs, **section)
 
 
@@ -121,9 +127,11 @@ def build_equation(cfg):
     kind = rest.pop("kind", NNLS)
     if kind not in KINDS:
         raise ConfigError("equation.kind %r not one of %s" % (kind, (KINDS,)))
-    if rest.get("beta") and kind not in (GNDNLS, GAUGED_GNDNLS):
-        raise ConfigError("equation.beta %r is read only by kinds %s and %s, not %r"
-                          % (rest["beta"], GNDNLS, GAUGED_GNDNLS, kind))
+    for key in ("beta", "gauged_coefficient_mode"):
+        if key in rest and rest[key] != getattr(EquationSpec, key) and kind not in (
+                GNDNLS, GAUGED_GNDNLS):
+            raise ConfigError("equation.%s %r is read only by kinds %s and %s, not %r"
+                              % (key, rest[key], GNDNLS, GAUGED_GNDNLS, kind))
     return _call(EquationSpec, "equation", rest, kind)
 
 

@@ -13,7 +13,12 @@ so that ``u(x_j) = (1/L) * sum_m coeffs[m] exp(i xi_m x_j)``.
 :class:`ProductPlan` is the one place that spells this convention out, as
 index slices and sign and ``dx`` vectors: the plan of degree 1 has no
 padding, and its ``coeffs`` and ``samples`` are :func:`forward_transform`
-and :func:`inverse_transform`.  Higher degrees pad for dealiased products.
+and :func:`inverse_transform`.  Higher degrees pad for dealiased products,
+each of which is two FFT calls whatever its degree: one inverse transform of
+a block holding every distinct factor and one forward transform of their
+product.  The transforms are ``scipy.fft``'s, which keeps its plans between
+calls where ``numpy.fft`` sets one up on every call; the two agree bit for
+bit (both run pocketfft, as a unit test checks).
 """
 
 from __future__ import annotations
@@ -24,6 +29,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
 
 class GridMismatchError(ValueError):
@@ -160,18 +166,28 @@ class ProductPlan:
     degree 1 pads nothing.  The slices ``head``, ``tail`` and ``upper`` place
     the n ascending coefficients in the unshifted fine array: modes m >= 0
     (the upper half) lead it and modes m < 0 end it.  ``signs`` holds
-    (-1)^m = exp(-i xi_m x_0) and ``scale`` is ``dx * signs`` on the fine
-    grid.
+    (-1)^m = exp(-i xi_m x_0), ``pad`` is ``signs / dx_fine`` and ``scale``
+    is ``dx_fine * signs``: a coefficient is padded as ``coeffs * pad``,
+    which equals ``(coeffs * signs) / dx_fine`` value for value, and a
+    retained coefficient is ``scale * fft``.
 
     Coefficient arrays are ``(n,)`` or ``(batch, n)``; every transform runs
     along the last axis, row by row, so a batch rounds exactly as its rows.
+    The transforms are ``scipy.fft``'s and are called as module attributes
+    (``scipy.fft.ifft``), looked up at each call, so that a profiler or a
+    test that rebinds them, such as ``perfbench/tracer.py``, sees every one.
+    ``samples`` and ``product`` transform their own arrays in place
+    (``overwrite_x=True``); ``coeffs`` leaves the caller's samples alone.
 
-    The plan owns a grow-only work buffer: ``product`` pads, transforms and
-    multiplies its factors in place in this flat array, so a repeated
-    product allocates only its result.  The buffer keeps the size of the
-    largest product made so far, and ``product`` is not reentrant across
-    threads.  Every array the plan returns is freshly allocated; no caller
-    ever holds a view of the buffer.
+    The plan owns a grow-only work buffer.  ``product`` pads its k distinct
+    factors into one ``(k,) + lead + (n_fine,)`` block of it, transforms the
+    whole block with one inverse FFT, multiplies the samples left to right
+    into an accumulator behind the block and forward transforms that: two
+    FFT calls whatever the degree, and a repeated product allocates only
+    its result.  The buffer keeps the size of the largest product made so
+    far, and ``product`` is not reentrant across threads.  Every array the
+    plan returns is freshly allocated; no caller ever holds a view of the
+    buffer.
     """
 
     def __init__(self, grid, degree):
@@ -186,26 +202,17 @@ class ProductPlan:
         self.dx_fine = grid.length / n_fine
         # complex, as the arrays they multiply: a mixed-type ufunc casts
         self.signs = np.where(np.arange(-h, h) % 2, -1.0, 1.0).astype(np.complex128)
+        self.pad = self.signs / self.dx_fine
         self.scale = self.dx_fine * self.signs
-        for a in (self.signs, self.scale):
+        for a in (self.signs, self.pad, self.scale):
             a.flags.writeable = False  # shared by every caller of the cache
         self._buffer = np.empty(0, dtype=np.complex128)
         self._work = None
 
-    def _fine_samples(self, coeffs, signs, signed, f):
-        """Pad ``coeffs`` into the fine array ``f`` and inverse transform it in place.
-
-        ``signs`` is ``self.signs`` or its rows, ``signed`` scratch of the
-        shape of ``coeffs``.
-        """
-        # sign first, then divide by the fine dx: degree p rounds exactly as
-        # the degree-1 transform on the padded grid would
-        np.multiply(coeffs, signs, out=signed)
-        np.divide(signed, self.dx_fine, out=signed)
-        f[self.head] = signed[self.upper]
-        f[self.tail] = signed[self.head]
-        f[self.middle] = 0.0
-        return np.fft.ifft(f, out=f)
+    def _pad_into(self, coeffs, pad, f):
+        """Write ``coeffs * pad`` into the head and tail of the fine array ``f``."""
+        np.multiply(coeffs[self.upper], pad[self.upper], out=f[self.head])
+        np.multiply(coeffs[self.head], pad[self.head], out=f[self.tail])
 
     def _retained(self, fine, scale):
         """Fresh retained coefficients of the forward-transformed ``fine``."""
@@ -215,56 +222,63 @@ class ProductPlan:
         return np.multiply(scale, out, out=out)
 
     def _work_arrays(self, lead, count):
-        """``(signs, scale, signed, fine)`` for factors of shape ``lead + (n,)``.
+        """``(pad, scale, block, acc)`` for ``count`` factors of shape ``lead + (n,)``.
 
-        ``signs`` and ``scale`` are repeated to that shape, since numpy
+        ``pad`` and ``scale`` are repeated to that shape, since numpy
         allocates an iterator buffer for every ufunc call that broadcasts.
-        ``signed`` (scratch of that shape) and the list ``fine`` of at least
-        ``count`` arrays of shape ``lead + (n_fine,)`` are views of the flat
-        buffer.  All four are kept for the next call with the same ``lead``.
+        ``block`` of shape ``(count,) + lead + (n_fine,)`` and the
+        accumulator ``acc`` of shape ``lead + (n_fine,)`` are views of the
+        flat buffer.  All four are kept for the next call with the same
+        ``lead`` and at most as many factors.
         """
-        if self._work is None or self._work[0].shape[:-1] != lead or len(self._work[3]) < count:
-            rows, n, n_fine = math.prod(lead), self.n, self.n_fine
-            ends = [rows * (n + k * n_fine) for k in range(count + 1)]
-            if self._buffer.size < ends[-1]:
-                self._buffer = np.empty(ends[-1], dtype=np.complex128)
-            signed = self._buffer[:ends[0]].reshape(lead + (n,))
-            fine = [self._buffer[lo:hi].reshape(lead + (n_fine,))
-                    for lo, hi in zip(ends, ends[1:])]
+        if (self._work is None or self._work[0].shape[:-1] != lead
+                or len(self._work[2]) < count):
+            size = math.prod(lead) * self.n_fine
+            if self._buffer.size < (count + 1) * size:
+                self._buffer = np.empty((count + 1) * size, dtype=np.complex128)
+            fine = lead + (self.n_fine,)
+            block = self._buffer[:count * size].reshape((count,) + fine)
+            acc = self._buffer[count * size:(count + 1) * size].reshape(fine)
             # the rows are arrays of their own; folded into the flat buffer,
             # they left glibc trimming the heap (17,500-20,400 minor faults
             # per picard_window pass against under 10; numpy 2.4, glibc)
-            self._work = (np.broadcast_to(self.signs, signed.shape).copy(),
-                          np.broadcast_to(self.scale, signed.shape).copy(), signed, fine)
-        return self._work
+            shape = lead + (self.n,)
+            self._work = (np.broadcast_to(self.pad, shape).copy(),
+                          np.broadcast_to(self.scale, shape).copy(), block, acc)
+        pad, scale, block, acc = self._work
+        return pad, scale, block[:count], acc
 
     def samples(self, coeffs):
         """Fine-grid samples of the field(s) with ``coeffs`` zero padded."""
         f = np.empty(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
-        return self._fine_samples(coeffs, self.signs, np.empty(coeffs.shape, np.complex128), f)
+        self._pad_into(coeffs, self.pad, f)
+        f[self.middle] = 0.0
+        return scipy.fft.ifft(f, overwrite_x=True)
 
     def coeffs(self, samples):
         """Retained coefficients of the fine-grid ``samples``."""
-        return self._retained(np.fft.fft(samples), self.scale)
+        return self._retained(scipy.fft.fft(samples), self.scale)
 
     def product(self, factors):
         """Retained coefficients of the product of coefficient arrays.
 
-        The factors share one shape.  Each distinct array (by identity) is
-        transformed once; the samples are multiplied left to right.
+        The factors share one shape.  Each distinct array (by identity) takes
+        one row of the block; the samples are multiplied left to right.
         """
         distinct = {}
         for c in factors:
             distinct.setdefault(id(c), c)
-        signs, scale, signed, fine = self._work_arrays(factors[0].shape[:-1], len(distinct) + 1)
-        samples = {key: self._fine_samples(c, signs, signed, f)
-                   for f, (key, c) in zip(fine, distinct.items())}
-        acc = fine[len(distinct)]
+        pad, scale, block, acc = self._work_arrays(factors[0].shape[:-1], len(distinct))
+        for f, c in zip(block, distinct.values()):
+            self._pad_into(c, pad, f)
+        block[self.middle] = 0.0
+        block = scipy.fft.ifft(block, overwrite_x=True)
+        samples = dict(zip(distinct, block))
         prod = None
         for c in factors:
             s = samples[id(c)]
             prod = s if prod is None else np.multiply(prod, s, out=acc)
-        return self._retained(np.fft.fft(prod, out=prod), scale)
+        return self._retained(scipy.fft.fft(prod, overwrite_x=True), scale)
 
 
 @functools.lru_cache(maxsize=64)

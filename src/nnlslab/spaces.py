@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.fft import next_fast_len
+import scipy.fft
 
 from .equations import support_leakage
 from .grid import (
@@ -147,11 +147,12 @@ def _czt(samples, p, q):
     n = samples.size
     c = _chirp(p, q, n)
     c_m = np.concatenate((c[n // 2:0:-1], c[:n // 2]))  # c(|m|) in mode order
-    size = next_fast_len(2 * n - 1)
+    size = scipy.fft.next_fast_len(2 * n - 1)
     kernel = np.zeros(size, dtype=np.complex128)
     kernel[:n] = c.conj()
     kernel[size - n + 1:] = c[:0:-1].conj()  # lags -(n-1) .. -1
-    conv = np.fft.ifft(np.fft.fft(samples * c_m, size) * np.fft.fft(kernel))
+    spectrum = scipy.fft.fft(samples * c_m, size) * scipy.fft.fft(kernel, overwrite_x=True)
+    conv = scipy.fft.ifft(spectrum, overwrite_x=True)
     return c_m * conv[:n]
 
 

@@ -1,7 +1,9 @@
 """Shared fixtures for the test suite."""
 
 import numpy as np
+import numpy.fft
 import pytest
+import scipy.fft
 
 from nnlslab.grid import FrequencyGrid, forward_transform
 
@@ -9,6 +11,29 @@ from nnlslab.grid import FrequencyGrid, forward_transform
 @pytest.fixture
 def grid():
     return FrequencyGrid(256, 40.0)
+
+
+@pytest.fixture
+def fft_log(monkeypatch):
+    """Every ``fft``/``ifft`` call through ``numpy.fft`` or ``scipy.fft``.
+
+    Each call is logged as ``(name, rows)``, ``rows`` being the number of
+    one-dimensional transforms along the last axis.
+    """
+    log = []
+
+    def counting(fn):
+        def counted(a, *args, **kwargs):
+            a = np.asarray(a)
+            log.append((fn.__name__, a.size // a.shape[-1]))
+            return fn(a, *args, **kwargs)
+
+        return counted
+
+    for module in (numpy.fft, scipy.fft):
+        for name in ("fft", "ifft"):
+            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    return log
 
 
 @pytest.fixture

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 import yaml
 
+import nnlslab.experiments as experiments
 from nnlslab.cli import (EXPERIMENTS, ConfigError, build_equation, build_grid,
                          build_initial_data, load_config, main, write_timeseries)
 from nnlslab.equations import EquationSpec
@@ -381,4 +382,50 @@ def test_gauge_equivalence_rejects_other_kinds(tmp_path, capsys, kind):
     assert main(["experiment", "gauge_equivalence", "--config", config, "--out", str(out),
                  "--override", "equation.kind=" + kind]) == 2
     assert "not equation.kind %r" % kind in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind, reads_mode", [("NNLS", False), ("NdNLS", False),
+                                              ("GaugedNdNLS", False), ("gNdNLS", True),
+                                              ("GaugedGNdNLS", True)])
+def test_non_default_mode_needs_a_kind_that_reads_it(kind, reads_mode):
+    # before: NNLS, NdNLS and GaugedNdNLS took mode 'printed' and dropped it
+    cfg = dict(BASE_CFG, equation={"kind": kind, "gauged_coefficient_mode": "printed"})
+    if reads_mode:
+        assert build_equation(cfg).gauged_coefficient_mode == "printed"
+    else:
+        with pytest.raises(ConfigError, match="equation.gauged_coefficient_mode 'printed' is read"):
+            build_equation(cfg)
+    default = dict(BASE_CFG, equation={"kind": kind, "gauged_coefficient_mode": "rederived"})
+    assert build_equation(default).kind == kind
+
+
+def test_unread_mode_is_exit_2(tmp_path, capsys):
+    config = os.path.join(CONFIGS, "conservation.yaml")
+    out = tmp_path / "run"
+    assert main(["solve", "--config", config, "--out", str(out),
+                 "--override", "equation.kind=NdNLS",
+                 "--override", "equation.gauged_coefficient_mode=printed"]) == 2
+    assert "equation.gauged_coefficient_mode" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("experiment.tolerance=abc", "experiment.tolerance must be a number, got 'abc'"),
+    ("experiment.tolerance=true", "experiment.tolerance must be a number, got True"),
+    ("equation.alpha=abc", "equation.alpha must be a number, got 'abc'"),
+    ("equation.alpha='2.0'", "equation.alpha must be a number, got '2.0'"),
+])
+def test_non_number_is_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, override, message):
+    # before: tolerance=abc ran the whole solve and then failed on '<=', and
+    # alpha=abc failed inside numpy; neither error named the key
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    path = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    assert main(["experiment", "conservation", "--config", path, "--out", str(out),
+                 "--override", override]) == 2
+    assert message in capsys.readouterr().err
     assert not out.exists()

@@ -5,7 +5,9 @@ import pickle
 import tracemalloc
 
 import numpy as np
+import numpy.fft
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -242,6 +244,50 @@ def test_dealiased_product_matches_reference_bit_for_bit(n, pattern, seed):
     assert np.array_equal(dealiased_product(fields).coeffs, reference_product(fields).coeffs)
 
 
+@pytest.mark.parametrize("n", [8, 10, 32, 62, 64, 128, 256, 512, 1024, 2048, 4096])
+def test_scipy_fft_matches_numpy_fft_bit_for_bit(n):
+    # the plans transform through scipy.fft and the reference oracles through
+    # numpy.fft; their bitwise agreement rests on both running pocketfft
+    rng = np.random.default_rng(n)
+    # the padded sizes of degrees 1 to 5: n, 1.5n, 2n, 2.5n and 3n, made even
+    sizes = {product_plan(FrequencyGrid(n, 1.0), p).n_fine for p in range(1, 6)}
+    for m in sorted(sizes) + ([262144] if n == 4096 else []):
+        for shape in ((m,), (3, m), (2, 3, m)):
+            x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            for name in ("fft", "ifft"):
+                want = getattr(numpy.fft, name)(x)
+                got = getattr(scipy.fft, name)(x.copy(), overwrite_x=True)
+                assert want.tobytes() == got.tobytes(), (name, shape)
+
+
+_EDGE = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e300,
+                         1.7976931348623157e308, -1.7976931348623157e308))
+_VALUES = _EDGE | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from((8, 10, 62)),
+    degree=st.integers(1, 5),
+    length=st.sampled_from((2 * np.pi, 17.0, 30.0, 40.0, 160.0)),
+    data=st.data(),
+)
+def test_fused_padding_matches_sign_then_divide(n, degree, length, data):
+    # the plan pads coeffs * (signs / dx_fine) in one multiply where the
+    # fftshift reference took (coeffs * signs) / dx_fine; zeros, -0.0 and
+    # tiny and huge finite values must give the same samples
+    parts = data.draw(st.lists(st.tuples(_VALUES, _VALUES), min_size=n, max_size=n))
+    coeffs = np.array([complex(re, im) for re, im in parts])
+    plan = product_plan(FrequencyGrid(n, length), degree)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = (coeffs * plan.signs) / plan.dx_fine
+        fused = coeffs * plan.pad
+        padded = np.zeros(plan.n_fine, dtype=np.complex128)
+        padded[:n // 2], padded[-(n // 2):] = want[n // 2:], want[:n // 2]
+        assert np.array_equal(fused, want)
+        np.testing.assert_array_equal(plan.samples(coeffs), numpy.fft.ifft(padded))
+
+
 def _batch(rng, n, rows):
     shape = (n,) if rows is None else (rows, n)
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -249,27 +295,32 @@ def _batch(rng, n, rows):
 
 def test_product_work_arrays_never_leak():
     # one plan grows its work buffer, reuses a prefix of it and goes back to
-    # 1-D, twice over; no result or input may show a later call's work
+    # 1-D, twice over; the cubic plan takes a single distinct factor and a
+    # block that grows from 2 to 3 distinct factors under one batch shape; no
+    # result or input may show a later call's work
     g = FrequencyGrid(256, 30.0)
-    plan = product_plan(g, 5)
     rng = np.random.default_rng(21)
+    quintic = 2 * ((None, (0, 0, 0, 1, 1)), (65, (0, 1, 2, 1, 0)),
+                   (33, (0, 0, 0, 1, 1)), (None, (2, 2, 1, 0, 1)))
+    cubic = ((None, (0, 0, 0)), (33, (0, 0, 1)), (33, (0, 1, 2)), (33, (1, 1, 1)),
+             (None, (0, 1, 2)), (None, (2, 2, 2)))
     results = []
-    for rows, pattern in 2 * ((None, (0, 0, 0, 1, 1)), (65, (0, 1, 2, 1, 0)),
-                              (33, (0, 0, 0, 1, 1)), (None, (2, 2, 1, 0, 1))):
-        u = _batch(rng, g.n_modes, rows)
-        pool = [u, np.conj(u), _batch(rng, g.n_modes, rows)]
-        before = [p.copy() for p in pool]
-        factors = [pool[k] for k in pattern]
-        out = plan.product(factors)
-        for p, b in zip(pool, before):
-            assert np.array_equal(p, b)
-        by_row = [np.atleast_2d(f) for f in factors]
-        expected = [reference_product([SpectralField(g, f[r]) for f in by_row]).coeffs
-                    for r in range(len(by_row[0]))]
-        assert np.array_equal(np.atleast_2d(out), np.stack(expected))
-        results.append((out, out.copy()))
-        for earlier, snapshot in results:
-            assert np.array_equal(earlier, snapshot)
+    for plan, steps in ((product_plan(g, 5), quintic), (product_plan(g, 3), cubic)):
+        for rows, pattern in steps:
+            u = _batch(rng, g.n_modes, rows)
+            pool = [u, np.conj(u), _batch(rng, g.n_modes, rows)]
+            before = [p.copy() for p in pool]
+            factors = [pool[k] for k in pattern]
+            out = plan.product(factors)
+            for p, b in zip(pool, before):
+                assert np.array_equal(p, b)
+            by_row = [np.atleast_2d(f) for f in factors]
+            expected = [reference_product([SpectralField(g, f[r]) for f in by_row]).coeffs
+                        for r in range(len(by_row[0]))]
+            assert np.array_equal(np.atleast_2d(out), np.stack(expected))
+            results.append((out, out.copy()))
+            for earlier, snapshot in results:
+                assert np.array_equal(earlier, snapshot)
 
 
 def test_batched_product_allocates_only_its_result():
