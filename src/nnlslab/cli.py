@@ -54,6 +54,25 @@ def _section(cfg, key, where="root", required=False):
     return sec
 
 
+def _number(name, value):
+    """``value``; ConfigError naming the config key ``name`` if it is a bool or not a
+    real number (YAML reads ``true`` as a bool and ``abc`` as a string)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError("%s must be a number, got %r" % (name, value))
+    return value
+
+
+def _float(name, value):
+    """``float(value)``; ConfigError naming the config key ``name`` for a bool or a
+    value ``float`` refuses.  A numeric string such as ``nan`` reads as its float."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError("%s must be a number, got %r" % (name, value))
+
+
 def _call(fn, where, section, *args, **kwargs):
     """``fn(*args, **kwargs, **section)``; a key of config ``section`` that is not a
     parameter of ``fn`` left free by ``args`` and ``kwargs`` raises ConfigError, and
@@ -64,9 +83,8 @@ def _call(fn, where, section, *args, **kwargs):
         if key not in free:
             raise ConfigError("unknown key '%s.%s'; %s takes %s"
                               % (where, key, where, ", ".join(free)))
-        if isinstance(params[key].default, float) and (
-                isinstance(value, bool) or not isinstance(value, numbers.Real)):
-            raise ConfigError("%s.%s must be a number, got %r" % (where, key, value))
+        if isinstance(params[key].default, float):
+            _number("%s.%s" % (where, key), value)
     return fn(*args, **kwargs, **section)
 
 
@@ -116,10 +134,11 @@ def _apply_override(cfg, key, value):
 
 def build_grid(cfg):
     sec = _section(cfg, "grid", required=True)
-    n_modes = _require(sec, "n_modes", "grid")
-    if not float(n_modes).is_integer():
+    n_modes = _float("grid.n_modes", _require(sec, "n_modes", "grid"))
+    length = _float("grid.length", _require(sec, "length", "grid"))
+    if not n_modes.is_integer():
         raise ConfigError("grid.n_modes must be an integer, got %r" % (n_modes,))
-    return FrequencyGrid(int(n_modes), float(_require(sec, "length", "grid")))
+    return FrequencyGrid(int(n_modes), length)
 
 
 def build_equation(cfg):
@@ -138,14 +157,18 @@ def build_equation(cfg):
 def build_initial_data(cfg, grid, **params):
     """The configured initial data; keyword ``params`` override ``initial_data.params``."""
     sec = _section(cfg, "initial_data", required=True)
+    given = _section(sec, "params", "initial_data")
+    for key, value in given.items():
+        # every data kind's parameters are numbers
+        _number("initial_data.params.%s" % key, value)
     return make_initial_data(_require(sec, "kind", "initial_data"), grid,
-                             **dict(_section(sec, "params", "initial_data"), **params))
+                             **dict(given, **params))
 
 
 def _evolution(cfg):
     sec = _section(cfg, "evolution")
-    T = float(sec.get("T", 1.0))
-    dt = float(sec.get("dt", 1e-3))
+    T = _float("evolution.T", sec.get("T", 1.0))
+    dt = _float("evolution.dt", sec.get("dt", 1e-3))
     sample_every = sec.get("sample_every", 50)
     if not (math.isfinite(T) and T >= 0):
         raise ConfigError("evolution.T must be finite and >= 0, got %r" % T)
@@ -154,7 +177,13 @@ def _evolution(cfg):
     if isinstance(sample_every, bool) or not isinstance(sample_every, int) or sample_every < 1:
         raise ConfigError("evolution.sample_every must be an integer >= 1, got %r"
                           % (sample_every,))
-    norms = [tuple(map(float, pair)) for pair in sec.get("norms", [])]
+    norms = sec.get("norms", [])
+    if not isinstance(norms, (list, tuple)) or not all(
+            isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in norms):
+        raise ConfigError("evolution.norms must be a list of [s, sigma] pairs, got %r"
+                          % (norms,))
+    norms = [tuple(_float("evolution.norms[%d][%d]" % (i, j), v) for j, v in enumerate(pair))
+             for i, pair in enumerate(norms)]
     return T, dt, sample_every, norms
 
 
@@ -235,8 +264,12 @@ def _run_picard_window(cfg, exp):
     grid = build_grid(cfg)
     spec = build_equation(cfg)
     exp = dict(exp)
-    family = [build_initial_data(cfg, grid, amplitude=a)
-              for a in exp.pop("amplitudes", (4.0, 12.6, 40.0, 126.0, 400.0))]
+    amplitudes = exp.pop("amplitudes", (4.0, 12.6, 40.0, 126.0, 400.0))
+    if not isinstance(amplitudes, (list, tuple)):
+        raise ConfigError("experiment.amplitudes must be a list of numbers, got %r"
+                          % (amplitudes,))
+    family = [build_initial_data(cfg, grid, amplitude=_number("experiment.amplitudes[%d]" % i, a))
+              for i, a in enumerate(amplitudes)]
     return _call(exp_picard_window, "experiment", exp, family, spec)
 
 

@@ -415,10 +415,22 @@ def test_unread_mode_is_exit_2(tmp_path, capsys):
     ("experiment.tolerance=true", "experiment.tolerance must be a number, got True"),
     ("equation.alpha=abc", "equation.alpha must be a number, got 'abc'"),
     ("equation.alpha='2.0'", "equation.alpha must be a number, got '2.0'"),
+    ("initial_data.params.width=true", "initial_data.params.width must be a number, got True"),
+    ("initial_data.params.amplitude=abc",
+     "initial_data.params.amplitude must be a number, got 'abc'"),
+    ("grid.length=true", "grid.length must be a number, got True"),
+    ("grid.n_modes=true", "grid.n_modes must be a number, got True"),
+    ("grid.n_modes=abc", "grid.n_modes must be a number, got 'abc'"),
+    ("evolution.T=true", "evolution.T must be a number, got True"),
+    ("evolution.dt=abc", "evolution.dt must be a number, got 'abc'"),
+    ("evolution.norms=[[true,0.0]]", "evolution.norms[0][0] must be a number, got True"),
+    ("evolution.norms=[[-1.0]]", "evolution.norms must be a list of [s, sigma] pairs"),
+    ("evolution.norms=abc", "evolution.norms must be a list of [s, sigma] pairs"),
 ])
 def test_non_number_is_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, override, message):
     # before: tolerance=abc ran the whole solve and then failed on '<=', and
-    # alpha=abc failed inside numpy; neither error named the key
+    # alpha=abc failed inside numpy; neither error named the key.  A bool ran
+    # as 1.0 (width, T) or was refused only through another check (length)
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran")
 
@@ -426,6 +438,29 @@ def test_non_number_is_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, ov
     path = write_cfg(tmp_path, BASE_CFG)
     out = tmp_path / "out"
     assert main(["experiment", "conservation", "--config", path, "--out", str(out),
+                 "--override", override]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("experiment.amplitudes=[4.0,true,40.0]",
+     "experiment.amplitudes[1] must be a number, got True"),
+    ("experiment.amplitudes=[4.0,abc]", "experiment.amplitudes[1] must be a number, got 'abc'"),
+    ("experiment.amplitudes=abc", "experiment.amplitudes must be a list of numbers, got 'abc'"),
+    ("initial_data.params.carrier=true",
+     "initial_data.params.carrier must be a number, got True"),
+])
+def test_non_number_in_picard_window_is_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                                 override, message):
+    # before: a bool amplitude ran as 1.0 and 'abc' ran one datum per character
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(experiments, "picard_solve", no_solve)
+    config = os.path.join(CONFIGS, "picard_window.yaml")
+    out = tmp_path / "out"
+    assert main(["experiment", "picard_window", "--config", config, "--out", str(out),
                  "--override", override]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -14,6 +14,7 @@ from conftest import random_field
 from reference import reference_cumulative_simpson, reference_picard_map, reference_picard_solve
 from nnlslab.equations import EquationSpec, mass
 from nnlslab.evolve import (
+    _free_phase,
     _simpson_weights,
     cumulative_simpson,
     linear_propagator,
@@ -284,12 +285,29 @@ def test_picard_solve_rejects_bad_iteration_count(gaussian, n_iter):
 @example(n=35, T=1e-3, columns=1, seed=1)
 @example(n=65, T=256.0, columns=17, seed=2)
 @example(n=129, T=3.7, columns=256, seed=3)
+@example(n=1025, T=256.0, columns=256, seed=4)  # the node count picard_window reaches
+@example(n=1025, T=0.5, columns=1, seed=5)
+@example(n=9, T=1.0, columns=1, seed=6)
 def test_cumulative_simpson_matches_scipy_bit_for_bit(n, T, columns, seed):
     rng = np.random.default_rng(seed)
     times = np.linspace(0.0, T, n)
     y = rng.standard_normal((n, columns)) + 1j * rng.standard_normal((n, columns))
     got = cumulative_simpson(y, _simpson_weights(times))
     assert np.array_equal(got, reference_cumulative_simpson(y, times))
+
+
+@pytest.mark.parametrize("n_modes", [8, 10, 256, 4096])
+@pytest.mark.parametrize("length", [2 * np.pi, 7.3, 40.0])
+@pytest.mark.parametrize("t", [1e-3, 0.37, 5.0, 123.456, np.linspace(0.0, 3.1, 33)[:, None],
+                               np.array([[2e-3], [256.0]])])
+def test_free_phase_matches_the_direct_exponential_bit_for_bit(n_modes, length, t):
+    # _free_phase copies each column m < 0 from column -m; this is the
+    # formula evaluated on every mode
+    xi = FrequencyGrid(n_modes, length).frequencies
+    want = np.exp(-1j * t * xi ** 2)
+    got = _free_phase(FrequencyGrid(n_modes, length), t)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
