@@ -73,16 +73,23 @@ def _float(name, value):
     raise ConfigError("%s must be a number, got %r" % (name, value))
 
 
+def _known(section, where, keys):
+    """``section``; ConfigError naming the first key of config section ``where``
+    that is not in ``keys`` (a misspelt key would otherwise run on the default)."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError("unknown key '%s.%s'; %s takes %s"
+                              % (where, key, where, ", ".join(keys)))
+    return section
+
+
 def _call(fn, where, section, *args, **kwargs):
     """``fn(*args, **kwargs, **section)``; a key of config ``section`` that is not a
     parameter of ``fn`` left free by ``args`` and ``kwargs`` raises ConfigError, and
     so does a value that is not a number, or is a bool, for a float default."""
     params = inspect.signature(fn).parameters
     free = [p for p in list(params)[len(args):] if p not in kwargs]
-    for key, value in section.items():
-        if key not in free:
-            raise ConfigError("unknown key '%s.%s'; %s takes %s"
-                              % (where, key, where, ", ".join(free)))
+    for key, value in _known(section, where, free).items():
         if isinstance(params[key].default, float):
             _number("%s.%s" % (where, key), value)
     return fn(*args, **kwargs, **section)
@@ -133,7 +140,7 @@ def _apply_override(cfg, key, value):
 
 
 def build_grid(cfg):
-    sec = _section(cfg, "grid", required=True)
+    sec = _known(_section(cfg, "grid", required=True), "grid", ("n_modes", "length"))
     n_modes = _float("grid.n_modes", _require(sec, "n_modes", "grid"))
     length = _float("grid.length", _require(sec, "length", "grid"))
     if not n_modes.is_integer():
@@ -166,7 +173,7 @@ def build_initial_data(cfg, grid, **params):
 
 
 def _evolution(cfg):
-    sec = _section(cfg, "evolution")
+    sec = _known(_section(cfg, "evolution"), "evolution", ("T", "dt", "sample_every", "norms"))
     T = _float("evolution.T", sec.get("T", 1.0))
     dt = _float("evolution.dt", sec.get("dt", 1e-3))
     sample_every = sec.get("sample_every", 50)
@@ -274,6 +281,15 @@ def _run_picard_window(cfg, exp):
 
 
 def _run_norm_inflation(cfg, exp):
+    # a bool node count or bump frequency would run as 1, and a string would
+    # fail inside the quadrature without naming its key
+    if "n_nodes" in exp:
+        _number("experiment.n_nodes", exp["n_nodes"])
+    k_list = exp.get("k_list", ())
+    if not isinstance(k_list, (list, tuple)):
+        raise ConfigError("experiment.k_list must be a list of integers, got %r" % (k_list,))
+    for i, k in enumerate(k_list):
+        _number("experiment.k_list[%d]" % i, k)
     return _call(exp_norm_inflation, "experiment", exp, spec=build_equation(cfg))
 
 

@@ -384,12 +384,29 @@ def _ratio(e, z):
     return out
 
 
-def _combo_integral(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track=False):
-    """Integral over xi1 in b1, xi2 in b2, xi - xi1 - xi2 in b3 of the kernel.
+# Nodes per 2-D quadrature temporary, and outer rows per block of xi.  8192
+# complex values are 128 KiB, glibc's default mmap threshold.  On an n_nodes =
+# 32 norm-inflation pass, one block for the whole band raised peak RSS from
+# 59.5 to about 62 MB and took 6,000-8,000 minor faults per pass, and chunks of
+# 12,288 nodes or more took 31,000 or more, as glibc handed back and refaulted
+# their pages; with this bound a pass usually takes none.
+_QUAD_NODES = 8192
 
-    The xi1 range is cut where the xi2 range changes form, and the n1 Gauss
-    nodes x1_i of every panel become the rows of one array.  Row i has the n2
-    inner nodes x2_ij = mid_i + h_i g_j.  The code relies on two facts:
+
+def _min_neg_im_rho(t, e, r, A, A2, Bg):
+    # -Im rho = t (2 Im r2 - Im r1), r1 = r and r2 the ratio at the rho phase
+    # A2 + Bg, whose exponential is e^{i(A2 - A)} times e^{iz} reversed
+    r2 = _ratio(np.exp(1j * (A2 - A)) * e[:, ::-1], A2 + Bg)
+    return t * float(np.min(2.0 * r2.imag - r.imag))
+
+
+def _combo_integrals(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track):
+    """Integral over xi1 in b1, xi2 in b2, xi - xi1 - xi2 in b3 of the kernel, per xi.
+
+    The xi1 range of each xi is cut where the xi2 range changes form, and the
+    n1 Gauss nodes x1_i of every panel of every xi become the rows of one
+    array.  Row i has the n2 inner nodes x2_ij = mid_i + h_i g_j.  The code
+    relies on two facts:
 
     - the kernel phase z_ij = 2t(xi - x1_i)(xi - x2_ij) = A_i - B_i g_j is
       affine in g_j, and so is the rho phase 2t(xi - x1_i)(x1_i + x2_ij)
@@ -401,60 +418,85 @@ def _combo_integral(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track=False)
     of j only (the middle node included); the upper half is e^{2iA_i} times
     the conjugate of the lower half, reversed.  The rho exponential is
     e^{i(A2_i - A_i)} times e^{iz} reversed, and -Im rho comes from the two
-    phase ratios, so ``rho_kernel`` is not called.  The weighted sum is two
-    matrix-vector products.  Returns (integral, min of -Im rho over the nodes
-    when rho_track, else inf).
+    phase ratios, so ``rho_kernel`` is not called.  The rows are weighted in
+    chunks of at most ``_QUAD_NODES`` nodes by per-row dot products and summed
+    back to their xi.  Returns (integrals, min of -Im rho over the nodes when
+    rho_track, else inf).
     """
     lo1, hi1 = b1
     lo2, hi2 = b2
     lo3, hi3 = b3
-    a = max(lo1, xi - hi3 - hi2)
-    b = min(hi1, xi - lo3 - lo2)
-    cuts = sorted({a, b, xi - hi3 - lo2, xi - lo3 - hi2})
-    cuts = [a] + [c for c in cuts if a < c < b] + [b]
-    panels = [(pa, pb) for pa, pb in zip(cuts[:-1], cuts[1:]) if pb - pa > 1e-15]
-    if not panels:  # also when b <= a: the one candidate panel is then empty
-        return 0.0 + 0.0j, np.inf
+    a = np.maximum(lo1, xi - hi3 - hi2)
+    b = np.minimum(hi1, xi - lo3 - lo2)
+    # the two interior cuts, clipped to [a, b]; a cut outside it leaves a panel
+    # of width 0, dropped below with every panel of an xi with b <= a
+    c1 = np.minimum(np.maximum(xi - hi3 - lo2, a), b)
+    c2 = np.minimum(np.maximum(xi - lo3 - hi2, a), b)
+    cuts = np.stack([a, np.minimum(c1, c2), np.maximum(c1, c2), b], axis=1)
+    pa, pb = cuts[:, :-1], cuts[:, 1:]
+    keep = (pb - pa > 1e-15) & (b > a)[:, None]
     g1, w1 = _gl(n1)
     g2, w2 = _gl(n2)
-    pa, pb = np.array(panels).T[:, :, None]
+    pa, pb = pa[keep][:, None], pb[keep][:, None]
     x1 = (0.5 * (pa + pb) + 0.5 * (pb - pa) * g1).ravel()
     wx1 = (0.5 * (pb - pa) * w1).ravel()
-    in_lo = np.maximum(lo2, xi - x1 - hi3)
-    in_hi = np.minimum(hi2, xi - x1 - lo3)
+    xr = xi[np.repeat(np.nonzero(keep)[0], n1)]
+    in_lo = np.maximum(lo2, xr - x1 - hi3)
+    in_hi = np.minimum(hi2, xr - x1 - lo3)
     h = 0.5 * (in_hi - in_lo)
     mid = 0.5 * (in_hi + in_lo)
-    d = 2.0 * t * (xi - x1)
-    A = (d * (xi - mid))[:, None]
-    Bg = (d * h)[:, None] * g2
-    z = A - Bg
-    half = (n2 + 1) // 2
-    e = np.empty(z.shape, dtype=np.complex128)
-    np.cos(z[:, :half], out=e.real[:, :half])
-    np.sin(z[:, :half], out=e.imag[:, :half])
-    np.multiply(np.exp(2j * A), np.conjugate(e[:, :n2 // 2][:, ::-1]), out=e[:, half:])
-    r = _ratio(e, z)
+    d = 2.0 * t * (xr - x1)
+    A = d * (xr - mid)
+    dh = d * h
     w = wx1 * h
     if with_xi2_factor:
         # i x2_ij = i (mid_i + h_i g_j): a mid_i column and an h_i g_j column
-        total = 1j * t * ((w * mid) @ (r @ w2) + (w * h) @ (r @ (w2 * g2)))
-    else:
-        total = t * (w @ (r @ w2))
-    min_rho = np.inf
+        wm, wh, w2g = w * mid, w * h, w2 * g2
     if rho_track:
-        # -Im rho = t (2 Im r2 - Im r1), r1 = r and r2 the ratio at the rho phase
-        A2 = (d * (x1 + mid))[:, None]
-        r2 = _ratio(np.exp(1j * (A2 - A)) * e[:, ::-1], A2 + Bg)
-        min_rho = t * float(np.min(2.0 * r2.imag - r.imag))
-    return complex(total), min_rho
+        A2 = d * (x1 + mid)
+    rows = np.empty(x1.shape, dtype=np.complex128)
+    min_rho = np.inf
+    half = (n2 + 1) // 2
+    step = max(1, _QUAD_NODES // n2)
+    for s in range(0, x1.size, step):
+        c = slice(s, s + step)
+        Ac = A[c, None]
+        Bg = dh[c, None] * g2
+        z = Ac - Bg
+        e = np.empty(z.shape, dtype=np.complex128)
+        np.cos(z[:, :half], out=e.real[:, :half])
+        np.sin(z[:, :half], out=e.imag[:, :half])
+        np.multiply(np.exp(2j * Ac), np.conjugate(e[:, :n2 // 2][:, ::-1]), out=e[:, half:])
+        r = _ratio(e, z)
+        # per-row dot products (vecdot conjugates its real first argument, a
+        # no-op); unlike a gemv their rounding does not depend on the row's
+        # place in the chunk, so an xi's value does not depend on its block
+        if with_xi2_factor:
+            rows[c] = wm[c] * np.vecdot(w2, r) + wh[c] * np.vecdot(w2g, r)
+        else:
+            rows[c] = w[c] * np.vecdot(w2, r)
+        if rho_track:
+            min_rho = min(min_rho, _min_neg_im_rho(t, e, r, Ac, A2[c, None], Bg))
+    n_rows = keep.sum(axis=1) * n1
+    has = n_rows > 0
+    totals = np.zeros(xi.shape, dtype=np.complex128)
+    totals[has] = np.add.reduceat(rows, (np.cumsum(n_rows) - n_rows)[has])
+    return (1j * t if with_xi2_factor else t) * totals, min_rho
 
 
-def third_derivative_field(phi, t, equation=NNLS, xi=None, n_outer=24, n_inner=24, alpha=1.0):
+def third_derivative_field(phi, t, equation=NNLS, xi=None, n_outer=24, n_inner=24, alpha=1.0,
+                           track_rho=True):
     """Third directional derivative of the data-to-solution map, in Fourier space.
 
     Returns (xi, values, min_neg_im_rho): the spectral values on the output
     band near [1/2, 1] and the worst value of -Im rho over the symmetric-box
-    quadrature nodes.
+    quadrature nodes (inf when ``track_rho`` is false, or at t = 0).
+
+    The output frequencies are evaluated in blocks: one block holds at most
+    ``_QUAD_NODES`` outer Gauss rows (three box combinations of up to three
+    panels of ``n_outer`` rows per xi), and its kernel runs over chunks of at
+    most ``_QUAD_NODES`` nodes.  The bound keeps every temporary at or under
+    128 KiB: a whole band at once costs peak RSS, and larger chunks page faults.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative, got %r" % (t,))
@@ -469,14 +511,16 @@ def third_derivative_field(phi, t, equation=NNLS, xi=None, n_outer=24, n_inner=2
     values = np.zeros(xi.shape, dtype=np.complex128)
     min_rho = np.inf
     pref = 6.0 * alpha * phi.amplitude ** 3 / (4.0 * np.pi ** 2)
-    for i, x in enumerate(xi):
+    block = max(1, _QUAD_NODES // (3 * n_outer))
+    for start in range(0, xi.size, block):
+        xb = xi[start:start + block]
         acc = 0.0 + 0.0j
         for j, (b1, b2, b3) in enumerate(combos):
-            val, mr = _combo_integral(x, t, b1, b2, b3, n_outer, n_inner,
-                                      with_factor, rho_track=(j == 0 and t > 0))
+            val, mr = _combo_integrals(xb, t, b1, b2, b3, n_outer, n_inner, with_factor,
+                                       rho_track=(track_rho and j == 0 and t > 0))
             acc += val
             min_rho = min(min_rho, mr)
-        values[i] = pref * np.exp(-1j * t * x ** 2) * acc
+        values[start:start + block] = pref * np.exp(-1j * t * xb ** 2) * acc
     return xi, values, min_rho
 
 
@@ -492,10 +536,11 @@ def _band_nodes(n_per_segment):
     return np.concatenate(xs), np.concatenate(ws)
 
 
-def _band_norm(phi, t, spec, sprime, sigmaprime, n_nodes):
+def _band_norm(phi, t, spec, sprime, sigmaprime, n_nodes, track_rho):
     xi, w = _band_nodes(n_nodes)
     _, vals, min_rho = third_derivative_field(phi, t, spec.kind, xi=xi, n_outer=n_nodes,
-                                              n_inner=n_nodes, alpha=spec.alpha)
+                                              n_inner=n_nodes, alpha=spec.alpha,
+                                              track_rho=track_rho)
     weight = (1.0 + xi ** 2) ** sigmaprime * 4.0 ** (sprime * np.abs(xi))
     norm = float(np.sqrt(np.sum(w * weight * np.abs(vals) ** 2)))
     return norm, min_rho
@@ -525,8 +570,9 @@ def exp_norm_inflation(s=-1.0, k_list=(8, 16, 32), kappa=0.1, sprime=-1.0, sigma
     norms, rho_ok, quad_ok = [], True, True
     for phi in phis:
         t = kappa / phi.k ** 2
-        coarse, _ = _band_norm(phi, t, spec, sprime, sigmaprime, n_nodes)
-        fine, min_rho = _band_norm(phi, t, spec, sprime, sigmaprime, 2 * n_nodes)
+        # only the fine pass's rho bound is reported
+        coarse, _ = _band_norm(phi, t, spec, sprime, sigmaprime, n_nodes, track_rho=False)
+        fine, min_rho = _band_norm(phi, t, spec, sprime, sigmaprime, 2 * n_nodes, track_rho=True)
         quad_ok = quad_ok and abs(fine - coarse) <= _QUAD_TOL * abs(fine)
         rho_ok = rho_ok and min_rho >= t / 2.0
         norms.append(fine)

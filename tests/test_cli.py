@@ -318,6 +318,8 @@ def test_non_mapping_section_is_exit_2(tmp_path, capsys, command, section):
     ("experiment.T=0.5", "experiment.T"),
     ("equation.alfa=2.0", "equation.alfa"),
     ("initial_data.params.widht=3.0", "'widht'"),
+    ("evolution.t=0.01", "unknown key 'evolution.t'"),
+    ("grid.lenght=5", "unknown key 'grid.lenght'"),
 ])
 def test_misspelt_key_is_exit_2(tmp_path, capsys, override, named):
     # before: each of these ran on the default and printed pass
@@ -461,6 +463,30 @@ def test_non_number_in_picard_window_is_exit_2_before_any_solve(tmp_path, capsys
     config = os.path.join(CONFIGS, "picard_window.yaml")
     out = tmp_path / "out"
     assert main(["experiment", "picard_window", "--config", config, "--out", str(out),
+                 "--override", override]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("experiment.n_nodes=true", "experiment.n_nodes must be a number, got True"),
+    ("experiment.n_nodes=abc", "experiment.n_nodes must be a number, got 'abc'"),
+    ("experiment.k_list=[true,16,32]", "experiment.k_list[0] must be a number, got True"),
+    ("experiment.k_list=[8,abc]", "experiment.k_list[1] must be a number, got 'abc'"),
+    ("experiment.k_list=abc", "experiment.k_list must be a list of integers, got 'abc'"),
+])
+def test_non_integer_in_norm_inflation_is_exit_2_before_any_quadrature(tmp_path, capsys,
+                                                                       monkeypatch, override,
+                                                                       message):
+    # before: n_nodes=true ran one node and failed, k_list=[true,16,32] ran k = 1
+    # and passed, and 'abc' failed in float() without naming the key
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(experiments, "third_derivative_field", no_quadrature)
+    config = os.path.join(CONFIGS, "norm_inflation.yaml")
+    out = tmp_path / "out"
+    assert main(["experiment", "norm_inflation", "--config", config, "--out", str(out),
                  "--override", override]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import reference_third_derivative_field
+from nnlslab import experiments
 from nnlslab.equations import EquationSpec
 from nnlslab.experiments import (
     TwoBumpData,
@@ -171,6 +172,59 @@ def test_third_derivative_matches_panel_oracle(k, n_outer, n_inner, equation, ka
         assert abs(got_rho - want_rho) <= 1e-14 * abs(want_rho)
     else:  # t = 0, or no rho node: the first combination has no support
         assert got_rho == want_rho
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.sampled_from([4, 8, 16, 32]),
+    n_outer=st.sampled_from([1, 2, 7, 33, 64]),
+    n_inner=st.sampled_from([1, 2, 7, 33, 64]),
+    equation=st.sampled_from(["NNLS", "NdNLS"]),
+    kappa=st.sampled_from([0.0, 0.07, 0.1]),
+    band=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=48),
+)
+# at k = 2 an interior cut of the second and third combinations lands 4.4e-16
+# from a panel end for xi = 1/2 + 3e-16 and 1/2 + 4e-16: that thin panel is dropped
+@example(k=2, n_outer=12, n_inner=12, equation="NNLS", kappa=0.1,
+         band=[0.5 + 3e-16, 0.5 + 4e-16, 0.75])
+# -80 and 80 lie outside every combination's support
+@example(k=8, n_outer=7, n_inner=7, equation="NdNLS", kappa=0.1, band=[0.7, -80.0, 0.9, 80.0])
+@example(k=4, n_outer=1, n_inner=12, equation="NdNLS", kappa=0.07, band=[0.6, 0.8])
+# more output frequencies than one block holds at n_outer = 64
+@example(k=16, n_outer=64, n_inner=33, equation="NNLS", kappa=0.1,
+         band=list(np.linspace(0.5, 1.0, 48)))
+def test_third_derivative_band_matches_one_xi_at_a_time(k, n_outer, n_inner, equation, kappa,
+                                                         band):
+    prof = TwoBumpData(k, -1.0)
+    t = kappa / k ** 2
+    _, got, got_rho = third_derivative_field(prof, t, equation, xi=band,
+                                             n_outer=n_outer, n_inner=n_inner)
+    alone = [third_derivative_field(prof, t, equation, xi=[x], n_outer=n_outer, n_inner=n_inner)
+             for x in band]
+    want = np.array([vals[0] for _, vals, _ in alone])
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+    assert got_rho == min(rho for _, _, rho in alone)
+
+
+def test_coarse_pass_skips_rho(monkeypatch):
+    # the report reads the rho bound of the fine pass (2 * n_nodes) only
+    prof, t = TwoBumpData(8, -1.0), 0.1 / 64.0
+    _, tracked, min_rho = third_derivative_field(prof, t, n_outer=8, n_inner=8)
+    _, untracked, skipped = third_derivative_field(prof, t, n_outer=8, n_inner=8,
+                                                   track_rho=False)
+    assert np.isfinite(min_rho) and skipped == np.inf
+    assert np.array_equal(tracked, untracked)
+    widths = []
+    rho_step = experiments._min_neg_im_rho
+
+    def counting(t, e, *rest):
+        widths.append(e.shape[1])
+        return rho_step(t, e, *rest)
+
+    monkeypatch.setattr(experiments, "_min_neg_im_rho", counting)
+    rep = exp_norm_inflation(k_list=(4, 8), n_nodes=8)
+    assert rep.measurements["rho_bound_ok"]
+    assert widths and set(widths) == {16}
 
 
 def test_conservation_experiment(grid):
