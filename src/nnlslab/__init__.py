@@ -19,7 +19,6 @@ from .evolve import (
     PicardReport,
     Trajectory,
     linear_propagator,
-    picard_map,
     picard_solve,
     solve,
     step,
@@ -36,15 +35,13 @@ from .experiments import (
     make_initial_data,
     third_derivative_field,
 )
-from .gauge import gauge_forward, gauge_inverse, gauge_modulus_identity, gauge_taylor
+from .gauge import gauge_forward, gauge_taylor
 from .grid import (
-    Band,
     EndpointDecayWarning,
     FrequencyGrid,
     GridMismatchError,
     SpectralField,
     antiderivative_symmetric,
-    apply_multiplier,
     dealiased_product,
     derivative,
     forward_transform,
@@ -52,19 +49,8 @@ from .grid import (
     l2_distance,
     l2_norm,
     nonlocal_conjugate,
-    project_band,
     spectral_mass,
-    zero_field,
 )
-from .spaces import (
-    DyadicCutoff,
-    besov_norm,
-    dilate,
-    embedding_check,
-    esigma_norm,
-    hsigma_norm,
-    littlewood_paley_blocks,
-    scaling_bound_check,
-)
+from .spaces import dilate, esigma_norm, scaling_bound_check
 
 __version__ = "0.1.0"

@@ -2,7 +2,8 @@
 
 Subcommands: solve, experiment <name>, sweep, list.  Exit status 0 means the
 run passed, 1 means an experiment failed (the report is still written), and
-2 means the configuration was invalid.
+2 means the configuration was invalid: a ConfigError, or a ValueError from a
+library check.  Any other exception is a bug and ends in its traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import yaml
 from .equations import EquationSpec, GAUGED_GNDNLS, GNDNLS, KINDS, NDNLS, NNLS, energy, mass
 from .evolve import norm_key, solve
 from .experiments import (
+    DATA_KINDS,
     exp_conservation,
     exp_gauge_equivalence,
     exp_norm_inflation,
@@ -62,6 +64,16 @@ def _number(name, value):
     return value
 
 
+def _numbers(name, value, what="numbers"):
+    """``value``; ConfigError naming the config key ``name`` unless it is a list of
+    numbers, or naming the entry that is not one."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError("%s must be a list of %s, got %r" % (name, what, value))
+    for i, v in enumerate(value):
+        _number("%s[%d]" % (name, i), v)
+    return value
+
+
 def _float(name, value):
     """``float(value)``; ConfigError naming the config key ``name`` for a bool or a
     value ``float`` refuses.  A numeric string such as ``nan`` reads as its float."""
@@ -81,6 +93,15 @@ def _known(section, where, keys):
             raise ConfigError("unknown key '%s.%s'; %s takes %s"
                               % (where, key, where, ", ".join(keys)))
     return section
+
+
+def _with_defaults(where, section, **defaults):
+    """``section`` over ``defaults``; ConfigError for a key of config ``section`` whose
+    default is a float and whose value is not a number, or is a bool."""
+    for key, value in section.items():
+        if isinstance(defaults.get(key), float):
+            _number("%s.%s" % (where, key), value)
+    return dict(defaults, **section)
 
 
 def _call(fn, where, section, *args, **kwargs):
@@ -168,8 +189,10 @@ def build_initial_data(cfg, grid, **params):
     for key, value in given.items():
         # every data kind's parameters are numbers
         _number("initial_data.params.%s" % key, value)
-    return make_initial_data(_require(sec, "kind", "initial_data"), grid,
-                             **dict(given, **params))
+    kind = _require(sec, "kind", "initial_data")
+    if kind not in DATA_KINDS:
+        raise ConfigError("initial_data.kind %r not one of %s" % (kind, (DATA_KINDS,)))
+    return make_initial_data(kind, grid, **dict(given, **params))
 
 
 def _evolution(cfg):
@@ -256,13 +279,15 @@ def _run_gauge_equivalence(cfg, exp):
 
 def _run_support_invariance(cfg, exp):
     spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
-    return _call(exp_support_invariance, "experiment", dict({"eps0": 1.0}, **exp), spec,
+    exp = _with_defaults("experiment", exp, eps0=1.0)
+    return _call(exp_support_invariance, "experiment", exp, spec,
                  u0=u0, T=T, dt=dt, sample_every=sample_every)
 
 
 def _run_scaling_global(cfg, exp):
     spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
-    exp = dict({"s": -1.0, "sigma": 0.0, "eps0": 1.0, "lambdas": (1, 2, 4, 8)}, **exp)
+    exp = _with_defaults("experiment", exp, s=-1.0, sigma=0.0, eps0=1.0, lambdas=(1, 2, 4, 8))
+    _numbers("experiment.lambdas", exp["lambdas"])
     return _call(exp_scaling_global, "experiment", exp, u0,
                  spec=spec, T_max=T, dt=dt, sample_every=sample_every)
 
@@ -272,11 +297,8 @@ def _run_picard_window(cfg, exp):
     spec = build_equation(cfg)
     exp = dict(exp)
     amplitudes = exp.pop("amplitudes", (4.0, 12.6, 40.0, 126.0, 400.0))
-    if not isinstance(amplitudes, (list, tuple)):
-        raise ConfigError("experiment.amplitudes must be a list of numbers, got %r"
-                          % (amplitudes,))
-    family = [build_initial_data(cfg, grid, amplitude=_number("experiment.amplitudes[%d]" % i, a))
-              for i, a in enumerate(amplitudes)]
+    family = [build_initial_data(cfg, grid, amplitude=a)
+              for a in _numbers("experiment.amplitudes", amplitudes)]
     return _call(exp_picard_window, "experiment", exp, family, spec)
 
 
@@ -285,11 +307,7 @@ def _run_norm_inflation(cfg, exp):
     # fail inside the quadrature without naming its key
     if "n_nodes" in exp:
         _number("experiment.n_nodes", exp["n_nodes"])
-    k_list = exp.get("k_list", ())
-    if not isinstance(k_list, (list, tuple)):
-        raise ConfigError("experiment.k_list must be a list of integers, got %r" % (k_list,))
-    for i, k in enumerate(k_list):
-        _number("experiment.k_list[%d]" % i, k)
+    _numbers("experiment.k_list", exp.get("k_list", ()), "integers")
     return _call(exp_norm_inflation, "experiment", exp, spec=build_equation(cfg))
 
 
@@ -321,7 +339,7 @@ EXPERIMENTS = {
 
 
 def _experiment(name):
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError("unknown experiment %r; see the list subcommand" % (name,))
     return EXPERIMENTS[name]
 
@@ -343,7 +361,7 @@ def run_experiment(name, cfg, out_dir):
 def cmd_solve(cfg, out_dir):
     spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
     exp = _section(cfg, "experiment")
-    eps0 = {"eps0": exp["eps0"]} if "eps0" in exp else {}
+    eps0 = {"eps0": _number("experiment.eps0", exp["eps0"])} if "eps0" in exp else {}
     traj = solve(u0, T, dt, spec, sample_every=sample_every, norm_params=norms, **eps0)
     os.makedirs(out_dir, exist_ok=True)
     write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj)
@@ -366,8 +384,11 @@ def cmd_sweep(cfg, out_dir, jobs):
     sec = _section(cfg, "sweep", required=True)
     name = _require(_section(cfg, "experiment"), "name", "experiment")
     _experiment(name)
+    overrides = _require(sec, "overrides", "sweep")
+    if not isinstance(overrides, list):
+        raise ConfigError("sweep.overrides must be a list of mappings, got %r" % (overrides,))
     tasks = []
-    for i, entry in enumerate(_require(sec, "overrides", "sweep")):
+    for i, entry in enumerate(overrides):
         if not isinstance(entry, dict):
             raise ConfigError("sweep.overrides entry %d is not a mapping" % i)
         sub = copy.deepcopy(cfg)
@@ -423,7 +444,7 @@ def main(argv=None):
         report = run_experiment(args.name, cfg, args.out)
         print("%s: %s" % (args.name, "pass" if report.passed else "FAIL"))
         return 0 if report.passed else 1
-    except (ConfigError, KeyError, TypeError, ValueError) as exc:
+    except (ConfigError, ValueError) as exc:
         print("invalid configuration: %s" % exc, file=sys.stderr)
         return 2
 

@@ -270,20 +270,6 @@ def _duhamel(coeffs, c0, nodes, grid, spec):
     return minus * total
 
 
-def picard_map(states, u0, T, spec):
-    """One application of the Duhamel map on a uniform time grid.
-
-    u_new(t) = e^{it D} u0 + int_0^t e^{i(t-tau) D} i N(u(tau)) dtau, the
-    integral evaluated by cumulative composite-Simpson quadrature of the
-    interaction-picture integrand.
-    """
-    grid = u0.grid
-    nodes = _duhamel_nodes(T, len(states), grid)
-    coeffs = np.stack([u.coeffs for u in states])
-    new = _duhamel(coeffs, u0.coeffs, nodes, grid, spec)
-    return [SpectralField(grid, c) for c in new]
-
-
 def picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
     """Iterate the Duhamel map from the free solution.
 

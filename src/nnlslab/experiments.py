@@ -40,6 +40,11 @@ class ExperimentReport:
     trajectory: object = None  # attached by trajectory-based experiments, not serialized
 
 
+def _integral(x):
+    """Whether the number ``x`` is a whole number and not a bool (``float(True)`` is 1.0)."""
+    return not isinstance(x, (bool, np.bool_)) and float(x).is_integer()
+
+
 @dataclass(frozen=True)
 class TwoBumpData:
     """Spectral profile with two box bumps near +k and -2k.
@@ -51,7 +56,7 @@ class TwoBumpData:
     s: float
 
     def __post_init__(self):
-        if not (float(self.k).is_integer() and self.k >= 1):
+        if not (_integral(self.k) and self.k >= 1):
             raise ValueError("k must be a positive integer, got %r" % (self.k,))
         object.__setattr__(self, "k", int(self.k))
         if not self.s < 0:
@@ -98,7 +103,7 @@ def _halfline_bump(grid, amplitude=1.0, lo=1.0, hi=2.0):
 
 
 def _plemelj_derivative(grid, amplitude=1.0, k=3):
-    if not (float(k).is_integer() and k >= 0):
+    if not (_integral(k) and k >= 0):
         raise ValueError("derivative order k must be an integer >= 0, got %r" % (k,))
     order = int(k)
     if order * np.log10(max(grid.xi_max, 2.0)) > 280:
@@ -360,18 +365,6 @@ def _phase_ratio(z):
     return out
 
 
-def _kernel(xi, xi1, xi2, t):
-    # t (e^{iz}-1)/z with z = 2t(xi-xi1)(xi-xi2); limit value i*t on the diagonal
-    return t * _phase_ratio(2.0 * t * (xi - xi1) * (xi - xi2))
-
-
-def rho_kernel(t, xi, xi1, xi2):
-    """Oscillatory kernel combination whose -Im part is bounded below by t/2."""
-    first = _kernel(xi, xi1, xi2, t)
-    second = 2.0 * t * _phase_ratio(2.0 * t * (xi - xi1) * (xi1 + xi2))
-    return first - second
-
-
 def _ratio(e, z):
     # (e - 1)/z for e = e^{iz}; _phase_ratio's series takes over where |z| < 1e-6
     small = np.abs(z) < 1e-6
@@ -418,10 +411,11 @@ def _combo_integrals(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track):
     of j only (the middle node included); the upper half is e^{2iA_i} times
     the conjugate of the lower half, reversed.  The rho exponential is
     e^{i(A2_i - A_i)} times e^{iz} reversed, and -Im rho comes from the two
-    phase ratios, so ``rho_kernel`` is not called.  The rows are weighted in
-    chunks of at most ``_QUAD_NODES`` nodes by per-row dot products and summed
-    back to their xi.  Returns (integrals, min of -Im rho over the nodes when
-    rho_track, else inf).
+    phase ratios; the combination itself, ``rho_kernel`` in
+    ``tests/reference.py``, is evaluated only by the per-xi test oracle.  The
+    rows are weighted in chunks of at most ``_QUAD_NODES`` nodes by per-row
+    dot products and summed back to their xi.  Returns (integrals, min of -Im
+    rho over the nodes when rho_track, else inf).
     """
     lo1, hi1 = b1
     lo2, hi2 = b2
@@ -560,7 +554,7 @@ def exp_norm_inflation(s=-1.0, k_list=(8, 16, 32), kappa=0.1, sprime=-1.0, sigma
         raise ValueError("alpha must be nonzero: the third derivative vanishes at alpha = 0")
     if not 0 < kappa <= 0.1:
         raise ValueError("kappa must be in (0, 0.1], got %r" % (kappa,))
-    if not (float(n_nodes).is_integer() and n_nodes >= 1):
+    if not (_integral(n_nodes) and n_nodes >= 1):
         raise ValueError("n_nodes must be an integer >= 1, got %r" % (n_nodes,))
     phis = [TwoBumpData(k, s) for k in k_list]
     if len(phis) < 2 or any(b.k <= a.k for a, b in zip(phis, phis[1:])):

@@ -1,4 +1,4 @@
-"""The nonlocal gauge transform and its algebraic identities.
+"""The nonlocal gauge transform and its Taylor-series oracle.
 
 The transform multiplies a field by the exponential of the two-sided
 primitive of the (generally complex) density u u*:
@@ -19,7 +19,6 @@ from .grid import (
     dealiased_product,
     forward_transform,
     inverse_transform,
-    l2_norm,
     nonlocal_conjugate,
 )
 
@@ -36,11 +35,6 @@ def gauge_forward(fld, delta):
     prim = _primitive_samples(fld)
     v = inverse_transform(fld) * np.exp(-delta * prim)
     return forward_transform(v, fld.grid)
-
-
-def gauge_inverse(fld, delta):
-    """u = v exp(+delta * P(v v*)); exact inverse since v v* = u u*."""
-    return gauge_forward(fld, -delta)
 
 
 def gauge_taylor(fld, delta, order):
@@ -63,15 +57,3 @@ def gauge_taylor(fld, delta, order):
         term = dealiased_product([fld, power])
         acc = acc + coeff * term.coeffs
     return SpectralField(fld.grid, acc)
-
-
-def gauge_modulus_identity(fld, delta):
-    """Relative residual || G(u) G(u)* - u u* ||_2 / || u u* ||_2."""
-    v = gauge_forward(fld, delta)
-    uu = dealiased_product([fld, nonlocal_conjugate(fld)])
-    vv = dealiased_product([v, nonlocal_conjugate(v)])
-    denom = l2_norm(uu)
-    if denom == 0:
-        return 0.0
-    diff = SpectralField(fld.grid, vv.coeffs - uu.coeffs)
-    return l2_norm(diff) / denom

@@ -1,4 +1,4 @@
-"""Spectral discretization layer: grids, transforms, projections, products.
+"""Spectral discretization layer: grids, transforms, derivatives, products.
 
 The whole line is approximated by a periodic interval of length ``L``
 centred at the origin, with ``n`` uniformly spaced sample points
@@ -107,21 +107,6 @@ class SpectralField:
         object.__setattr__(self, "coeffs", c)
 
 
-@dataclass(frozen=True)
-class Band:
-    """Half-open frequency band [lo, hi); hi may be +inf."""
-
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not (self.lo < self.hi):
-            raise ValueError("band requires lo < hi, got [%r, %r)" % (self.lo, self.hi))
-
-    def indicator(self, xi):
-        return (xi >= self.lo) & (xi < self.hi)
-
-
 def forward_transform(samples, grid):
     """Trapezoid approximation of uhat(xi) = int u exp(-i xi x) dx."""
     s = np.asarray(samples, dtype=np.complex128)
@@ -135,22 +120,6 @@ def forward_transform(samples, grid):
 def inverse_transform(fld):
     """Exact discrete inverse of :func:`forward_transform`."""
     return product_plan(fld.grid, 1).samples(fld.coeffs)
-
-
-def apply_multiplier(fld, multiplier):
-    """Apply a Fourier multiplier xi -> m(xi) coefficient-wise."""
-    xi = fld.grid.frequencies
-    m = multiplier(xi) if callable(multiplier) else np.asarray(multiplier)
-    m = np.broadcast_to(m, xi.shape)
-    if not np.all(np.isfinite(m)):
-        raise ValueError("multiplier is non-finite at some grid frequency")
-    return SpectralField(fld.grid, fld.coeffs * m)
-
-
-def project_band(fld, band):
-    """Sharp projection: zero all coefficients outside [lo, hi)."""
-    keep = band.indicator(fld.grid.frequencies)
-    return SpectralField(fld.grid, np.where(keep, fld.coeffs, 0.0))
 
 
 def nonlocal_conjugate(fld):
@@ -378,7 +347,3 @@ def l2_distance(a, b):
 def spectral_mass(fld):
     """Total squared spectral mass sum |uhat|^2 dxi."""
     return float(np.sum(np.abs(fld.coeffs) ** 2) * fld.grid.dxi)
-
-
-def zero_field(grid):
-    return SpectralField(grid, np.zeros(grid.n_modes, dtype=np.complex128))

@@ -1,4 +1,4 @@
-"""Numerical norm calculus: exponential-weight norms, Sobolev, Besov, dilation.
+"""Numerical norm calculus: the exponential-weight norm, dilation and its scaling bound.
 
 The central object is the weighted spectral norm
 
@@ -14,20 +14,13 @@ points, with every chirp phase reduced exactly in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 import scipy.fft
 
 from .equations import support_leakage
-from .grid import (
-    FrequencyGrid,
-    SpectralField,
-    forward_transform,
-    inverse_transform,
-    spectral_mass,
-)
+from .grid import SpectralField, inverse_transform, spectral_mass
 
 _LN2 = np.log(2.0)
 _OVERFLOW_LIMIT = 700.0  # exp argument bound for the 2^{s|xi|} weight
@@ -48,69 +41,6 @@ def esigma_norm(fld, s, sigma):
         )
     w = _weights(xi, s, sigma)
     return float(np.sqrt(np.sum(np.abs(w * fld.coeffs) ** 2) * fld.grid.dxi))
-
-
-def hsigma_norm(fld, sigma):
-    """Sobolev norm: the s = 0 case of :func:`esigma_norm`."""
-    return esigma_norm(fld, 0.0, sigma)
-
-
-@dataclass(frozen=True)
-class DyadicCutoff:
-    """Smooth dyadic cutoff: psi = 1 on [-1,1], 0 outside [-2,2], cos^2 ramp."""
-
-    def psi(self, xi):
-        a = np.abs(np.asarray(xi, dtype=float))
-        ramp = np.cos(np.pi * (a - 1.0) / 2.0) ** 2
-        return np.where(a <= 1.0, 1.0, np.where(a >= 2.0, 0.0, ramp))
-
-    def phi(self, j, xi):
-        """Shell function phi_j(xi) = psi(2^-j xi) - psi(2^-j+1 xi), j >= 1."""
-        if j < 1:
-            raise ValueError("shell index must be >= 1")
-        xi = np.asarray(xi, dtype=float)
-        return self.psi(xi * 2.0 ** (-j)) - self.psi(xi * 2.0 ** (-j + 1))
-
-    def n_blocks(self, grid):
-        """Number of blocks (including the psi block) covering the grid band."""
-        return max(2, int(np.ceil(np.log2(grid.xi_max))) + 1)
-
-
-_CUTOFF = DyadicCutoff()
-
-
-def littlewood_paley_blocks(fld):
-    """Dyadic decomposition [psi-block, shell_1 f, shell_2 f, ...]; sums back to f."""
-    xi = fld.grid.frequencies
-    jmax = _CUTOFF.n_blocks(fld.grid)
-    blocks = [SpectralField(fld.grid, fld.coeffs * _CUTOFF.psi(xi))]
-    for j in range(1, jmax):
-        blocks.append(SpectralField(fld.grid, fld.coeffs * _CUTOFF.phi(j, xi)))
-    return blocks
-
-
-def _lp_norm(samples, dx, p):
-    a = np.abs(samples)
-    if np.isinf(p):
-        return float(np.max(a))
-    return float((np.sum(a ** p) * dx) ** (1.0 / p))
-
-
-def besov_norm(fld, sigma, p, q):
-    """Besov norm: l^q over dyadic blocks of 2^{j sigma} ||block||_{L^p}."""
-    if p < 1 or q < 1:
-        raise ValueError("Besov indices require p, q >= 1")
-    blocks = littlewood_paley_blocks(fld)
-    dx = fld.grid.dx
-    terms = np.array(
-        [
-            2.0 ** (j * sigma) * _lp_norm(inverse_transform(b), dx, p)
-            for j, b in enumerate(blocks)
-        ]
-    )
-    if np.isinf(q):
-        return float(np.max(terms))
-    return float(np.sum(terms ** q) ** (1.0 / q))
 
 
 _SUPPORT_REL_TOL = 1e-13  # a coefficient below this fraction of the peak is off support
@@ -215,13 +145,3 @@ def scaling_bound_check(fld, s, sigma, lam, eps0):
     scaled = esigma_norm(dilate(fld, lam), s, sigma)
     bound = lam ** (-0.5 + max(sigma, 0.0)) * 2.0 ** (s * lam * eps0 / 2.0) * base
     return scaled / bound
-
-
-def embedding_check(fld, r, s, sigma):
-    """Ratio ||u||_{E^s_sigma} / ||u||_{H^r}; finite on the grid for s < 0."""
-    if s >= 0:
-        raise ValueError("embedding check requires s < 0")
-    hr = hsigma_norm(fld, r)
-    if hr == 0:
-        raise ValueError("embedding check requires a nonzero field")
-    return esigma_norm(fld, s, sigma) / hr

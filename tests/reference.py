@@ -25,9 +25,10 @@ real and imaginary parts, the quadrature ``reference_picard_map`` uses.
 same order to the complex array in one pass, so the two agree bit for bit.
 
 ``reference_third_derivative_field`` is the norm-inflation quadrature panel by
-panel, one complex exponential per kernel value and ``rho_kernel`` at every
-node.  ``nnlslab.experiments`` factors the Gauss-node phase instead, which
-reorders the arithmetic, so the two agree to roundoff, not bit for bit.
+panel, one complex exponential per kernel value and ``rho_kernel``, the
+oscillatory kernel combination of the norm-inflation claim, at every node.
+``nnlslab.experiments`` factors the Gauss-node phase instead, which reorders
+the arithmetic, so the two agree to roundoff, not bit for bit.
 
 ``reference_dilate`` resamples a smooth spectrum at xi/lam by the dense
 trapezoid transform, one (256, n) block of complex exponentials at a time.
@@ -42,14 +43,13 @@ from scipy.integrate import cumulative_simpson
 
 from nnlslab.equations import NDNLS, NNLS, nonlinear_term, quintic_coefficient
 from nnlslab.evolve import PicardReport, linear_propagator
-from nnlslab.experiments import _gl, _kernel, rho_kernel
+from nnlslab.experiments import _gl, _phase_ratio
 from nnlslab.grid import (
     FrequencyGrid,
     SpectralField,
     inverse_transform,
     l2_distance,
     nonlocal_conjugate,
-    zero_field,
 )
 from nnlslab.spaces import _SPARSE_MODE_LIMIT, _support_indices
 
@@ -125,11 +125,11 @@ def reference_nonlinear_term(fld, spec):
     us = nonlocal_conjugate(fld)
     if spec.kind == "NNLS":
         if a == 0:
-            return zero_field(fld.grid)
+            return SpectralField(fld.grid, np.zeros(fld.grid.n_modes))
         return SpectralField(fld.grid, a * reference_product([fld, fld, us]).coeffs)
     if spec.kind == "NdNLS":
         if a == 0:
-            return zero_field(fld.grid)
+            return SpectralField(fld.grid, np.zeros(fld.grid.n_modes))
         term = reference_product([fld, us, _derivative(fld)])
         return SpectralField(fld.grid, a * term.coeffs)
     out = np.zeros(fld.grid.n_modes, dtype=np.complex128)
@@ -161,9 +161,9 @@ def reference_cumulative_simpson(y, times):
 def reference_picard_map(states, u0, T, spec):
     n = len(states)
     if n < 9:
-        raise ValueError("picard_map needs at least 9 time nodes")
+        raise ValueError("reference_picard_map needs at least 9 time nodes")
     if n % 2 == 0:
-        raise ValueError("picard_map needs an odd node count for Simpson")
+        raise ValueError("reference_picard_map needs an odd node count for Simpson")
     times = np.linspace(0.0, T, n)
     grid = u0.grid
     xi = grid.frequencies
@@ -204,6 +204,18 @@ def reference_picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
         if growth_streak >= 3 or not np.isfinite(dist):
             break
     return current, report
+
+
+def _kernel(xi, xi1, xi2, t):
+    # t (e^{iz}-1)/z with z = 2t(xi-xi1)(xi-xi2); limit value i*t on the diagonal
+    return t * _phase_ratio(2.0 * t * (xi - xi1) * (xi - xi2))
+
+
+def rho_kernel(t, xi, xi1, xi2):
+    """Oscillatory kernel combination whose -Im part is bounded below by t/2."""
+    first = _kernel(xi, xi1, xi2, t)
+    second = 2.0 * t * _phase_ratio(2.0 * t * (xi - xi1) * (xi1 + xi2))
+    return first - second
 
 
 def _reference_combo_integral(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track=False):

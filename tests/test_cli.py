@@ -490,3 +490,40 @@ def test_non_integer_in_norm_inflation_is_exit_2_before_any_quadrature(tmp_path,
                  "--override", override]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, override, message", [
+    (["experiment", "scaling_global"], "experiment.lambdas=5",
+     "experiment.lambdas must be a list of numbers, got 5"),
+    (["experiment", "scaling_global"], "experiment.lambdas=[abc]",
+     "experiment.lambdas[0] must be a number, got 'abc'"),
+    (["experiment", "scaling_global"], "experiment.s=abc", "experiment.s must be a number"),
+    (["experiment", "scaling_global"], "experiment.eps0=true", "experiment.eps0 must be a number"),
+    (["experiment", "support_invariance"], "experiment.eps0=[1]",
+     "experiment.eps0 must be a number, got [1]"),
+    (["experiment", "conservation"], "initial_data.kind=[1]", "initial_data.kind [1] not one of"),
+    (["solve"], "experiment.eps0=abc", "experiment.eps0 must be a number, got 'abc'"),
+    (["sweep"], "sweep.overrides=5", "sweep.overrides must be a list of mappings, got 5"),
+    (["sweep"], "experiment.name=[1]", "unknown experiment [1]"),
+])
+def test_mistyped_value_is_exit_2_not_a_traceback(tmp_path, capsys, command, override, message):
+    # before: each ended in a TypeError inside the library, which main caught
+    # only because it turned every TypeError, bugs included, into exit 2
+    if command[0] == "experiment":
+        config = os.path.join(CONFIGS, "%s.yaml" % command[1])
+    else:
+        config = write_cfg(tmp_path, dict(BASE_CFG, sweep={"overrides": [{}]}))
+    out = tmp_path / "out"
+    assert main(command + ["--config", config, "--out", str(out), "--override", override]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_library_type_error_is_not_relabelled_invalid_configuration(monkeypatch, tmp_path):
+    def broken(*args, **kwargs):
+        raise TypeError("a bug")
+
+    monkeypatch.setattr(experiments, "solve", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["experiment", "conservation", "--config", write_cfg(tmp_path, BASE_CFG),
+              "--out", str(tmp_path / "out")])

@@ -13,12 +13,14 @@ import nnlslab
 from conftest import random_field
 from reference import reference_cumulative_simpson, reference_picard_map, reference_picard_solve
 from nnlslab.equations import EquationSpec, mass
+from nnlslab.experiments import make_initial_data
 from nnlslab.evolve import (
+    _duhamel,
+    _duhamel_nodes,
     _free_phase,
     _simpson_weights,
     cumulative_simpson,
     linear_propagator,
-    picard_map,
     picard_solve,
     solve,
     step,
@@ -183,6 +185,24 @@ def test_solve_blowup_flag(grid):
     assert traj.blowup_time is not None and traj.blowup_time <= 0.5
 
 
+@pytest.mark.parametrize("kind", ["NNLS", "NdNLS", "GaugedNdNLS"])
+def test_truncation_commutes_with_the_flow_for_halfline_data(kind):
+    # the products of spectra on (0, inf) only add frequencies, so the modes
+    # above the band never feed back below it: doubling the band leaves the
+    # shared modes unchanged to roundoff (measured 6e-19 to 9.5e-19 relative)
+    spec = EquationSpec(kind, alpha=1.0)
+    finals = []
+    for n in (256, 512):
+        u0 = make_initial_data("halfline_bump", FrequencyGrid(n, 40.0), amplitude=2.0,
+                               lo=1.0, hi=2.0)
+        traj = solve(u0, 0.5, 1e-3, spec, sample_every=500)
+        assert not traj.blown_up and traj.times[-1] == 0.5
+        finals.append(traj.states[-1].coeffs)
+    coarse, fine = finals
+    shared = fine[128:384]  # modes m = -128 .. 127
+    assert np.max(np.abs(coarse - shared)) <= 1e-15 * np.max(np.abs(fine))
+
+
 def test_even_data_matches_local_cubic_reference(grid):
     # for even data the conjugate u*(x) = conj(u(-x)) equals conj(u), so the
     # flow coincides with the local cubic equation; cross-check against an
@@ -242,13 +262,6 @@ def test_picard_order_against_exact_soliton():
     assert min(_orders(errors)) >= 3.5
 
 
-def test_picard_node_validation(grid, gaussian):
-    with pytest.raises(ValueError):
-        picard_map([gaussian] * 5, gaussian, 0.1, NNLS)
-    with pytest.raises(ValueError):
-        picard_map([gaussian] * 10, gaussian, 0.1, NNLS)
-
-
 @pytest.mark.parametrize("n_nodes", [5, 8, 10, 9.0])
 def test_picard_solve_rejects_bad_node_count(gaussian, n_nodes):
     # an error, not the free flow with no iterate
@@ -260,12 +273,6 @@ def test_picard_solve_rejects_bad_node_count(gaussian, n_nodes):
 def test_picard_solve_rejects_bad_horizon(gaussian, T):
     with pytest.raises(ValueError, match="T must be finite and positive"):
         picard_solve(gaussian, T, NNLS)
-
-
-@pytest.mark.parametrize("T", [0.0, -1.0, np.nan, np.inf])
-def test_picard_map_rejects_bad_horizon(gaussian, T):
-    with pytest.raises(ValueError, match="T must be finite and positive"):
-        picard_map([gaussian] * 9, gaussian, T, NNLS)
 
 
 @pytest.mark.parametrize("n_iter", [0, 2.5])
@@ -325,13 +332,6 @@ def test_cli_import_leaves_scipy_integrate_out():
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 
-def test_picard_map_rejects_non_finite_iterate(grid, gaussian):
-    huge = SpectralField(grid, 1e200 * gaussian.coeffs)
-    with pytest.raises(ValueError, match="non-finite"):
-        with np.errstate(over="ignore", invalid="ignore"):
-            picard_map([huge] * 9, gaussian, 0.1, NNLS)
-
-
 PICARD_SPECS = [
     NNLS,
     EquationSpec("NdNLS", alpha=1.0),
@@ -389,11 +389,12 @@ def test_picard_map_matches_node_loop_bit_for_bit(grid):
     u0 = shifted_wave(grid, 1.0)
     states = [random_field(grid, seed, decay=3.0) for seed in range(33)]
     spec = EquationSpec("gNdNLS", alpha=0.8, beta=0.3)
-    got = picard_map(states, u0, 0.4, spec)
+    nodes = _duhamel_nodes(0.4, len(states), grid)
+    got = _duhamel(np.stack([u.coeffs for u in states]), u0.coeffs, nodes, grid, spec)
     want = reference_picard_map(states, u0, 0.4, spec)
     assert len(got) == len(want)
     for a, b in zip(got, want):
-        assert np.array_equal(a.coeffs, b.coeffs)
+        assert np.array_equal(a, b.coeffs)
 
 
 def test_picard_iteration_transforms_all_nodes_at_once(gaussian, fft_log):

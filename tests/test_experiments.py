@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_third_derivative_field
+from reference import reference_third_derivative_field, rho_kernel
 from nnlslab import experiments
 from nnlslab.equations import EquationSpec
 from nnlslab.experiments import (
@@ -18,7 +18,6 @@ from nnlslab.experiments import (
     exp_support_invariance,
     largest_contracting_time,
     make_initial_data,
-    rho_kernel,
     third_derivative_field,
 )
 from nnlslab.grid import FrequencyGrid, forward_transform, inverse_transform
@@ -43,6 +42,18 @@ def test_two_bump_rejects_non_integral_k(grid, k):
         TwoBumpData(k, -1.0)
     with pytest.raises(ValueError, match="k must be a positive integer"):
         make_initial_data("two_bump", grid, k=k, s=-1.0)
+
+
+@pytest.mark.parametrize("flag", [True, np.True_])
+@pytest.mark.parametrize("build", [
+    lambda flag: TwoBumpData(flag, -1.0),
+    lambda flag: make_initial_data("plemelj_derivative", FrequencyGrid(64, 20.0), k=flag),
+    lambda flag: exp_norm_inflation(k_list=(4, 8), n_nodes=flag),
+], ids=["two_bump_k", "plemelj_derivative_k", "norm_inflation_n_nodes"])
+def test_bool_is_not_taken_as_the_integer_one(build, flag):
+    # before: float(True).is_integer() held, so each ran as if given 1
+    with pytest.raises(ValueError, match="must be an integer|must be a positive integer"):
+        build(flag)
 
 
 def test_make_initial_data_gaussian(grid):

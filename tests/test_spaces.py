@@ -8,18 +8,8 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import nnlslab.spaces as spaces
-from conftest import random_field
-from nnlslab.grid import FrequencyGrid, SpectralField, forward_transform, l2_norm, zero_field
-from nnlslab.spaces import (
-    DyadicCutoff,
-    besov_norm,
-    dilate,
-    embedding_check,
-    esigma_norm,
-    hsigma_norm,
-    littlewood_paley_blocks,
-    scaling_bound_check,
-)
+from nnlslab.grid import FrequencyGrid, SpectralField, forward_transform, l2_norm
+from nnlslab.spaces import dilate, esigma_norm, scaling_bound_check
 from reference import reference_dilate
 
 
@@ -35,9 +25,8 @@ def test_esigma_zero_field(grid):
 
 
 def test_hsigma_plancherel(grid, gaussian):
-    # sigma = 0 weight is flat, so the norm reduces to sqrt(sum |c|^2 dxi)
-    assert abs(hsigma_norm(gaussian, 0.0) - np.sqrt(2 * np.pi) * l2_norm(gaussian)) <= 1e-12
-    assert hsigma_norm(gaussian, 0.0) == esigma_norm(gaussian, 0.0, 0.0)
+    # the s = sigma = 0 weight is flat, so the norm reduces to sqrt(sum |c|^2 dxi)
+    assert abs(esigma_norm(gaussian, 0.0, 0.0) - np.sqrt(2 * np.pi) * l2_norm(gaussian)) <= 1e-12
 
 
 def test_hsigma_gaussian_oracle():
@@ -45,7 +34,7 @@ def test_hsigma_gaussian_oracle():
     f = gaussian_hat(g)
     # int 2 pi e^{-xi^2} dxi = 2 pi^{3/2}
     oracle = np.sqrt(2.0) * np.pi ** 0.75
-    assert abs(hsigma_norm(f, 0.0) - oracle) <= 1e-10 * oracle
+    assert abs(esigma_norm(f, 0.0, 0.0) - oracle) <= 1e-10 * oracle
 
 
 def test_hsigma_weighted_oracle():
@@ -53,7 +42,7 @@ def test_hsigma_weighted_oracle():
     f = gaussian_hat(g)
     # frozen adaptive-quadrature value of the sigma = 2 weighted integral
     oracle = 5.5340585452788975
-    assert abs(hsigma_norm(f, 2.0) - oracle) <= 1e-8 * oracle
+    assert abs(esigma_norm(f, 0.0, 2.0) - oracle) <= 1e-8 * oracle
 
 
 def test_esigma_negative_weight_oracle():
@@ -76,60 +65,6 @@ def test_esigma_overflow_guard():
     f = gaussian_hat(g)
     with pytest.raises(ValueError):
         esigma_norm(f, 12.0, 0.0)
-
-
-def test_cutoff_partition_of_unity():
-    cut = DyadicCutoff()
-    xi = np.linspace(-30.0, 30.0, 4001)
-    total = cut.psi(xi)
-    for j in range(1, 7):
-        total = total + cut.phi(j, xi)
-    # telescoping sum equals psi(2^-6 xi) = 1 on the sampled band
-    assert np.max(np.abs(total - 1.0)) <= 1e-14
-
-
-def test_cutoff_shell_support():
-    cut = DyadicCutoff()
-    xi = np.linspace(-100.0, 100.0, 8001)
-    vals = cut.phi(3, xi)
-    inside = (np.abs(xi) >= 4.0) & (np.abs(xi) <= 16.0)
-    assert np.max(np.abs(vals[~inside])) == 0.0
-    with pytest.raises(ValueError):
-        cut.phi(0, xi)
-
-
-def test_lp_blocks_reconstruct(grid):
-    f = random_field(grid, 2, decay=1.5)
-    blocks = littlewood_paley_blocks(f)
-    total = np.sum([b.coeffs for b in blocks], axis=0)
-    assert np.max(np.abs(total - f.coeffs)) <= 1e-12 * np.max(np.abs(f.coeffs))
-
-
-def test_lp_blocks_disjoint_shells(grid):
-    f = random_field(grid, 2, decay=1.5)
-    blocks = littlewood_paley_blocks(f)
-    # shells two apart never overlap
-    a, b = np.abs(blocks[1].coeffs), np.abs(blocks[3].coeffs)
-    assert np.max(a * b) == 0.0
-
-
-def test_besov_matches_sobolev():
-    # B^0_{2,2} is equivalent to H^0; the cos^2 overlap keeps the ratio tame
-    g = FrequencyGrid(256, 40.0)
-    for seed in range(5):
-        f = random_field(g, seed, decay=1.0)
-        ratio = besov_norm(f, 0.0, 2, 2) / (hsigma_norm(f, 0.0) / np.sqrt(2 * np.pi))
-        assert 0.25 <= ratio <= 4.0
-
-
-def test_besov_validation(grid, gaussian):
-    with pytest.raises(ValueError):
-        besov_norm(gaussian, 0.0, 0.5, 2)
-
-
-def test_besov_linf_index(grid, gaussian):
-    # q = inf takes the largest block term, so it never exceeds q = 1
-    assert besov_norm(gaussian, 0.0, 2, np.inf) <= besov_norm(gaussian, 0.0, 2, 1) + 1e-12
 
 
 def test_dilate_identity(grid, gaussian):
@@ -195,7 +130,7 @@ def test_dilate_band_guard(grid):
 def test_dilate_rejects_non_finite_or_non_positive_factor(grid, lam):
     # a zero field passes the band guard, so the factor itself must be refused
     with pytest.raises(ValueError, match="positive and finite"):
-        dilate(zero_field(grid), lam)
+        dilate(SpectralField(grid, np.zeros(grid.n_modes)), lam)
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,23 +209,5 @@ def test_scaling_bound_validation(grid, gaussian):
     with pytest.raises(ValueError):
         scaling_bound_check(gaussian, 0.5, 0.0, 2.0, 1.0)
     with pytest.raises(ValueError, match="nonzero field"):
-        scaling_bound_check(zero_field(grid), -1.0, 0.0, 2.0, 1.0)
+        scaling_bound_check(SpectralField(grid, np.zeros(grid.n_modes)), -1.0, 0.0, 2.0, 1.0)
 
-
-def test_embedding_single_mode(grid):
-    c = np.zeros(grid.n_modes, complex)
-    m0 = grid.n_modes // 2
-    xi0 = 10.0
-    idx = m0 + int(round(xi0 / grid.dxi))
-    c[idx] = 1.0
-    xi_exact = grid.frequencies[idx]
-    ratio = embedding_check(SpectralField(grid, c), 0.0, -1.0, 0.0)
-    assert abs(ratio - 2.0 ** (-abs(xi_exact))) <= 1e-12
-
-
-def test_embedding_validation(grid, gaussian):
-    with pytest.raises(ValueError):
-        embedding_check(gaussian, 0.0, 0.5, 0.0)
-    z = SpectralField(grid, np.zeros(grid.n_modes, complex))
-    with pytest.raises(ValueError):
-        embedding_check(z, 0.0, -1.0, 0.0)
