@@ -9,16 +9,13 @@ from .equations import (
     EquationSpec,
     energy,
     mass,
-    nonlinear_term,
     quintic_coefficient,
-    rhs,
     support_leakage,
 )
 from .evolve import (
     BlowUpError,
     PicardReport,
     Trajectory,
-    linear_propagator,
     picard_solve,
     solve,
     step,
@@ -42,13 +39,10 @@ from .grid import (
     GridMismatchError,
     SpectralField,
     antiderivative_symmetric,
-    dealiased_product,
-    derivative,
     forward_transform,
     inverse_transform,
     l2_distance,
     l2_norm,
-    nonlocal_conjugate,
     spectral_mass,
 )
 from .spaces import dilate, esigma_norm, scaling_bound_check

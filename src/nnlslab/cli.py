@@ -75,14 +75,8 @@ def _numbers(name, value, what="numbers"):
 
 
 def _float(name, value):
-    """``float(value)``; ConfigError naming the config key ``name`` for a bool or a
-    value ``float`` refuses.  A numeric string such as ``nan`` reads as its float."""
-    if not isinstance(value, bool):
-        try:
-            return float(value)
-        except (TypeError, ValueError):
-            pass
-    raise ConfigError("%s must be a number, got %r" % (name, value))
+    """``float(value)`` of a value that ``_number`` accepts for the config key ``name``."""
+    return float(_number(name, value))
 
 
 def _known(section, where, keys):

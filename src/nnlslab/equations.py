@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpectralField, derivative_symbol, product_plan
+from .grid import derivative_symbol, product_plan
 
 NNLS = "NNLS"
 NDNLS = "NdNLS"
@@ -60,7 +60,7 @@ def quintic_coefficient(alpha, beta, mode):
 
 
 def nonlinear_coeffs(coeffs, grid, spec):
-    """N(u) on raw Fourier coefficients; the core of :func:`nonlinear_term`.
+    """N(u) in the evolution form u_t = i u_xx + i N(u), on raw Fourier coefficients.
 
     ``coeffs`` is one field ``(n_modes,)`` or a batch ``(batch, n_modes)``;
     each row of a batch gives the bits of its own 1-D call.  Neither the
@@ -96,18 +96,6 @@ def nonlinear_coeffs(coeffs, grid, spec):
     if quintic != 0:
         out += quintic * product_plan(grid, 5).product([u, u, u, us, us])
     return out
-
-
-def nonlinear_term(fld, spec):
-    """N(u) in the evolution form u_t = i u_xx + i N(u)."""
-    return SpectralField(fld.grid, nonlinear_coeffs(fld.coeffs, fld.grid, spec))
-
-
-def rhs(fld, spec):
-    """du/dt = i u_xx + i N(u)."""
-    xi = fld.grid.frequencies
-    lin = -1j * xi ** 2 * fld.coeffs
-    return SpectralField(fld.grid, lin + 1j * nonlinear_term(fld, spec).coeffs)
 
 
 def mass(fld):

@@ -51,11 +51,6 @@ def _free_phase(grid, t):
     return out
 
 
-def linear_propagator(fld, t):
-    """Free Schroedinger flow e^{it d^2/dx^2}: symbol e^{-i t xi^2}; unitary."""
-    return SpectralField(fld.grid, fld.coeffs * _free_phase(fld.grid, t))
-
-
 @functools.lru_cache(maxsize=64)
 def _lawson_phases(grid, dt):
     """Read-only e^{(dt/2) L} and e^{dt L} on ``grid``."""
@@ -283,8 +278,8 @@ def picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
     nodes = _duhamel_nodes(T, n_nodes, grid)
     _, _, minus = nodes
     c0 = u0.coeffs
-    # the free flow, c0 first as in linear_propagator: a complex product is
-    # not bitwise commutative
+    # the free flow, c0 first, as in the tests' node-by-node reference: a
+    # complex product is not bitwise commutative
     current = c0 * minus
     report = PicardReport(T_used=T)
     growth_streak = 0

@@ -225,20 +225,32 @@ _SCALING_RATIO_BOUND = 10.0  # largest accepted ratio to the dilation bound
 
 def exp_scaling_global(u0, s, sigma, eps0, lambdas, spec=None, T_max=0.5, dt=2e-3,
                        sample_every=25):
-    """Dilation-bound ratios plus decay of the lam-weighted norm along solves."""
+    """Dilation-bound ratios plus decay of the lam-weighted norm along solves.
+
+    A factor lam whose dilation leaves the grid band is skipped; every other
+    refused value raises.  The run passes only if some lam > 1 was checked.
+    """
     if spec is None:
         spec = EquationSpec(NNLS, alpha=1.0)
-    # refuses a zero field or low support before any solve
+    for name, value in (("s", s), ("sigma", sigma), ("eps0", eps0)):
+        if not np.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+    if s > 0:
+        raise ValueError("s must be <= 0, got %r" % (s,))
+    for lam in lambdas:
+        if not (np.isfinite(lam) and lam > 0):
+            raise ValueError("dilation factors must be positive and finite, got %r" % (lam,))
+    # refuses a zero field, eps0 < 0 or low support before any solve
     l2_ratio = scaling_bound_check(u0, 0.0, 0.0, 2.0, eps0)
     ratios, sup_norms, skipped = {}, {}, []
     for lam in lambdas:
         try:
-            if lam > 1:
-                ratios[lam] = scaling_bound_check(u0, s, sigma, lam, eps0)
             data = u0 if lam == 1 else dilate(u0, lam)
-        except ValueError:
+        except ValueError:  # the dilated spectrum leaves the grid band
             skipped.append(lam)
             continue
+        if lam > 1:
+            ratios[lam] = scaling_bound_check(u0, s, sigma, lam, eps0)
         horizon = min(T_max, 2.0 ** np.sqrt(lam))
         traj = solve(data, horizon, dt, spec, sample_every=sample_every,
                      norm_params=[(s * lam, sigma)])
@@ -246,7 +258,7 @@ def exp_scaling_global(u0, s, sigma, eps0, lambdas, spec=None, T_max=0.5, dt=2e-
     kept = [lam for lam in lambdas if lam not in skipped]
     seq = [sup_norms[lam] for lam in kept]
     monotone = all(b < a for a, b in zip(seq, seq[1:]))
-    ratio_ok = all(r <= _SCALING_RATIO_BOUND for r in ratios.values())
+    ratio_ok = bool(ratios) and all(r <= _SCALING_RATIO_BOUND for r in ratios.values())
     identity_ok = abs(l2_ratio - 1.0) <= 1e-10
     return ExperimentReport(
         claim_id="dilation-scaling-bound",

@@ -16,23 +16,23 @@ import numpy as np
 from .grid import (
     SpectralField,
     antiderivative_symmetric,
-    dealiased_product,
     forward_transform,
     inverse_transform,
-    nonlocal_conjugate,
+    product_plan,
 )
 
 
-def _primitive_samples(fld):
-    density = dealiased_product([fld, nonlocal_conjugate(fld)])
-    return inverse_transform(antiderivative_symmetric(density))
+def _primitive_samples(coeffs, grid):
+    """Samples of P(u u*) for the Fourier coefficients ``coeffs`` of u."""
+    density = SpectralField(grid, product_plan(grid, 2).product([coeffs, np.conj(coeffs)]))
+    return product_plan(grid, 1).samples(antiderivative_symmetric(density).coeffs)
 
 
 def gauge_forward(fld, delta):
     """v = u exp(-delta * P(u u*)), computed pointwise in physical space."""
     if delta == 0:
         return SpectralField(fld.grid, fld.coeffs)
-    prim = _primitive_samples(fld)
+    prim = _primitive_samples(fld.coeffs, fld.grid)
     v = inverse_transform(fld) * np.exp(-delta * prim)
     return forward_transform(v, fld.grid)
 
@@ -45,15 +45,16 @@ def gauge_taylor(fld, delta, order):
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    acc = np.array(fld.coeffs, dtype=np.complex128)
+    grid, u = fld.grid, fld.coeffs
+    acc = np.array(u, dtype=np.complex128)
     if order == 0:
-        return SpectralField(fld.grid, acc)
-    prim = forward_transform(_primitive_samples(fld), fld.grid)
-    power = None  # P^k as a spectral field
+        return SpectralField(grid, acc)
+    pair = product_plan(grid, 2)
+    prim = product_plan(grid, 1).coeffs(_primitive_samples(u, grid))
+    power = None  # the coefficients of P^k
     coeff = 1.0
     for k in range(1, order + 1):
         coeff *= -delta / k
-        power = prim if power is None else dealiased_product([power, prim])
-        term = dealiased_product([fld, power])
-        acc = acc + coeff * term.coeffs
-    return SpectralField(fld.grid, acc)
+        power = prim if power is None else pair.product([power, prim])
+        acc = acc + coeff * pair.product([u, power])
+    return SpectralField(grid, acc)

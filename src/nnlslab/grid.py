@@ -122,11 +122,6 @@ def inverse_transform(fld):
     return product_plan(fld.grid, 1).samples(fld.coeffs)
 
 
-def nonlocal_conjugate(fld):
-    """The reversed conjugate u*(x) = conj(u(-x)); conjugation in Fourier space."""
-    return SpectralField(fld.grid, np.conj(fld.coeffs))
-
-
 class ProductPlan:
     """Per-(grid, degree) constants of the transforms and the padded product.
 
@@ -256,30 +251,13 @@ def product_plan(grid, degree):
     return ProductPlan(grid, degree)
 
 
-def dealiased_product(fields):
-    """Pointwise product of 2-5 fields, exact for the retained modes."""
-    p = len(fields)
-    if not (2 <= p <= 5):
-        raise ValueError("dealiased_product takes 2 to 5 fields, got %d" % p)
-    grid = fields[0].grid
-    for f in fields[1:]:
-        if f.grid != grid:
-            raise GridMismatchError("all factors must share one grid")
-    return SpectralField(grid, product_plan(grid, p).product([f.coeffs for f in fields]))
-
-
 @functools.lru_cache(maxsize=64)
 def derivative_symbol(grid):
-    """The read-only multiplier i*xi of :func:`derivative`, cached per grid."""
+    """The read-only spectral derivative multiplier i*xi, Nyquist mode zeroed, per grid."""
     m = 1j * grid.frequencies
     m[0] = 0.0  # asymmetric Nyquist mode
     m.flags.writeable = False
     return m
-
-
-def derivative(fld):
-    """Spectral derivative: multiply by i*xi, Nyquist mode zeroed."""
-    return SpectralField(fld.grid, fld.coeffs * derivative_symbol(fld.grid))
 
 
 def _smoothstep(x, center, width, xi_max, x_lo, x_hi):

@@ -14,10 +14,16 @@ transforms each factor separately with the reference transforms and crops
 the forward transform of the product; ``reference_nonlinear_term`` builds
 every right-hand side from it, kind by kind.  ``reference_picard_map`` and
 ``reference_picard_solve`` are the Duhamel/Picard engine node by node, one
-validated field per node.  The planned and batched kernels in
-``nnlslab.grid``, ``nnlslab.equations`` and ``nnlslab.evolve`` perform the
-same floating-point operations in the same order, so they must agree with
-these bit for bit.
+validated field per node.  ``reference_gauge_forward`` and
+``reference_gauge_taylor`` build the gauge transform and its series from
+validated fields and ``reference_product``.  The planned and batched kernels
+in ``nnlslab.grid``, ``nnlslab.equations``, ``nnlslab.evolve`` and
+``nnlslab.gauge`` perform the same floating-point operations in the same
+order, so they must agree with these bit for bit.
+
+``reference_rhs`` is the full right-hand side i u_xx + i N(u) as a field, with
+N(u) from ``nnlslab.equations.nonlinear_coeffs``; criterion 3 compares two of
+them.
 
 ``reference_cumulative_simpson`` is scipy's cumulative Simpson rule on the
 real and imaginary parts, the quadrature ``reference_picard_map`` uses.
@@ -41,15 +47,15 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from nnlslab.equations import NDNLS, NNLS, nonlinear_term, quintic_coefficient
-from nnlslab.evolve import PicardReport, linear_propagator
+from nnlslab.equations import NDNLS, NNLS, nonlinear_coeffs, quintic_coefficient
+from nnlslab.evolve import PicardReport
 from nnlslab.experiments import _gl, _phase_ratio
 from nnlslab.grid import (
     FrequencyGrid,
     SpectralField,
+    antiderivative_symmetric,
     inverse_transform,
     l2_distance,
-    nonlocal_conjugate,
 )
 from nnlslab.spaces import _SPARSE_MODE_LIMIT, _support_indices
 
@@ -88,18 +94,23 @@ def _derivative(fld):
     return SpectralField(fld.grid, fld.coeffs * m)
 
 
+def _conjugate(fld):
+    # the nonlocal conjugate u*(x) = conj(u(-x)) is conjugation in Fourier space
+    return SpectralField(fld.grid, np.conj(fld.coeffs))
+
+
 def reference_mass(fld):
     u = reference_inverse_transform(fld)
-    us = reference_inverse_transform(nonlocal_conjugate(fld))
+    us = reference_inverse_transform(_conjugate(fld))
     return complex(np.sum(u * us) * fld.grid.dx)
 
 
 def reference_energy(fld, alpha):
     du = _derivative(fld)
     du_s = reference_inverse_transform(du)
-    dus_s = reference_inverse_transform(nonlocal_conjugate(du))
+    dus_s = reference_inverse_transform(_conjugate(du))
     u = reference_inverse_transform(fld)
-    us = reference_inverse_transform(nonlocal_conjugate(fld))
+    us = reference_inverse_transform(_conjugate(fld))
     integrand = du_s * dus_s + (alpha / 2.0) * (u * us) ** 2
     return complex(np.sum(integrand) * fld.grid.dx)
 
@@ -122,7 +133,7 @@ def reference_product(fields):
 
 def reference_nonlinear_term(fld, spec):
     a, b = spec.alpha, spec.beta
-    us = nonlocal_conjugate(fld)
+    us = _conjugate(fld)
     if spec.kind == "NNLS":
         if a == 0:
             return SpectralField(fld.grid, np.zeros(fld.grid.n_modes))
@@ -151,6 +162,40 @@ def reference_nonlinear_term(fld, spec):
     return SpectralField(fld.grid, out)
 
 
+def reference_rhs(fld, spec):
+    """du/dt = i u_xx + i N(u) as a validated field."""
+    xi = fld.grid.frequencies
+    lin = -1j * xi ** 2 * fld.coeffs
+    return SpectralField(fld.grid, lin + 1j * nonlinear_coeffs(fld.coeffs, fld.grid, spec))
+
+
+def _reference_primitive_samples(fld):
+    density = reference_product([fld, _conjugate(fld)])
+    return reference_inverse_transform(antiderivative_symmetric(density))
+
+
+def reference_gauge_forward(fld, delta):
+    if delta == 0:
+        return SpectralField(fld.grid, fld.coeffs)
+    prim = _reference_primitive_samples(fld)
+    v = reference_inverse_transform(fld) * np.exp(-delta * prim)
+    return reference_forward_transform(v, fld.grid)
+
+
+def reference_gauge_taylor(fld, delta, order):
+    acc = np.array(fld.coeffs, dtype=np.complex128)
+    if order == 0:
+        return SpectralField(fld.grid, acc)
+    prim = reference_forward_transform(_reference_primitive_samples(fld), fld.grid)
+    power = None
+    coeff = 1.0
+    for k in range(1, order + 1):
+        coeff *= -delta / k
+        power = prim if power is None else reference_product([power, prim])
+        acc = acc + coeff * reference_product([fld, power]).coeffs
+    return SpectralField(fld.grid, acc)
+
+
 def reference_cumulative_simpson(y, times):
     """scipy's cumulative Simpson integral of complex ``y`` along axis 0, from 0."""
     return cumulative_simpson(
@@ -169,7 +214,7 @@ def reference_picard_map(states, u0, T, spec):
     xi = grid.frequencies
     integrand = np.empty((n, grid.n_modes), dtype=np.complex128)
     for i, (t, u) in enumerate(zip(times, states)):
-        nl = 1j * nonlinear_term(u, spec).coeffs
+        nl = 1j * nonlinear_coeffs(u.coeffs, grid, spec)
         integrand[i] = np.exp(1j * t * xi ** 2) * nl
     cum = reference_cumulative_simpson(integrand, times)
     out = []
@@ -181,7 +226,10 @@ def reference_picard_map(states, u0, T, spec):
 
 def reference_picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
     times = np.linspace(0.0, T, n_nodes)
-    current = [linear_propagator(u0, t) for t in times]
+    xi = u0.grid.frequencies
+    # the free flow, coefficients first: a complex product is not bitwise
+    # commutative, and picard_solve multiplies in this order
+    current = [SpectralField(u0.grid, u0.coeffs * np.exp(-1j * t * xi ** 2)) for t in times]
     report = PicardReport(T_used=T)
     growth_streak = 0
     for _ in range(n_iter):

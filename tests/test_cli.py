@@ -53,11 +53,16 @@ def test_invalid_config_is_exit_2(tmp_path, capsys):
     assert "invalid configuration" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("override", ["evolution.dt=nan", "evolution.dt=0"])
-def test_bad_dt_is_exit_2(tmp_path, capsys, override):
+@pytest.mark.parametrize("override, message", [
+    # YAML reads nan as a string and .nan as a float
+    ("evolution.dt=nan", "evolution.dt must be a number, got 'nan'"),
+    ("evolution.dt=.nan", "evolution.dt must be finite and > 0"),
+    ("evolution.dt=0", "evolution.dt must be finite and > 0"),
+])
+def test_bad_dt_is_exit_2(tmp_path, capsys, override, message):
     path = write_cfg(tmp_path, BASE_CFG)
     assert main(["solve", "--config", path, "--override", override]) == 2
-    assert "evolution.dt must be finite and > 0" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", ["evolution.T=.inf", "evolution.T=-1.0"])
@@ -246,6 +251,27 @@ def test_zero_field_scaling_check_is_exit_2(tmp_path, capsys):
     assert "scaling check requires a nonzero field" in capsys.readouterr().err
 
 
+def test_positive_s_scaling_is_exit_2_before_any_solve(tmp_path, capsys, monkeypatch):
+    # before: the check of every lam > 1 refused s = 5, each lam was skipped
+    # and the run passed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    config = os.path.join(CONFIGS, "scaling_global.yaml")
+    assert main(["experiment", "scaling_global", "--config", config, "--out", str(tmp_path),
+                 "--override", "experiment.s=5"]) == 2
+    assert "s must be <= 0, got 5" in capsys.readouterr().err
+
+
+def test_scaling_without_a_checked_lambda_fails(tmp_path):
+    # before: lambdas [1] checked no ratio and passed
+    config = os.path.join(CONFIGS, "scaling_global.yaml")
+    assert main(["experiment", "scaling_global", "--config", config, "--out", str(tmp_path),
+                 "--override", "experiment.lambdas=[1]"]) == 1
+    assert "passed=False" in (tmp_path / "report.txt").read_text().splitlines()
+
+
 @pytest.mark.parametrize("entry", [{"grid.n_modes.x.y": 1}, "equation.alpha=0.5"])
 def test_bad_sweep_entry_is_exit_2(tmp_path, capsys, entry):
     # sweep entries go through the same override applier as --override
@@ -421,10 +447,12 @@ def test_unread_mode_is_exit_2(tmp_path, capsys):
     ("initial_data.params.amplitude=abc",
      "initial_data.params.amplitude must be a number, got 'abc'"),
     ("grid.length=true", "grid.length must be a number, got True"),
+    ("grid.length='40'", "grid.length must be a number, got '40'"),
     ("grid.n_modes=true", "grid.n_modes must be a number, got True"),
     ("grid.n_modes=abc", "grid.n_modes must be a number, got 'abc'"),
     ("evolution.T=true", "evolution.T must be a number, got True"),
     ("evolution.dt=abc", "evolution.dt must be a number, got 'abc'"),
+    ("evolution.dt='0.001'", "evolution.dt must be a number, got '0.001'"),
     ("evolution.norms=[[true,0.0]]", "evolution.norms[0][0] must be a number, got True"),
     ("evolution.norms=[[-1.0]]", "evolution.norms must be a list of [s, sigma] pairs"),
     ("evolution.norms=abc", "evolution.norms must be a list of [s, sigma] pairs"),

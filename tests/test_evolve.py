@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import nnlslab
 from conftest import random_field
 from reference import reference_cumulative_simpson, reference_picard_map, reference_picard_solve
-from nnlslab.equations import EquationSpec, mass
+from nnlslab.equations import EquationSpec
 from nnlslab.experiments import make_initial_data
 from nnlslab.evolve import (
     _duhamel,
@@ -20,7 +20,6 @@ from nnlslab.evolve import (
     _free_phase,
     _simpson_weights,
     cumulative_simpson,
-    linear_propagator,
     picard_solve,
     solve,
     step,
@@ -43,20 +42,20 @@ def even_gaussian(grid, amp=1.0):
     return forward_transform(amp * np.exp(-x * x / 2.0).astype(complex), grid)
 
 
-def test_linear_propagator_trivial(grid, gaussian):
-    same = linear_propagator(gaussian, 0.0)
-    assert np.array_equal(same.coeffs, gaussian.coeffs)
+def test_free_flow_trivial(grid, gaussian):
+    same = gaussian.coeffs * _free_phase(grid, 0.0)
+    assert np.array_equal(same, gaussian.coeffs)
 
 
-def test_linear_propagator_unitary(grid, gaussian):
-    out = linear_propagator(gaussian, 1.7)
+def test_free_flow_unitary(grid, gaussian):
+    out = SpectralField(grid, gaussian.coeffs * _free_phase(grid, 1.7))
     assert abs(l2_norm(out) - l2_norm(gaussian)) <= 1e-12
 
 
-def test_linear_propagator_group(grid, gaussian):
-    a = linear_propagator(linear_propagator(gaussian, 0.3), 0.9)
-    b = linear_propagator(gaussian, 1.2)
-    assert np.max(np.abs(a.coeffs - b.coeffs)) <= 1e-13
+def test_free_flow_group(grid, gaussian):
+    a = gaussian.coeffs * _free_phase(grid, 0.3) * _free_phase(grid, 0.9)
+    b = gaussian.coeffs * _free_phase(grid, 1.2)
+    assert np.max(np.abs(a - b)) <= 1e-13
 
 
 def test_step_validation(grid, gaussian):
@@ -69,8 +68,8 @@ def test_step_validation(grid, gaussian):
 def test_step_free_equation_is_exact(grid, gaussian):
     dt = 0.01
     got = step(gaussian, dt, FREE)
-    exact = linear_propagator(gaussian, dt)
-    assert np.max(np.abs(got.coeffs - exact.coeffs)) <= 1e-14 * np.max(np.abs(exact.coeffs))
+    exact = gaussian.coeffs * _free_phase(grid, dt)
+    assert np.max(np.abs(got.coeffs - exact)) <= 1e-14 * np.max(np.abs(exact))
 
 
 def test_step_convergence_order(grid):
@@ -152,7 +151,7 @@ def test_solve_commensurate_horizon_keeps_whole_steps():
 
 def test_solve_linear_composition(grid, gaussian):
     traj = solve(gaussian, 0.5, 0.005, FREE)
-    exact = linear_propagator(gaussian, 0.5)
+    exact = SpectralField(grid, gaussian.coeffs * _free_phase(grid, 0.5))
     assert l2_distance(traj.states[-1], exact) <= 1e-12 * l2_norm(exact)
 
 
@@ -409,7 +408,7 @@ def test_picard_free_equation_converges_immediately(grid, gaussian):
     states, report = picard_solve(gaussian, 0.3, FREE, n_nodes=9)
     assert report.converged
     assert len(report.iterates_distances) == 1
-    exact = linear_propagator(gaussian, 0.3)
+    exact = SpectralField(grid, gaussian.coeffs * _free_phase(grid, 0.3))
     assert l2_distance(states[-1], exact) <= 1e-13 * l2_norm(exact)
 
 

@@ -20,7 +20,7 @@ from nnlslab.experiments import (
     make_initial_data,
     third_derivative_field,
 )
-from nnlslab.grid import FrequencyGrid, forward_transform, inverse_transform
+from nnlslab.grid import FrequencyGrid, inverse_transform
 from nnlslab.spaces import esigma_norm
 
 
@@ -283,6 +283,24 @@ def test_scaling_skips_overflowing_lambda(grid):
     rep = exp_scaling_global(u0, -1.0, 0.5, 1.0, [1, 2, 32], T_max=0.05)
     assert 32 in rep.measurements["skipped"]
     assert 2 not in rep.measurements["skipped"]
+
+
+@pytest.mark.parametrize("s, sigma, eps0, lambdas, message", [
+    (5.0, 0.5, 1.0, [1, 2], "s must be <= 0, got 5.0"),
+    (-1.0, np.nan, 1.0, [1, 2], "sigma must be finite, got nan"),
+    (-1.0, 0.5, np.inf, [1, 2], "eps0 must be finite, got inf"),
+    (-1.0, 0.5, 1.0, [1, -2], "dilation factors must be positive and finite, got -2"),
+])
+def test_scaling_refuses_bad_values_before_any_solve(grid, monkeypatch, s, sigma, eps0,
+                                                      lambdas, message):
+    # only a dilation that leaves the band is skipped
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    u0 = make_initial_data("modulated_gaussian", grid, amplitude=1.0, width=2.0, carrier=4.5)
+    with pytest.raises(ValueError, match=message):
+        exp_scaling_global(u0, s, sigma, eps0, lambdas)
 
 
 def test_largest_contracting_time_monotone_in_amplitude(grid):

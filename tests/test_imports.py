@@ -1,4 +1,4 @@
-"""Static checks of the package sources."""
+"""Static checks of the package and test sources."""
 
 import ast
 import glob
@@ -9,6 +9,7 @@ import pytest
 import nnlslab
 
 MODULES = sorted(glob.glob(os.path.join(os.path.dirname(nnlslab.__file__), "*.py")))
+TESTS = sorted(glob.glob(os.path.join(os.path.dirname(os.path.abspath(__file__)), "*.py")))
 
 
 def unused_imports(source):
@@ -31,7 +32,7 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == [(1, "os"), (3, "t")]
 
 
-@pytest.mark.parametrize("path", [p for p in MODULES if not p.endswith("__init__.py")],
+@pytest.mark.parametrize("path", [p for p in MODULES if not p.endswith("__init__.py")] + TESTS,
                          ids=os.path.basename)
 def test_no_unused_import(path):
     # the package __init__ imports to re-export, so it is left out
