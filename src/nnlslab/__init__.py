@@ -18,6 +18,7 @@ from .evolve import (
     Trajectory,
     picard_solve,
     solve,
+    solve_batch,
     step,
 )
 from .experiments import (

@@ -154,8 +154,13 @@ def _apply_override(cfg, key, value):
     node[parts[-1]] = value
 
 
+# the keys of the sections that no signature describes
+_GRID_KEYS = ("n_modes", "length")
+_EVOLUTION_KEYS = ("T", "dt", "sample_every", "norms")
+
+
 def build_grid(cfg):
-    sec = _known(_section(cfg, "grid", required=True), "grid", ("n_modes", "length"))
+    sec = _known(_section(cfg, "grid", required=True), "grid", _GRID_KEYS)
     n_modes = _float("grid.n_modes", _require(sec, "n_modes", "grid"))
     length = _float("grid.length", _require(sec, "length", "grid"))
     if not n_modes.is_integer():
@@ -190,7 +195,7 @@ def build_initial_data(cfg, grid, **params):
 
 
 def _evolution(cfg):
-    sec = _known(_section(cfg, "evolution"), "evolution", ("T", "dt", "sample_every", "norms"))
+    sec = _known(_section(cfg, "evolution"), "evolution", _EVOLUTION_KEYS)
     T = _float("evolution.T", sec.get("T", 1.0))
     dt = _float("evolution.dt", sec.get("dt", 1e-3))
     sample_every = sec.get("sample_every", 50)
@@ -341,6 +346,10 @@ def _experiment(name):
 def run_experiment(name, cfg, out_dir):
     t0 = time.perf_counter()
     run = _experiment(name).run
+    # checked even where the runner does not read them: picard_window reads
+    # no evolution and norm_inflation no grid
+    _known(_section(cfg, "grid"), "grid", _GRID_KEYS)
+    _known(_section(cfg, "evolution"), "evolution", _EVOLUTION_KEYS)
     exp = {k: v for k, v in _section(cfg, "experiment").items() if k != "name"}
     report = run(cfg, exp)
     runtime = time.perf_counter() - t0

@@ -98,20 +98,41 @@ def nonlinear_coeffs(coeffs, grid, spec):
     return out
 
 
+def _mass(u, us, dx):
+    return complex(np.sum(u * us) * dx)
+
+
+def _energy(u, us, du, dus, alpha, dx):
+    integrand = du * dus + (alpha / 2.0) * (u * us) ** 2
+    return complex(np.sum(integrand) * dx)
+
+
+def _samples(coeffs, grid):
+    """Samples of u, u*, du and (du)* for the coefficients ``coeffs``, in one inverse FFT."""
+    dc = coeffs * derivative_symbol(grid)
+    return product_plan(grid, 1).samples(np.stack([coeffs, np.conj(coeffs), dc, np.conj(dc)]))
+
+
 def mass(fld):
     """M(u) = int u(x) u*(x) dx, complex-valued in general."""
     plan, c = product_plan(fld.grid, 1), fld.coeffs
-    return complex(np.sum(plan.samples(c) * plan.samples(np.conj(c))) * fld.grid.dx)
+    return _mass(plan.samples(c), plan.samples(np.conj(c)), fld.grid.dx)
 
 
 def energy(fld, alpha):
     """E(u) = int (du)(du)* + (alpha/2) u^2 (u*)^2 dx."""
-    plan, c = product_plan(fld.grid, 1), fld.coeffs
-    dc = c * derivative_symbol(fld.grid)
-    du_s, dus_s = plan.samples(dc), plan.samples(np.conj(dc))
-    u, us = plan.samples(c), plan.samples(np.conj(c))
-    integrand = du_s * dus_s + (alpha / 2.0) * (u * us) ** 2
-    return complex(np.sum(integrand) * fld.grid.dx)
+    return _energy(*_samples(fld.coeffs, fld.grid), alpha, fld.grid.dx)
+
+
+def mass_energy_coeffs(coeffs, grid, alpha):
+    """``[(mass, energy)]`` of each row of the raw ``(batch, n_modes)`` coefficients.
+
+    One inverse FFT transforms u, u*, du and (du)* of every row, and each
+    pair has the bits of :func:`mass` and :func:`energy` of its row.
+    """
+    dx = grid.dx
+    return [(_mass(u, us, dx), _energy(u, us, du, dus, alpha, dx))
+            for u, us, du, dus in zip(*_samples(coeffs, grid))]
 
 
 def support_leakage(fld, eps0):

@@ -1,10 +1,16 @@
 """Two independent time-evolution engines and trajectory recording.
 
 The workhorse stepper is a classical integrating-factor (Lawson) RK4 on the
-Fourier coefficients.  A completely separate engine iterates the Duhamel
-integral formulation with composite-Simpson quadrature in time; the two
-discretization families share no code beyond the right-hand sides, so their
-agreement is a genuine cross-check.
+Fourier coefficients.  ``step``, ``solve`` and ``solve_batch`` share one
+stage function on raw coefficient arrays: ``solve_batch`` steps a family of
+fields on one grid as the rows of one array, each row rounds exactly as its
+own solve, and a row that blows up is dropped while the others go on.  A
+``SpectralField`` and its diagnostics are built only for recorded samples.
+
+A completely separate engine iterates the Duhamel integral formulation with
+composite-Simpson quadrature in time; the two discretization families share
+no code beyond the right-hand sides, so their agreement is a genuine
+cross-check.
 
 The Duhamel quadrature is scipy's cumulative composite Simpson rule for
 unequal intervals, rebuilt here: its coefficients depend only on the time
@@ -25,8 +31,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .equations import energy, mass, nonlinear_coeffs, support_leakage
-from .grid import SpectralField
+from .equations import mass_energy_coeffs, nonlinear_coeffs, support_leakage
+from .grid import GridMismatchError, SpectralField
 from .spaces import esigma_norm
 
 CFL_LIMIT = 50.0  # guard on dt * xi_max^2 for the nonlinear substep
@@ -61,33 +67,49 @@ def _lawson_phases(grid, dt):
     return half, full
 
 
-def step(fld, dt, spec):
-    """One Lawson-RK4 step of u_t = i u_xx + i N(u); local error O(dt^5)."""
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    grid = fld.grid
+def _check_cfl(dt, grid):
     if dt * grid.xi_max ** 2 > CFL_LIMIT:
         raise ValueError(
             "dt * xi_max^2 = %.3g exceeds the guard %.0f"
             % (dt * grid.xi_max ** 2, CFL_LIMIT)
         )
-    half, full = _lawson_phases(grid, dt)
+
+
+def _lawson(w, dt, phases, grid, spec):
+    """One Lawson-RK4 step of the raw rows ``w``, with ``phases = _lawson_phases(grid, dt)``.
+
+    ``w`` is ``(n_modes,)`` or ``(batch, n_modes)``, and each row rounds as
+    it would alone.  A row that overflows comes back non-finite; the caller
+    checks.
+    """
+    half, full = phases
 
     def nl(coeffs):
         return 1j * nonlinear_coeffs(coeffs, grid, spec)
 
     # interaction picture: g(tau, w) = e^{-tau L} N(e^{tau L} w)
-    w = fld.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = nl(w)
-        a = half * (w + (dt / 2.0) * k1)
+        # bound to a name: numpy would multiply a temporary of 256 KiB or more
+        # in place, as it * half, and that is not bitwise half * it
+        mid = w + (dt / 2.0) * k1
+        a = half * mid
         k2 = nl(a) / half
         b = half * w + (dt / 2.0) * half * k2
         k3 = nl(b) / half
         c = full * w + dt * full * k3
         k4 = nl(c) / full
         w_new = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        out = full * w_new
+        return full * w_new
+
+
+def step(fld, dt, spec):
+    """One Lawson-RK4 step of u_t = i u_xx + i N(u); local error O(dt^5)."""
+    if not (dt > 0):
+        raise ValueError("dt must be positive")
+    grid = fld.grid
+    _check_cfl(dt, grid)
+    out = _lawson(fld.coeffs, dt, _lawson_phases(grid, dt), grid, spec)
     if not np.all(np.isfinite(out)):
         raise BlowUpError("non-finite coefficients after step")
     return SpectralField(grid, out)
@@ -113,22 +135,37 @@ def norm_key(s, sigma):
     return "esigma(%g,%g)" % (s, sigma)
 
 
-def _diagnostics(fld, spec, eps0, norm_params):
-    d = {
-        "mass": mass(fld),
-        "energy": energy(fld, spec.alpha),
-        "leakage": support_leakage(fld, eps0),
-    }
-    for s, sigma in norm_params:
-        d[norm_key(s, sigma)] = esigma_norm(fld, s, sigma)
-    return d
+def _record(trajs, t, states, w, spec, eps0, norm_params):
+    """Append time ``t``, ``states`` and their diagnostics to ``trajs``, one each.
+
+    ``w`` stacks the coefficients of ``states``; the mass and energy of every
+    row come from one inverse transform.
+    """
+    pairs = mass_energy_coeffs(w, states[0].grid, spec.alpha)
+    for traj, fld, (m, e) in zip(trajs, states, pairs):
+        d = {"mass": m, "energy": e, "leakage": support_leakage(fld, eps0)}
+        for s, sigma in norm_params:
+            d[norm_key(s, sigma)] = esigma_norm(fld, s, sigma)
+        traj.times.append(t)
+        traj.states.append(fld)
+        traj.diagnostics.append(d)
 
 
 def solve(u0, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
-    """Repeatedly step from u0 to time T, recording sampled diagnostics.
+    """Step u0 to time T, recording sampled diagnostics: ``solve_batch([u0], ...)[0]``."""
+    return solve_batch([u0], T, dt, spec, sample_every, eps0, norm_params)[0]
 
-    When T is not a whole number of steps dt (to 1e-9 relative), a final
-    shortened step ends the trajectory exactly at T.
+
+def solve_batch(fields, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
+    """Step fields that share a grid from 0 to T together; one Trajectory per field.
+
+    The fields are stacked into a ``(k, n_modes)`` array and stepped by the
+    Lawson stage function that ``step`` calls, so each row rounds exactly as
+    its own solve.  Time 0, every ``sample_every``-th step and T are
+    recorded.  When T is not a whole number of steps dt (to 1e-9 relative),
+    a final shortened step ends the trajectories exactly at T.  A row that
+    goes non-finite is marked ``blown_up`` at the end of that step and
+    dropped; the other rows go on.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive, got %r" % (dt,))
@@ -139,30 +176,43 @@ def solve(u0, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
     norm_params = tuple((s, sigma) for s, sigma in norm_params)
     if len({norm_key(*p) for p in norm_params}) < len(norm_params):
         raise ValueError("norm_params %r repeat a diagnostics key" % (norm_params,))
-    traj = Trajectory([0.0], [u0], [_diagnostics(u0, spec, eps0, norm_params)],
-                      norm_params=norm_params)
+    fields = list(fields)
+    if not fields:
+        raise ValueError("solve_batch needs at least one field")
+    grid = fields[0].grid
+    if any(f.grid != grid for f in fields):
+        raise GridMismatchError("fields live on different grids")
+    trajs = [Trajectory([], [], [], norm_params=norm_params) for _ in fields]
+    w = np.stack([f.coeffs for f in fields])
+    _record(trajs, 0.0, fields, w, spec, eps0, norm_params)
     if T == 0:
-        return traj
+        return trajs
+    _check_cfl(dt, grid)
     n_full = int(round(T / dt))
     n_steps = n_full
     if abs(T / dt - n_full) > 1e-9 * (T / dt):
         n_full = int(T // dt)
         n_steps = n_full + 1
-    u, t = u0, 0.0
+    live = trajs  # the trajectory of each row of w
+    t = 0.0
     for i in range(1, n_steps + 1):
         h, t_next = (dt, i * dt) if i <= n_full else (T - n_full * dt, T)
-        try:
-            u = step(u, h, spec)
-        except BlowUpError:
-            traj.blown_up = True
-            traj.blowup_time = t + h
-            return traj
+        w = _lawson(w, h, _lawson_phases(grid, h), grid, spec)
+        finite = np.isfinite(w).all(axis=1)
+        if not finite.all():
+            for traj, ok in zip(live, finite):
+                if not ok:
+                    traj.blown_up = True
+                    traj.blowup_time = t + h
+            live = [traj for traj, ok in zip(live, finite) if ok]
+            if not live:
+                break
+            w = w[finite]
         t = t_next
         if i % sample_every == 0 or i == n_steps:
-            traj.times.append(t)
-            traj.states.append(u)
-            traj.diagnostics.append(_diagnostics(u, spec, eps0, norm_params))
-    return traj
+            _record(live, t, [SpectralField(grid, row) for row in w], w, spec, eps0,
+                    norm_params)
+    return trajs
 
 
 @dataclass

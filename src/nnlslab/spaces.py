@@ -14,6 +14,7 @@ points, with every chirp phase reduced exactly in integers.
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 
 import numpy as np
@@ -31,15 +32,22 @@ def _weights(xi, s, sigma):
     return np.exp(arg)
 
 
+@functools.lru_cache(maxsize=64)
+def _grid_weights(grid, s, sigma):
+    """The read-only ``_weights`` of ``grid``'s frequencies, computed once per (grid, s, sigma)."""
+    w = _weights(grid.frequencies, s, sigma)
+    w.flags.writeable = False
+    return w
+
+
 def esigma_norm(fld, s, sigma):
     """Exponentially weighted spectral norm with parameters (s, sigma)."""
-    xi = fld.grid.frequencies
     if abs(s) * fld.grid.xi_max * _LN2 >= _OVERFLOW_LIMIT:
         raise ValueError(
             "weight 2^(s|xi|) overflows: |s|*xi_max*ln2 = %.3g >= %.0f"
             % (abs(s) * fld.grid.xi_max * _LN2, _OVERFLOW_LIMIT)
         )
-    w = _weights(xi, s, sigma)
+    w = _grid_weights(fld.grid, s, sigma)
     return float(np.sqrt(np.sum(np.abs(w * fld.coeffs) ** 2) * fld.grid.dxi))
 
 
@@ -129,19 +137,30 @@ def dilate(fld, lam):
     return SpectralField(grid, out / lam)
 
 
-def scaling_bound_check(fld, s, sigma, lam, eps0):
-    """Ratio of ||D_lam u|| to the scaling-law bound lam^(-1/2+max(sigma,0)) 2^(s lam eps0/2) ||u||."""
-    if not (lam > 1):
-        raise ValueError("scaling check requires lam > 1")
-    if s > 0:
-        raise ValueError("scaling check requires s <= 0")
+def _check_scaling_data(fld, eps0):
+    """Refuse a zero field and a spectrum that leaks below ``eps0``."""
     # first: support_leakage reads 0 for a zero field
     if spectral_mass(fld) == 0:
         raise ValueError("scaling check requires a nonzero field")
     leakage = support_leakage(fld, eps0)
     if leakage > 1e-10:
         raise ValueError("spectrum not supported in [eps0, inf): leakage %.3g" % leakage)
-    base = esigma_norm(fld, s, sigma)
-    scaled = esigma_norm(dilate(fld, lam), s, sigma)
+
+
+def _scaling_ratio(base, dilated, s, sigma, lam, eps0):
+    """``scaling_bound_check``'s ratio from ``base = esigma_norm(u, s, sigma)`` and
+    ``dilated = dilate(u, lam)``."""
+    scaled = esigma_norm(dilated, s, sigma)
     bound = lam ** (-0.5 + max(sigma, 0.0)) * 2.0 ** (s * lam * eps0 / 2.0) * base
     return scaled / bound
+
+
+def scaling_bound_check(fld, s, sigma, lam, eps0):
+    """Ratio of ||D_lam u|| to the scaling-law bound lam^(-1/2+max(sigma,0)) 2^(s lam eps0/2) ||u||."""
+    if not (lam > 1):
+        raise ValueError("scaling check requires lam > 1")
+    if s > 0:
+        raise ValueError("scaling check requires s <= 0")
+    _check_scaling_data(fld, eps0)
+    base = esigma_norm(fld, s, sigma)
+    return _scaling_ratio(base, dilate(fld, lam), s, sigma, lam, eps0)

@@ -21,6 +21,12 @@ in ``nnlslab.grid``, ``nnlslab.equations``, ``nnlslab.evolve`` and
 ``nnlslab.gauge`` perform the same floating-point operations in the same
 order, so they must agree with these bit for bit.
 
+``reference_solve`` is the Lawson solve of one field as ``nnlslab.evolve.step``
+calls, with each sample's diagnostics from the public ``mass``, ``energy``,
+``support_leakage`` and ``esigma_norm``.  ``nnlslab.evolve.solve_batch``
+steps and measures every member of a batch at once, with the same operations
+on each row, so each of its trajectories must agree with this bit for bit.
+
 ``reference_rhs`` is the full right-hand side i u_xx + i N(u) as a field, with
 N(u) from ``nnlslab.equations.nonlinear_coeffs``; criterion 3 compares two of
 them.
@@ -47,8 +53,16 @@ from fractions import Fraction
 import numpy as np
 from scipy.integrate import cumulative_simpson
 
-from nnlslab.equations import NDNLS, NNLS, nonlinear_coeffs, quintic_coefficient
-from nnlslab.evolve import PicardReport
+from nnlslab.equations import (
+    NDNLS,
+    NNLS,
+    energy,
+    mass,
+    nonlinear_coeffs,
+    quintic_coefficient,
+    support_leakage,
+)
+from nnlslab.evolve import BlowUpError, PicardReport, Trajectory, norm_key, step
 from nnlslab.experiments import _gl, _phase_ratio
 from nnlslab.grid import (
     FrequencyGrid,
@@ -57,7 +71,7 @@ from nnlslab.grid import (
     inverse_transform,
     l2_distance,
 )
-from nnlslab.spaces import _SPARSE_MODE_LIMIT, _support_indices
+from nnlslab.spaces import _SPARSE_MODE_LIMIT, _support_indices, esigma_norm
 
 
 def _signs(n):
@@ -160,6 +174,42 @@ def reference_nonlinear_term(fld, spec):
     if quintic != 0:
         out += quintic * reference_product([fld, fld, fld, us, us]).coeffs
     return SpectralField(fld.grid, out)
+
+
+def _reference_diagnostics(fld, spec, eps0, norm_params):
+    d = {"mass": mass(fld), "energy": energy(fld, spec.alpha),
+         "leakage": support_leakage(fld, eps0)}
+    for s, sigma in norm_params:
+        d[norm_key(s, sigma)] = esigma_norm(fld, s, sigma)
+    return d
+
+
+def reference_solve(u0, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
+    norm_params = tuple(norm_params)
+    traj = Trajectory([0.0], [u0], [_reference_diagnostics(u0, spec, eps0, norm_params)],
+                      norm_params=norm_params)
+    if T == 0:
+        return traj
+    n_full = int(round(T / dt))
+    n_steps = n_full
+    if abs(T / dt - n_full) > 1e-9 * (T / dt):
+        n_full = int(T // dt)
+        n_steps = n_full + 1
+    u, t = u0, 0.0
+    for i in range(1, n_steps + 1):
+        h, t_next = (dt, i * dt) if i <= n_full else (T - n_full * dt, T)
+        try:
+            u = step(u, h, spec)
+        except BlowUpError:
+            traj.blown_up = True
+            traj.blowup_time = t + h
+            return traj
+        t = t_next
+        if i % sample_every == 0 or i == n_steps:
+            traj.times.append(t)
+            traj.states.append(u)
+            traj.diagnostics.append(_reference_diagnostics(u, spec, eps0, norm_params))
+    return traj
 
 
 def reference_rhs(fld, spec):

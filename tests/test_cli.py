@@ -258,6 +258,7 @@ def test_positive_s_scaling_is_exit_2_before_any_solve(tmp_path, capsys, monkeyp
         raise AssertionError("a solve ran")
 
     monkeypatch.setattr(experiments, "solve", no_solve)
+    monkeypatch.setattr(experiments, "solve_batch", no_solve)
     config = os.path.join(CONFIGS, "scaling_global.yaml")
     assert main(["experiment", "scaling_global", "--config", config, "--out", str(tmp_path),
                  "--override", "experiment.s=5"]) == 2
@@ -355,6 +356,37 @@ def test_misspelt_key_is_exit_2(tmp_path, capsys, override, named):
                  "--override", override]) == 2
     assert named in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, override, named", [
+    ("picard_window", "evolution.t=0.01", "unknown key 'evolution.t'"),
+    ("norm_inflation", "grid.lenght=5", "unknown key 'grid.lenght'"),
+    ("norm_inflation", "evolution=5", "key 'evolution' in section 'root' must be a mapping"),
+])
+def test_misspelt_key_of_an_unread_section_is_exit_2(tmp_path, capsys, monkeypatch, name,
+                                                     override, named):
+    # before: picard_window never read evolution and norm_inflation never read
+    # grid, so both ran on and exited 0
+    def no_run(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(experiments, "picard_solve", no_run)
+    monkeypatch.setattr(experiments, "third_derivative_field", no_run)
+    config = os.path.join(CONFIGS, name + ".yaml")
+    out = tmp_path / "out"
+    assert main(["experiment", name, "--config", config, "--out", str(out),
+                 "--override", override]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_valid_key_of_an_unread_section_is_accepted(tmp_path, monkeypatch):
+    # picard_window reads no evolution section, but a valid key there is no error
+    monkeypatch.setattr(experiments, "largest_contracting_time", lambda u0, spec: 1.0)
+    config = os.path.join(CONFIGS, "picard_window.yaml")
+    assert main(["experiment", "picard_window", "--config", config, "--out", str(tmp_path),
+                 "--override", "evolution.T=0.01"]) == 1  # equal windows fit no slope
+    assert (tmp_path / "report.txt").exists()
 
 
 @pytest.mark.parametrize("kind, reads_beta", [("NNLS", False), ("NdNLS", False),

@@ -11,7 +11,12 @@ from hypothesis import strategies as st
 
 import nnlslab
 from conftest import random_field
-from reference import reference_cumulative_simpson, reference_picard_map, reference_picard_solve
+from reference import (
+    reference_cumulative_simpson,
+    reference_picard_map,
+    reference_picard_solve,
+    reference_solve,
+)
 from nnlslab.equations import EquationSpec
 from nnlslab.experiments import make_initial_data
 from nnlslab.evolve import (
@@ -22,10 +27,12 @@ from nnlslab.evolve import (
     cumulative_simpson,
     picard_solve,
     solve,
+    solve_batch,
     step,
 )
 from nnlslab.grid import (
     FrequencyGrid,
+    GridMismatchError,
     SpectralField,
     forward_transform,
     inverse_transform,
@@ -182,6 +189,93 @@ def test_solve_blowup_flag(grid):
     traj = solve(u0, 0.5, 0.01, NNLS)
     assert traj.blown_up
     assert traj.blowup_time is not None and traj.blowup_time <= 0.5
+
+
+BATCH_SPECS = [
+    NNLS,
+    EquationSpec("NdNLS", alpha=1.0),
+    EquationSpec("gNdNLS", alpha=0.8, beta=0.3),
+    EquationSpec("GaugedNdNLS", alpha=1.0),
+    EquationSpec("GaugedGNdNLS", alpha=0.8, beta=0.3, gauged_coefficient_mode="printed"),
+]
+
+
+def diagnostic_bits(d):
+    return {key: (type(value), np.array(value).tobytes()) for key, value in d.items()}
+
+
+def assert_same_trajectory(got, want):
+    assert got.times == want.times
+    assert [u.coeffs.tobytes() for u in got.states] == [u.coeffs.tobytes() for u in want.states]
+    # each mass, energy, leakage and norm bit for bit; a blown-up energy is nan
+    assert [diagnostic_bits(d) for d in got.diagnostics] == [diagnostic_bits(d)
+                                                              for d in want.diagnostics]
+    assert (got.blown_up, got.blowup_time) == (want.blown_up, want.blowup_time)
+    assert got.norm_params == want.norm_params
+
+
+def batch_members(grid, k):
+    # members of different size and shape, none even, so u* differs from conj(u)
+    return [shifted_wave(grid, 0.4 + 0.3 * j) if j % 2 == 0 else random_field(grid, j)
+            for j in range(k)]
+
+
+@pytest.mark.parametrize("n, length, k, T, dt", [
+    (64, 40.0, 1, 0.05, 0.01),  # five whole steps
+    (128, 40.0, 3, 0.047, 0.01),  # four whole steps and a final one of 0.007
+    (256, 40.0, 4, 0.03, 0.004),  # seven whole steps and a final one of 0.002
+    (256, 40.0, 2, 0.0, 0.01),  # no step at all
+    # a row of 16384 modes is 256 KiB, where numpy starts to reuse temporaries
+    (16384, 400.0, 2, 0.005, 0.002),
+])
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.kind)
+def test_solve_batch_matches_one_solve_per_member_bit_for_bit(spec, n, length, k, T, dt):
+    grid = FrequencyGrid(n, length)
+    fields = batch_members(grid, k)
+    options = dict(sample_every=2, eps0=0.5, norm_params=[(-1.0, 0.0), (0.0, 1.0)])
+    trajs = solve_batch(fields, T, dt, spec, **options)
+    assert len(trajs) == k
+    for u0, traj in zip(fields, trajs):
+        want = reference_solve(u0, T, dt, spec, **options)
+        assert not want.blown_up and want.times[-1] == T
+        assert_same_trajectory(traj, want)
+        assert_same_trajectory(solve(u0, T, dt, spec, **options), want)
+
+
+def test_solve_batch_drops_a_blown_up_member_and_steps_the_rest():
+    grid = FrequencyGrid(64, 40.0)
+    # the middle member overflows within a few steps of the coarse dt
+    fields = [shifted_wave(grid, 0.5), even_gaussian(grid, amp=1e150), random_field(grid, 3)]
+    with np.errstate(over="ignore", invalid="ignore"):  # the energy of the large member
+        trajs = solve_batch(fields, 0.5, 0.05, NNLS, sample_every=3)
+        want = [reference_solve(u0, 0.5, 0.05, NNLS, sample_every=3) for u0 in fields]
+        alone = solve(fields[1], 0.5, 0.05, NNLS)
+    assert [t.blown_up for t in trajs] == [False, True, False]
+    assert trajs[1].blowup_time is not None and trajs[1].blowup_time < 0.5
+    for got, ref in zip(trajs + [alone], want + [want[1]]):
+        assert_same_trajectory(got, ref)
+
+
+def test_solve_batch_steps_every_member_in_one_product(fft_log):
+    # NNLS on k = 3 members: each right-hand side is one inverse FFT of the
+    # (u, u*) rows of every member and one forward FFT of the products, and
+    # each recorded sample one inverse FFT of the u, u*, du, (du)* rows
+    grid = FrequencyGrid(64, 40.0)
+    fields = batch_members(grid, 3)
+    fft_log.clear()
+    solve_batch(fields, 0.02, 0.01, NNLS, sample_every=2)
+    sample, rhs = [("ifft", 12)], [("ifft", 6), ("fft", 3)]
+    assert fft_log == sample + 8 * rhs + sample
+
+
+def test_solve_batch_validates_its_members(grid, gaussian):
+    with pytest.raises(ValueError, match="at least one field"):
+        solve_batch([], 0.1, 0.01, NNLS)
+    other = even_gaussian(FrequencyGrid(128, 40.0))
+    with pytest.raises(GridMismatchError):
+        solve_batch([gaussian, other], 0.1, 0.01, NNLS)
+    with pytest.raises(ValueError, match="exceeds the guard"):
+        solve_batch([gaussian], 1.0, 1.0, NNLS)
 
 
 @pytest.mark.parametrize("kind", ["NNLS", "NdNLS", "GaugedNdNLS"])

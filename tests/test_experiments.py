@@ -20,8 +20,9 @@ from nnlslab.experiments import (
     make_initial_data,
     third_derivative_field,
 )
+from nnlslab.evolve import solve_batch
 from nnlslab.grid import FrequencyGrid, inverse_transform
-from nnlslab.spaces import esigma_norm
+from nnlslab.spaces import dilate, esigma_norm
 
 
 def test_two_bump_profile():
@@ -298,9 +299,45 @@ def test_scaling_refuses_bad_values_before_any_solve(grid, monkeypatch, s, sigma
         raise AssertionError("a solve ran")
 
     monkeypatch.setattr(experiments, "solve", no_solve)
+    monkeypatch.setattr(experiments, "solve_batch", no_solve)
     u0 = make_initial_data("modulated_gaussian", grid, amplitude=1.0, width=2.0, carrier=4.5)
     with pytest.raises(ValueError, match=message):
         exp_scaling_global(u0, s, sigma, eps0, lambdas)
+
+
+def criterion_5_data():
+    g = FrequencyGrid(1024, 40.0)
+    return make_initial_data("modulated_gaussian", g, amplitude=1.0, width=2.0, carrier=4.5)
+
+
+def test_scaling_dilates_each_factor_once(monkeypatch):
+    # before: 7 dilations for the ratios, the solves and the L2 identity check
+    calls = []
+
+    def counting(fld, lam):
+        calls.append(lam)
+        return dilate(fld, lam)
+
+    monkeypatch.setattr(experiments, "dilate", counting)
+    rep = exp_scaling_global(criterion_5_data(), -1.0, 0.5, 1.0, [1, 2, 4, 8], T_max=0.02)
+    assert sorted(calls) == [2, 4, 8]
+    assert sorted(rep.measurements["ratios"]) == [2, 4, 8]
+
+
+def test_scaling_solves_each_horizon_as_one_batch(grid, monkeypatch):
+    batches = []
+
+    def recording(fields, T, *args, **kwargs):
+        batches.append((len(fields), T))
+        return solve_batch(fields, T, *args, **kwargs)
+
+    monkeypatch.setattr(experiments, "solve_batch", recording)
+    u0 = make_initial_data("modulated_gaussian", grid, amplitude=1.0, width=2.0, carrier=4.5)
+    # horizon min(T_max, 2^sqrt(lam)): 1.63 for lam = 0.5 and 1.8 for lam = 1
+    # and 2, the 2 listed twice and solved once
+    rep = exp_scaling_global(u0, -1.0, 0.5, 1.0, [0.5, 1, 2, 2.0], T_max=1.8, dt=0.05)
+    assert batches == [(1, 2.0 ** np.sqrt(0.5)), (2, 1.8)]
+    assert rep.measurements["skipped"] == ()
 
 
 def test_largest_contracting_time_monotone_in_amplitude(grid):

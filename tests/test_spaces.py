@@ -67,6 +67,29 @@ def test_esigma_overflow_guard():
         esigma_norm(f, 12.0, 0.0)
 
 
+@pytest.mark.parametrize("n, length, s, sigma", [(256, 40.0, -1.0, 0.5), (1024, 80.0, 0.0, 1.0),
+                                                (4096, 80.0, -4.0, 0.5)])
+def test_esigma_weights_are_cached_read_only_and_bit_for_bit(n, length, s, sigma):
+    g = FrequencyGrid(n, length)
+    w = spaces._grid_weights(g, s, sigma)
+    assert not w.flags.writeable
+    assert w.tobytes() == spaces._weights(g.frequencies, s, sigma).tobytes()
+    assert spaces._grid_weights(FrequencyGrid(n, length), s, sigma) is w  # an equal grid hits
+    f = gaussian_hat(g)
+    fresh = spaces._weights(g.frequencies, s, sigma)
+    assert esigma_norm(f, s, sigma) == float(np.sqrt(np.sum(np.abs(fresh * f.coeffs) ** 2) * g.dxi))
+
+
+def test_esigma_overflow_guard_runs_before_the_weight_cache(monkeypatch):
+    def no_weights(*args):
+        raise AssertionError("the weights were looked up")
+
+    monkeypatch.setattr(spaces, "_grid_weights", no_weights)
+    f = gaussian_hat(FrequencyGrid(256, 4.0))  # xi_max ~ 100
+    with pytest.raises(ValueError, match="overflows"):
+        esigma_norm(f, 12.0, 0.0)
+
+
 def test_dilate_identity(grid, gaussian):
     same = dilate(gaussian, 1.0)
     assert np.array_equal(same.coeffs, gaussian.coeffs)
