@@ -7,19 +7,15 @@ from .equations import (
     NDNLS,
     NNLS,
     EquationSpec,
-    energy,
-    mass,
     quintic_coefficient,
     support_leakage,
 )
 from .evolve import (
-    BlowUpError,
     PicardReport,
     Trajectory,
     picard_solve,
     solve,
     solve_batch,
-    step,
 )
 from .experiments import (
     ExperimentReport,
@@ -33,7 +29,7 @@ from .experiments import (
     make_initial_data,
     third_derivative_field,
 )
-from .gauge import gauge_forward, gauge_taylor
+from .gauge import gauge_forward
 from .grid import (
     EndpointDecayWarning,
     FrequencyGrid,

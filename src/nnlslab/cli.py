@@ -23,7 +23,7 @@ import time
 
 import yaml
 
-from .equations import EquationSpec, GAUGED_GNDNLS, GNDNLS, KINDS, NDNLS, NNLS, energy, mass
+from .equations import EquationSpec, GAUGED_GNDNLS, GNDNLS, KINDS, NDNLS, NNLS
 from .evolve import norm_key, solve
 from .experiments import (
     DATA_KINDS,
@@ -371,8 +371,8 @@ def cmd_solve(cfg, out_dir):
     write_report(os.path.join(out_dir, "report.txt"), {
         "blown_up": traj.blown_up,
         "final_time": traj.times[-1],
-        "final_mass_re": mass(traj.states[-1]).real,
-        "final_energy_re": energy(traj.states[-1], spec.alpha).real,
+        "final_mass_re": traj.diagnostics[-1]["mass"].real,
+        "final_energy_re": traj.diagnostics[-1]["energy"].real,
     })
     return 0 if not traj.blown_up else 1
 

@@ -1,4 +1,4 @@
-"""Right-hand sides of the five evolution equations and conserved functionals.
+"""Right-hand sides of the five evolution equations and their conserved functionals.
 
 All equations are stored in evolution form
 
@@ -6,6 +6,8 @@ All equations are stored in evolution form
 
 with the nonlocal conjugate u*(x) = conj(u(-x)) entering every nonlinearity.
 Products are dealiased by zero padding and derivatives are spectral.
+``nonlinear_coeffs`` gives N(u) and ``mass_energy_coeffs`` the mass and
+energy, both on raw coefficient arrays, one field or a batch of rows.
 """
 
 from __future__ import annotations
@@ -98,41 +100,21 @@ def nonlinear_coeffs(coeffs, grid, spec):
     return out
 
 
-def _mass(u, us, dx):
-    return complex(np.sum(u * us) * dx)
-
-
-def _energy(u, us, du, dus, alpha, dx):
-    integrand = du * dus + (alpha / 2.0) * (u * us) ** 2
-    return complex(np.sum(integrand) * dx)
-
-
-def _samples(coeffs, grid):
-    """Samples of u, u*, du and (du)* for the coefficients ``coeffs``, in one inverse FFT."""
-    dc = coeffs * derivative_symbol(grid)
-    return product_plan(grid, 1).samples(np.stack([coeffs, np.conj(coeffs), dc, np.conj(dc)]))
-
-
-def mass(fld):
-    """M(u) = int u(x) u*(x) dx, complex-valued in general."""
-    plan, c = product_plan(fld.grid, 1), fld.coeffs
-    return _mass(plan.samples(c), plan.samples(np.conj(c)), fld.grid.dx)
-
-
-def energy(fld, alpha):
-    """E(u) = int (du)(du)* + (alpha/2) u^2 (u*)^2 dx."""
-    return _energy(*_samples(fld.coeffs, fld.grid), alpha, fld.grid.dx)
-
-
 def mass_energy_coeffs(coeffs, grid, alpha):
     """``[(mass, energy)]`` of each row of the raw ``(batch, n_modes)`` coefficients.
 
-    One inverse FFT transforms u, u*, du and (du)* of every row, and each
-    pair has the bits of :func:`mass` and :func:`energy` of its row.
+    M(u) = int u u* dx, complex-valued in general, and
+    E(u) = int (du)(du)* + (alpha/2) u^2 (u*)^2 dx.  One inverse FFT
+    transforms u, u*, du and (du)* of every row.
     """
     dx = grid.dx
-    return [(_mass(u, us, dx), _energy(u, us, du, dus, alpha, dx))
-            for u, us, du, dus in zip(*_samples(coeffs, grid))]
+    dc = coeffs * derivative_symbol(grid)
+    samples = product_plan(grid, 1).samples(np.stack([coeffs, np.conj(coeffs), dc, np.conj(dc)]))
+    out = []
+    for u, us, du, dus in zip(*samples):
+        integrand = du * dus + (alpha / 2.0) * (u * us) ** 2
+        out.append((complex(np.sum(u * us) * dx), complex(np.sum(integrand) * dx)))
+    return out
 
 
 def support_leakage(fld, eps0):

@@ -1,11 +1,11 @@
 """Two independent time-evolution engines and trajectory recording.
 
 The workhorse stepper is a classical integrating-factor (Lawson) RK4 on the
-Fourier coefficients.  ``step``, ``solve`` and ``solve_batch`` share one
-stage function on raw coefficient arrays: ``solve_batch`` steps a family of
-fields on one grid as the rows of one array, each row rounds exactly as its
-own solve, and a row that blows up is dropped while the others go on.  A
-``SpectralField`` and its diagnostics are built only for recorded samples.
+Fourier coefficients, run by ``solve_batch`` on raw coefficient arrays: it
+steps a family of fields on one grid as the rows of one array, each row
+rounds exactly as its own solve, and a row that blows up is dropped while the
+others go on.  ``solve`` is the batch of one.  A ``SpectralField`` and its
+diagnostics are built only for recorded samples.
 
 A completely separate engine iterates the Duhamel integral formulation with
 composite-Simpson quadrature in time; the two discretization families share
@@ -38,10 +38,6 @@ from .spaces import esigma_norm
 CFL_LIMIT = 50.0  # guard on dt * xi_max^2 for the nonlinear substep
 
 
-class BlowUpError(RuntimeError):
-    """Raised when a step produces non-finite coefficients."""
-
-
 def _free_phase(grid, t):
     """The free-flow symbol e^{-i t xi^2}; an array ``t`` of shape (k, 1) gives k rows.
 
@@ -65,14 +61,6 @@ def _lawson_phases(grid, dt):
     half.flags.writeable = False
     full.flags.writeable = False
     return half, full
-
-
-def _check_cfl(dt, grid):
-    if dt * grid.xi_max ** 2 > CFL_LIMIT:
-        raise ValueError(
-            "dt * xi_max^2 = %.3g exceeds the guard %.0f"
-            % (dt * grid.xi_max ** 2, CFL_LIMIT)
-        )
 
 
 def _lawson(w, dt, phases, grid, spec):
@@ -101,18 +89,6 @@ def _lawson(w, dt, phases, grid, spec):
         k4 = nl(c) / full
         w_new = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return full * w_new
-
-
-def step(fld, dt, spec):
-    """One Lawson-RK4 step of u_t = i u_xx + i N(u); local error O(dt^5)."""
-    if not (dt > 0):
-        raise ValueError("dt must be positive")
-    grid = fld.grid
-    _check_cfl(dt, grid)
-    out = _lawson(fld.coeffs, dt, _lawson_phases(grid, dt), grid, spec)
-    if not np.all(np.isfinite(out)):
-        raise BlowUpError("non-finite coefficients after step")
-    return SpectralField(grid, out)
 
 
 @dataclass
@@ -160,9 +136,9 @@ def solve_batch(fields, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
     """Step fields that share a grid from 0 to T together; one Trajectory per field.
 
     The fields are stacked into a ``(k, n_modes)`` array and stepped by the
-    Lawson stage function that ``step`` calls, so each row rounds exactly as
-    its own solve.  Time 0, every ``sample_every``-th step and T are
-    recorded.  When T is not a whole number of steps dt (to 1e-9 relative),
+    Lawson-RK4 stage function (local error O(dt^5)), so each row rounds
+    exactly as its own solve.  Time 0, every ``sample_every``-th step and T
+    are recorded.  When T is not a whole number of steps dt (to 1e-9 relative),
     a final shortened step ends the trajectories exactly at T.  A row that
     goes non-finite is marked ``blown_up`` at the end of that step and
     dropped; the other rows go on.
@@ -187,7 +163,9 @@ def solve_batch(fields, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
     _record(trajs, 0.0, fields, w, spec, eps0, norm_params)
     if T == 0:
         return trajs
-    _check_cfl(dt, grid)
+    if dt * grid.xi_max ** 2 > CFL_LIMIT:
+        raise ValueError("dt * xi_max^2 = %.3g exceeds the guard %.0f"
+                         % (dt * grid.xi_max ** 2, CFL_LIMIT))
     n_full = int(round(T / dt))
     n_steps = n_full
     if abs(T / dt - n_full) > 1e-9 * (T / dt):
@@ -222,7 +200,6 @@ class PicardReport:
     iterates_distances: list = field(default_factory=list)
     contraction_ratios: list = field(default_factory=list)
     converged: bool = False
-    T_used: float = 0.0
 
 
 def _simpson_coefficients(dx):
@@ -331,7 +308,7 @@ def picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
     # the free flow, c0 first, as in the tests' node-by-node reference: a
     # complex product is not bitwise commutative
     current = c0 * minus
-    report = PicardReport(T_used=T)
+    report = PicardReport()
     growth_streak = 0
     for _ in range(n_iter):
         with np.errstate(over="ignore", invalid="ignore"):

@@ -50,8 +50,8 @@ class FrequencyGrid:
     def __post_init__(self):
         if self.n_modes < 8 or self.n_modes % 2 != 0:
             raise ValueError("n_modes must be even and >= 8, got %r" % (self.n_modes,))
-        if not (self.length > 0):
-            raise ValueError("length must be positive, got %r" % (self.length,))
+        if not (0 < self.length < np.inf):
+            raise ValueError("length must be finite and positive, got %r" % (self.length,))
 
     def __getstate__(self):
         # drop the cached frequencies: a copy recomputes them read-only, where

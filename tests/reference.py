@@ -7,7 +7,9 @@ without running it; the two must agree bit for bit.
 
 ``reference_mass`` and ``reference_energy`` build the diagnostics from
 validated fields: the derivative, the nonlocal conjugate and one reference
-inverse transform per factor.
+inverse transform per factor.  ``nnlslab.equations.mass_energy_coeffs``
+transforms every factor of a batch at once, so each of its rows must agree
+with these bit for bit.
 
 ``reference_product`` embeds every factor in a freshly built fine grid,
 transforms each factor separately with the reference transforms and crops
@@ -15,17 +17,22 @@ the forward transform of the product; ``reference_nonlinear_term`` builds
 every right-hand side from it, kind by kind.  ``reference_picard_map`` and
 ``reference_picard_solve`` are the Duhamel/Picard engine node by node, one
 validated field per node.  ``reference_gauge_forward`` and
-``reference_gauge_taylor`` build the gauge transform and its series from
-validated fields and ``reference_product``.  The planned and batched kernels
-in ``nnlslab.grid``, ``nnlslab.equations``, ``nnlslab.evolve`` and
-``nnlslab.gauge`` perform the same floating-point operations in the same
-order, so they must agree with these bit for bit.
+``reference_gauge_taylor`` build the gauge transform and its truncated
+Taylor series from validated fields and ``reference_product``; the series,
+which the library does not carry, is criterion 8's independent oracle for
+the exponential form.  The planned and batched kernels in ``nnlslab.grid``,
+``nnlslab.equations``, ``nnlslab.evolve`` and ``nnlslab.gauge`` perform the
+same floating-point operations in the same order, so they must agree with
+these bit for bit.
 
-``reference_solve`` is the Lawson solve of one field as ``nnlslab.evolve.step``
-calls, with each sample's diagnostics from the public ``mass``, ``energy``,
-``support_leakage`` and ``esigma_norm``.  ``nnlslab.evolve.solve_batch``
-steps and measures every member of a batch at once, with the same operations
-on each row, so each of its trajectories must agree with this bit for bit.
+``reference_step`` is one Lawson-RK4 step of one validated field through the
+stage function ``nnlslab.evolve._lawson``, raising ``FloatingPointError``
+when the result is not finite.  ``reference_solve`` is the Lawson solve of
+one field, one ``reference_step`` at a time, with each sample's diagnostics
+from ``reference_mass``, ``reference_energy``, ``support_leakage`` and
+``esigma_norm``.  ``nnlslab.evolve.solve_batch`` steps and measures every
+member of a batch at once, with the same operations on each row, so each of
+its trajectories must agree with this bit for bit.
 
 ``reference_rhs`` is the full right-hand side i u_xx + i N(u) as a field, with
 N(u) from ``nnlslab.equations.nonlinear_coeffs``; criterion 3 compares two of
@@ -56,13 +63,11 @@ from scipy.integrate import cumulative_simpson
 from nnlslab.equations import (
     NDNLS,
     NNLS,
-    energy,
-    mass,
     nonlinear_coeffs,
     quintic_coefficient,
     support_leakage,
 )
-from nnlslab.evolve import BlowUpError, PicardReport, Trajectory, norm_key, step
+from nnlslab.evolve import PicardReport, Trajectory, _lawson, _lawson_phases, norm_key
 from nnlslab.experiments import _gl, _phase_ratio
 from nnlslab.grid import (
     FrequencyGrid,
@@ -177,11 +182,18 @@ def reference_nonlinear_term(fld, spec):
 
 
 def _reference_diagnostics(fld, spec, eps0, norm_params):
-    d = {"mass": mass(fld), "energy": energy(fld, spec.alpha),
+    d = {"mass": reference_mass(fld), "energy": reference_energy(fld, spec.alpha),
          "leakage": support_leakage(fld, eps0)}
     for s, sigma in norm_params:
         d[norm_key(s, sigma)] = esigma_norm(fld, s, sigma)
     return d
+
+
+def reference_step(fld, dt, spec):
+    out = _lawson(fld.coeffs, dt, _lawson_phases(fld.grid, dt), fld.grid, spec)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("non-finite coefficients after step")
+    return SpectralField(fld.grid, out)
 
 
 def reference_solve(u0, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
@@ -199,8 +211,8 @@ def reference_solve(u0, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
     for i in range(1, n_steps + 1):
         h, t_next = (dt, i * dt) if i <= n_full else (T - n_full * dt, T)
         try:
-            u = step(u, h, spec)
-        except BlowUpError:
+            u = reference_step(u, h, spec)
+        except FloatingPointError:
             traj.blown_up = True
             traj.blowup_time = t + h
             return traj
@@ -280,7 +292,7 @@ def reference_picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
     # the free flow, coefficients first: a complex product is not bitwise
     # commutative, and picard_solve multiplies in this order
     current = [SpectralField(u0.grid, u0.coeffs * np.exp(-1j * t * xi ** 2)) for t in times]
-    report = PicardReport(T_used=T)
+    report = PicardReport()
     growth_streak = 0
     for _ in range(n_iter):
         try:

@@ -147,6 +147,38 @@ def test_solve_report_keys(tmp_path):
     assert lines["blown_up"] == "False" and float(lines["final_time"]) == 0.1
 
 
+@pytest.mark.parametrize("amplitude, code", [("1.0", 0), ("1.0e+150", 1)])
+def test_solve_report_repeats_the_last_timeseries_row(tmp_path, amplitude, code):
+    # the final mass and energy are those of the last recorded sample, also
+    # when the solve blew up and that sample is the last finite state
+    path = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", "--config", path, "--out", str(out),
+                     "--override", "initial_data.params.amplitude=" + amplitude]) == code
+    lines = dict(l.split("=", 1) for l in (out / "report.txt").read_text().splitlines())
+    with open(out / "timeseries.csv") as fh:
+        rows = list(csv.reader(fh))
+    last = dict(zip(rows[0], rows[-1]))
+    assert lines["blown_up"] == str(code == 1)
+    assert lines["final_time"] == last["t"]
+    assert (lines["final_mass_re"], lines["final_energy_re"]) == (last["Re M"], last["Re E"])
+
+
+@pytest.mark.parametrize("command", [["solve"], ["experiment", "conservation"],
+                                     ["experiment", "support_invariance"]])
+@pytest.mark.parametrize("length", [".inf", ".nan"])
+def test_non_finite_grid_length_is_exit_2(tmp_path, capsys, command, length):
+    # a bad length is refused as input, not reported as a numerical failure
+    # (exit 1) or blamed on the coefficients it makes non-finite
+    path = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    assert main(command + ["--config", path, "--out", str(out),
+                           "--override", "grid.length=" + length]) == 2
+    assert "length must be finite and positive" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_timeseries_has_one_column_per_recorded_norm(tmp_path):
     grid = build_grid(BASE_CFG)
     u0 = build_initial_data(BASE_CFG, grid)

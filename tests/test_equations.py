@@ -19,8 +19,7 @@ from nnlslab.equations import (
     COEFFICIENT_MODES,
     KINDS,
     EquationSpec,
-    energy,
-    mass,
+    mass_energy_coeffs,
     nonlinear_coeffs,
     quintic_coefficient,
     support_leakage,
@@ -155,22 +154,30 @@ def test_nonlinear_coeffs_defined_for_all_kinds(grid):
         assert np.all(np.isfinite(out))
 
 
+def mass_of(f):
+    return mass_energy_coeffs(f.coeffs[None], f.grid, 1.0)[0][0]
+
+
+def energy_of(f, alpha):
+    return mass_energy_coeffs(f.coeffs[None], f.grid, alpha)[0][1]
+
+
 def test_mass_gaussian_oracle(grid):
     x = grid.points
     f = forward_transform(np.exp(-x * x / 2.0).astype(complex), grid)
     # for real even data the pairing is the plain L^2 mass: int e^{-x^2} = sqrt(pi)
-    assert abs(mass(f) - np.sqrt(np.pi)) <= 1e-12
+    assert abs(mass_of(f) - np.sqrt(np.pi)) <= 1e-12
 
 
 def test_mass_real_but_not_sign_definite(grid):
     # substituting x -> -x conjugates the pairing, so M is always real,
     # but odd data makes it negative
     f = random_field(grid, 13, decay=2.0)
-    m = mass(f)
+    m = mass_of(f)
     assert abs(m.imag) <= 1e-12 * abs(m)
     x = grid.points
     odd = forward_transform((x * np.exp(-x * x)).astype(complex), grid)
-    assert mass(odd).real < 0
+    assert mass_of(odd).real < 0
 
 
 def test_energy_gaussian_oracle(grid):
@@ -179,17 +186,18 @@ def test_energy_gaussian_oracle(grid):
     # (du)* = -du for real even u, so the kinetic part enters with a minus sign:
     # -sqrt(pi)/2 + (alpha/2) sqrt(pi/2) with alpha = 2
     oracle = 0.36708721186274174
-    assert abs(energy(f, 2.0) - oracle) <= 1e-12
+    assert abs(energy_of(f, 2.0) - oracle) <= 1e-12
 
 
 @pytest.mark.parametrize("n", [8, 10, 62, 256, 4096])
 def test_diagnostics_match_reference_bit_for_bit(n):
+    # one field alone and three as the rows of one batch
     g = FrequencyGrid(n, 30.0)
-    for seed in range(3):
-        f = random_field(g, seed)
-        assert mass(f) == reference_mass(f)
-        for alpha in (1.0, -2.5):
-            assert energy(f, alpha) == reference_energy(f, alpha)
+    fields = [random_field(g, seed) for seed in range(3)]
+    for alpha in (1.0, -2.5):
+        want = [(reference_mass(f), reference_energy(f, alpha)) for f in fields]
+        assert mass_energy_coeffs(fields[0].coeffs[None], g, alpha) == want[:1]
+        assert mass_energy_coeffs(np.stack([f.coeffs for f in fields]), g, alpha) == want
 
 
 def test_support_leakage(grid):

@@ -16,6 +16,7 @@ from reference import (
     reference_picard_map,
     reference_picard_solve,
     reference_solve,
+    reference_step,
 )
 from nnlslab.equations import EquationSpec
 from nnlslab.experiments import make_initial_data
@@ -28,7 +29,6 @@ from nnlslab.evolve import (
     picard_solve,
     solve,
     solve_batch,
-    step,
 )
 from nnlslab.grid import (
     FrequencyGrid,
@@ -65,34 +65,16 @@ def test_free_flow_group(grid, gaussian):
     assert np.max(np.abs(a - b)) <= 1e-13
 
 
-def test_step_validation(grid, gaussian):
-    with pytest.raises(ValueError):
-        step(gaussian, -0.1, NNLS)
-    with pytest.raises(ValueError):
-        step(gaussian, 1.0, NNLS)  # dt * xi_max^2 far beyond the guard
+def test_solve_cfl_guard(grid, gaussian):
+    with pytest.raises(ValueError, match="exceeds the guard"):
+        solve(gaussian, 1.0, 1.0, NNLS)  # dt * xi_max^2 far beyond the guard
 
 
 def test_step_free_equation_is_exact(grid, gaussian):
     dt = 0.01
-    got = step(gaussian, dt, FREE)
+    got = solve(gaussian, dt, dt, FREE).states[-1]
     exact = gaussian.coeffs * _free_phase(grid, dt)
     assert np.max(np.abs(got.coeffs - exact)) <= 1e-14 * np.max(np.abs(exact))
-
-
-def test_step_convergence_order(grid):
-    u0 = even_gaussian(grid)
-    T = 0.1
-
-    def run(dt):
-        u = u0
-        for _ in range(int(round(T / dt))):
-            u = step(u, dt, NNLS)
-        return u
-
-    ref = run(T / 256)
-    errs = [l2_distance(run(T / n), ref) for n in (8, 16, 32)]
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.min(orders) >= 3.9
 
 
 def test_solve_zero_horizon(grid, gaussian):
@@ -133,8 +115,8 @@ def test_solve_ends_exactly_at_T():
     assert traj.times == [0.0, 0.3, 2 * 0.3, 3 * 0.3, 1.0]
     u = gaussian
     for _ in range(3):
-        u = step(u, 0.3, NNLS)
-    u = step(u, 1.0 - 3 * 0.3, NNLS)
+        u = reference_step(u, 0.3, NNLS)
+    u = reference_step(u, 1.0 - 3 * 0.3, NNLS)
     assert np.array_equal(traj.states[-1].coeffs, u.coeffs)
 
 
@@ -142,7 +124,7 @@ def test_solve_horizon_shorter_than_dt():
     gaussian = coarse_gaussian()
     traj = solve(gaussian, 0.01, 0.03, NNLS)
     assert traj.times == [0.0, 0.01]
-    assert np.array_equal(traj.states[-1].coeffs, step(gaussian, 0.01, NNLS).coeffs)
+    assert np.array_equal(traj.states[-1].coeffs, reference_step(gaussian, 0.01, NNLS).coeffs)
 
 
 def test_solve_commensurate_horizon_keeps_whole_steps():
@@ -152,7 +134,7 @@ def test_solve_commensurate_horizon_keeps_whole_steps():
     assert traj.times == [0.0, 0.1, 0.2, 3 * 0.1]
     u = gaussian
     for _ in range(3):
-        u = step(u, 0.1, NNLS)
+        u = reference_step(u, 0.1, NNLS)
     assert np.array_equal(traj.states[-1].coeffs, u.coeffs)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reference import reference_gauge_forward, reference_gauge_taylor
-from nnlslab.gauge import gauge_forward, gauge_taylor
+from nnlslab.gauge import gauge_forward
 from nnlslab.grid import (
     SpectralField,
     forward_transform,
@@ -31,16 +31,8 @@ def test_gauge_matches_taylor_oracle(grid):
     f = decayed_field(grid, amp=0.3)
     delta = 0.05
     exact = gauge_forward(f, delta)
-    series = gauge_taylor(f, delta, 8)
+    series = reference_gauge_taylor(f, delta, 8)
     assert l2_distance(exact, series) <= 1e-12 * l2_norm(exact)
-
-
-def test_gauge_taylor_validation(grid):
-    f = decayed_field(grid)
-    with pytest.raises(ValueError):
-        gauge_taylor(f, 0.1, -1)
-    out0 = gauge_taylor(f, 0.1, 0)
-    assert np.array_equal(out0.coeffs, f.coeffs)
 
 
 def test_gauge_roundtrip(grid):
@@ -77,5 +69,3 @@ def test_gauge_matches_reference_bit_for_bit(grid, delta):
     # validated fields and the reference product
     f = decayed_field(grid)
     assert np.array_equal(gauge_forward(f, delta).coeffs, reference_gauge_forward(f, delta).coeffs)
-    assert np.array_equal(gauge_taylor(f, delta, 3).coeffs,
-                          reference_gauge_taylor(f, delta, 3).coeffs)

@@ -36,6 +36,9 @@ def test_grid_validation():
         FrequencyGrid(6, 10.0)
     with pytest.raises(ValueError):
         FrequencyGrid(64, -1.0)
+    for length in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="length must be finite and positive"):
+            FrequencyGrid(64, length)
     g = FrequencyGrid(64, 10.0)
     assert abs(g.dxi * g.dx * g.n_modes - 2 * np.pi) < 1e-14
 
