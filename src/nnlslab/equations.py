@@ -7,11 +7,16 @@ All equations are stored in evolution form
 with the nonlocal conjugate u*(x) = conj(u(-x)) entering every nonlinearity.
 Products are dealiased by zero padding and derivatives are spectral.
 ``nonlinear_coeffs`` gives N(u) and ``mass_energy_coeffs`` the mass and
-energy, both on raw coefficient arrays, one field or a batch of rows.
+energy, both on raw coefficient arrays, one field or a batch of rows.  The
+terms of N(u) for every kind are listed once, in ``_terms``; ``_recipe``
+turns them into the rows and products a ``ProductPlan`` computes, with u*
+either transformed as conj(coeffs) or read from the samples of u.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,43 +66,112 @@ def quintic_coefficient(alpha, beta, mode):
     return (alpha / 2.0) * (alpha - 1.5 * beta)
 
 
-def nonlinear_coeffs(coeffs, grid, spec):
+# the factors of the right-hand sides: u, its nonlocal conjugate and their
+# spectral derivatives
+U, US, DU, DUS = "u", "u*", "u_x", "(u*)_x"
+
+
+def _terms(spec):
+    """N(u) of ``spec`` as its ``(coefficient, factors)`` terms, the kind table."""
+    a, b = spec.alpha, spec.beta
+    if spec.kind == NNLS:
+        return ((a, (U, U, US)),)
+    if spec.kind == NDNLS:
+        return ((a, (U, US, DU)),)
+    if spec.kind == GNDNLS:
+        return ((a, (U, US, DU)), (b, (U, U, DUS)))
+    if spec.kind == GAUGED_NDNLS:
+        cubic, quintic = -a, -(a ** 2) / 2.0
+    else:  # GAUGED_GNDNLS
+        cubic = -(a - b)
+        quintic = -quintic_coefficient(a, b, spec.gauged_coefficient_mode)
+    return ((cubic, (U, U, DUS)), (quintic, (U, U, U, US, US)))
+
+
+@functools.lru_cache(maxsize=64)
+def _recipe(spec, reflect):
+    """``(groups, accumulate)``: how ``nonlinear_coeffs`` evaluates ``spec``.
+
+    One ``(degree, rows, reflected, terms, coefficients)`` group per product
+    degree of the nonzero terms, in the form ``ProductPlan.products`` takes:
+    ``rows`` names the factors transformed as rows of their own.  Without
+    ``reflect`` that is every factor.  With it, u* is read from the samples
+    of u, and (u*)_x = -(u_x)* from those of u_x when u_x is a row anyway
+    (gNdNLS), its sign moved into the coefficient; the gauged cubic keeps
+    its (u*)_x row, since reflecting there would save none.  ``accumulate``
+    is set for the kinds of two terms, which sum into a zeroed array.
+    """
+    table = _terms(spec)
+    groups = {}
+    for coeff, factors in table:
+        if coeff != 0:
+            groups.setdefault(len(factors), []).append((coeff, factors))
+    recipe = []
+    for degree, terms in groups.items():
+        names = {f for _, factors in terms for f in factors}
+        mirrored = {}  # factor -> (the row it is reflected from, sign)
+        if reflect:
+            mirrored[US] = (U, 1.0)
+            if DU in names:
+                mirrored[DUS] = (DU, -1.0)
+        rows = [f for f in (U, US, DU, DUS) if f in names and f not in mirrored]
+        starred = [f for f in (US, DUS) if f in names and f in mirrored]
+        index = {f: i for i, f in enumerate(rows + starred)}
+        recipe.append((
+            degree, tuple(rows), tuple(rows.index(mirrored[f][0]) for f in starred),
+            tuple(tuple(index[f] for f in factors) for _, factors in terms),
+            tuple(coeff * math.prod(mirrored.get(f, (U, 1.0))[1] for f in factors)
+                  for coeff, factors in terms)))
+    return tuple(recipe), len(table) > 1
+
+
+def nonlinear_coeffs(coeffs, grid, spec, reflect=False):
     """N(u) in the evolution form u_t = i u_xx + i N(u), on raw Fourier coefficients.
 
     ``coeffs`` is one field ``(n_modes,)`` or a batch ``(batch, n_modes)``;
     each row of a batch gives the bits of its own 1-D call.  Neither the
     input nor the result is validated, so evolution loops can call it
     without building a :class:`SpectralField` per substep.
+
+    By default every u* factor is the transformed row of conj(coeffs), bit
+    for bit as the test references build it; the Duhamel map runs this.
+    ``reflect=True``, which the Lawson stage runs, reads u* from the samples
+    of u instead (``ProductPlan.products``): one transformed row fewer per
+    product, equal to the default to roundoff.
     """
-    a, b = spec.alpha, spec.beta
-    u, us = coeffs, np.conj(coeffs)
-    cubic = product_plan(grid, 3)
+    groups, accumulate = _recipe(spec, reflect)
+    out = np.zeros(coeffs.shape, dtype=np.complex128) if accumulate else None
     d = derivative_symbol(grid)
-    if spec.kind == NNLS:
-        if a == 0:
-            return np.zeros(u.shape, dtype=np.complex128)
-        return a * cubic.product([u, u, us])
-    if spec.kind == NDNLS:
-        if a == 0:
-            return np.zeros(u.shape, dtype=np.complex128)
-        return a * cubic.product([u, us, u * d])
-    out = np.zeros(u.shape, dtype=np.complex128)
-    if spec.kind == GNDNLS:
-        if a != 0:
-            out += a * cubic.product([u, us, u * d])
-        if b != 0:
-            out += b * cubic.product([u, u, us * d])
-        return out
-    if spec.kind == GAUGED_NDNLS:
-        cubic_coeff, quintic = -a, -(a ** 2) / 2.0
-    else:  # GAUGED_GNDNLS
-        cubic_coeff = -(a - b)
-        quintic = -quintic_coefficient(a, b, spec.gauged_coefficient_mode)
-    if cubic_coeff != 0:
-        out += cubic_coeff * cubic.product([u, u, us * d])
-    if quintic != 0:
-        out += quintic * product_plan(grid, 5).product([u, u, u, us, us])
-    return out
+    us = None
+    for degree, rows, reflected, terms, coefficients in groups:
+        arrays = []
+        for f in rows:
+            if f == U:
+                arrays.append(coeffs)
+            elif f == DU:
+                arrays.append(coeffs * d)
+            else:
+                if us is None:
+                    us = np.conj(coeffs)
+                arrays.append(us if f == US else us * d)
+        products = product_plan(grid, degree).products(arrays, reflected, terms)
+        for coeff, p in zip(coefficients, products):
+            np.multiply(coeff, p, out=p)  # coeff * p, in the fresh products array
+            if out is None:
+                return p
+            out += p
+    return np.zeros(coeffs.shape, dtype=np.complex128) if out is None else out
+
+
+@functools.lru_cache(maxsize=16)
+def _diagnostic_blocks(grid, shape):
+    """The reused ``(4,) + shape`` coefficient and sample blocks of ``mass_energy_coeffs``.
+
+    Every caller gets the same arrays, so ``mass_energy_coeffs`` is not
+    reentrant across threads, as the product plans are not.
+    """
+    return (np.empty((4,) + shape, dtype=np.complex128),
+            np.empty((4,) + shape, dtype=np.complex128))
 
 
 def mass_energy_coeffs(coeffs, grid, alpha):
@@ -105,11 +179,16 @@ def mass_energy_coeffs(coeffs, grid, alpha):
 
     M(u) = int u u* dx, complex-valued in general, and
     E(u) = int (du)(du)* + (alpha/2) u^2 (u*)^2 dx.  One inverse FFT
-    transforms u, u*, du and (du)* of every row.
+    transforms u, u*, du and (du)* of every row, in blocks kept per grid
+    and batch shape.
     """
     dx = grid.dx
-    dc = coeffs * derivative_symbol(grid)
-    samples = product_plan(grid, 1).samples(np.stack([coeffs, np.conj(coeffs), dc, np.conj(dc)]))
+    block, samples = _diagnostic_blocks(grid, coeffs.shape)
+    block[0] = coeffs
+    np.conj(coeffs, out=block[1])
+    np.multiply(coeffs, derivative_symbol(grid), out=block[2])
+    np.conj(block[2], out=block[3])
+    samples = product_plan(grid, 1).samples(block, out=samples)
     out = []
     for u, us, du, dus in zip(*samples):
         integrand = du * dus + (alpha / 2.0) * (u * us) ** 2

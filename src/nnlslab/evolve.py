@@ -5,12 +5,16 @@ Fourier coefficients, run by ``solve_batch`` on raw coefficient arrays: it
 steps a family of fields on one grid as the rows of one array, each row
 rounds exactly as its own solve, and a row that blows up is dropped while the
 others go on.  ``solve`` is the batch of one.  A ``SpectralField`` and its
-diagnostics are built only for recorded samples.
+diagnostics are built only for recorded samples.  The stage runs in buffers
+kept per grid and batch shape, and its right-hand sides read the nonlocal
+conjugate u* from the samples of u (``nonlinear_coeffs(..., reflect=True)``).
 
 A completely separate engine iterates the Duhamel integral formulation with
 composite-Simpson quadrature in time; the two discretization families share
 no code beyond the right-hand sides, so their agreement is a genuine
-cross-check.
+cross-check.  Its right-hand sides transform u* as the row of conj(coeffs),
+bit for bit as the test references do, so the two engines also get u* in
+different ways, equal to roundoff.
 
 The Duhamel quadrature is scipy's cumulative composite Simpson rule for
 unequal intervals, rebuilt here: its coefficients depend only on the time
@@ -54,41 +58,74 @@ def _free_phase(grid, t):
 
 
 @functools.lru_cache(maxsize=64)
-def _lawson_phases(grid, dt):
-    """Read-only e^{(dt/2) L} and e^{dt L} on ``grid``."""
+def _lawson_phases(grid, dt, shape):
+    """Read-only e^{(dt/2) L}, e^{dt L}, (dt/2) e^{(dt/2) L} and dt e^{dt L} on ``grid``.
+
+    For a batch of two or more rows each is repeated to the stage's
+    ``shape``: numpy allocates an iterator buffer for every ufunc call that
+    broadcasts a row over several.
+    """
     half = _free_phase(grid, dt / 2.0)
     full = half * half
-    half.flags.writeable = False
-    full.flags.writeable = False
-    return half, full
+    phases = (half, full, (dt / 2.0) * half, dt * full)
+    if math.prod(shape[:-1]) > 1:
+        phases = tuple(np.broadcast_to(a, shape).copy() for a in phases)
+    for a in phases:
+        a.flags.writeable = False
+    return phases
+
+
+@functools.lru_cache(maxsize=16)
+def _stage_buffers(grid, shape):
+    """Five reused arrays of ``shape`` for the Lawson stage on ``grid``.
+
+    Every caller gets the same arrays, so the stage is not reentrant across
+    threads, as the product plans are not.
+    """
+    return tuple(np.empty(shape, dtype=np.complex128) for _ in range(5))
 
 
 def _lawson(w, dt, phases, grid, spec):
-    """One Lawson-RK4 step of the raw rows ``w``, with ``phases = _lawson_phases(grid, dt)``.
+    """One Lawson-RK4 step of the raw rows ``w``.
 
-    ``w`` is ``(n_modes,)`` or ``(batch, n_modes)``, and each row rounds as
-    it would alone.  A row that overflows comes back non-finite; the caller
-    checks.
+    ``phases`` is ``_lawson_phases(grid, dt, w.shape)``.  ``w`` is
+    ``(n_modes,)`` or ``(batch, n_modes)``, and each row rounds as it would
+    alone.  N(u) reads u* from the samples of u
+    (``nonlinear_coeffs(..., reflect=True)``).  The stage runs in buffers
+    kept per grid and shape, with the operations and operand order of
+    ``reference_lawson`` in the tests, so only the result is a fresh array.
+    A row that overflows comes back non-finite; the caller checks.
     """
-    half, full = phases
-
-    def nl(coeffs):
-        return 1j * nonlinear_coeffs(coeffs, grid, spec)
+    half, full, half_dt, full_dt = phases
+    k1, k2, k3, arg, acc = _stage_buffers(grid, w.shape)
 
     # interaction picture: g(tau, w) = e^{-tau L} N(e^{tau L} w)
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = nl(w)
-        # bound to a name: numpy would multiply a temporary of 256 KiB or more
-        # in place, as it * half, and that is not bitwise half * it
-        mid = w + (dt / 2.0) * k1
-        a = half * mid
-        k2 = nl(a) / half
-        b = half * w + (dt / 2.0) * half * k2
-        k3 = nl(b) / half
-        c = full * w + dt * full * k3
-        k4 = nl(c) / full
-        w_new = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        return full * w_new
+        np.multiply(1j, nonlinear_coeffs(w, grid, spec, reflect=True), out=k1)
+        np.multiply(dt / 2.0, k1, out=arg)
+        np.add(w, arg, out=arg)
+        np.multiply(half, arg, out=arg)  # half * (w + (dt/2) k1)
+        np.multiply(1j, nonlinear_coeffs(arg, grid, spec, reflect=True), out=k2)
+        np.divide(k2, half, out=k2)
+        np.multiply(half, w, out=arg)
+        np.multiply(half_dt, k2, out=acc)
+        np.add(arg, acc, out=arg)  # half * w + (dt/2) half * k2
+        np.multiply(1j, nonlinear_coeffs(arg, grid, spec, reflect=True), out=k3)
+        np.divide(k3, half, out=k3)
+        np.multiply(full, w, out=arg)
+        np.multiply(full_dt, k3, out=acc)
+        np.add(arg, acc, out=arg)  # full * w + dt full * k3
+        k4 = arg  # N(u) is a fresh array, so k4 may overwrite its argument
+        np.multiply(1j, nonlinear_coeffs(arg, grid, spec, reflect=True), out=k4)
+        np.divide(k4, full, out=k4)
+        np.multiply(2, k2, out=acc)
+        np.add(k1, acc, out=acc)
+        np.multiply(2, k3, out=k2)
+        np.add(acc, k2, out=acc)
+        np.add(acc, k4, out=acc)  # k1 + 2 k2 + 2 k3 + k4
+        np.multiply(dt / 6.0, acc, out=acc)
+        np.add(w, acc, out=acc)
+        return np.multiply(full, acc)
 
 
 @dataclass
@@ -175,7 +212,7 @@ def solve_batch(fields, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
     t = 0.0
     for i in range(1, n_steps + 1):
         h, t_next = (dt, i * dt) if i <= n_full else (T - n_full * dt, T)
-        w = _lawson(w, h, _lawson_phases(grid, h), grid, spec)
+        w = _lawson(w, h, _lawson_phases(grid, h, w.shape), grid, spec)
         finite = np.isfinite(w).all(axis=1)
         if not finite.all():
             for traj, ok in zip(live, finite):

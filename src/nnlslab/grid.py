@@ -13,12 +13,16 @@ so that ``u(x_j) = (1/L) * sum_m coeffs[m] exp(i xi_m x_j)``.
 :class:`ProductPlan` is the one place that spells this convention out, as
 index slices and sign and ``dx`` vectors: the plan of degree 1 has no
 padding, and its ``coeffs`` and ``samples`` are :func:`forward_transform`
-and :func:`inverse_transform`.  Higher degrees pad for dealiased products,
-each of which is two FFT calls whatever its degree: one inverse transform of
-a block holding every distinct factor and one forward transform of their
-product.  The transforms are ``scipy.fft``'s, which keeps its plans between
-calls where ``numpy.fft`` sets one up on every call; the two agree bit for
-bit (both run pocketfft, as a unit test checks).
+and :func:`inverse_transform`.  Higher degrees pad for dealiased products:
+one inverse transform of a block holding every distinct factor and one
+forward transform of the products made from it, whatever their degree and
+number.  A factor may also be the nonlocal conjugate f*(x) = conj(f(-x)) of
+a transformed row, read from its samples by reflection: on the padded grid
+x_j -> -x_j is the index map j -> (n_fine - j) mod n_fine, so those samples
+are the conjugated samples of f reversed, index 0 kept, and no transformed
+row is spent on them.  The transforms are ``scipy.fft``'s, which keeps its
+plans between calls where ``numpy.fft`` sets one up on every call; the two
+agree bit for bit (both run pocketfft, as a unit test checks).
 """
 
 from __future__ import annotations
@@ -143,15 +147,18 @@ class ProductPlan:
     ``samples`` and ``product`` transform their own arrays in place
     (``overwrite_x=True``); ``coeffs`` leaves the caller's samples alone.
 
-    The plan owns a grow-only work buffer.  ``product`` pads its k distinct
-    factors into one ``(k,) + lead + (n_fine,)`` block of it, transforms the
-    whole block with one inverse FFT, multiplies the samples left to right
-    into an accumulator behind the block and forward transforms that: two
-    FFT calls whatever the degree, and a repeated product allocates only
-    its result.  The buffer keeps the size of the largest product made so
-    far, and ``product`` is not reentrant across threads.  Every array the
-    plan returns is freshly allocated; no caller ever holds a view of the
-    buffer.
+    The plan owns a grow-only work buffer.  ``products`` pads its k
+    coefficient rows into one ``(k,) + lead + (n_fine,)`` block of it,
+    transforms the whole block with one inverse FFT, appends the reflected
+    rows (the nonlocal conjugates of chosen rows, read from their samples),
+    multiplies each term's samples left to right into an accumulator of its
+    own behind them and forward transforms every accumulator at once: two
+    FFT calls whatever the degree and the number of terms, and a repeated
+    call allocates only its result.  ``product`` is the one term of its
+    distinct factors.  The buffer keeps the size of the largest call made so
+    far, and the plan is not reentrant across threads.  Every array the plan
+    returns is freshly allocated, or the caller's ``out``; no caller ever
+    holds a view of the buffer.
     """
 
     def __init__(self, grid, degree):
@@ -171,7 +178,8 @@ class ProductPlan:
         for a in (self.signs, self.pad, self.scale):
             a.flags.writeable = False  # shared by every caller of the cache
         self._buffer = np.empty(0, dtype=np.complex128)
-        self._work = None
+        self._repeated = None  # pad and scale repeated to the last lead shape
+        self._work = None  # (key, views) of the last products call
 
     def _pad_into(self, coeffs, pad, f):
         """Write ``coeffs * pad`` into the head and tail of the fine array ``f``."""
@@ -179,42 +187,67 @@ class ProductPlan:
         np.multiply(coeffs[self.head], pad[self.head], out=f[self.tail])
 
     def _retained(self, fine, scale):
-        """Fresh retained coefficients of the forward-transformed ``fine``."""
+        """Fresh retained coefficients of the forward-transformed ``fine``.
+
+        ``fine`` may have one axis more than ``scale``, the terms of
+        ``products``; each term is scaled on its own, without broadcasting.
+        """
         out = np.empty(fine.shape[:-1] + (self.n,), dtype=np.complex128)
         out[self.head] = fine[self.tail]
         out[self.upper] = fine[self.head]
-        return np.multiply(scale, out, out=out)
+        if out.ndim == scale.ndim:
+            return np.multiply(scale, out, out=out)
+        for term in out:
+            np.multiply(scale, term, out=term)
+        return out
 
-    def _work_arrays(self, lead, count):
-        """``(pad, scale, block, acc)`` for ``count`` factors of shape ``lead + (n,)``.
+    def _work_arrays(self, lead, n_rows, reflected, n_terms):
+        """Views of the work buffer for ``products``, kept for the next call with the same key.
 
-        ``pad`` and ``scale`` are repeated to that shape, since numpy
-        allocates an iterator buffer for every ufunc call that broadcasts.
-        ``block`` of shape ``(count,) + lead + (n_fine,)`` and the
-        accumulator ``acc`` of shape ``lead + (n_fine,)`` are views of the
-        flat buffer.  All four are kept for the next call with the same
-        ``lead`` and at most as many factors.
+        ``(pads, scale, targets, middle, rows, mirrors, acc)``: ``pads`` are
+        the upper and head halves of ``pad`` and ``scale`` is ``scale``, both
+        repeated to ``lead + (n,)`` and kept while ``lead`` stays the same.
+        ``rows`` is the ``(n_rows,) + lead + (n_fine,)`` block the
+        coefficient rows are padded into, at the ``(head, tail)`` views in
+        ``targets``, with its unpadded middle ``middle``.  ``mirrors`` holds,
+        per reflected row, the views the reflection writes and the row.
+        ``acc`` holds the ``n_terms`` accumulators.
         """
-        if (self._work is None or self._work[0].shape[:-1] != lead
-                or len(self._work[2]) < count):
-            size = math.prod(lead) * self.n_fine
-            if self._buffer.size < (count + 1) * size:
-                self._buffer = np.empty((count + 1) * size, dtype=np.complex128)
-            fine = lead + (self.n_fine,)
-            block = self._buffer[:count * size].reshape((count,) + fine)
-            acc = self._buffer[count * size:(count + 1) * size].reshape(fine)
-            # the rows are arrays of their own; folded into the flat buffer,
-            # they left glibc trimming the heap (17,500-20,400 minor faults
-            # per picard_window pass against under 10; numpy 2.4, glibc)
-            shape = lead + (self.n,)
-            self._work = (np.broadcast_to(self.pad, shape).copy(),
-                          np.broadcast_to(self.scale, shape).copy(), block, acc)
-        pad, scale, block, acc = self._work
-        return pad, scale, block[:count], acc
+        key = (lead, n_rows, reflected, n_terms)
+        if self._work is not None and self._work[0] == key:
+            return self._work[1]
+        shape = lead + (self.n,)
+        if self._repeated is None or self._repeated[0].shape != shape:
+            # numpy allocates an iterator buffer for every ufunc call that
+            # broadcasts.  The copies are arrays of their own; folded into the
+            # flat buffer, they left glibc trimming the heap (17,500-20,400
+            # minor faults per picard_window pass against under 10; numpy
+            # 2.4, glibc)
+            self._repeated = (np.broadcast_to(self.pad, shape).copy(),
+                              np.broadcast_to(self.scale, shape).copy())
+        pad, scale = self._repeated
+        size = math.prod(lead) * self.n_fine
+        count = n_rows + len(reflected) + n_terms
+        if self._buffer.size < count * size:
+            self._buffer = np.empty(count * size, dtype=np.complex128)
+        fine = self._buffer[:count * size].reshape((count,) + lead + (self.n_fine,))
+        rows, acc = fine[:n_rows], fine[n_rows + len(reflected):]
+        mirrors = [(r[..., 1:], r[..., :1], r) for r in fine[n_rows:n_rows + len(reflected)]]
+        views = ((pad[self.upper], pad[self.head]), scale,
+                 [(f[self.head], f[self.tail]) for f in rows], rows[self.middle],
+                 rows, mirrors, acc)
+        self._work = (key, views)
+        return views
 
-    def samples(self, coeffs):
-        """Fine-grid samples of the field(s) with ``coeffs`` zero padded."""
-        f = np.empty(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
+    def samples(self, coeffs, out=None):
+        """Fine-grid samples of the field(s) with ``coeffs`` zero padded.
+
+        ``out``, of the samples' shape, is transformed in place instead of a
+        fresh array.
+        """
+        f = out
+        if f is None:
+            f = np.empty(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
         self._pad_into(coeffs, self.pad, f)
         f[self.middle] = 0.0
         return scipy.fft.ifft(f, overwrite_x=True)
@@ -224,25 +257,50 @@ class ProductPlan:
         return self._retained(scipy.fft.fft(samples), self.scale)
 
     def product(self, factors):
-        """Retained coefficients of the product of coefficient arrays.
+        """Retained coefficients of the product of two or more coefficient arrays.
 
         The factors share one shape.  Each distinct array (by identity) takes
         one row of the block; the samples are multiplied left to right.
         """
-        distinct = {}
+        rows = {}
         for c in factors:
-            distinct.setdefault(id(c), c)
-        pad, scale, block, acc = self._work_arrays(factors[0].shape[:-1], len(distinct))
-        for f, c in zip(block, distinct.values()):
-            self._pad_into(c, pad, f)
-        block[self.middle] = 0.0
-        block = scipy.fft.ifft(block, overwrite_x=True)
-        samples = dict(zip(distinct, block))
-        prod = None
-        for c in factors:
-            s = samples[id(c)]
-            prod = s if prod is None else np.multiply(prod, s, out=acc)
-        return self._retained(scipy.fft.fft(prod, overwrite_x=True), scale)
+            rows.setdefault(id(c), (len(rows), c))
+        term = tuple(rows[id(c)][0] for c in factors)
+        return self.products([c for _, c in rows.values()], (), (term,))[0]
+
+    def products(self, rows, reflected, terms):
+        """Retained coefficients of several products of the same sample rows.
+
+        ``rows`` are coefficient arrays of one shape; each is padded into
+        one row of the block, and one inverse FFT transforms them all.  For
+        each index ``i`` in the tuple ``reflected`` one more sample row is
+        appended: the nonlocal conjugate f*(x) = conj(f(-x)) of the field of
+        ``rows[i]``, read from its samples.  On the padded grid x_j -> -x_j
+        is j -> (n_fine - j) mod n_fine, so that row is the conjugate of the
+        samples reversed, with index 0 kept in place; no transform computes
+        it.  Each term is a tuple of two or more indices into the sample
+        rows, multiplied left to right into an accumulator of its own, and
+        one forward FFT transforms every accumulator.  The result stacks one
+        coefficient array per term along a new first axis.
+        """
+        (pad_upper, pad_head), scale, targets, middle, block, mirrors, acc = self._work_arrays(
+            rows[0].shape[:-1], len(rows), reflected, len(terms))
+        upper, head = self.upper, self.head
+        for (f_head, f_tail), c in zip(targets, rows):
+            np.multiply(c[upper], pad_upper, out=f_head)
+            np.multiply(c[head], pad_head, out=f_tail)
+        middle[...] = 0.0
+        samples = list(scipy.fft.ifft(block, overwrite_x=True))
+        for i, (rest, first, r) in zip(reflected, mirrors):
+            s = samples[i]
+            np.conjugate(s[..., :0:-1], out=rest)
+            np.conjugate(s[..., :1], out=first)
+            samples.append(r)
+        for out, term in zip(acc, terms):
+            prod = samples[term[0]]
+            for i in term[1:]:
+                prod = np.multiply(prod, samples[i], out=out)
+        return self._retained(scipy.fft.fft(acc, overwrite_x=True), scale)
 
 
 @functools.lru_cache(maxsize=64)

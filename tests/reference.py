@@ -23,11 +23,18 @@ which the library does not carry, is criterion 8's independent oracle for
 the exponential form.  The planned and batched kernels in ``nnlslab.grid``,
 ``nnlslab.equations``, ``nnlslab.evolve`` and ``nnlslab.gauge`` perform the
 same floating-point operations in the same order, so they must agree with
-these bit for bit.
+these bit for bit.  The one exception is ``nonlinear_coeffs(...,
+reflect=True)``, which reads u* from the samples of u instead of
+transforming conj(coeffs): it agrees with ``reference_nonlinear_term`` to
+roundoff.
 
-``reference_step`` is one Lawson-RK4 step of one validated field through the
-stage function ``nnlslab.evolve._lawson``, raising ``FloatingPointError``
-when the result is not finite.  ``reference_solve`` is the Lawson solve of
+``reference_lawson`` is the Lawson-RK4 stage written as array expressions,
+with its phases built per call and N(u) from ``nnlslab.equations.
+nonlinear_coeffs(..., reflect=True)``.  ``nnlslab.evolve._lawson`` performs
+the same operations in the same operand order in buffers it keeps, so the two
+agree bit for bit.  ``reference_step`` is one ``reference_lawson`` step of
+one validated field, raising ``FloatingPointError`` when the result is not
+finite.  ``reference_solve`` is the Lawson solve of
 one field, one ``reference_step`` at a time, with each sample's diagnostics
 from ``reference_mass``, ``reference_energy``, ``support_leakage`` and
 ``esigma_norm``.  ``nnlslab.evolve.solve_batch`` steps and measures every
@@ -67,7 +74,7 @@ from nnlslab.equations import (
     quintic_coefficient,
     support_leakage,
 )
-from nnlslab.evolve import PicardReport, Trajectory, _lawson, _lawson_phases, norm_key
+from nnlslab.evolve import PicardReport, Trajectory, _free_phase, norm_key
 from nnlslab.experiments import _gl, _phase_ratio
 from nnlslab.grid import (
     FrequencyGrid,
@@ -189,8 +196,31 @@ def _reference_diagnostics(fld, spec, eps0, norm_params):
     return d
 
 
+def reference_lawson(w, dt, grid, spec):
+    half = _free_phase(grid, dt / 2.0)
+    full = half * half
+
+    def nl(coeffs):
+        return 1j * nonlinear_coeffs(coeffs, grid, spec, reflect=True)
+
+    # interaction picture: g(tau, w) = e^{-tau L} N(e^{tau L} w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = nl(w)
+        # bound to a name: numpy would multiply a temporary of 256 KiB or more
+        # in place, as it * half, and that is not bitwise half * it
+        mid = w + (dt / 2.0) * k1
+        a = half * mid
+        k2 = nl(a) / half
+        b = half * w + (dt / 2.0) * half * k2
+        k3 = nl(b) / half
+        c = full * w + dt * full * k3
+        k4 = nl(c) / full
+        w_new = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        return full * w_new
+
+
 def reference_step(fld, dt, spec):
-    out = _lawson(fld.coeffs, dt, _lawson_phases(fld.grid, dt), fld.grid, spec)
+    out = reference_lawson(fld.coeffs, dt, fld.grid, spec)
     if not np.all(np.isfinite(out)):
         raise FloatingPointError("non-finite coefficients after step")
     return SpectralField(fld.grid, out)

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import nnlslab
 from conftest import random_field
 from reference import (
     reference_cumulative_simpson,
+    reference_lawson,
     reference_picard_map,
     reference_picard_solve,
     reference_solve,
@@ -24,6 +26,8 @@ from nnlslab.evolve import (
     _duhamel,
     _duhamel_nodes,
     _free_phase,
+    _lawson,
+    _lawson_phases,
     _simpson_weights,
     cumulative_simpson,
     picard_solve,
@@ -238,16 +242,82 @@ def test_solve_batch_drops_a_blown_up_member_and_steps_the_rest():
         assert_same_trajectory(got, ref)
 
 
-def test_solve_batch_steps_every_member_in_one_product(fft_log):
-    # NNLS on k = 3 members: each right-hand side is one inverse FFT of the
-    # (u, u*) rows of every member and one forward FFT of the products, and
-    # each recorded sample one inverse FFT of the u, u*, du, (du)* rows
+@pytest.mark.parametrize("spec, rhs", [
+    # u* is read from the samples of u: k rows in, k products out
+    pytest.param(NNLS, [("ifft", 3), ("fft", 3)], id="NNLS"),
+    # the rows u and u_x of every member
+    pytest.param(EquationSpec("NdNLS", alpha=1.0), [("ifft", 6), ("fft", 3)], id="NdNLS"),
+    # the cubic transforms u and (u*)_x, the quintic u alone
+    pytest.param(EquationSpec("GaugedNdNLS", alpha=1.0),
+                 [("ifft", 6), ("fft", 3), ("ifft", 3), ("fft", 3)], id="GaugedNdNLS"),
+])
+def test_solve_batch_steps_every_member_in_one_product(fft_log, spec, rhs):
+    # k = 3 members: each right-hand side transforms the rows of every member
+    # at once, and each recorded sample is one inverse FFT of the u, u*, du,
+    # (du)* rows
     grid = FrequencyGrid(64, 40.0)
     fields = batch_members(grid, 3)
     fft_log.clear()
-    solve_batch(fields, 0.02, 0.01, NNLS, sample_every=2)
-    sample, rhs = [("ifft", 12)], [("ifft", 6), ("fft", 3)]
+    solve_batch(fields, 0.02, 0.01, spec, sample_every=2)
+    sample = [("ifft", 12)]
     assert fft_log == sample + 8 * rhs + sample
+
+
+@pytest.mark.parametrize("n, length, dt", [
+    (64, 40.0, 0.01),
+    (256, 40.0, 0.004),
+    (1024, 80.0, 0.002),
+    (4096, 80.0, 0.001),
+    # a row of 16384 modes is 256 KiB, where numpy starts to reuse temporaries
+    (16384, 400.0, 0.002),
+])
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.kind)
+def test_lawson_stage_matches_the_expression_form_bit_for_bit(spec, n, length, dt):
+    # the stage runs in buffers kept per grid and shape; the oracle is the
+    # same arithmetic written as expressions, on the same N(u)
+    grid = FrequencyGrid(n, length)
+    members = [f.coeffs for f in batch_members(grid, 4)]
+    for w in [members[0]] + [np.stack(members[:k]) for k in range(1, 5)]:
+        want = reference_lawson(w, dt, grid, spec)
+        for _ in range(2):  # the second call runs on the kept buffers
+            got = _lawson(w, dt, _lawson_phases(grid, dt, w.shape), grid, spec)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("spec, rows", [
+    pytest.param(NNLS, 1, id="NNLS"),  # the products array N(u), scaled in place
+    pytest.param(EquationSpec("NdNLS", alpha=1.0), 2, id="NdNLS"),  # and the u_x row
+    # two products, u_x and the sum
+    pytest.param(EquationSpec("gNdNLS", alpha=0.8, beta=0.3), 4, id="gNdNLS"),
+    # u*, (u*)_x, one product at a time and the sum
+    pytest.param(EquationSpec("GaugedNdNLS", alpha=1.0), 4, id="GaugedNdNLS"),
+    pytest.param(EquationSpec("GaugedGNdNLS", alpha=0.8, beta=0.3), 4, id="GaugedGNdNLS"),
+])
+@pytest.mark.parametrize("k", [1, 3])
+def test_warm_lawson_step_allocates_only_its_right_hand_sides(spec, rows, k):
+    # numpy's tracemalloc domain holds array data.  A warm step at n = 4096
+    # keeps one new array, its result, and never holds more than ``rows``
+    # arrays of the batch's size at once (measured; tracemalloc's peak also
+    # counts a few hundred bytes of Python objects)
+    grid = FrequencyGrid(4096, 80.0)
+    w = np.stack([f.coeffs for f in batch_members(grid, k)])
+    phases = _lawson_phases(grid, 0.001, w.shape)
+    for _ in range(2):
+        _lawson(w, 0.001, phases, grid, spec)
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces([numpy_data])
+        current, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        out = _lawson(w, 0.001, phases, grid, spec)
+        _, peak = tracemalloc.get_traced_memory()
+        after = tracemalloc.take_snapshot().filter_traces([numpy_data])
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.size for t in after.traces) - sum(t.size for t in before.traces)
+    assert kept == out.nbytes
+    assert peak - current <= rows * w.nbytes + 8192
 
 
 def test_solve_batch_validates_its_members(grid, gaussian):
