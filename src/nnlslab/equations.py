@@ -9,8 +9,9 @@ Products are dealiased by zero padding and derivatives are spectral.
 ``nonlinear_coeffs`` gives N(u) and ``mass_energy_coeffs`` the mass and
 energy, both on raw coefficient arrays, one field or a batch of rows.  The
 terms of N(u) for every kind are listed once, in ``_terms``; ``_recipe``
-turns them into the rows and products a ``ProductPlan`` computes, with u*
-either transformed as conj(coeffs) or read from the samples of u.
+turns them into transformed rows and products.  ``nonlinear_coeffs``
+transforms u* as the row of conj(coeffs) through ``ProductPlan.products``;
+the Lawson stage in ``evolve`` reads u* from the samples of u instead.
 """
 
 from __future__ import annotations
@@ -90,16 +91,17 @@ def _terms(spec):
 
 @functools.lru_cache(maxsize=64)
 def _recipe(spec, reflect):
-    """``(groups, accumulate)``: how ``nonlinear_coeffs`` evaluates ``spec``.
+    """``(groups, accumulate)``: how N(u) of ``spec`` is evaluated from transformed rows.
 
     One ``(degree, rows, reflected, terms, coefficients)`` group per product
-    degree of the nonzero terms, in the form ``ProductPlan.products`` takes:
-    ``rows`` names the factors transformed as rows of their own.  Without
-    ``reflect`` that is every factor.  With it, u* is read from the samples
-    of u, and (u*)_x = -(u_x)* from those of u_x when u_x is a row anyway
-    (gNdNLS), its sign moved into the coefficient; the gauged cubic keeps
-    its (u*)_x row, since reflecting there would save none.  ``accumulate``
-    is set for the kinds of two terms, which sum into a zeroed array.
+    degree of the nonzero terms: ``rows`` names the factors transformed as
+    rows of their own, and each term indexes the sample rows, ``rows`` then
+    one row per index in ``reflected``.  Without ``reflect`` every factor is
+    a row and ``reflected`` is empty, as ``ProductPlan.products`` takes it.
+    With it, which the Lawson stage reads, u* is the reflection of the row
+    u and (u*)_x = -(u_x)* that of the row u_x, its sign moved into the
+    coefficient.  ``accumulate`` is set for the kinds of two terms, which
+    sum into a zeroed array.
     """
     table = _terms(spec)
     groups = {}
@@ -109,11 +111,9 @@ def _recipe(spec, reflect):
     recipe = []
     for degree, terms in groups.items():
         names = {f for _, factors in terms for f in factors}
-        mirrored = {}  # factor -> (the row it is reflected from, sign)
-        if reflect:
-            mirrored[US] = (U, 1.0)
-            if DU in names:
-                mirrored[DUS] = (DU, -1.0)
+        # factor -> (the row it is reflected from, sign)
+        mirrored = {US: (U, 1.0), DUS: (DU, -1.0)} if reflect else {}
+        names |= {mirrored[f][0] for f in names if f in mirrored}
         rows = [f for f in (U, US, DU, DUS) if f in names and f not in mirrored]
         starred = [f for f in (US, DUS) if f in names and f in mirrored]
         index = {f: i for i, f in enumerate(rows + starred)}
@@ -125,25 +125,21 @@ def _recipe(spec, reflect):
     return tuple(recipe), len(table) > 1
 
 
-def nonlinear_coeffs(coeffs, grid, spec, reflect=False):
+def nonlinear_coeffs(coeffs, grid, spec):
     """N(u) in the evolution form u_t = i u_xx + i N(u), on raw Fourier coefficients.
 
     ``coeffs`` is one field ``(n_modes,)`` or a batch ``(batch, n_modes)``;
     each row of a batch gives the bits of its own 1-D call.  Neither the
     input nor the result is validated, so evolution loops can call it
-    without building a :class:`SpectralField` per substep.
-
-    By default every u* factor is the transformed row of conj(coeffs), bit
-    for bit as the test references build it; the Duhamel map runs this.
-    ``reflect=True``, which the Lawson stage runs, reads u* from the samples
-    of u instead (``ProductPlan.products``): one transformed row fewer per
-    product, equal to the default to roundoff.
+    without building a :class:`SpectralField` per substep.  Every u* factor
+    is the transformed row of conj(coeffs), bit for bit as the test
+    references build it.
     """
-    groups, accumulate = _recipe(spec, reflect)
+    groups, accumulate = _recipe(spec, False)
     out = np.zeros(coeffs.shape, dtype=np.complex128) if accumulate else None
     d = derivative_symbol(grid)
     us = None
-    for degree, rows, reflected, terms, coefficients in groups:
+    for degree, rows, _, terms, coefficients in groups:
         arrays = []
         for f in rows:
             if f == U:
@@ -154,7 +150,7 @@ def nonlinear_coeffs(coeffs, grid, spec, reflect=False):
                 if us is None:
                     us = np.conj(coeffs)
                 arrays.append(us if f == US else us * d)
-        products = product_plan(grid, degree).products(arrays, reflected, terms)
+        products = product_plan(grid, degree).products(arrays, terms)
         for coeff, p in zip(coefficients, products):
             np.multiply(coeff, p, out=p)  # coeff * p, in the fresh products array
             if out is None:

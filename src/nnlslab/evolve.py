@@ -5,16 +5,19 @@ Fourier coefficients, run by ``solve_batch`` on raw coefficient arrays: it
 steps a family of fields on one grid as the rows of one array, each row
 rounds exactly as its own solve, and a row that blows up is dropped while the
 others go on.  ``solve`` is the batch of one.  A ``SpectralField`` and its
-diagnostics are built only for recorded samples.  The stage runs in buffers
-kept per grid and batch shape, and its right-hand sides read the nonlocal
-conjugate u* from the samples of u (``nonlinear_coeffs(..., reflect=True)``).
+diagnostics are built only for recorded samples.  Each step size and batch
+shape gets one ``_LawsonStage``, which holds the phases, scales and buffers
+of its steps and goes with the solve.  The stage evaluates N(u) itself:
+sign-free padding, the nonlocal conjugate u* read from the samples of u,
+and one output scale per term.
 
 A completely separate engine iterates the Duhamel integral formulation with
 composite-Simpson quadrature in time; the two discretization families share
-no code beyond the right-hand sides, so their agreement is a genuine
-cross-check.  Its right-hand sides transform u* as the row of conj(coeffs),
-bit for bit as the test references do, so the two engines also get u* in
-different ways, equal to roundoff.
+no code beyond the table of terms of N(u), so their agreement is a genuine
+cross-check.  Its right-hand sides are ``nonlinear_coeffs``, which
+transforms u* as the row of conj(coeffs), bit for bit as the test
+references do, so the two engines also get u* in different ways, equal to
+roundoff.
 
 The Duhamel quadrature is scipy's cumulative composite Simpson rule for
 unequal intervals, rebuilt here: its coefficients depend only on the time
@@ -28,15 +31,15 @@ the same sequence, so the floats are the same.
 
 from __future__ import annotations
 
-import functools
 import math
 import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 
-from .equations import mass_energy_coeffs, nonlinear_coeffs, support_leakage
-from .grid import GridMismatchError, SpectralField
+from .equations import DU, _recipe, mass_energy_coeffs, nonlinear_coeffs, support_leakage
+from .grid import GridMismatchError, SpectralField, derivative_symbol, product_plan
 from .spaces import esigma_norm
 
 CFL_LIMIT = 50.0  # guard on dt * xi_max^2 for the nonlinear substep
@@ -57,75 +60,124 @@ def _free_phase(grid, t):
     return out
 
 
-@functools.lru_cache(maxsize=64)
-def _lawson_phases(grid, dt, shape):
-    """Read-only e^{(dt/2) L}, e^{dt L}, (dt/2) e^{(dt/2) L} and dt e^{dt L} on ``grid``.
+class _LawsonStage:
+    """Lawson-RK4 steps of raw rows of one ``shape``, for one grid, spec and step ``dt``.
 
-    For a batch of two or more rows each is repeated to the stage's
-    ``shape``: numpy allocates an iterator buffer for every ufunc call that
-    broadcasts a row over several.
+    ``solve_batch`` builds one per step size and batch shape, and its
+    constants and buffers go with it.  A call steps ``w``, ``(n_modes,)`` or
+    ``(batch, n_modes)``, into a fresh array with every other array kept in
+    the stage; each row rounds as it would alone, and a row that overflows
+    comes back non-finite.  ``tests/reference.py::reference_lawson`` is the
+    same arithmetic written as expressions.
+
+    ``rhs`` evaluates i N(u) from ``_recipe(spec, True)``, one block per
+    product degree.  A coefficient row is copied into the fine block without
+    the sign vector (u_x as c * i xi), so the inverse FFT gives dx_fine times
+    the samples of u at x_j = j dx_fine.  x -> -x is j -> (n_fine - j) mod
+    n_fine on that grid, so u* and (u*)_x = -(u_x)* are the conjugated
+    samples reversed, index 0 kept, and no transform computes them.  A
+    product of p sample rows carries dx_fine^p, and each term's retained
+    coefficients get one scale, i coeff dx_fine^(1-p), divided by e^{(dt/2)L}
+    or e^{dt L} where the interaction picture undoes that phase.  numpy
+    allocates an iterator buffer for a unary ufunc on strided batch views and
+    for a row broadcast over a contiguous batch, so the stage reflects row by
+    row, scales the strided halves by arrays and repeats its phases to the
+    batch shape.
     """
-    half = _free_phase(grid, dt / 2.0)
-    full = half * half
-    phases = (half, full, (dt / 2.0) * half, dt * full)
-    if math.prod(shape[:-1]) > 1:
-        phases = tuple(np.broadcast_to(a, shape).copy() for a in phases)
-    for a in phases:
-        a.flags.writeable = False
-    return phases
 
+    def __init__(self, grid, spec, dt, shape):
+        self.dt, self.shape = dt, shape
+        n = grid.n_modes
+        self._h = h = n // 2
+        half = _free_phase(grid, dt / 2.0)
+        full = half * half
+        self._phases = (half, full, (dt / 2.0) * half, dt * full)
+        if math.prod(shape[:-1]) > 1:
+            self._phases = tuple(np.broadcast_to(a, shape).copy() for a in self._phases)
+        self._buffers = tuple(np.empty(shape, dtype=np.complex128) for _ in range(5))
+        d = derivative_symbol(grid)
+        self._d = (d[h:], d[:h])
+        self._groups = []
+        for degree, rows, reflected, terms, coefficients in _recipe(spec, True)[0]:
+            plan = product_plan(grid, degree)
+            nf = plan.n_fine
+            block = np.empty((len(rows) + len(reflected) + len(terms),) + shape[:-1] + (nf,),
+                             dtype=np.complex128)
+            mirrors = [(i, r, [(row[1:], row[:1]) for row in r.reshape(-1, nf)])
+                       for i, r in zip(reflected, block[len(rows):])]
+            scales = []
+            for coeff in coefficients:
+                s = 1j * coeff * plan.dx_fine ** (1 - degree)
+                scales.append([(a[:h], a[h:]) for a in (np.full(n, s), s / half, s / full)])
+            self._groups.append((
+                [(f == DU, b[..., :h], b[..., nf - h:]) for f, b in zip(rows, block)],
+                block[:len(rows)], block[:len(rows), ..., h:nf - h], mirrors,
+                block[len(rows) + len(reflected):], terms, scales))
 
-@functools.lru_cache(maxsize=16)
-def _stage_buffers(grid, shape):
-    """Five reused arrays of ``shape`` for the Lawson stage on ``grid``.
+    def rhs(self, c, phase, out):
+        """i N(c) into ``out``, not ``c``; over e^{(dt/2)L} for ``phase`` 1, e^{dt L} for 2."""
+        h, (d_upper, d_head) = self._h, self._d
+        c_upper, c_head, out_head, out_upper = c[..., h:], c[..., :h], out[..., :h], out[..., h:]
+        if not self._groups:
+            out.fill(0.0)  # every coefficient is 0
+        written = False
+        for pads, rows, middle, mirrors, acc, terms, scales in self._groups:
+            for derivative, f_head, f_tail in pads:
+                if derivative:
+                    np.multiply(c_upper, d_upper, out=f_head)
+                    np.multiply(c_head, d_head, out=f_tail)
+                else:
+                    f_head[...] = c_upper
+                    f_tail[...] = c_head
+            middle.fill(0.0)
+            samples = list(scipy.fft.ifft(rows, overwrite_x=True))
+            for i, r, views in mirrors:
+                for s, (rest, first) in zip(samples[i].reshape(len(views), -1), views):
+                    np.conjugate(s[:0:-1], out=rest)
+                    np.conjugate(s[:1], out=first)
+                samples.append(r)
+            for a, term in zip(acc, terms):
+                prod = samples[term[0]]
+                for i in term[1:]:
+                    prod = np.multiply(prod, samples[i], out=a)
+            for spectrum, scale in zip(scipy.fft.fft(acc, overwrite_x=True), scales):
+                lo, hi = scale[phase]
+                tail, head = spectrum[..., -h:], spectrum[..., :h]
+                if written:
+                    np.add(out_head, np.multiply(tail, lo, out=tail), out=out_head)
+                    np.add(out_upper, np.multiply(head, hi, out=head), out=out_upper)
+                else:
+                    np.multiply(tail, lo, out=out_head)
+                    np.multiply(head, hi, out=out_upper)
+                    written = True
 
-    Every caller gets the same arrays, so the stage is not reentrant across
-    threads, as the product plans are not.
-    """
-    return tuple(np.empty(shape, dtype=np.complex128) for _ in range(5))
-
-
-def _lawson(w, dt, phases, grid, spec):
-    """One Lawson-RK4 step of the raw rows ``w``.
-
-    ``phases`` is ``_lawson_phases(grid, dt, w.shape)``.  ``w`` is
-    ``(n_modes,)`` or ``(batch, n_modes)``, and each row rounds as it would
-    alone.  N(u) reads u* from the samples of u
-    (``nonlinear_coeffs(..., reflect=True)``).  The stage runs in buffers
-    kept per grid and shape, with the operations and operand order of
-    ``reference_lawson`` in the tests, so only the result is a fresh array.
-    A row that overflows comes back non-finite; the caller checks.
-    """
-    half, full, half_dt, full_dt = phases
-    k1, k2, k3, arg, acc = _stage_buffers(grid, w.shape)
-
-    # interaction picture: g(tau, w) = e^{-tau L} N(e^{tau L} w)
-    with np.errstate(over="ignore", invalid="ignore"):
-        np.multiply(1j, nonlinear_coeffs(w, grid, spec, reflect=True), out=k1)
-        np.multiply(dt / 2.0, k1, out=arg)
-        np.add(w, arg, out=arg)
-        np.multiply(half, arg, out=arg)  # half * (w + (dt/2) k1)
-        np.multiply(1j, nonlinear_coeffs(arg, grid, spec, reflect=True), out=k2)
-        np.divide(k2, half, out=k2)
-        np.multiply(half, w, out=arg)
-        np.multiply(half_dt, k2, out=acc)
-        np.add(arg, acc, out=arg)  # half * w + (dt/2) half * k2
-        np.multiply(1j, nonlinear_coeffs(arg, grid, spec, reflect=True), out=k3)
-        np.divide(k3, half, out=k3)
-        np.multiply(full, w, out=arg)
-        np.multiply(full_dt, k3, out=acc)
-        np.add(arg, acc, out=arg)  # full * w + dt full * k3
-        k4 = arg  # N(u) is a fresh array, so k4 may overwrite its argument
-        np.multiply(1j, nonlinear_coeffs(arg, grid, spec, reflect=True), out=k4)
-        np.divide(k4, full, out=k4)
-        np.multiply(2, k2, out=acc)
-        np.add(k1, acc, out=acc)
-        np.multiply(2, k3, out=k2)
-        np.add(acc, k2, out=acc)
-        np.add(acc, k4, out=acc)  # k1 + 2 k2 + 2 k3 + k4
-        np.multiply(dt / 6.0, acc, out=acc)
-        np.add(w, acc, out=acc)
-        return np.multiply(full, acc)
+    def __call__(self, w):
+        half, full, half_dt, full_dt = self._phases
+        k1, k2, k3, arg, k4 = self._buffers
+        dt = self.dt
+        # interaction picture: g(tau, w) = e^{-tau L} N(e^{tau L} w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.rhs(w, 0, k1)
+            np.multiply(dt / 2.0, k1, out=arg)
+            np.add(w, arg, out=arg)
+            np.multiply(half, arg, out=arg)  # half * (w + (dt/2) k1)
+            self.rhs(arg, 1, k2)
+            np.multiply(half, w, out=arg)
+            np.multiply(half_dt, k2, out=k4)
+            np.add(arg, k4, out=arg)  # half * w + (dt/2) half * k2
+            self.rhs(arg, 1, k3)
+            np.multiply(full, w, out=arg)
+            np.multiply(full_dt, k3, out=k4)
+            np.add(arg, k4, out=arg)  # full * w + dt full * k3
+            self.rhs(arg, 2, k4)
+            np.multiply(2, k2, out=arg)
+            np.add(k1, arg, out=arg)
+            np.multiply(2, k3, out=k2)
+            np.add(arg, k2, out=arg)
+            np.add(arg, k4, out=arg)  # k1 + 2 k2 + 2 k3 + k4
+            np.multiply(dt / 6.0, arg, out=arg)
+            np.add(w, arg, out=arg)
+            return np.multiply(full, arg)
 
 
 @dataclass
@@ -210,9 +262,12 @@ def solve_batch(fields, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
         n_steps = n_full + 1
     live = trajs  # the trajectory of each row of w
     t = 0.0
+    stage = None
     for i in range(1, n_steps + 1):
         h, t_next = (dt, i * dt) if i <= n_full else (T - n_full * dt, T)
-        w = _lawson(w, h, _lawson_phases(grid, h, w.shape), grid, spec)
+        if stage is None or (stage.dt, stage.shape) != (h, w.shape):
+            stage = _LawsonStage(grid, spec, h, w.shape)
+        w = stage(w)
         finite = np.isfinite(w).all(axis=1)
         if not finite.all():
             for traj, ok in zip(live, finite):

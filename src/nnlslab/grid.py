@@ -16,11 +16,10 @@ padding, and its ``coeffs`` and ``samples`` are :func:`forward_transform`
 and :func:`inverse_transform`.  Higher degrees pad for dealiased products:
 one inverse transform of a block holding every distinct factor and one
 forward transform of the products made from it, whatever their degree and
-number.  A factor may also be the nonlocal conjugate f*(x) = conj(f(-x)) of
-a transformed row, read from its samples by reflection: on the padded grid
-x_j -> -x_j is the index map j -> (n_fine - j) mod n_fine, so those samples
-are the conjugated samples of f reversed, index 0 kept, and no transformed
-row is spent on them.  The transforms are ``scipy.fft``'s, which keeps its
+number.  The Lawson stage in ``evolve`` takes only the padded size and
+``dx_fine`` of a plan: it pads without the sign vector, the samples then
+sitting at x_j = j dx_fine, and folds every constant into one output scale.
+The transforms are ``scipy.fft``'s, which keeps its
 plans between calls where ``numpy.fft`` sets one up on every call; the two
 agree bit for bit (both run pocketfft, as a unit test checks).
 """
@@ -149,10 +148,9 @@ class ProductPlan:
 
     The plan owns a grow-only work buffer.  ``products`` pads its k
     coefficient rows into one ``(k,) + lead + (n_fine,)`` block of it,
-    transforms the whole block with one inverse FFT, appends the reflected
-    rows (the nonlocal conjugates of chosen rows, read from their samples),
-    multiplies each term's samples left to right into an accumulator of its
-    own behind them and forward transforms every accumulator at once: two
+    transforms the whole block with one inverse FFT, multiplies each term's
+    samples left to right into an accumulator of its own behind them and
+    forward transforms every accumulator at once: two
     FFT calls whatever the degree and the number of terms, and a repeated
     call allocates only its result.  ``product`` is the one term of its
     distinct factors.  The buffer keeps the size of the largest call made so
@@ -201,19 +199,18 @@ class ProductPlan:
             np.multiply(scale, term, out=term)
         return out
 
-    def _work_arrays(self, lead, n_rows, reflected, n_terms):
+    def _work_arrays(self, lead, n_rows, n_terms):
         """Views of the work buffer for ``products``, kept for the next call with the same key.
 
-        ``(pads, scale, targets, middle, rows, mirrors, acc)``: ``pads`` are
+        ``(pads, scale, targets, middle, rows, acc)``: ``pads`` are
         the upper and head halves of ``pad`` and ``scale`` is ``scale``, both
         repeated to ``lead + (n,)`` and kept while ``lead`` stays the same.
         ``rows`` is the ``(n_rows,) + lead + (n_fine,)`` block the
         coefficient rows are padded into, at the ``(head, tail)`` views in
-        ``targets``, with its unpadded middle ``middle``.  ``mirrors`` holds,
-        per reflected row, the views the reflection writes and the row.
-        ``acc`` holds the ``n_terms`` accumulators.
+        ``targets``, with its unpadded middle ``middle``.  ``acc`` holds the
+        ``n_terms`` accumulators.
         """
-        key = (lead, n_rows, reflected, n_terms)
+        key = (lead, n_rows, n_terms)
         if self._work is not None and self._work[0] == key:
             return self._work[1]
         shape = lead + (self.n,)
@@ -227,15 +224,13 @@ class ProductPlan:
                               np.broadcast_to(self.scale, shape).copy())
         pad, scale = self._repeated
         size = math.prod(lead) * self.n_fine
-        count = n_rows + len(reflected) + n_terms
+        count = n_rows + n_terms
         if self._buffer.size < count * size:
             self._buffer = np.empty(count * size, dtype=np.complex128)
         fine = self._buffer[:count * size].reshape((count,) + lead + (self.n_fine,))
-        rows, acc = fine[:n_rows], fine[n_rows + len(reflected):]
-        mirrors = [(r[..., 1:], r[..., :1], r) for r in fine[n_rows:n_rows + len(reflected)]]
+        rows, acc = fine[:n_rows], fine[n_rows:]
         views = ((pad[self.upper], pad[self.head]), scale,
-                 [(f[self.head], f[self.tail]) for f in rows], rows[self.middle],
-                 rows, mirrors, acc)
+                 [(f[self.head], f[self.tail]) for f in rows], rows[self.middle], rows, acc)
         self._work = (key, views)
         return views
 
@@ -266,36 +261,26 @@ class ProductPlan:
         for c in factors:
             rows.setdefault(id(c), (len(rows), c))
         term = tuple(rows[id(c)][0] for c in factors)
-        return self.products([c for _, c in rows.values()], (), (term,))[0]
+        return self.products([c for _, c in rows.values()], (term,))[0]
 
-    def products(self, rows, reflected, terms):
+    def products(self, rows, terms):
         """Retained coefficients of several products of the same sample rows.
 
         ``rows`` are coefficient arrays of one shape; each is padded into
-        one row of the block, and one inverse FFT transforms them all.  For
-        each index ``i`` in the tuple ``reflected`` one more sample row is
-        appended: the nonlocal conjugate f*(x) = conj(f(-x)) of the field of
-        ``rows[i]``, read from its samples.  On the padded grid x_j -> -x_j
-        is j -> (n_fine - j) mod n_fine, so that row is the conjugate of the
-        samples reversed, with index 0 kept in place; no transform computes
-        it.  Each term is a tuple of two or more indices into the sample
-        rows, multiplied left to right into an accumulator of its own, and
-        one forward FFT transforms every accumulator.  The result stacks one
+        one row of the block, and one inverse FFT transforms them all.  Each
+        term is a tuple of two or more indices into ``rows``, whose samples
+        are multiplied left to right into an accumulator of its own, and one
+        forward FFT transforms every accumulator.  The result stacks one
         coefficient array per term along a new first axis.
         """
-        (pad_upper, pad_head), scale, targets, middle, block, mirrors, acc = self._work_arrays(
-            rows[0].shape[:-1], len(rows), reflected, len(terms))
+        (pad_upper, pad_head), scale, targets, middle, block, acc = self._work_arrays(
+            rows[0].shape[:-1], len(rows), len(terms))
         upper, head = self.upper, self.head
         for (f_head, f_tail), c in zip(targets, rows):
             np.multiply(c[upper], pad_upper, out=f_head)
             np.multiply(c[head], pad_head, out=f_tail)
         middle[...] = 0.0
-        samples = list(scipy.fft.ifft(block, overwrite_x=True))
-        for i, (rest, first, r) in zip(reflected, mirrors):
-            s = samples[i]
-            np.conjugate(s[..., :0:-1], out=rest)
-            np.conjugate(s[..., :1], out=first)
-            samples.append(r)
+        samples = scipy.fft.ifft(block, overwrite_x=True)
         for out, term in zip(acc, terms):
             prod = samples[term[0]]
             for i in term[1:]:

@@ -21,18 +21,25 @@ validated field per node.  ``reference_gauge_forward`` and
 Taylor series from validated fields and ``reference_product``; the series,
 which the library does not carry, is criterion 8's independent oracle for
 the exponential form.  The planned and batched kernels in ``nnlslab.grid``,
-``nnlslab.equations``, ``nnlslab.evolve`` and ``nnlslab.gauge`` perform the
-same floating-point operations in the same order, so they must agree with
-these bit for bit.  The one exception is ``nonlinear_coeffs(...,
-reflect=True)``, which reads u* from the samples of u instead of
-transforming conj(coeffs): it agrees with ``reference_nonlinear_term`` to
-roundoff.
+``nnlslab.equations`` (``nonlinear_coeffs``), the Duhamel engine of
+``nnlslab.evolve`` and ``nnlslab.gauge`` perform the same floating-point
+operations in the same order, so they must agree with these bit for bit.
 
 ``reference_lawson`` is the Lawson-RK4 stage written as array expressions,
-with its phases built per call and N(u) from ``nnlslab.equations.
-nonlinear_coeffs(..., reflect=True)``.  ``nnlslab.evolve._lawson`` performs
-the same operations in the same operand order in buffers it keeps, so the two
-agree bit for bit.  ``reference_step`` is one ``reference_lawson`` step of
+one row at a time, with its phases built per call.  Its N(u) follows
+``_recipe(spec, True)`` term by term: each coefficient row is copied into a
+fresh zero-padded fine array without the sign vector (u_x as c * i xi),
+u* and (u*)_x are the conjugated samples of u and u_x reversed with index 0
+kept, and each term's retained coefficients are multiplied by one scale,
+i coeff dx_fine^(1-p), divided by the stage's phase where it has one.
+``nnlslab.evolve._LawsonStage`` performs the same operations in the same
+operand order in arrays it keeps, so the two agree bit for bit.
+``reference_conj_row_lawson`` is the same Lawson-RK4 arithmetic on
+``1j * nonlinear_coeffs``, divided by the phase: signed padding and u*
+transformed as conj(coeffs) in every right-hand side.  It agrees
+with the stage to roundoff only, and is the oracle that the sign-free
+padding, the reflection and the folded scales change nothing but rounding.
+``reference_step`` is one ``reference_lawson`` step of
 one validated field, raising ``FloatingPointError`` when the result is not
 finite.  ``reference_solve`` is the Lawson solve of
 one field, one ``reference_step`` at a time, with each sample's diagnostics
@@ -68,8 +75,10 @@ import numpy as np
 from scipy.integrate import cumulative_simpson
 
 from nnlslab.equations import (
+    DU,
     NDNLS,
     NNLS,
+    _recipe,
     nonlinear_coeffs,
     quintic_coefficient,
     support_leakage,
@@ -196,27 +205,70 @@ def _reference_diagnostics(fld, spec, eps0, norm_params):
     return d
 
 
-def reference_lawson(w, dt, grid, spec):
+def _stage_rhs(c, grid, spec, phase):
+    # i N(c) as the Lawson stage builds it, divided by ``phase`` unless None
+    n = grid.n_modes
+    h = n // 2
+    d = 1j * grid.frequencies
+    d[0] = 0.0
+    out = None
+    for degree, rows, reflected, terms, coefficients in _recipe(spec, True)[0]:
+        n_fine = int(np.ceil((degree + 1) * n / 2))
+        n_fine += n_fine % 2
+        dx_fine = grid.length / n_fine
+        samples = []
+        for f in rows:
+            row = c * d if f == DU else c
+            fine = np.zeros(n_fine, dtype=np.complex128)
+            fine[:h] = row[h:]
+            fine[-h:] = row[:h]
+            samples.append(np.fft.ifft(fine))  # dx_fine * u(j dx_fine)
+        for i in reflected:
+            samples.append(np.conj(np.roll(samples[i][::-1], 1)))  # j -> -j mod n_fine
+        for term, coeff in zip(terms, coefficients):
+            prod = samples[term[0]]
+            for i in term[1:]:
+                prod = prod * samples[i]
+            spectrum = np.fft.fft(prod)
+            scale = 1j * coeff * dx_fine ** (1 - degree)
+            scale = np.full(n, scale) if phase is None else scale / phase
+            term_coeffs = np.concatenate((spectrum[-h:], spectrum[:h])) * scale
+            out = term_coeffs if out is None else out + term_coeffs
+    return np.zeros(n, dtype=np.complex128) if out is None else out
+
+
+def _rk4(w, dt, grid, nl):
+    # the Lawson-RK4 stage with nl(coeffs, phase) = i N(coeffs) / phase
     half = _free_phase(grid, dt / 2.0)
     full = half * half
-
-    def nl(coeffs):
-        return 1j * nonlinear_coeffs(coeffs, grid, spec, reflect=True)
-
     # interaction picture: g(tau, w) = e^{-tau L} N(e^{tau L} w)
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = nl(w)
+        k1 = nl(w, None)
         # bound to a name: numpy would multiply a temporary of 256 KiB or more
         # in place, as it * half, and that is not bitwise half * it
         mid = w + (dt / 2.0) * k1
         a = half * mid
-        k2 = nl(a) / half
+        k2 = nl(a, half)
         b = half * w + (dt / 2.0) * half * k2
-        k3 = nl(b) / half
+        k3 = nl(b, half)
         c = full * w + dt * full * k3
-        k4 = nl(c) / full
+        k4 = nl(c, full)
         w_new = w + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         return full * w_new
+
+
+def reference_lawson(w, dt, grid, spec):
+    if w.ndim == 2:
+        return np.stack([reference_lawson(row, dt, grid, spec) for row in w])
+    return _rk4(w, dt, grid, lambda c, phase: _stage_rhs(c, grid, spec, phase))
+
+
+def reference_conj_row_lawson(w, dt, grid, spec):
+    def nl(c, phase):
+        out = 1j * nonlinear_coeffs(c, grid, spec)
+        return out if phase is None else out / phase
+
+    return _rk4(w, dt, grid, nl)
 
 
 def reference_step(fld, dt, spec):

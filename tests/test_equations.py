@@ -114,60 +114,33 @@ def test_nonlinear_coeffs_match_reference_bit_for_bit(grid):
     coeffs=st.sampled_from(((1.0, 0.0), (0.0, 0.6), (0.8, 0.3), (-1.7, 1.2))),
     mode=st.sampled_from(COEFFICIENT_MODES),
     seed=st.integers(0, 2 ** 16),
-    reflect=st.booleans(),
 )
-def test_batched_nonlinear_coeffs_match_rows_bit_for_bit(n, batch, kind, coeffs, mode, seed,
-                                                         reflect):
+def test_batched_nonlinear_coeffs_match_rows_bit_for_bit(n, batch, kind, coeffs, mode, seed):
     # 65 rows of 256 modes cross numpy's in-place temporary threshold
     g = FrequencyGrid(n, 30.0)
     rows = np.stack([random_field(g, seed + k).coeffs for k in range(batch)])
     spec = EquationSpec(kind, alpha=coeffs[0], beta=coeffs[1], gauged_coefficient_mode=mode)
-    got = nonlinear_coeffs(rows, g, spec, reflect=reflect)
-    want = np.stack([nonlinear_coeffs(r, g, spec, reflect=reflect) for r in rows])
+    got = nonlinear_coeffs(rows, g, spec)
+    want = np.stack([nonlinear_coeffs(r, g, spec) for r in rows])
     assert got.shape == rows.shape
     assert np.array_equal(got, want)
 
 
-@pytest.mark.parametrize("kind,reflect,log", [
-    pytest.param("NNLS", False, [("ifft", 2), ("fft", 1)], id="NNLS-3"),
-    pytest.param("GaugedNdNLS", False, [("ifft", 2), ("fft", 1), ("ifft", 2), ("fft", 1)],
+@pytest.mark.parametrize("kind,log", [
+    pytest.param("NNLS", [("ifft", 2), ("fft", 1)], id="NNLS-3"),
+    pytest.param("GaugedNdNLS", [("ifft", 2), ("fft", 1), ("ifft", 2), ("fft", 1)],
                  id="GaugedNdNLS-6"),
-    pytest.param("gNdNLS", False, [("ifft", 4), ("fft", 2)], id="gNdNLS-6"),
-    pytest.param("NNLS", True, [("ifft", 1), ("fft", 1)], id="NNLS-reflected-2"),
-    pytest.param("NdNLS", True, [("ifft", 2), ("fft", 1)], id="NdNLS-reflected-3"),
-    pytest.param("gNdNLS", True, [("ifft", 2), ("fft", 2)], id="gNdNLS-reflected-4"),
-    pytest.param("GaugedNdNLS", True, [("ifft", 2), ("fft", 1), ("ifft", 1), ("fft", 1)],
-                 id="GaugedNdNLS-reflected-5"),
+    pytest.param("gNdNLS", [("ifft", 4), ("fft", 2)], id="gNdNLS-6"),
 ])
-def test_nonlinear_coeffs_transform_each_distinct_factor_once(grid, fft_log, kind, reflect, log):
+def test_nonlinear_coeffs_transform_each_distinct_factor_once(grid, fft_log, kind, log):
     # NNLS: one block (u, u*) in and u u u* out, 3 rows in 2 calls; gauged:
     # (u, (u*)_x | u u (u*)_x) and (u, u* | u u u u* u*) on their own padded
     # grids, 6 rows in 4 calls; gNdNLS: both cubic terms from one block
-    # (u, u*, u_x, (u*)_x).  Reflected, u* is read from the samples of u and
-    # (u*)_x from those of u_x where u_x is transformed anyway
+    # (u, u*, u_x, (u*)_x)
     f = random_field(grid, 12, decay=3.0)
     spec = EquationSpec(kind, alpha=1.0, beta=0.3)
-    nonlinear_coeffs(f.coeffs, grid, spec, reflect=reflect)
+    nonlinear_coeffs(f.coeffs, grid, spec)
     assert fft_log == log
-
-
-@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
-@pytest.mark.parametrize("kind", KINDS)
-def test_reflected_nonlinear_coeffs_match_the_conjugate_rows(n, kind):
-    # u*(x_j) = conj(u(x_{-j})) read from the samples of u is the transformed
-    # row of conj(coeffs) to roundoff: at most 3.2e-16 of max|N| measured
-    # over these cases
-    g = FrequencyGrid(n, 30.0)
-    rows = np.stack([random_field(g, seed).coeffs for seed in range(3)])
-    for mode in COEFFICIENT_MODES:
-        spec = EquationSpec(kind, alpha=0.8, beta=0.3, gauged_coefficient_mode=mode)
-        want = nonlinear_coeffs(rows, g, spec)
-        got = nonlinear_coeffs(rows, g, spec, reflect=True)
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), spec
-        for row, got_row, want_row in zip(rows, got, want):
-            alone = nonlinear_coeffs(row, g, spec, reflect=True)
-            assert alone.tobytes() == got_row.tobytes()
-            assert np.max(np.abs(alone - want_row)) <= 1e-15 * np.max(np.abs(want_row)), spec
 
 
 def test_zero_alpha_is_free_equation(grid):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import nnlslab
 from conftest import random_field
 from reference import (
+    reference_conj_row_lawson,
     reference_cumulative_simpson,
     reference_lawson,
     reference_picard_map,
@@ -20,14 +21,13 @@ from reference import (
     reference_solve,
     reference_step,
 )
-from nnlslab.equations import EquationSpec
+from nnlslab.equations import COEFFICIENT_MODES, KINDS, EquationSpec, nonlinear_coeffs
 from nnlslab.experiments import make_initial_data
 from nnlslab.evolve import (
     _duhamel,
     _duhamel_nodes,
     _free_phase,
-    _lawson,
-    _lawson_phases,
+    _LawsonStage,
     _simpson_weights,
     cumulative_simpson,
     picard_solve,
@@ -273,51 +273,138 @@ def test_solve_batch_steps_every_member_in_one_product(fft_log, spec, rhs):
 ])
 @pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.kind)
 def test_lawson_stage_matches_the_expression_form_bit_for_bit(spec, n, length, dt):
-    # the stage runs in buffers kept per grid and shape; the oracle is the
-    # same arithmetic written as expressions, on the same N(u)
+    # the stage keeps its constants and buffers; the oracle is the same
+    # arithmetic written as expressions, one row at a time
     grid = FrequencyGrid(n, length)
     members = [f.coeffs for f in batch_members(grid, 4)]
     for w in [members[0]] + [np.stack(members[:k]) for k in range(1, 5)]:
         want = reference_lawson(w, dt, grid, spec)
+        stage = _LawsonStage(grid, spec, dt, w.shape)
         for _ in range(2):  # the second call runs on the kept buffers
-            got = _lawson(w, dt, _lawson_phases(grid, dt, w.shape), grid, spec)
-            assert got.tobytes() == want.tobytes()
+            assert stage(w).tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("spec, rows", [
-    pytest.param(NNLS, 1, id="NNLS"),  # the products array N(u), scaled in place
-    pytest.param(EquationSpec("NdNLS", alpha=1.0), 2, id="NdNLS"),  # and the u_x row
-    # two products, u_x and the sum
-    pytest.param(EquationSpec("gNdNLS", alpha=0.8, beta=0.3), 4, id="gNdNLS"),
-    # u*, (u*)_x, one product at a time and the sum
-    pytest.param(EquationSpec("GaugedNdNLS", alpha=1.0), 4, id="GaugedNdNLS"),
-    pytest.param(EquationSpec("GaugedGNdNLS", alpha=0.8, beta=0.3), 4, id="GaugedGNdNLS"),
+@pytest.mark.parametrize("n, length, dt", [
+    (64, 40.0, 0.01),
+    (256, 40.0, 0.004),
+    (1024, 80.0, 0.002),
+    (4096, 80.0, 0.001),
 ])
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.kind)
+def test_lawson_stage_matches_the_conjugate_row_stage_to_roundoff(spec, n, length, dt):
+    # the stage against the Lawson stage of signed padding and u* transformed
+    # as conj(coeffs): at most 2.8e-17 of max|w| after one step and 2.9e-16
+    # relative after 50 (measured over these cases)
+    grid = FrequencyGrid(n, length)
+    members = [f.coeffs for f in batch_members(grid, 3)]
+    for w in (members[0], np.stack(members)):
+        stage = _LawsonStage(grid, spec, dt, w.shape)
+        got = stage(w)
+        want = reference_conj_row_lawson(w, dt, grid, spec)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(w))
+        for _ in range(49):
+            got, want = stage(got), reference_conj_row_lawson(want, dt, grid, spec)
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("n", [64, 256, 1024, 4096])
+@pytest.mark.parametrize("kind", KINDS)
+def test_lawson_stage_rhs_matches_nonlinear_coeffs(n, kind):
+    # u* read from the samples of u, padded without signs and scaled once, is
+    # the transformed row of conj(coeffs) to roundoff: at most 4.7e-16 of
+    # max|N| measured over these cases
+    g = FrequencyGrid(n, 30.0)
+    rows = np.stack([random_field(g, seed).coeffs for seed in range(3)])
+    for mode in COEFFICIENT_MODES:
+        spec = EquationSpec(kind, alpha=0.8, beta=0.3, gauged_coefficient_mode=mode)
+        want = 1j * nonlinear_coeffs(rows, g, spec)
+        got = np.empty_like(rows)
+        _LawsonStage(g, spec, 0.001, rows.shape).rhs(rows, 0, got)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), spec
+        stage = _LawsonStage(g, spec, 0.001, rows[0].shape)
+        for row, got_row in zip(rows, got):
+            alone = np.empty_like(row)
+            stage.rhs(row, 0, alone)
+            assert alone.tobytes() == got_row.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_lawson_stage_rhs_without_terms_is_zero(grid, kind):
+    # alpha = beta = 0 leaves no term to evaluate; the output is still written
+    c = random_field(grid, 4).coeffs
+    stage = _LawsonStage(grid, EquationSpec(kind, alpha=0.0), 0.01, c.shape)
+    for phase in range(3):
+        out = np.full_like(c, np.nan)
+        stage.rhs(c, phase, out)
+        assert np.all(out == 0)
+
+
+@pytest.mark.parametrize("kind, log", [
+    pytest.param("NNLS", [("ifft", 1), ("fft", 1)], id="NNLS-2"),
+    pytest.param("NdNLS", [("ifft", 2), ("fft", 1)], id="NdNLS-3"),
+    pytest.param("gNdNLS", [("ifft", 2), ("fft", 2)], id="gNdNLS-4"),
+    pytest.param("GaugedNdNLS", [("ifft", 2), ("fft", 1), ("ifft", 1), ("fft", 1)],
+                 id="GaugedNdNLS-5"),
+])
+def test_lawson_stage_rhs_transforms_u_and_u_x_only(grid, fft_log, kind, log):
+    # u* is read from the samples of u and (u*)_x from those of u_x: NNLS
+    # transforms u, NdNLS and gNdNLS (u, u_x) once for both cubic terms, and
+    # the gauged cubic (u, u_x) and quintic u on their own padded grids
+    c = random_field(grid, 12, decay=3.0).coeffs
+    stage = _LawsonStage(grid, EquationSpec(kind, alpha=1.0, beta=0.3), 0.01, c.shape)
+    fft_log.clear()
+    stage.rhs(c, 0, np.empty_like(c))
+    assert fft_log == log
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.kind)
 @pytest.mark.parametrize("k", [1, 3])
-def test_warm_lawson_step_allocates_only_its_right_hand_sides(spec, rows, k):
+def test_warm_lawson_step_allocates_only_its_result(spec, k):
     # numpy's tracemalloc domain holds array data.  A warm step at n = 4096
-    # keeps one new array, its result, and never holds more than ``rows``
-    # arrays of the batch's size at once (measured; tracemalloc's peak also
-    # counts a few hundred bytes of Python objects)
+    # keeps one new array, its result, and allocates nothing else of the
+    # batch's size: the stage reflects strided rows one at a time and never
+    # broadcasts a row over a contiguous batch, where numpy would allocate
+    # iterator buffers (tracemalloc's peak also counts a few hundred bytes of
+    # Python objects and numpy's small iterator allocations)
     grid = FrequencyGrid(4096, 80.0)
     w = np.stack([f.coeffs for f in batch_members(grid, k)])
-    phases = _lawson_phases(grid, 0.001, w.shape)
+    stage = _LawsonStage(grid, spec, 0.001, w.shape)
     for _ in range(2):
-        _lawson(w, 0.001, phases, grid, spec)
+        stage(w)
     numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
     tracemalloc.start()
     try:
         before = tracemalloc.take_snapshot().filter_traces([numpy_data])
         current, _ = tracemalloc.get_traced_memory()
         tracemalloc.reset_peak()
-        out = _lawson(w, 0.001, phases, grid, spec)
+        out = stage(w)
         _, peak = tracemalloc.get_traced_memory()
         after = tracemalloc.take_snapshot().filter_traces([numpy_data])
     finally:
         tracemalloc.stop()
     kept = sum(t.size for t in after.traces) - sum(t.size for t in before.traces)
     assert kept == out.nbytes
-    assert peak - current <= rows * w.nbytes + 8192
+    assert peak - current <= w.nbytes + 8192
+
+
+@pytest.mark.parametrize("spec", BATCH_SPECS, ids=lambda s: s.kind)
+def test_solves_keep_only_their_trajectories(spec):
+    # the stage's phases, scales and buffers go with its solve: solves with
+    # distinct step sizes leave only the coefficients of their recorded states
+    # in numpy's tracemalloc domain
+    grid = FrequencyGrid(4096, 80.0)
+    u0 = batch_members(grid, 1)[0]
+    solve(u0, 0.002, 0.001, spec)  # the per-grid caches
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces([numpy_data])
+        trajs = [solve(u0, 2e-3 + 1e-5 * i, 1e-3 + 5e-6 * i, spec) for i in range(6)]
+        after = tracemalloc.take_snapshot().filter_traces([numpy_data])
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.size for t in after.traces) - sum(t.size for t in before.traces)
+    assert kept == sum(u.coeffs.nbytes for traj in trajs for u in traj.states[1:])
 
 
 def test_solve_batch_validates_its_members(grid, gaussian):
