@@ -23,8 +23,9 @@ import time
 
 import yaml
 
-from .equations import EquationSpec, GAUGED_GNDNLS, GNDNLS, KINDS, NDNLS, NNLS
-from .evolve import norm_key, solve
+from .equations import (EquationSpec, GAUGED_GNDNLS, GNDNLS, KINDS, NDNLS, NNLS,
+                        mass_energy_coeffs, support_leakage)
+from .evolve import solve
 from .experiments import (
     DATA_KINDS,
     exp_conservation,
@@ -36,6 +37,7 @@ from .experiments import (
     make_initial_data,
 )
 from .grid import FrequencyGrid
+from .spaces import esigma_norm
 
 
 class ConfigError(ValueError):
@@ -213,6 +215,9 @@ def _evolution(cfg):
                           % (norms,))
     norms = [tuple(_float("evolution.norms[%d][%d]" % (i, j), v) for j, v in enumerate(pair))
              for i, pair in enumerate(norms)]
+    # %g keeps six significant digits: two such pairs would share a CSV column
+    if len({"%g,%g" % p for p in norms}) < len(norms):
+        raise ConfigError("evolution.norms %r repeat a diagnostics key" % (norms,))
     return T, dt, sample_every, norms
 
 
@@ -220,18 +225,19 @@ def _fmt(x):
     return "%.17g" % x
 
 
-def write_timeseries(path, traj):
+def write_timeseries(path, traj, alpha, eps0=0.0, norms=()):
+    """One CSV row per recorded state of ``traj``: t, the mass and energy for ``alpha``,
+    the leakage below ``eps0`` and the E^s_sigma norm of each (s, sigma) in ``norms``."""
     header = ["t", "Re M", "Im M", "Re E", "Im E", "leakage"]
-    header += ["Es(%g,%g)" % p for p in traj.norm_params]
-    keys = [norm_key(*p) for p in traj.norm_params]
+    header += ["Es(%g,%g)" % p for p in norms]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(header)
-        for t, d in zip(traj.times, traj.diagnostics):
-            row = [_fmt(t), _fmt(d["mass"].real), _fmt(d["mass"].imag),
-                   _fmt(d["energy"].real), _fmt(d["energy"].imag), _fmt(d["leakage"])]
-            row += [_fmt(d[k]) for k in keys]
-            w.writerow(row)
+        for t, u in zip(traj.times, traj.states):
+            (m, e), = mass_energy_coeffs(u.coeffs[None], u.grid, alpha)
+            row = [t, m.real, m.imag, e.real, e.imag, support_leakage(u, eps0)]
+            row += [esigma_norm(u, s, sigma) for s, sigma in norms]
+            w.writerow([_fmt(v) for v in row])
 
 
 def _flat(prefix, value, out):
@@ -256,15 +262,19 @@ def write_report(path, fields):
 
 
 def _trajectory_inputs(cfg):
-    """(spec, u0, T, dt, sample_every, norms) of a run that steps a trajectory."""
+    """(spec, u0, T, dt, sample_every, norms) of a run that steps a trajectory; a
+    norm whose weight overflows on the grid is refused before any solve."""
     grid = build_grid(cfg)
-    return (build_equation(cfg), build_initial_data(cfg, grid)) + _evolution(cfg)
+    inputs = (build_equation(cfg), build_initial_data(cfg, grid)) + _evolution(cfg)
+    for s, sigma in inputs[-1]:
+        esigma_norm(inputs[1], s, sigma)
+    return inputs
 
 
 def _run_conservation(cfg, exp):
-    spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
+    spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
     return _call(exp_conservation, "experiment", exp, spec, u0, T, dt,
-                 sample_every=sample_every, norm_params=norms)
+                 sample_every=sample_every)
 
 
 def _run_gauge_equivalence(cfg, exp):
@@ -324,7 +334,7 @@ EXPERIMENTS = {
     "support_invariance": Experiment(
         "halfline-support-invariance", _run_support_invariance,
         "spectral support above a positive frequency threshold is preserved",
-        "t, Re M, Im M, Re E, Im E, leakage"),
+        "t, Re M, Im M, Re E, Im E, leakage, plus one column per requested (s, sigma) norm"),
     "scaling_global": Experiment(
         "dilation-scaling-bound", _run_scaling_global,
         "dilation norm bound holds and the dilation-weighted norm decays along solves"),
@@ -357,22 +367,25 @@ def run_experiment(name, cfg, out_dir):
     fields = {k: v for k, v in vars(report).items() if k != "trajectory"}
     write_report(os.path.join(out_dir, "report.txt"), dict(fields, runtime_seconds=runtime))
     if report.trajectory is not None:
-        write_timeseries(os.path.join(out_dir, "timeseries.csv"), report.trajectory)
+        write_timeseries(os.path.join(out_dir, "timeseries.csv"), report.trajectory,
+                         build_equation(cfg).alpha, report.parameters.get("eps0", 0.0),
+                         _evolution(cfg)[3])
     return report
 
 
 def cmd_solve(cfg, out_dir):
     spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
-    exp = _section(cfg, "experiment")
-    eps0 = {"eps0": _number("experiment.eps0", exp["eps0"])} if "eps0" in exp else {}
-    traj = solve(u0, T, dt, spec, sample_every=sample_every, norm_params=norms, **eps0)
+    eps0 = _number("experiment.eps0", _section(cfg, "experiment").get("eps0", 0.0))
+    support_leakage(u0, eps0)  # refuses a negative eps0 before the solve
+    traj = solve(u0, T, dt, spec, sample_every=sample_every)
     os.makedirs(out_dir, exist_ok=True)
-    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj)
+    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, spec.alpha, eps0, norms)
+    (m, e), = mass_energy_coeffs(traj.states[-1].coeffs[None], u0.grid, spec.alpha)
     write_report(os.path.join(out_dir, "report.txt"), {
         "blown_up": traj.blown_up,
         "final_time": traj.times[-1],
-        "final_mass_re": traj.diagnostics[-1]["mass"].real,
-        "final_energy_re": traj.diagnostics[-1]["energy"].real,
+        "final_mass_re": m.real,
+        "final_energy_re": e.real,
     })
     return 0 if not traj.blown_up else 1
 

@@ -4,8 +4,9 @@ The workhorse stepper is a classical integrating-factor (Lawson) RK4 on the
 Fourier coefficients, run by ``solve_batch`` on raw coefficient arrays: it
 steps a family of fields on one grid as the rows of one array, each row
 rounds exactly as its own solve, and a row that blows up is dropped while the
-others go on.  ``solve`` is the batch of one.  A ``SpectralField`` and its
-diagnostics are built only for recorded samples.  Each step size and batch
+others go on.  ``solve`` is the batch of one.  A trajectory holds the
+recorded times and states only; the code that reports mass, energy, leakage
+or norms computes them from the states.  Each step size and batch
 shape gets one ``_LawsonStage``, which holds the phases, scales and buffers
 of its steps and goes with the solve.  The stage evaluates N(u) itself:
 sign-free padding, the nonlocal conjugate u* read from the samples of u,
@@ -38,9 +39,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.fft
 
-from .equations import DU, _recipe, mass_energy_coeffs, nonlinear_coeffs, support_leakage
+from .equations import DU, _recipe, nonlinear_coeffs
 from .grid import GridMismatchError, SpectralField, derivative_symbol, product_plan
-from .spaces import esigma_norm
 
 CFL_LIMIT = 50.0  # guard on dt * xi_max^2 for the nonlinear substep
 
@@ -182,46 +182,20 @@ class _LawsonStage:
 
 @dataclass
 class Trajectory:
-    """Time-indexed states with per-sample diagnostics."""
+    """Recorded times and states; a blown-up one ends with its last finite state."""
 
     times: list
     states: list
-    diagnostics: list  # one dict per sample
     blown_up: bool = False
     blowup_time: float | None = None
-    norm_params: tuple = ()  # the (s, sigma) pairs whose norms the diagnostics hold
-
-    def diagnostic_series(self, key):
-        return np.array([d[key] for d in self.diagnostics])
 
 
-def norm_key(s, sigma):
-    """Diagnostics key of the E^s_sigma norm."""
-    return "esigma(%g,%g)" % (s, sigma)
+def solve(u0, T, dt, spec, sample_every=1):
+    """Step u0 to time T, recording sampled states: ``solve_batch([u0], ...)[0]``."""
+    return solve_batch([u0], T, dt, spec, sample_every)[0]
 
 
-def _record(trajs, t, states, w, spec, eps0, norm_params):
-    """Append time ``t``, ``states`` and their diagnostics to ``trajs``, one each.
-
-    ``w`` stacks the coefficients of ``states``; the mass and energy of every
-    row come from one inverse transform.
-    """
-    pairs = mass_energy_coeffs(w, states[0].grid, spec.alpha)
-    for traj, fld, (m, e) in zip(trajs, states, pairs):
-        d = {"mass": m, "energy": e, "leakage": support_leakage(fld, eps0)}
-        for s, sigma in norm_params:
-            d[norm_key(s, sigma)] = esigma_norm(fld, s, sigma)
-        traj.times.append(t)
-        traj.states.append(fld)
-        traj.diagnostics.append(d)
-
-
-def solve(u0, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
-    """Step u0 to time T, recording sampled diagnostics: ``solve_batch([u0], ...)[0]``."""
-    return solve_batch([u0], T, dt, spec, sample_every, eps0, norm_params)[0]
-
-
-def solve_batch(fields, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
+def solve_batch(fields, T, dt, spec, sample_every=1):
     """Step fields that share a grid from 0 to T together; one Trajectory per field.
 
     The fields are stacked into a ``(k, n_modes)`` array and stepped by the
@@ -229,7 +203,8 @@ def solve_batch(fields, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
     exactly as its own solve.  Time 0, every ``sample_every``-th step and T
     are recorded.  When T is not a whole number of steps dt (to 1e-9 relative),
     a final shortened step ends the trajectories exactly at T.  A row that
-    goes non-finite is marked ``blown_up`` at the end of that step and
+    goes non-finite is marked ``blown_up`` at the end of that step, its state
+    before the step is recorded unless its time already is, and the row is
     dropped; the other rows go on.
     """
     if not (math.isfinite(dt) and dt > 0):
@@ -238,18 +213,13 @@ def solve_batch(fields, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
         raise ValueError("T must be finite and nonnegative, got %r" % (T,))
     if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
         raise ValueError("sample_every must be an integer >= 1, got %r" % (sample_every,))
-    norm_params = tuple((s, sigma) for s, sigma in norm_params)
-    if len({norm_key(*p) for p in norm_params}) < len(norm_params):
-        raise ValueError("norm_params %r repeat a diagnostics key" % (norm_params,))
     fields = list(fields)
     if not fields:
         raise ValueError("solve_batch needs at least one field")
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise GridMismatchError("fields live on different grids")
-    trajs = [Trajectory([], [], [], norm_params=norm_params) for _ in fields]
-    w = np.stack([f.coeffs for f in fields])
-    _record(trajs, 0.0, fields, w, spec, eps0, norm_params)
+    trajs = [Trajectory([0.0], [f]) for f in fields]
     if T == 0:
         return trajs
     if dt * grid.xi_max ** 2 > CFL_LIMIT:
@@ -261,27 +231,32 @@ def solve_batch(fields, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
         n_full = int(T // dt)
         n_steps = n_full + 1
     live = trajs  # the trajectory of each row of w
+    w = np.stack([f.coeffs for f in fields])
     t = 0.0
     stage = None
     for i in range(1, n_steps + 1):
         h, t_next = (dt, i * dt) if i <= n_full else (T - n_full * dt, T)
         if stage is None or (stage.dt, stage.shape) != (h, w.shape):
             stage = _LawsonStage(grid, spec, h, w.shape)
-        w = stage(w)
-        finite = np.isfinite(w).all(axis=1)
+        stepped = stage(w)
+        finite = np.isfinite(stepped).all(axis=1)
         if not finite.all():
-            for traj, ok in zip(live, finite):
+            for traj, row, ok in zip(live, w, finite):
                 if not ok:
                     traj.blown_up = True
                     traj.blowup_time = t + h
+                    if traj.times[-1] != t:  # its last finite state
+                        traj.times.append(t)
+                        traj.states.append(SpectralField(grid, row))
             live = [traj for traj, ok in zip(live, finite) if ok]
             if not live:
                 break
-            w = w[finite]
-        t = t_next
+            stepped = stepped[finite]
+        w, t = stepped, t_next
         if i % sample_every == 0 or i == n_steps:
-            _record(live, t, [SpectralField(grid, row) for row in w], w, spec, eps0,
-                    norm_params)
+            for traj, row in zip(live, w):
+                traj.times.append(t)
+                traj.states.append(SpectralField(grid, row))
     return trajs
 
 

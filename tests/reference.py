@@ -42,11 +42,11 @@ padding, the reflection and the folded scales change nothing but rounding.
 ``reference_step`` is one ``reference_lawson`` step of
 one validated field, raising ``FloatingPointError`` when the result is not
 finite.  ``reference_solve`` is the Lawson solve of
-one field, one ``reference_step`` at a time, with each sample's diagnostics
-from ``reference_mass``, ``reference_energy``, ``support_leakage`` and
-``esigma_norm``.  ``nnlslab.evolve.solve_batch`` steps and measures every
-member of a batch at once, with the same operations on each row, so each of
-its trajectories must agree with this bit for bit.
+one field, one ``reference_step`` at a time, recording times and states; a
+blown-up solve ends with its state before the step that overflowed.
+``nnlslab.evolve.solve_batch`` steps every member of a batch at once, with
+the same operations on each row, so each of its trajectories must agree
+with this bit for bit.
 
 ``reference_rhs`` is the full right-hand side i u_xx + i N(u) as a field, with
 N(u) from ``nnlslab.equations.nonlinear_coeffs``; criterion 3 compares two of
@@ -81,9 +81,8 @@ from nnlslab.equations import (
     _recipe,
     nonlinear_coeffs,
     quintic_coefficient,
-    support_leakage,
 )
-from nnlslab.evolve import PicardReport, Trajectory, _free_phase, norm_key
+from nnlslab.evolve import PicardReport, Trajectory, _free_phase
 from nnlslab.experiments import _gl, _phase_ratio
 from nnlslab.grid import (
     FrequencyGrid,
@@ -92,7 +91,7 @@ from nnlslab.grid import (
     inverse_transform,
     l2_distance,
 )
-from nnlslab.spaces import _SPARSE_MODE_LIMIT, _support_indices, esigma_norm
+from nnlslab.spaces import _SPARSE_MODE_LIMIT, _support_indices
 
 
 def _signs(n):
@@ -197,14 +196,6 @@ def reference_nonlinear_term(fld, spec):
     return SpectralField(fld.grid, out)
 
 
-def _reference_diagnostics(fld, spec, eps0, norm_params):
-    d = {"mass": reference_mass(fld), "energy": reference_energy(fld, spec.alpha),
-         "leakage": support_leakage(fld, eps0)}
-    for s, sigma in norm_params:
-        d[norm_key(s, sigma)] = esigma_norm(fld, s, sigma)
-    return d
-
-
 def _stage_rhs(c, grid, spec, phase):
     # i N(c) as the Lawson stage builds it, divided by ``phase`` unless None
     n = grid.n_modes
@@ -278,10 +269,8 @@ def reference_step(fld, dt, spec):
     return SpectralField(fld.grid, out)
 
 
-def reference_solve(u0, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
-    norm_params = tuple(norm_params)
-    traj = Trajectory([0.0], [u0], [_reference_diagnostics(u0, spec, eps0, norm_params)],
-                      norm_params=norm_params)
+def reference_solve(u0, T, dt, spec, sample_every=1):
+    traj = Trajectory([0.0], [u0])
     if T == 0:
         return traj
     n_full = int(round(T / dt))
@@ -297,12 +286,14 @@ def reference_solve(u0, T, dt, spec, sample_every=1, eps0=0.0, norm_params=()):
         except FloatingPointError:
             traj.blown_up = True
             traj.blowup_time = t + h
+            if traj.times[-1] != t:
+                traj.times.append(t)
+                traj.states.append(u)
             return traj
         t = t_next
         if i % sample_every == 0 or i == n_steps:
             traj.times.append(t)
             traj.states.append(u)
-            traj.diagnostics.append(_reference_diagnostics(u, spec, eps0, norm_params))
     return traj
 
 

@@ -11,8 +11,10 @@ import yaml
 import nnlslab.experiments as experiments
 from nnlslab.cli import (EXPERIMENTS, ConfigError, build_equation, build_grid,
                          build_initial_data, load_config, main, write_timeseries)
-from nnlslab.equations import EquationSpec
-from nnlslab.evolve import norm_key, solve
+from nnlslab.equations import EquationSpec, support_leakage
+from nnlslab.evolve import solve
+from nnlslab.spaces import esigma_norm
+from reference import reference_energy, reference_mass
 
 CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
@@ -179,19 +181,50 @@ def test_non_finite_grid_length_is_exit_2(tmp_path, capsys, command, length):
     assert not out.exists()
 
 
-def test_timeseries_has_one_column_per_recorded_norm(tmp_path):
+@pytest.mark.parametrize("amplitude", [1.0, 100.0])
+def test_timeseries_columns_match_the_references_bit_for_bit(tmp_path, amplitude):
+    # each row is computed from its recorded state: the mass and energy as
+    # reference_mass and reference_energy build them, the leakage below eps0
+    # and one E^s_sigma norm per pair.  Amplitude 100 blows up in the second
+    # step; the run ends with its last finite state, whose energy overflows
+    # to nan
     grid = build_grid(BASE_CFG)
-    u0 = build_initial_data(BASE_CFG, grid)
-    pairs = [(-1.0, 0.0), (-0.5, 0.25), (0.0, 1.0)]
-    traj = solve(u0, 0.01, 5e-3, EquationSpec("NNLS"), norm_params=pairs)
-    assert traj.norm_params == tuple(pairs)
+    u0 = build_initial_data(BASE_CFG, grid, amplitude=amplitude)
+    alpha, eps0, pairs = 1.5, 0.5, [(-1.0, 0.0), (-0.5, 0.25), (0.0, 1.0)]
+    traj = solve(u0, 0.04, 0.01, EquationSpec("NNLS", alpha=alpha), sample_every=2)
+    assert traj.blown_up == (amplitude > 1)
     path = tmp_path / "ts.csv"
-    write_timeseries(str(path), traj)
+    want = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        write_timeseries(str(path), traj, alpha, eps0, pairs)
+        for t, u in zip(traj.times, traj.states):
+            m, e = reference_mass(u), reference_energy(u, alpha)
+            row = [t, m.real, m.imag, e.real, e.imag, support_leakage(u, eps0)]
+            want.append(["%.17g" % v for v in row + [esigma_norm(u, *p) for p in pairs]])
     with open(path) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0][6:] == ["Es(-1,0)", "Es(-0.5,0.25)", "Es(0,1)"]
-    for row, d in zip(rows[1:], traj.diagnostics):
-        assert [float(v) for v in row[6:]] == [d[norm_key(*p)] for p in pairs]
+    assert rows[0] == ["t", "Re M", "Im M", "Re E", "Im E", "leakage",
+                       "Es(-1,0)", "Es(-0.5,0.25)", "Es(0,1)"]
+    assert rows[1:] == want
+    assert all(float(row[5]) > 0 for row in want)
+    if traj.blown_up:
+        assert traj.times == [0.0, 0.01] and want[-1][3] == "nan"
+
+
+def test_support_invariance_writes_the_requested_norms(tmp_path):
+    out = tmp_path / "out"
+    assert main(["experiment", "support_invariance", "--config",
+                 os.path.join(CONFIGS, "support_invariance.yaml"), "--out", str(out),
+                 "--override", "evolution.T=0.1",
+                 "--override", "evolution.norms=[[-1.0,0.0],[0.0,1.0]]"]) == 0
+    with open(out / "timeseries.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0][6:] == ["Es(-1,0)", "Es(0,1)"]
+    cfg = load_config(os.path.join(CONFIGS, "support_invariance.yaml"))
+    u0 = build_initial_data(cfg, build_grid(cfg))
+    norms = [esigma_norm(u0, -1.0, 0.0), esigma_norm(u0, 0.0, 1.0)]
+    assert rows[1][6:] == ["%.17g" % v for v in norms]
+    assert len(rows) == 4 and all(len(row) == 8 for row in rows)
 
 
 def test_experiment_pass_and_report(tmp_path, capsys):

@@ -21,7 +21,13 @@ from reference import (
     reference_solve,
     reference_step,
 )
-from nnlslab.equations import COEFFICIENT_MODES, KINDS, EquationSpec, nonlinear_coeffs
+from nnlslab.equations import (
+    COEFFICIENT_MODES,
+    KINDS,
+    EquationSpec,
+    mass_energy_coeffs,
+    nonlinear_coeffs,
+)
 from nnlslab.experiments import make_initial_data
 from nnlslab.evolve import (
     _duhamel,
@@ -151,30 +157,25 @@ def test_solve_linear_composition(grid, gaussian):
 def test_solve_mass_drift(grid):
     u0 = even_gaussian(grid)
     traj = solve(u0, 0.5, 0.002, NNLS, sample_every=50)
-    m0 = traj.diagnostics[0]["mass"]
-    drift = max(abs(d["mass"] - m0) for d in traj.diagnostics)
-    assert drift <= 1e-8 * abs(m0)
+    w = np.stack([u.coeffs for u in traj.states])
+    m = np.array([mass for mass, _ in mass_energy_coeffs(w, grid, NNLS.alpha)])
+    assert np.max(np.abs(m - m[0])) <= 1e-8 * abs(m[0])
 
 
-def test_solve_reports_norms(grid, gaussian):
-    traj = solve(gaussian, 0.05, 0.005, NNLS, norm_params=[(-1.0, 0.0)])
-    series = traj.diagnostic_series("esigma(-1,0)")
-    assert np.all(series > 0)
-
-
-def test_solve_rejects_norm_params_sharing_a_key(gaussian):
-    # %g keeps six significant digits, so both pairs would be "esigma(-1,0)"
-    with pytest.raises(ValueError, match="repeat a diagnostics key"):
-        solve(gaussian, 0.01, 0.005, NNLS, norm_params=[(-1.0, 0.0), (-1.0000001, 0.0)])
-
-
-def test_solve_blowup_flag(grid):
-    # absurd amplitude overflows within a few steps; the trajectory reports
-    # it instead of raising
-    u0 = even_gaussian(grid, amp=1e150)
-    traj = solve(u0, 0.5, 0.01, NNLS)
+@pytest.mark.parametrize("amp, sample_every, times", [
+    (1e150, 50, [0.0]),  # overflows in the first step: u0 is its last finite state
+    (1e4, 50, [0.0, 0.01]),  # the state before the second step, not a sampled one
+    (10.0, 3, [0.0, 0.03, 0.06]),  # overflows in the step after a sample
+])
+def test_solve_blowup_flag(grid, amp, sample_every, times):
+    # a large amplitude overflows within a few steps; the trajectory reports
+    # it instead of raising, and ends with the state before the step that
+    # overflowed, recorded once
+    u0 = even_gaussian(grid, amp=amp)
+    traj = solve(u0, 0.5, 0.01, NNLS, sample_every=sample_every)
     assert traj.blown_up
-    assert traj.blowup_time is not None and traj.blowup_time <= 0.5
+    assert traj.times == times and traj.blowup_time == times[-1] + 0.01
+    assert_same_trajectory(traj, reference_solve(u0, 0.5, 0.01, NNLS, sample_every))
 
 
 BATCH_SPECS = [
@@ -186,18 +187,10 @@ BATCH_SPECS = [
 ]
 
 
-def diagnostic_bits(d):
-    return {key: (type(value), np.array(value).tobytes()) for key, value in d.items()}
-
-
 def assert_same_trajectory(got, want):
     assert got.times == want.times
     assert [u.coeffs.tobytes() for u in got.states] == [u.coeffs.tobytes() for u in want.states]
-    # each mass, energy, leakage and norm bit for bit; a blown-up energy is nan
-    assert [diagnostic_bits(d) for d in got.diagnostics] == [diagnostic_bits(d)
-                                                              for d in want.diagnostics]
     assert (got.blown_up, got.blowup_time) == (want.blown_up, want.blowup_time)
-    assert got.norm_params == want.norm_params
 
 
 def batch_members(grid, k):
@@ -218,26 +211,28 @@ def batch_members(grid, k):
 def test_solve_batch_matches_one_solve_per_member_bit_for_bit(spec, n, length, k, T, dt):
     grid = FrequencyGrid(n, length)
     fields = batch_members(grid, k)
-    options = dict(sample_every=2, eps0=0.5, norm_params=[(-1.0, 0.0), (0.0, 1.0)])
-    trajs = solve_batch(fields, T, dt, spec, **options)
+    trajs = solve_batch(fields, T, dt, spec, sample_every=2)
     assert len(trajs) == k
     for u0, traj in zip(fields, trajs):
-        want = reference_solve(u0, T, dt, spec, **options)
+        want = reference_solve(u0, T, dt, spec, sample_every=2)
         assert not want.blown_up and want.times[-1] == T
         assert_same_trajectory(traj, want)
-        assert_same_trajectory(solve(u0, T, dt, spec, **options), want)
+        assert_same_trajectory(solve(u0, T, dt, spec, sample_every=2), want)
 
 
 def test_solve_batch_drops_a_blown_up_member_and_steps_the_rest():
     grid = FrequencyGrid(64, 40.0)
     # the middle member overflows within a few steps of the coarse dt
-    fields = [shifted_wave(grid, 0.5), even_gaussian(grid, amp=1e150), random_field(grid, 3)]
-    with np.errstate(over="ignore", invalid="ignore"):  # the energy of the large member
-        trajs = solve_batch(fields, 0.5, 0.05, NNLS, sample_every=3)
-        want = [reference_solve(u0, 0.5, 0.05, NNLS, sample_every=3) for u0 in fields]
-        alone = solve(fields[1], 0.5, 0.05, NNLS)
+    fields = [shifted_wave(grid, 0.5), even_gaussian(grid, amp=1e4), random_field(grid, 3)]
+    trajs = solve_batch(fields, 0.5, 0.05, NNLS, sample_every=3)
+    want = [reference_solve(u0, 0.5, 0.05, NNLS, sample_every=3) for u0 in fields]
+    alone = solve(fields[1], 0.5, 0.05, NNLS, sample_every=3)
     assert [t.blown_up for t in trajs] == [False, True, False]
     assert trajs[1].blowup_time is not None and trajs[1].blowup_time < 0.5
+    # the dropped member keeps its last finite state, from before the step
+    # that overflowed, though that step is not a sampled one
+    assert trajs[1].times[-1] + 0.05 == trajs[1].blowup_time
+    assert trajs[1].times[-1] not in trajs[0].times
     for got, ref in zip(trajs + [alone], want + [want[1]]):
         assert_same_trajectory(got, ref)
 
@@ -253,14 +248,12 @@ def test_solve_batch_drops_a_blown_up_member_and_steps_the_rest():
 ])
 def test_solve_batch_steps_every_member_in_one_product(fft_log, spec, rhs):
     # k = 3 members: each right-hand side transforms the rows of every member
-    # at once, and each recorded sample is one inverse FFT of the u, u*, du,
-    # (du)* rows
+    # at once, and recording a sample transforms nothing
     grid = FrequencyGrid(64, 40.0)
     fields = batch_members(grid, 3)
     fft_log.clear()
     solve_batch(fields, 0.02, 0.01, spec, sample_every=2)
-    sample = [("ifft", 12)]
-    assert fft_log == sample + 8 * rhs + sample
+    assert fft_log == 8 * rhs
 
 
 @pytest.mark.parametrize("n, length, dt", [
@@ -400,6 +393,25 @@ def test_solves_keep_only_their_trajectories(spec):
     try:
         before = tracemalloc.take_snapshot().filter_traces([numpy_data])
         trajs = [solve(u0, 2e-3 + 1e-5 * i, 1e-3 + 5e-6 * i, spec) for i in range(6)]
+        after = tracemalloc.take_snapshot().filter_traces([numpy_data])
+    finally:
+        tracemalloc.stop()
+    kept = sum(t.size for t in after.traces) - sum(t.size for t in before.traces)
+    assert kept == sum(u.coeffs.nbytes for traj in trajs for u in traj.states[1:])
+
+
+def test_solve_batch_keeps_only_its_states():
+    # a k = 3 batch at n = 4096 leaves only the coefficients of its recorded
+    # states in numpy's tracemalloc domain: no per-sample work array of the
+    # batch's shape outlives the solve
+    grid = FrequencyGrid(4096, 80.0)
+    fields = batch_members(grid, 3)
+    solve(fields[0], 0.002, 0.001, NNLS)  # the per-grid caches, which one member fills
+    numpy_data = tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot().filter_traces([numpy_data])
+        trajs = solve_batch(fields, 0.003, 0.001, NNLS)
         after = tracemalloc.take_snapshot().filter_traces([numpy_data])
     finally:
         tracemalloc.stop()

@@ -38,3 +38,30 @@ def test_no_unused_import(path):
     # the package __init__ imports to re-export, so it is left out
     with open(path) as fh:
         assert unused_imports(fh.read()) == []
+
+
+def package_imports(source):
+    """The package modules that the imports of ``source``, a package module, name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nnlslab")):
+            module = (node.module or "").removeprefix("nnlslab").lstrip(".")
+            out |= {module} if module else {alias.name for alias in node.names}
+        elif isinstance(node, ast.Import):
+            out |= {alias.name.split(".")[1] for alias in node.names
+                    if alias.name.startswith("nnlslab.")}
+    return out
+
+
+def test_package_imports_are_found():
+    source = ("from . import grid\nfrom .spaces import dilate\nimport nnlslab.gauge\n"
+              "from nnlslab.cli import main\nimport numpy\n")
+    assert package_imports(source) == {"grid", "spaces", "gauge", "cli"}
+
+
+def test_evolve_steps_states_without_the_norms():
+    # the stepper records states only; the code that reports mass, energy,
+    # leakage and norms computes them, so evolve needs no spaces or cli
+    path = os.path.join(os.path.dirname(nnlslab.__file__), "evolve.py")
+    with open(path) as fh:
+        assert package_imports(fh.read()) <= {"equations", "grid"}
