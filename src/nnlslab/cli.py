@@ -234,7 +234,7 @@ def write_timeseries(path, traj, alpha, eps0=0.0, norms=()):
         w = csv.writer(fh)
         w.writerow(header)
         for t, u in zip(traj.times, traj.states):
-            (m, e), = mass_energy_coeffs(u.coeffs[None], u.grid, alpha)
+            m, e = mass_energy_coeffs(u.coeffs, u.grid, alpha)
             row = [t, m.real, m.imag, e.real, e.imag, support_leakage(u, eps0)]
             row += [esigma_norm(u, s, sigma) for s, sigma in norms]
             w.writerow([_fmt(v) for v in row])
@@ -380,7 +380,7 @@ def cmd_solve(cfg, out_dir):
     traj = solve(u0, T, dt, spec, sample_every=sample_every)
     os.makedirs(out_dir, exist_ok=True)
     write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, spec.alpha, eps0, norms)
-    (m, e), = mass_energy_coeffs(traj.states[-1].coeffs[None], u0.grid, spec.alpha)
+    m, e = mass_energy_coeffs(traj.states[-1].coeffs, u0.grid, spec.alpha)
     write_report(os.path.join(out_dir, "report.txt"), {
         "blown_up": traj.blown_up,
         "final_time": traj.times[-1],

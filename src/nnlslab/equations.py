@@ -5,22 +5,22 @@ All equations are stored in evolution form
     u_t = i u_xx + i N(u),
 
 with the nonlocal conjugate u*(x) = conj(u(-x)) entering every nonlinearity.
-Products are dealiased by zero padding and derivatives are spectral.
-``nonlinear_coeffs`` gives N(u) and ``mass_energy_coeffs`` the mass and
-energy, both on raw coefficient arrays, one field or a batch of rows.  The
-terms of N(u) for every kind are listed once, in ``_terms``; ``_recipe``
-turns them into transformed rows and products.  ``nonlinear_coeffs``
-transforms u* as the row of conj(coeffs) through ``ProductPlan.products``;
-the Lawson stage in ``evolve`` reads u* from the samples of u instead.
+Products are dealiased by zero padding and derivatives are spectral.  The
+terms of N(u) are listed once, in ``_terms``, and ``_recipe`` turns them
+into transformed rows, mirrors and products for the two evaluators of N(u)
+on raw coefficients, one field or a batch of rows: ``_Nonlinearity``, the
+Lawson stage's, pads without the sign vector and reads u* from the samples
+of u; ``nonlinear_coeffs``, the Duhamel map's, transforms u* as the row of
+conj(coeffs).  ``mass_energy_coeffs`` gives the mass and energy of one field.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .grid import derivative_symbol, product_plan
 
@@ -90,16 +90,14 @@ def _terms(spec):
 
 
 @functools.lru_cache(maxsize=64)
-def _recipe(spec, reflect):
+def _recipe(spec):
     """``(groups, accumulate)``: how N(u) of ``spec`` is evaluated from transformed rows.
 
     One ``(degree, rows, reflected, terms, coefficients)`` group per product
-    degree of the nonzero terms: ``rows`` names the factors transformed as
-    rows of their own, and each term indexes the sample rows, ``rows`` then
-    one row per index in ``reflected``.  Without ``reflect`` every factor is
-    a row and ``reflected`` is empty, as ``ProductPlan.products`` takes it.
-    With it, which the Lawson stage reads, u* is the reflection of the row
-    u and (u*)_x = -(u_x)* that of the row u_x, its sign moved into the
+    degree of the nonzero terms: ``rows`` names the factors u and u_x that
+    are transformed as rows of their own, and each term indexes the sample
+    rows, ``rows`` then one mirror per index in ``reflected``.  u* mirrors
+    the row u and (u*)_x = -(u_x)* the row u_x, its sign moved into the
     coefficient.  ``accumulate`` is set for the kinds of two terms, which
     sum into a zeroed array.
     """
@@ -108,20 +106,18 @@ def _recipe(spec, reflect):
     for coeff, factors in table:
         if coeff != 0:
             groups.setdefault(len(factors), []).append((coeff, factors))
+    mirrored = {US: U, DUS: DU}  # factor -> the row it mirrors
     recipe = []
     for degree, terms in groups.items():
         names = {f for _, factors in terms for f in factors}
-        # factor -> (the row it is reflected from, sign)
-        mirrored = {US: (U, 1.0), DUS: (DU, -1.0)} if reflect else {}
-        names |= {mirrored[f][0] for f in names if f in mirrored}
-        rows = [f for f in (U, US, DU, DUS) if f in names and f not in mirrored]
-        starred = [f for f in (US, DUS) if f in names and f in mirrored]
+        starred = [f for f in (US, DUS) if f in names]
+        names |= {mirrored[f] for f in starred}
+        rows = [f for f in (U, DU) if f in names]
         index = {f: i for i, f in enumerate(rows + starred)}
         recipe.append((
-            degree, tuple(rows), tuple(rows.index(mirrored[f][0]) for f in starred),
+            degree, tuple(rows), tuple(rows.index(mirrored[f]) for f in starred),
             tuple(tuple(index[f] for f in factors) for _, factors in terms),
-            tuple(coeff * math.prod(mirrored.get(f, (U, 1.0))[1] for f in factors)
-                  for coeff, factors in terms)))
+            tuple(-coeff if DUS in factors else coeff for coeff, factors in terms)))
     return tuple(recipe), len(table) > 1
 
 
@@ -132,25 +128,19 @@ def nonlinear_coeffs(coeffs, grid, spec):
     each row of a batch gives the bits of its own 1-D call.  Neither the
     input nor the result is validated, so evolution loops can call it
     without building a :class:`SpectralField` per substep.  Every u* factor
-    is the transformed row of conj(coeffs), bit for bit as the test
-    references build it.
+    is the transformed row of conj(coeffs) through the signed padding of
+    ``ProductPlan.products``, bit for bit as the test references build it;
+    only the rows some term reads are transformed.
     """
-    groups, accumulate = _recipe(spec, False)
+    groups, accumulate = _recipe(spec)
     out = np.zeros(coeffs.shape, dtype=np.complex128) if accumulate else None
     d = derivative_symbol(grid)
-    us = None
-    for degree, rows, _, terms, coefficients in groups:
-        arrays = []
-        for f in rows:
-            if f == U:
-                arrays.append(coeffs)
-            elif f == DU:
-                arrays.append(coeffs * d)
-            else:
-                if us is None:
-                    us = np.conj(coeffs)
-                arrays.append(us if f == US else us * d)
-        products = product_plan(grid, degree).products(arrays, terms)
+    for degree, rows, reflected, terms, coefficients in groups:
+        arrays = [coeffs if f == U else coeffs * d for f in rows]
+        arrays += [np.conj(arrays[i]) for i in reflected]
+        read = sorted({i for term in terms for i in term})  # u_x may serve its mirror only
+        products = product_plan(grid, degree).products(
+            [arrays[i] for i in read], [tuple(map(read.index, term)) for term in terms])
         for coeff, p in zip(coefficients, products):
             np.multiply(coeff, p, out=p)  # coeff * p, in the fresh products array
             if out is None:
@@ -159,37 +149,108 @@ def nonlinear_coeffs(coeffs, grid, spec):
     return np.zeros(coeffs.shape, dtype=np.complex128) if out is None else out
 
 
+class _Nonlinearity:
+    """i N(u) of ``spec`` on raw rows of one ``shape``, with its blocks and scales kept.
+
+    A call ``(c, k, out)`` writes i N(c) into ``out``, not ``c``: as it is for
+    k = 0, over ``divisors[k-1]`` for k >= 1; each row rounds as it would alone.
+    Rows are copied into one fine block per product degree of ``_recipe``
+    without the sign vector (u_x as c * i xi), so the inverse FFT gives
+    dx_fine times the samples of u at x_j = j dx_fine, where x -> -x is
+    j -> (n_fine - j) mod n_fine: u* and (u*)_x = -(u_x)* are the conjugated
+    samples reversed, index 0 kept, written row by row (numpy buffers a unary
+    ufunc on strided batch views).  A term of p factors gets one scale,
+    i coeff dx_fine^(1-p), over the divisor, multiplied into each half.
+    """
+
+    def __init__(self, grid, spec, shape, divisors=()):
+        n = grid.n_modes
+        self._h = h = n // 2
+        d = derivative_symbol(grid)
+        self._d = (d[h:], d[:h])
+        self._groups = []
+        for degree, rows, reflected, terms, coefficients in _recipe(spec)[0]:
+            plan = product_plan(grid, degree)
+            nf = plan.n_fine
+            block = np.empty((len(rows) + len(reflected) + len(terms),) + shape[:-1] + (nf,),
+                             dtype=np.complex128)
+            mirrors = [(i, r, [(row[1:], row[:1]) for row in r.reshape(-1, nf)])
+                       for i, r in zip(reflected, block[len(rows):])]
+            scales = []
+            for coeff in coefficients:
+                s = 1j * coeff * plan.dx_fine ** (1 - degree)
+                scales.append([(a[:h], a[h:])
+                               for a in [np.full(n, s)] + [s / q for q in divisors]])
+            self._groups.append((
+                [(f == DU, b[..., :h], b[..., nf - h:]) for f, b in zip(rows, block)],
+                block[:len(rows)], block[:len(rows), ..., h:nf - h], mirrors,
+                block[len(rows) + len(reflected):], terms, scales))
+
+    def __call__(self, c, k, out):
+        h, (d_upper, d_head) = self._h, self._d
+        c_upper, c_head, out_head, out_upper = c[..., h:], c[..., :h], out[..., :h], out[..., h:]
+        if not self._groups:
+            out.fill(0.0)  # every coefficient is 0
+        written = False
+        for pads, rows, middle, mirrors, acc, terms, scales in self._groups:
+            for derivative, f_head, f_tail in pads:
+                if derivative:
+                    np.multiply(c_upper, d_upper, out=f_head)
+                    np.multiply(c_head, d_head, out=f_tail)
+                else:
+                    f_head[...] = c_upper
+                    f_tail[...] = c_head
+            middle.fill(0.0)
+            samples = list(scipy.fft.ifft(rows, overwrite_x=True))
+            for i, r, views in mirrors:
+                for s, (rest, first) in zip(samples[i].reshape(len(views), -1), views):
+                    np.conjugate(s[:0:-1], out=rest)
+                    np.conjugate(s[:1], out=first)
+                samples.append(r)
+            for a, term in zip(acc, terms):
+                prod = samples[term[0]]
+                for i in term[1:]:
+                    prod = np.multiply(prod, samples[i], out=a)
+            for spectrum, scale in zip(scipy.fft.fft(acc, overwrite_x=True), scales):
+                lo, hi = scale[k]
+                tail, head = spectrum[..., -h:], spectrum[..., :h]
+                if written:
+                    np.add(out_head, np.multiply(tail, lo, out=tail), out=out_head)
+                    np.add(out_upper, np.multiply(head, hi, out=head), out=out_upper)
+                else:
+                    np.multiply(tail, lo, out=out_head)
+                    np.multiply(head, hi, out=out_upper)
+                    written = True
+
+
 @functools.lru_cache(maxsize=16)
-def _diagnostic_blocks(grid, shape):
-    """The reused ``(4,) + shape`` coefficient and sample blocks of ``mass_energy_coeffs``.
+def _diagnostic_blocks(grid):
+    """The reused ``(4, n_modes)`` coefficient and sample blocks of ``mass_energy_coeffs``.
 
     Every caller gets the same arrays, so ``mass_energy_coeffs`` is not
     reentrant across threads, as the product plans are not.
     """
-    return (np.empty((4,) + shape, dtype=np.complex128),
-            np.empty((4,) + shape, dtype=np.complex128))
+    return (np.empty((4, grid.n_modes), dtype=np.complex128),
+            np.empty((4, grid.n_modes), dtype=np.complex128))
 
 
 def mass_energy_coeffs(coeffs, grid, alpha):
-    """``[(mass, energy)]`` of each row of the raw ``(batch, n_modes)`` coefficients.
+    """``(mass, energy)`` of the raw ``(n_modes,)`` coefficients ``coeffs``.
 
     M(u) = int u u* dx, complex-valued in general, and
     E(u) = int (du)(du)* + (alpha/2) u^2 (u*)^2 dx.  One inverse FFT
-    transforms u, u*, du and (du)* of every row, in blocks kept per grid
-    and batch shape.
+    transforms u, u*, du and (du)*, in blocks kept per grid.  A state too
+    large for the integrands gives a non-finite value and no warning.
     """
-    dx = grid.dx
-    block, samples = _diagnostic_blocks(grid, coeffs.shape)
+    block, samples = _diagnostic_blocks(grid)
     block[0] = coeffs
     np.conj(coeffs, out=block[1])
     np.multiply(coeffs, derivative_symbol(grid), out=block[2])
     np.conj(block[2], out=block[3])
-    samples = product_plan(grid, 1).samples(block, out=samples)
-    out = []
-    for u, us, du, dus in zip(*samples):
+    u, us, du, dus = product_plan(grid, 1).samples(block, out=samples)
+    with np.errstate(over="ignore", invalid="ignore"):
         integrand = du * dus + (alpha / 2.0) * (u * us) ** 2
-        out.append((complex(np.sum(u * us) * dx), complex(np.sum(integrand) * dx)))
-    return out
+        return complex(np.sum(u * us) * grid.dx), complex(np.sum(integrand) * grid.dx)
 
 
 def support_leakage(fld, eps0):

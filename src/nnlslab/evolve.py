@@ -7,15 +7,15 @@ rounds exactly as its own solve, and a row that blows up is dropped while the
 others go on.  ``solve`` is the batch of one.  A trajectory holds the
 recorded times and states only; the code that reports mass, energy, leakage
 or norms computes them from the states.  Each step size and batch
-shape gets one ``_LawsonStage``, which holds the phases, scales and buffers
-of its steps and goes with the solve.  The stage evaluates N(u) itself:
+shape gets one ``_LawsonStage``, which holds the phases and buffers of its
+steps and goes with the solve.  Its N(u) is ``equations._Nonlinearity``:
 sign-free padding, the nonlocal conjugate u* read from the samples of u,
 and one output scale per term.
 
 A completely separate engine iterates the Duhamel integral formulation with
 composite-Simpson quadrature in time; the two discretization families share
-no code beyond the table of terms of N(u), so their agreement is a genuine
-cross-check.  Its right-hand sides are ``nonlinear_coeffs``, which
+no code beyond the recipe of N(u) in ``equations``, so their agreement is a
+genuine cross-check.  Its right-hand sides are ``nonlinear_coeffs``, which
 transforms u* as the row of conj(coeffs), bit for bit as the test
 references do, so the two engines also get u* in different ways, equal to
 roundoff.
@@ -37,10 +37,9 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
-from .equations import DU, _recipe, nonlinear_coeffs
-from .grid import GridMismatchError, SpectralField, derivative_symbol, product_plan
+from .equations import _Nonlinearity, nonlinear_coeffs
+from .grid import GridMismatchError, SpectralField
 
 CFL_LIMIT = 50.0  # guard on dt * xi_max^2 for the nonlinear substep
 
@@ -70,86 +69,20 @@ class _LawsonStage:
     comes back non-finite.  ``tests/reference.py::reference_lawson`` is the
     same arithmetic written as expressions.
 
-    ``rhs`` evaluates i N(u) from ``_recipe(spec, True)``, one block per
-    product degree.  A coefficient row is copied into the fine block without
-    the sign vector (u_x as c * i xi), so the inverse FFT gives dx_fine times
-    the samples of u at x_j = j dx_fine.  x -> -x is j -> (n_fine - j) mod
-    n_fine on that grid, so u* and (u*)_x = -(u_x)* are the conjugated
-    samples reversed, index 0 kept, and no transform computes them.  A
-    product of p sample rows carries dx_fine^p, and each term's retained
-    coefficients get one scale, i coeff dx_fine^(1-p), divided by e^{(dt/2)L}
-    or e^{dt L} where the interaction picture undoes that phase.  numpy
-    allocates an iterator buffer for a unary ufunc on strided batch views and
-    for a row broadcast over a contiguous batch, so the stage reflects row by
-    row, scales the strided halves by arrays and repeats its phases to the
-    batch shape.
+    ``rhs`` is an ``equations._Nonlinearity`` that divides by the phases
+    e^{(dt/2)L} and e^{dt L}, which the interaction picture undoes.  numpy
+    buffers a row broadcast over a batch, so the phases are repeated to it.
     """
 
     def __init__(self, grid, spec, dt, shape):
         self.dt, self.shape = dt, shape
-        n = grid.n_modes
-        self._h = h = n // 2
         half = _free_phase(grid, dt / 2.0)
         full = half * half
         self._phases = (half, full, (dt / 2.0) * half, dt * full)
         if math.prod(shape[:-1]) > 1:
             self._phases = tuple(np.broadcast_to(a, shape).copy() for a in self._phases)
         self._buffers = tuple(np.empty(shape, dtype=np.complex128) for _ in range(5))
-        d = derivative_symbol(grid)
-        self._d = (d[h:], d[:h])
-        self._groups = []
-        for degree, rows, reflected, terms, coefficients in _recipe(spec, True)[0]:
-            plan = product_plan(grid, degree)
-            nf = plan.n_fine
-            block = np.empty((len(rows) + len(reflected) + len(terms),) + shape[:-1] + (nf,),
-                             dtype=np.complex128)
-            mirrors = [(i, r, [(row[1:], row[:1]) for row in r.reshape(-1, nf)])
-                       for i, r in zip(reflected, block[len(rows):])]
-            scales = []
-            for coeff in coefficients:
-                s = 1j * coeff * plan.dx_fine ** (1 - degree)
-                scales.append([(a[:h], a[h:]) for a in (np.full(n, s), s / half, s / full)])
-            self._groups.append((
-                [(f == DU, b[..., :h], b[..., nf - h:]) for f, b in zip(rows, block)],
-                block[:len(rows)], block[:len(rows), ..., h:nf - h], mirrors,
-                block[len(rows) + len(reflected):], terms, scales))
-
-    def rhs(self, c, phase, out):
-        """i N(c) into ``out``, not ``c``; over e^{(dt/2)L} for ``phase`` 1, e^{dt L} for 2."""
-        h, (d_upper, d_head) = self._h, self._d
-        c_upper, c_head, out_head, out_upper = c[..., h:], c[..., :h], out[..., :h], out[..., h:]
-        if not self._groups:
-            out.fill(0.0)  # every coefficient is 0
-        written = False
-        for pads, rows, middle, mirrors, acc, terms, scales in self._groups:
-            for derivative, f_head, f_tail in pads:
-                if derivative:
-                    np.multiply(c_upper, d_upper, out=f_head)
-                    np.multiply(c_head, d_head, out=f_tail)
-                else:
-                    f_head[...] = c_upper
-                    f_tail[...] = c_head
-            middle.fill(0.0)
-            samples = list(scipy.fft.ifft(rows, overwrite_x=True))
-            for i, r, views in mirrors:
-                for s, (rest, first) in zip(samples[i].reshape(len(views), -1), views):
-                    np.conjugate(s[:0:-1], out=rest)
-                    np.conjugate(s[:1], out=first)
-                samples.append(r)
-            for a, term in zip(acc, terms):
-                prod = samples[term[0]]
-                for i in term[1:]:
-                    prod = np.multiply(prod, samples[i], out=a)
-            for spectrum, scale in zip(scipy.fft.fft(acc, overwrite_x=True), scales):
-                lo, hi = scale[phase]
-                tail, head = spectrum[..., -h:], spectrum[..., :h]
-                if written:
-                    np.add(out_head, np.multiply(tail, lo, out=tail), out=out_head)
-                    np.add(out_upper, np.multiply(head, hi, out=head), out=out_upper)
-                else:
-                    np.multiply(tail, lo, out=out_head)
-                    np.multiply(head, hi, out=out_upper)
-                    written = True
+        self.rhs = _Nonlinearity(grid, spec, shape, (half, full))
 
     def __call__(self, w):
         half, full, half_dt, full_dt = self._phases

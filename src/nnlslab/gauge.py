@@ -25,11 +25,14 @@ from .grid import (
 
 
 def gauge_forward(fld, delta):
-    """v = u exp(-delta * P(u u*)), computed pointwise in physical space."""
+    """v = u exp(-delta * P(u u*)) pointwise; ``FloatingPointError`` if it overflows."""
     if delta == 0:
         return SpectralField(fld.grid, fld.coeffs)
     grid, c = fld.grid, fld.coeffs
     density = SpectralField(grid, product_plan(grid, 2).product([c, np.conj(c)]))
     prim = product_plan(grid, 1).samples(antiderivative_symmetric(density).coeffs)
-    v = inverse_transform(fld) * np.exp(-delta * prim)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = inverse_transform(fld) * np.exp(-delta * prim)
+    if not np.all(np.isfinite(v)):
+        raise FloatingPointError("u exp(-delta P(u u*)) overflows")
     return forward_transform(v, grid)

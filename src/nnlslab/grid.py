@@ -16,9 +16,9 @@ padding, and its ``coeffs`` and ``samples`` are :func:`forward_transform`
 and :func:`inverse_transform`.  Higher degrees pad for dealiased products:
 one inverse transform of a block holding every distinct factor and one
 forward transform of the products made from it, whatever their degree and
-number.  The Lawson stage in ``evolve`` takes only the padded size and
-``dx_fine`` of a plan: it pads without the sign vector, the samples then
-sitting at x_j = j dx_fine, and folds every constant into one output scale.
+number.  The Lawson stage's N(u) in ``equations`` takes only the padded size
+and ``dx_fine`` of a plan: it pads without the sign vector, the samples then
+lying at x_j = j dx_fine, and folds every constant into one output scale.
 The transforms are ``scipy.fft``'s, which keeps its
 plans between calls where ``numpy.fft`` sets one up on every call; the two
 agree bit for bit (both run pocketfft, as a unit test checks).

@@ -8,8 +8,8 @@ without running it; the two must agree bit for bit.
 ``reference_mass`` and ``reference_energy`` build the diagnostics from
 validated fields: the derivative, the nonlocal conjugate and one reference
 inverse transform per factor.  ``nnlslab.equations.mass_energy_coeffs``
-transforms every factor of a batch at once, so each of its rows must agree
-with these bit for bit.
+transforms every factor of one field at once, and must agree with these
+bit for bit.
 
 ``reference_product`` embeds every factor in a freshly built fine grid,
 transforms each factor separately with the reference transforms and crops
@@ -27,13 +27,14 @@ operations in the same order, so they must agree with these bit for bit.
 
 ``reference_lawson`` is the Lawson-RK4 stage written as array expressions,
 one row at a time, with its phases built per call.  Its N(u) follows
-``_recipe(spec, True)`` term by term: each coefficient row is copied into a
+``_recipe(spec)`` term by term: each coefficient row is copied into a
 fresh zero-padded fine array without the sign vector (u_x as c * i xi),
 u* and (u*)_x are the conjugated samples of u and u_x reversed with index 0
 kept, and each term's retained coefficients are multiplied by one scale,
 i coeff dx_fine^(1-p), divided by the stage's phase where it has one.
-``nnlslab.evolve._LawsonStage`` performs the same operations in the same
-operand order in arrays it keeps, so the two agree bit for bit.
+``nnlslab.evolve._LawsonStage``, with ``nnlslab.equations._Nonlinearity``
+as its N(u), performs the same operations in the same operand order in
+arrays it keeps, so the two agree bit for bit.
 ``reference_conj_row_lawson`` is the same Lawson-RK4 arithmetic on
 ``1j * nonlinear_coeffs``, divided by the phase: signed padding and u*
 transformed as conj(coeffs) in every right-hand side.  It agrees
@@ -203,7 +204,7 @@ def _stage_rhs(c, grid, spec, phase):
     d = 1j * grid.frequencies
     d[0] = 0.0
     out = None
-    for degree, rows, reflected, terms, coefficients in _recipe(spec, True)[0]:
+    for degree, rows, reflected, terms, coefficients in _recipe(spec)[0]:
         n_fine = int(np.ceil((degree + 1) * n / 2))
         n_fine += n_fine % 2
         dx_fine = grid.length / n_fine

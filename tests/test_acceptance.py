@@ -169,7 +169,7 @@ def test_criterion_8_oracle_equivalence():
     g = FrequencyGrid(256, 40.0)
     x = g.points
     u = forward_transform(np.exp(-x * x / 2.0).astype(complex), g)
-    [(m, e)] = mass_energy_coeffs(u.coeffs[None], g, 2.0)
+    m, e = mass_energy_coeffs(u.coeffs, g, 2.0)
     oks.append(abs(m - np.sqrt(np.pi)) <= 1e-12)
     oks.append(abs(e - 0.36708721186274174) <= 1e-12)
     # antiderivative against the error function and a frozen oscillatory value

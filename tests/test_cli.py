@@ -3,6 +3,7 @@
 import csv
 import glob
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from nnlslab.cli import (EXPERIMENTS, ConfigError, build_equation, build_grid,
                          build_initial_data, load_config, main, write_timeseries)
 from nnlslab.equations import EquationSpec, support_leakage
 from nnlslab.evolve import solve
+from nnlslab.gauge import gauge_forward
 from nnlslab.spaces import esigma_norm
 from reference import reference_energy, reference_mass
 
@@ -209,6 +211,21 @@ def test_timeseries_columns_match_the_references_bit_for_bit(tmp_path, amplitude
     assert all(float(row[5]) > 0 for row in want)
     if traj.blown_up:
         assert traj.times == [0.0, 0.01] and want[-1][3] == "nan"
+
+
+def test_blown_up_timeseries_prints_no_numpy_warnings(tmp_path):
+    # the last finite state of a blown-up solve overflows the energy
+    # integrand; the nan in the CSV reports it, and numpy warns nothing
+    grid = build_grid(BASE_CFG)
+    u0 = build_initial_data(BASE_CFG, grid, amplitude=100.0)
+    traj = solve(u0, 0.04, 0.01, EquationSpec("NNLS", alpha=1.5), sample_every=2)
+    assert traj.blown_up
+    path = tmp_path / "ts.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_timeseries(str(path), traj, 1.5, 0.5, [(-1.0, 0.0)])
+    with open(path) as fh:
+        assert list(csv.reader(fh))[-1][3] == "nan"
 
 
 def test_support_invariance_writes_the_requested_norms(tmp_path):
@@ -473,6 +490,35 @@ def test_gauge_equivalence_with_ndnls_and_beta_is_exit_2(tmp_path, capsys):
     assert main(["experiment", "gauge_equivalence", "--config", config, "--out", str(tmp_path),
                  "--override", "equation.beta=0.5"]) == 2
     assert "equation.beta" in capsys.readouterr().err
+
+
+def test_gauge_overflow_is_a_failed_run_with_report(tmp_path, capsys):
+    # G(u0) overflows at amplitude 100: a numerical failure, exit 1 with the
+    # report written, not an invalid configuration
+    out = tmp_path / "out"
+    assert main(["experiment", "gauge_equivalence", "--config",
+                 os.path.join(CONFIGS, "gauge_equivalence.yaml"), "--out", str(out),
+                 "--override", "initial_data.params.amplitude=100"]) == 1
+    assert "invalid configuration" not in capsys.readouterr().err
+    lines = dict(l.split("=", 1) for l in (out / "report.txt").read_text().splitlines())
+    assert lines["passed"] == "False"
+    assert lines["measurements.gauge_overflow"] == "True"
+    assert lines["measurements.max_relative_residual"] == "inf"
+
+
+def test_gauge_equivalence_reports_the_earlier_blowup_time(tmp_path):
+    config = os.path.join(CONFIGS, "gauge_equivalence.yaml")
+    out = tmp_path / "out"
+    assert main(["experiment", "gauge_equivalence", "--config", config, "--out", str(out),
+                 "--override", "initial_data.params.amplitude=10"]) == 1
+    lines = dict(l.split("=", 1) for l in (out / "report.txt").read_text().splitlines())
+    cfg = load_config(config, ["initial_data.params.amplitude=10"])
+    u0 = build_initial_data(cfg, build_grid(cfg))
+    trajs = [solve(u0, 0.5, 1e-3, EquationSpec("NdNLS")),
+             solve(gauge_forward(u0, -0.5), 0.5, 1e-3, EquationSpec("GaugedNdNLS"))]
+    first = min(tr.blowup_time for tr in trajs if tr.blown_up)
+    assert lines["measurements.blown_up"] == "True"
+    assert float(lines["measurements.blowup_time"]) == first
 
 
 def test_norm_inflation_reads_alpha(tmp_path):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import nnlslab
 from conftest import random_field
 from reference import (
+    _stage_rhs,
     reference_conj_row_lawson,
     reference_cumulative_simpson,
     reference_lawson,
@@ -25,6 +26,7 @@ from nnlslab.equations import (
     COEFFICIENT_MODES,
     KINDS,
     EquationSpec,
+    _Nonlinearity,
     mass_energy_coeffs,
     nonlinear_coeffs,
 )
@@ -157,8 +159,7 @@ def test_solve_linear_composition(grid, gaussian):
 def test_solve_mass_drift(grid):
     u0 = even_gaussian(grid)
     traj = solve(u0, 0.5, 0.002, NNLS, sample_every=50)
-    w = np.stack([u.coeffs for u in traj.states])
-    m = np.array([mass for mass, _ in mass_energy_coeffs(w, grid, NNLS.alpha)])
+    m = np.array([mass_energy_coeffs(u.coeffs, grid, NNLS.alpha)[0] for u in traj.states])
     assert np.max(np.abs(m - m[0])) <= 1e-8 * abs(m[0])
 
 
@@ -312,23 +313,47 @@ def test_lawson_stage_rhs_matches_nonlinear_coeffs(n, kind):
         spec = EquationSpec(kind, alpha=0.8, beta=0.3, gauged_coefficient_mode=mode)
         want = 1j * nonlinear_coeffs(rows, g, spec)
         got = np.empty_like(rows)
-        _LawsonStage(g, spec, 0.001, rows.shape).rhs(rows, 0, got)
+        _Nonlinearity(g, spec, rows.shape)(rows, 0, got)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), spec
-        stage = _LawsonStage(g, spec, 0.001, rows[0].shape)
+        rhs = _Nonlinearity(g, spec, rows[0].shape)
         for row, got_row in zip(rows, got):
             alone = np.empty_like(row)
-            stage.rhs(row, 0, alone)
+            rhs(row, 0, alone)
             assert alone.tobytes() == got_row.tobytes()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_nonlinearity_divides_by_its_divisors_only(grid, kind):
+    # without divisors only k = 0 exists, the undivided i N(c); with them,
+    # k = 0 stays the same bits and k >= 1 divides by divisors[k-1], as the
+    # expression form of the stage's right-hand side does row by row
+    c = np.stack([random_field(grid, seed).coeffs for seed in range(2)])
+    spec = EquationSpec(kind, alpha=0.8, beta=0.3)
+    half = _free_phase(grid, 0.005)
+    divisors = (half, half * half)
+    plain = _Nonlinearity(grid, spec, c.shape)
+    divided = _Nonlinearity(grid, spec, c.shape, divisors)
+    got, again = np.empty_like(c), np.empty_like(c)
+    plain(c, 0, got)
+    divided(c, 0, again)
+    want = np.stack([_stage_rhs(row, grid, spec, None) for row in c])
+    assert got.tobytes() == again.tobytes() == want.tobytes()
+    for k, q in enumerate(divisors, 1):
+        divided(c, k, got)
+        assert got.tobytes() == np.stack([_stage_rhs(row, grid, spec, q) for row in c]).tobytes()
+    with pytest.raises(IndexError):
+        plain(c, 1, got)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_lawson_stage_rhs_without_terms_is_zero(grid, kind):
     # alpha = beta = 0 leaves no term to evaluate; the output is still written
     c = random_field(grid, 4).coeffs
-    stage = _LawsonStage(grid, EquationSpec(kind, alpha=0.0), 0.01, c.shape)
-    for phase in range(3):
+    half = _free_phase(grid, 0.005)
+    rhs = _Nonlinearity(grid, EquationSpec(kind, alpha=0.0), c.shape, (half, half * half))
+    for k in range(3):
         out = np.full_like(c, np.nan)
-        stage.rhs(c, phase, out)
+        rhs(c, k, out)
         assert np.all(out == 0)
 
 
@@ -344,9 +369,9 @@ def test_lawson_stage_rhs_transforms_u_and_u_x_only(grid, fft_log, kind, log):
     # transforms u, NdNLS and gNdNLS (u, u_x) once for both cubic terms, and
     # the gauged cubic (u, u_x) and quintic u on their own padded grids
     c = random_field(grid, 12, decay=3.0).coeffs
-    stage = _LawsonStage(grid, EquationSpec(kind, alpha=1.0, beta=0.3), 0.01, c.shape)
+    rhs = _Nonlinearity(grid, EquationSpec(kind, alpha=1.0, beta=0.3), c.shape)
     fft_log.clear()
-    stage.rhs(c, 0, np.empty_like(c))
+    rhs(c, 0, np.empty_like(c))
     assert fft_log == log
 
 

@@ -20,7 +20,7 @@ from nnlslab.experiments import (
     make_initial_data,
     third_derivative_field,
 )
-from nnlslab.evolve import solve_batch
+from nnlslab.evolve import Trajectory, solve_batch
 from nnlslab.grid import FrequencyGrid, inverse_transform
 from nnlslab.spaces import dilate, esigma_norm
 
@@ -263,6 +263,23 @@ def test_gauge_equivalence_small(grid):
     rep = exp_gauge_equivalence(1.0, 0.0, u0, 0.1, 2e-3)
     assert rep.passed
     assert rep.measurements["max_relative_residual"] <= 1e-4
+
+
+@pytest.mark.parametrize("times, first", [((0.3, 0.2), 0.2), ((0.1, None), 0.1)])
+def test_gauge_equivalence_reports_the_earlier_blowup(grid, monkeypatch, times, first):
+    # u's solve, then v's; the earlier blow-up of the two is reported
+    blowups = iter(times)
+
+    def blowing_up(u0, T, dt, spec, sample_every=1):
+        t = next(blowups)
+        return Trajectory([0.0], [u0], blown_up=t is not None, blowup_time=t)
+
+    monkeypatch.setattr(experiments, "solve", blowing_up)
+    u0 = make_initial_data("modulated_gaussian", grid, amplitude=0.3, width=1.0, carrier=3.0)
+    rep = exp_gauge_equivalence(1.0, 0.0, u0, 0.5, 1e-3)
+    assert rep.measurements == {"max_relative_residual": np.inf, "blown_up": True,
+                                "blowup_time": first}
+    assert not rep.passed
 
 
 def test_support_invariance_precondition(grid, gaussian):

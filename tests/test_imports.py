@@ -65,3 +65,14 @@ def test_evolve_steps_states_without_the_norms():
     path = os.path.join(os.path.dirname(nnlslab.__file__), "evolve.py")
     with open(path) as fh:
         assert package_imports(fh.read()) <= {"equations", "grid"}
+
+
+def test_only_equations_knows_how_n_of_u_is_evaluated():
+    # the recipe format, the padding and the product plans stay behind
+    # equations: the stepper imports its evaluator, not the pieces of one
+    path = os.path.join(os.path.dirname(nnlslab.__file__), "evolve.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    names = {alias.name for node in ast.walk(tree)
+             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert not names & {"_recipe", "DU", "product_plan", "derivative_symbol", "scipy.fft"}
