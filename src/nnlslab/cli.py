@@ -4,6 +4,11 @@ Subcommands: solve, experiment <name>, sweep, list.  Exit status 0 means the
 run passed, 1 means an experiment failed (the report is still written), and
 2 means the configuration was invalid: a ConfigError, or a ValueError from a
 library check.  Any other exception is a bug and ends in its traceback.
+
+A runner builds an experiment's equation, its data and, for the four
+trajectory experiments, ``T``, ``dt`` and ``sample_every`` from ``evolution``;
+the ``experiment`` section gives the other keywords of its ``exp_*`` function,
+whose signature holds their defaults and types.
 """
 
 from __future__ import annotations
@@ -23,19 +28,11 @@ import time
 
 import yaml
 
-from .equations import (EquationSpec, GAUGED_GNDNLS, GNDNLS, KINDS, NDNLS, NNLS,
-                        mass_energy_coeffs, support_leakage)
+from .equations import (EquationSpec, GAUGED_GNDNLS, GNDNLS, KINDS, NNLS, mass_energy_coeffs,
+                        support_leakage)
 from .evolve import solve
-from .experiments import (
-    DATA_KINDS,
-    exp_conservation,
-    exp_gauge_equivalence,
-    exp_norm_inflation,
-    exp_picard_window,
-    exp_scaling_global,
-    exp_support_invariance,
-    make_initial_data,
-)
+from . import experiments
+from .experiments import DATA_KINDS, make_initial_data
 from .grid import FrequencyGrid
 from .spaces import esigma_norm
 
@@ -91,24 +88,21 @@ def _known(section, where, keys):
     return section
 
 
-def _with_defaults(where, section, **defaults):
-    """``section`` over ``defaults``; ConfigError for a key of config ``section`` whose
-    default is a float and whose value is not a number, or is a bool."""
-    for key, value in section.items():
-        if isinstance(defaults.get(key), float):
-            _number("%s.%s" % (where, key), value)
-    return dict(defaults, **section)
-
-
 def _call(fn, where, section, *args, **kwargs):
     """``fn(*args, **kwargs, **section)``; a key of config ``section`` that is not a
     parameter of ``fn`` left free by ``args`` and ``kwargs`` raises ConfigError, and
-    so does a value that is not a number, or is a bool, for a float default."""
+    so does a value that does not match its parameter's default: a number default
+    (not a bool) takes a number, and a tuple default a list of numbers, of
+    integers when every entry of the default is one."""
     params = inspect.signature(fn).parameters
     free = [p for p in list(params)[len(args):] if p not in kwargs]
     for key, value in _known(section, where, free).items():
-        if isinstance(params[key].default, float):
-            _number("%s.%s" % (where, key), value)
+        default, name = params[key].default, "%s.%s" % (where, key)
+        if isinstance(default, tuple):
+            ints = all(isinstance(v, int) for v in default)
+            _numbers(name, value, "integers" if ints else "numbers")
+        elif isinstance(default, numbers.Real) and not isinstance(default, bool):
+            _number(name, value)
     return fn(*args, **kwargs, **section)
 
 
@@ -271,34 +265,14 @@ def _trajectory_inputs(cfg):
     return inputs
 
 
-def _run_conservation(cfg, exp):
-    spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
-    return _call(exp_conservation, "experiment", exp, spec, u0, T, dt,
-                 sample_every=sample_every)
-
-
-def _run_gauge_equivalence(cfg, exp):
-    spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
-    if spec.kind not in (NDNLS, GNDNLS):
-        raise ConfigError("gauge_equivalence runs the %s or %s pair, not equation.kind %r"
-                          % (NDNLS, GNDNLS, spec.kind))
-    return _call(exp_gauge_equivalence, "experiment", exp, spec.alpha, spec.beta, u0, T, dt,
-                 mode=spec.gauged_coefficient_mode, sample_every=sample_every)
-
-
-def _run_support_invariance(cfg, exp):
-    spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
-    exp = _with_defaults("experiment", exp, eps0=1.0)
-    return _call(exp_support_invariance, "experiment", exp, spec,
-                 u0=u0, T=T, dt=dt, sample_every=sample_every)
-
-
-def _run_scaling_global(cfg, exp):
-    spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
-    exp = _with_defaults("experiment", exp, s=-1.0, sigma=0.0, eps0=1.0, lambdas=(1, 2, 4, 8))
-    _numbers("experiment.lambdas", exp["lambdas"])
-    return _call(exp_scaling_global, "experiment", exp, u0,
-                 spec=spec, T_max=T, dt=dt, sample_every=sample_every)
+def _run_trajectory(name):
+    """The runner of the trajectory experiment ``exp_<name>(spec, u0, T, dt, ...)``."""
+    def run(cfg, exp):
+        spec, u0, T, dt, sample_every, _ = _trajectory_inputs(cfg)
+        # looked up per call, so that a rebound experiments.exp_<name> is the one run
+        return _call(getattr(experiments, "exp_" + name), "experiment", exp, spec, u0, T, dt,
+                     sample_every=sample_every)
+    return run
 
 
 def _run_picard_window(cfg, exp):
@@ -308,16 +282,11 @@ def _run_picard_window(cfg, exp):
     amplitudes = exp.pop("amplitudes", (4.0, 12.6, 40.0, 126.0, 400.0))
     family = [build_initial_data(cfg, grid, amplitude=a)
               for a in _numbers("experiment.amplitudes", amplitudes)]
-    return _call(exp_picard_window, "experiment", exp, family, spec)
+    return _call(experiments.exp_picard_window, "experiment", exp, spec, family)
 
 
 def _run_norm_inflation(cfg, exp):
-    # a bool node count or bump frequency would run as 1, and a string would
-    # fail inside the quadrature without naming its key
-    if "n_nodes" in exp:
-        _number("experiment.n_nodes", exp["n_nodes"])
-    _numbers("experiment.k_list", exp.get("k_list", ()), "integers")
-    return _call(exp_norm_inflation, "experiment", exp, spec=build_equation(cfg))
+    return _call(experiments.exp_norm_inflation, "experiment", exp, build_equation(cfg))
 
 
 # name -> (claim, runner(cfg, experiment section) -> ExperimentReport, description, CSV columns)
@@ -325,18 +294,18 @@ Experiment = collections.namedtuple("Experiment", "claim run about csv", default
 
 EXPERIMENTS = {
     "conservation": Experiment(
-        "mass-energy-conservation", _run_conservation,
+        "mass-energy-conservation", _run_trajectory("conservation"),
         "mass (and energy for the cubic equation) stay constant along the flow",
         "t, Re M, Im M, Re E, Im E, leakage, plus one column per requested (s, sigma) norm"),
     "gauge_equivalence": Experiment(
-        "gauge-equivalence", _run_gauge_equivalence,
+        "gauge-equivalence", _run_trajectory("gauge_equivalence"),
         "evolving the gauged data by the gauged equation matches gauging the evolved data"),
     "support_invariance": Experiment(
-        "halfline-support-invariance", _run_support_invariance,
+        "halfline-support-invariance", _run_trajectory("support_invariance"),
         "spectral support above a positive frequency threshold is preserved",
         "t, Re M, Im M, Re E, Im E, leakage, plus one column per requested (s, sigma) norm"),
     "scaling_global": Experiment(
-        "dilation-scaling-bound", _run_scaling_global,
+        "dilation-scaling-bound", _run_trajectory("scaling_global"),
         "dilation norm bound holds and the dilation-weighted norm decays along solves"),
     "picard_window": Experiment(
         "contraction-window-scaling", _run_picard_window,

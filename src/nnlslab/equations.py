@@ -254,12 +254,14 @@ def mass_energy_coeffs(coeffs, grid, alpha):
 
 
 def support_leakage(fld, eps0):
-    """Fraction of squared spectral mass at frequencies below eps0."""
+    """Fraction of squared spectral mass at frequencies below eps0; nan, and no
+    warning, for a state too large to square."""
     if eps0 < 0:
         raise ValueError("eps0 must be nonnegative")
-    power = np.abs(fld.coeffs) ** 2
-    total = power.sum()
-    if total == 0:
-        return 0.0
-    below = power[fld.grid.frequencies < eps0].sum()
-    return float(below / total)
+    with np.errstate(over="ignore", invalid="ignore"):
+        power = np.abs(fld.coeffs) ** 2
+        total = power.sum()
+        if total == 0:
+            return 0.0
+        below = power[fld.grid.frequencies < eps0].sum()
+        return float(below / total)

@@ -44,6 +44,11 @@ from .grid import GridMismatchError, SpectralField
 CFL_LIMIT = 50.0  # guard on dt * xi_max^2 for the nonlinear substep
 
 
+def _count(x, least):
+    """Whether ``x`` is an integer >= ``least`` and not a bool (``True`` is an Integral)."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, (bool, np.bool_)) and x >= least
+
+
 def _free_phase(grid, t):
     """The free-flow symbol e^{-i t xi^2}; an array ``t`` of shape (k, 1) gives k rows.
 
@@ -144,7 +149,7 @@ def solve_batch(fields, T, dt, spec, sample_every=1):
         raise ValueError("dt must be finite and positive, got %r" % (dt,))
     if not (math.isfinite(T) and T >= 0):
         raise ValueError("T must be finite and nonnegative, got %r" % (T,))
-    if not (isinstance(sample_every, numbers.Integral) and sample_every >= 1):
+    if not _count(sample_every, 1):
         raise ValueError("sample_every must be an integer >= 1, got %r" % (sample_every,))
     fields = list(fields)
     if not fields:
@@ -263,7 +268,7 @@ def _duhamel_nodes(T, n_nodes, grid):
     ``weights`` is ``_simpson_weights(times)`` and ``plus``, ``minus`` hold
     e^{+i t xi^2} and e^{-i t xi^2}, one row per uniform time node.
     """
-    if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 9):
+    if not _count(n_nodes, 9):
         raise ValueError("the Duhamel map needs at least 9 time nodes, got %r" % (n_nodes,))
     if n_nodes % 2 == 0:
         raise ValueError("the Duhamel map needs an odd node count for Simpson, got %r"
@@ -299,7 +304,7 @@ def picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
     dropped, and three growing distances in a row stop the loop.  Invalid
     arguments raise ``ValueError``.
     """
-    if not (isinstance(n_iter, numbers.Integral) and n_iter >= 1):
+    if not _count(n_iter, 1):
         raise ValueError("n_iter must be an integer >= 1, got %r" % (n_iter,))
     grid = u0.grid
     nodes = _duhamel_nodes(T, n_nodes, grid)

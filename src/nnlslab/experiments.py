@@ -1,7 +1,9 @@
 """Named reproducible experiments, each probing one verifiable claim.
 
-Every experiment returns an ExperimentReport with the measured residuals and
-an explicit pass flag; all are deterministic (no unseeded randomness).
+Every experiment takes its equation first, keeps its defaults in its signature
+(the command line reads them there), and returns an ExperimentReport with the
+measured residuals and an explicit pass flag; all are deterministic (no
+unseeded randomness).  The trajectory experiments begin (spec, u0, T, dt).
 """
 
 from __future__ import annotations
@@ -9,12 +11,11 @@ from __future__ import annotations
 import functools
 import inspect
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .equations import (
-    EquationSpec,
     GAUGED_GNDNLS,
     GAUGED_NDNLS,
     GNDNLS,
@@ -178,15 +179,17 @@ def exp_conservation(spec, u0, T, dt, tolerance=1e-6, sample_every=50):
     )
 
 
-def exp_gauge_equivalence(alpha, beta, u0, T, dt, mode="rederived", tolerance=1e-4, sample_every=25):
-    """Evolve u and its gauged image v by their own equations; compare G(u(t)) to v(t)."""
-    delta = -alpha / 2.0
-    if beta == 0:
-        spec_u = EquationSpec(NDNLS, alpha=alpha)
-        spec_v = EquationSpec(GAUGED_NDNLS, alpha=alpha)
-    else:
-        spec_u = EquationSpec(GNDNLS, alpha=alpha, beta=beta)
-        spec_v = EquationSpec(GAUGED_GNDNLS, alpha=alpha, beta=beta, gauged_coefficient_mode=mode)
+def exp_gauge_equivalence(spec, u0, T, dt, tolerance=1e-4, sample_every=25):
+    """Evolve u and its gauged image v by their own equations; compare G(u(t)) to v(t).
+
+    ``spec``, NdNLS or gNdNLS, gives the coefficients; beta = 0 runs the NdNLS pair.
+    """
+    if spec.kind not in (NDNLS, GNDNLS):
+        raise ValueError("gauge_equivalence runs the %s or %s pair, not equation.kind %r"
+                         % (NDNLS, GNDNLS, spec.kind))
+    pair = (NDNLS, GAUGED_NDNLS) if spec.beta == 0 else (GNDNLS, GAUGED_GNDNLS)
+    spec_u, spec_v = (replace(spec, kind=kind) for kind in pair)
+    delta = -spec.alpha / 2.0
     measurements = {"max_relative_residual": np.inf}
     try:
         v0 = gauge_forward(u0, delta)
@@ -205,14 +208,15 @@ def exp_gauge_equivalence(alpha, beta, u0, T, dt, mode="rederived", tolerance=1e
         measurements["gauge_overflow"] = True
     return ExperimentReport(
         claim_id="gauge-equivalence",
-        parameters={"alpha": alpha, "beta": beta, "mode": mode, "T": T, "dt": dt},
+        parameters={"alpha": spec.alpha, "beta": spec.beta, "mode": spec.gauged_coefficient_mode,
+                    "T": T, "dt": dt},
         measurements=measurements,
         tolerance=tolerance,
         passed=bool(measurements["max_relative_residual"] <= tolerance),
     )
 
 
-def exp_support_invariance(spec, eps0, u0, T, dt, tolerance=1e-10, sample_every=50):
+def exp_support_invariance(spec, u0, T, dt, eps0=1.0, tolerance=1e-10, sample_every=50):
     """Verify that spectral support above eps0 is preserved along the flow."""
     if support_leakage(u0, eps0) > 1e-13:
         raise ValueError("initial data leaks below eps0 already")
@@ -231,17 +235,16 @@ def exp_support_invariance(spec, eps0, u0, T, dt, tolerance=1e-10, sample_every=
 _SCALING_RATIO_BOUND = 10.0  # largest accepted ratio to the dilation bound
 
 
-def exp_scaling_global(u0, s, sigma, eps0, lambdas, spec=None, T_max=0.5, dt=2e-3,
-                       sample_every=25):
+def exp_scaling_global(spec, u0, T, dt, s=-1.0, sigma=0.0, eps0=1.0,
+                       lambdas=(1.0, 2.0, 4.0, 8.0), sample_every=25):
     """Dilation-bound ratios plus decay of the lam-weighted norm along solves.
 
-    A factor lam whose dilation leaves the grid band is skipped; every other
-    refused value raises before any solve.  Each factor is dilated once, and
-    the factors that share a horizon are solved as one batch.  The run passes
-    only if some lam > 1 was checked.
+    The solve of factor lam runs to min(T, 2^sqrt(lam)).  A factor lam whose
+    dilation leaves the grid band is skipped; every other refused value
+    raises before any solve.  Each factor is dilated once, and the factors
+    that share a horizon are solved as one batch.  The run passes only if
+    some lam > 1 was checked.
     """
-    if spec is None:
-        spec = EquationSpec(NNLS, alpha=1.0)
     for name, value in (("s", s), ("sigma", sigma), ("eps0", eps0)):
         if not np.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (name, value))
@@ -272,7 +275,7 @@ def exp_scaling_global(u0, s, sigma, eps0, lambdas, spec=None, T_max=0.5, dt=2e-
     norms = {lam: [esigma_norm(scaled[lam], s * lam, sigma)] for lam in kept}
     batches = {}
     for lam in norms:
-        batches.setdefault(min(T_max, 2.0 ** np.sqrt(lam)), []).append(lam)
+        batches.setdefault(min(T, 2.0 ** np.sqrt(lam)), []).append(lam)
     for horizon, batch in batches.items():
         trajs = solve_batch([scaled[lam] for lam in batch], horizon, dt, spec,
                             sample_every=sample_every)
@@ -353,7 +356,7 @@ def _linefit(x, y):
 _WINDOW_R2_MIN = 0.9  # least r^2 of the log-log window fit
 
 
-def exp_picard_window(u0_family, spec, s=-1.0, sigma=0.0):
+def exp_picard_window(spec, u0_family, s=-1.0, sigma=0.0):
     """Fit the contracting-window size against the data norm across a family."""
     norms, windows, excluded = [], [], []
     for i, u0 in enumerate(u0_family):
@@ -578,11 +581,9 @@ def _band_norm(phi, t, spec, sprime, sigmaprime, n_nodes, track_rho):
 _QUAD_TOL = 1e-6  # largest relative change of a band norm when the nodes double
 
 
-def exp_norm_inflation(s=-1.0, k_list=(8, 16, 32), kappa=0.1, sprime=-1.0, sigmaprime=0.0,
-                       spec=None, n_nodes=16):
+def exp_norm_inflation(spec, s=-1.0, k_list=(8, 16, 32), kappa=0.1, sprime=-1.0,
+                       sigmaprime=0.0, n_nodes=16):
     """Growth in k of the weighted band norm of the third derivative at t = kappa/k^2."""
-    if spec is None:
-        spec = EquationSpec(NNLS, alpha=1.0)
     if not s < 0:
         raise ValueError("s must be negative")
     if spec.alpha == 0:

@@ -25,11 +25,15 @@ from .grid import (
 
 
 def gauge_forward(fld, delta):
-    """v = u exp(-delta * P(u u*)) pointwise; ``FloatingPointError`` if it overflows."""
+    """v = u exp(-delta * P(u u*)) pointwise; ``FloatingPointError`` if u u* or v overflows."""
     if delta == 0:
         return SpectralField(fld.grid, fld.coeffs)
     grid, c = fld.grid, fld.coeffs
-    density = SpectralField(grid, product_plan(grid, 2).product([c, np.conj(c)]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        density = product_plan(grid, 2).product([c, np.conj(c)])
+    if not np.all(np.isfinite(density)):
+        raise FloatingPointError("the density u u* overflows")
+    density = SpectralField(grid, density)
     prim = product_plan(grid, 1).samples(antiderivative_symmetric(density).coeffs)
     with np.errstate(over="ignore", invalid="ignore"):
         v = inverse_transform(fld) * np.exp(-delta * prim)

@@ -41,14 +41,16 @@ def _grid_weights(grid, s, sigma):
 
 
 def esigma_norm(fld, s, sigma):
-    """Exponentially weighted spectral norm with parameters (s, sigma)."""
+    """Exponentially weighted spectral norm with parameters (s, sigma); inf, and no
+    warning, for a field too large to square."""
     if abs(s) * fld.grid.xi_max * _LN2 >= _OVERFLOW_LIMIT:
         raise ValueError(
             "weight 2^(s|xi|) overflows: |s|*xi_max*ln2 = %.3g >= %.0f"
             % (abs(s) * fld.grid.xi_max * _LN2, _OVERFLOW_LIMIT)
         )
     w = _grid_weights(fld.grid, s, sigma)
-    return float(np.sqrt(np.sum(np.abs(w * fld.coeffs) ** 2) * fld.grid.dxi))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sqrt(np.sum(np.abs(w * fld.coeffs) ** 2) * fld.grid.dxi))
 
 
 _SUPPORT_REL_TOL = 1e-13  # a coefficient below this fraction of the peak is off support

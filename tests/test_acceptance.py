@@ -62,7 +62,7 @@ def test_criterion_2_gauge_equivalence():
     g = FrequencyGrid(256, 40.0)
     u0 = make_initial_data("modulated_gaussian", g, amplitude=0.3, width=1.0, carrier=3.0)
     t0 = time.perf_counter()
-    rep = exp_gauge_equivalence(1.0, 0.0, u0, 0.5, 2e-3)
+    rep = exp_gauge_equivalence(EquationSpec("NdNLS", alpha=1.0), u0, 0.5, 2e-3)
     elapsed = time.perf_counter() - t0
     ok = (rep.passed and rep.measurements["max_relative_residual"] <= 1e-4
           and elapsed <= 60.0)
@@ -83,7 +83,8 @@ def test_criterion_3_coefficient_adjudication():
     u0 = make_initial_data("modulated_gaussian", g, amplitude=0.3, width=1.0, carrier=3.0)
     residuals = {}
     for mode in ("printed", "rederived"):
-        rep = exp_gauge_equivalence(1.5, 0.5, u0, 0.5, 2e-3, mode=mode)
+        spec = EquationSpec("gNdNLS", alpha=1.5, beta=0.5, gauged_coefficient_mode=mode)
+        rep = exp_gauge_equivalence(spec, u0, 0.5, 2e-3)
         residuals[mode] = rep.measurements["max_relative_residual"]
     print("  beta = 1/2 residuals: printed %.3e, rederived %.3e"
           % (residuals["printed"], residuals["rederived"]))
@@ -97,7 +98,7 @@ def test_criterion_4_support_invariance():
     u0 = make_initial_data("halfline_bump", g, amplitude=0.5, lo=1.0, hi=2.0)
     oks = []
     for kind in ("NNLS", "NdNLS"):
-        rep = exp_support_invariance(EquationSpec(kind, alpha=1.0), 1.0, u0, 1.0, 2e-3)
+        rep = exp_support_invariance(EquationSpec(kind, alpha=1.0), u0, 1.0, 2e-3, 1.0)
         oks.append(rep.passed and rep.measurements["max_leakage"] <= 1e-10)
     _verdict("criterion 4 half-line support invariance (leakage <= 1e-10, T = 1)", all(oks))
 
@@ -105,7 +106,8 @@ def test_criterion_4_support_invariance():
 def test_criterion_5_scaling_law():
     g = FrequencyGrid(1024, 40.0)
     u0 = make_initial_data("modulated_gaussian", g, amplitude=1.0, width=2.0, carrier=4.5)
-    rep = exp_scaling_global(u0, -1.0, 0.5, 1.0, [1, 2, 4, 8], T_max=0.3, dt=2e-3)
+    rep = exp_scaling_global(EquationSpec("NNLS", alpha=1.0), u0, 0.3, 2e-3, -1.0, 0.5, 1.0,
+                             [1, 2, 4, 8])
     ratios = rep.measurements["ratios"]
     # exact answer: u = e^{-x^2/2} dilates to sqrt(2 pi) e^{-(xi/lam)^2/2} / lam
     x, xi = g.points, g.frequencies
@@ -132,7 +134,7 @@ def test_criterion_6_picard_window():
     spec = EquationSpec("NNLS", alpha=1.0)
     fam = [make_initial_data("modulated_gaussian", g, amplitude=a, width=1.0, carrier=3.0)
            for a in (4.0, 12.6, 40.0, 126.0, 400.0)]
-    rep = exp_picard_window(fam, spec, s=-1.0, sigma=0.0)
+    rep = exp_picard_window(spec, fam, s=-1.0, sigma=0.0)
     # the converged fixed point must also match the independent stepper
     u0 = make_initial_data("modulated_gaussian", g, amplitude=0.5, width=1.0, carrier=3.0)
     states, prep = picard_solve(u0, 0.2, spec, n_nodes=65)
@@ -147,7 +149,8 @@ def test_criterion_6_picard_window():
 
 def test_criterion_7_norm_inflation():
     t0 = time.perf_counter()
-    rep = exp_norm_inflation(s=-1.0, k_list=(8, 16, 32), kappa=0.1, n_nodes=16)
+    rep = exp_norm_inflation(EquationSpec("NNLS", alpha=1.0), s=-1.0, k_list=(8, 16, 32), kappa=0.1,
+                             n_nodes=16)
     elapsed = time.perf_counter() - t0
     m = rep.measurements
     print("  slope %.3f (target 0.5, lower bound 0.4), quad converged %s, "

@@ -1,7 +1,9 @@
 """Tests for the command-line interface."""
 
 import csv
+import functools
 import glob
+import inspect
 import os
 import warnings
 
@@ -11,7 +13,8 @@ import yaml
 
 import nnlslab.experiments as experiments
 from nnlslab.cli import (EXPERIMENTS, ConfigError, build_equation, build_grid,
-                         build_initial_data, load_config, main, write_timeseries)
+                         build_initial_data, load_config, main, run_experiment,
+                         write_timeseries)
 from nnlslab.equations import EquationSpec, support_leakage
 from nnlslab.evolve import solve
 from nnlslab.gauge import gauge_forward
@@ -213,11 +216,14 @@ def test_timeseries_columns_match_the_references_bit_for_bit(tmp_path, amplitude
         assert traj.times == [0.0, 0.01] and want[-1][3] == "nan"
 
 
-def test_blown_up_timeseries_prints_no_numpy_warnings(tmp_path):
+@pytest.mark.parametrize("amplitude", [100.0, 1e4])
+def test_blown_up_timeseries_prints_no_numpy_warnings(tmp_path, amplitude):
     # the last finite state of a blown-up solve overflows the energy
-    # integrand; the nan in the CSV reports it, and numpy warns nothing
+    # integrand, and at amplitude 1e4 (a last state near 1e238) the leakage
+    # and the norm too; the nan and inf in the CSV report it, and numpy warns
+    # nothing
     grid = build_grid(BASE_CFG)
-    u0 = build_initial_data(BASE_CFG, grid, amplitude=100.0)
+    u0 = build_initial_data(BASE_CFG, grid, amplitude=amplitude)
     traj = solve(u0, 0.04, 0.01, EquationSpec("NNLS", alpha=1.5), sample_every=2)
     assert traj.blown_up
     path = tmp_path / "ts.csv"
@@ -492,13 +498,17 @@ def test_gauge_equivalence_with_ndnls_and_beta_is_exit_2(tmp_path, capsys):
     assert "equation.beta" in capsys.readouterr().err
 
 
-def test_gauge_overflow_is_a_failed_run_with_report(tmp_path, capsys):
-    # G(u0) overflows at amplitude 100: a numerical failure, exit 1 with the
-    # report written, not an invalid configuration
+@pytest.mark.parametrize("amplitude", ["100", "1e160"])
+def test_gauge_overflow_is_a_failed_run_with_report(tmp_path, capsys, amplitude):
+    # G(u0) overflows at amplitude 100, and the density u u* already at 1e160:
+    # a numerical failure, exit 1 with the report written, not an invalid
+    # configuration, and no numpy warning
     out = tmp_path / "out"
-    assert main(["experiment", "gauge_equivalence", "--config",
-                 os.path.join(CONFIGS, "gauge_equivalence.yaml"), "--out", str(out),
-                 "--override", "initial_data.params.amplitude=100"]) == 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["experiment", "gauge_equivalence", "--config",
+                     os.path.join(CONFIGS, "gauge_equivalence.yaml"), "--out", str(out),
+                     "--override", "initial_data.params.amplitude=" + amplitude]) == 1
     assert "invalid configuration" not in capsys.readouterr().err
     lines = dict(l.split("=", 1) for l in (out / "report.txt").read_text().splitlines())
     assert lines["passed"] == "False"
@@ -519,6 +529,41 @@ def test_gauge_equivalence_reports_the_earlier_blowup_time(tmp_path):
     first = min(tr.blowup_time for tr in trajs if tr.blown_up)
     assert lines["measurements.blown_up"] == "True"
     assert float(lines["measurements.blowup_time"]) == first
+
+
+@pytest.mark.parametrize("name, reported", [
+    ("support_invariance", {"eps0": "parameters.eps0", "tolerance": "tolerance"}),
+    ("scaling_global", {key: "parameters." + key for key in ("s", "sigma", "eps0", "lambdas")}),
+])
+def test_an_experiment_without_keys_reports_its_signature_defaults(tmp_path, name, reported):
+    # before: the command line kept its own defaults for these keys, and
+    # exp_support_invariance and exp_scaling_global had none
+    cfg = load_config(os.path.join(CONFIGS, name + ".yaml"), ["evolution.T=0.02"])
+    cfg["experiment"] = {"name": name}
+    out = tmp_path / "out"
+    assert main(["experiment", name, "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    lines = _report(out / "report.txt")
+    params = inspect.signature(getattr(experiments, "exp_" + name)).parameters
+    for key, line in reported.items():
+        assert ([float(v) for v in lines[line].split()]
+                == list(np.atleast_1d(params[key].default)))
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_the_runner_calls_the_experiment_bound_at_run_time(tmp_path, monkeypatch, name):
+    # a rebound experiments.exp_<name> is the one that runs, so a wrapper
+    # installed after import (a tracer, a test double) sees every run
+    class Ran(Exception):
+        pass
+
+    @functools.wraps(getattr(experiments, "exp_" + name))
+    def ran(*args, **kwargs):
+        raise Ran
+
+    monkeypatch.setattr(experiments, "exp_" + name, ran)
+    with pytest.raises(Ran):
+        run_experiment(name, load_config(os.path.join(CONFIGS, name + ".yaml")),
+                       str(tmp_path / "out"))
 
 
 def test_norm_inflation_reads_alpha(tmp_path):

@@ -1,5 +1,7 @@
 """Tests for the experiment drivers and the third-derivative quadrature."""
 
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -20,7 +22,7 @@ from nnlslab.experiments import (
     make_initial_data,
     third_derivative_field,
 )
-from nnlslab.evolve import Trajectory, solve_batch
+from nnlslab.evolve import Trajectory, picard_solve, solve, solve_batch
 from nnlslab.grid import FrequencyGrid, inverse_transform
 from nnlslab.spaces import dilate, esigma_norm
 
@@ -49,8 +51,13 @@ def test_two_bump_rejects_non_integral_k(grid, k):
 @pytest.mark.parametrize("build", [
     lambda flag: TwoBumpData(flag, -1.0),
     lambda flag: make_initial_data("plemelj_derivative", FrequencyGrid(64, 20.0), k=flag),
-    lambda flag: exp_norm_inflation(k_list=(4, 8), n_nodes=flag),
-], ids=["two_bump_k", "plemelj_derivative_k", "norm_inflation_n_nodes"])
+    lambda flag: exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), n_nodes=flag),
+    lambda flag: solve(make_initial_data("gaussian", FrequencyGrid(64, 20.0)), 0.1, 0.01,
+                       EquationSpec("NNLS"), sample_every=flag),
+    lambda flag: picard_solve(make_initial_data("gaussian", FrequencyGrid(64, 20.0)), 0.1,
+                              EquationSpec("NNLS"), n_iter=flag),
+], ids=["two_bump_k", "plemelj_derivative_k", "norm_inflation_n_nodes", "solve_sample_every",
+        "picard_solve_n_iter"])
 def test_bool_is_not_taken_as_the_integer_one(build, flag):
     # before: float(True).is_integer() held, so each ran as if given 1
     with pytest.raises(ValueError, match="must be an integer|must be a positive integer"):
@@ -234,7 +241,7 @@ def test_coarse_pass_skips_rho(monkeypatch):
         return rho_step(t, e, *rest)
 
     monkeypatch.setattr(experiments, "_min_neg_im_rho", counting)
-    rep = exp_norm_inflation(k_list=(4, 8), n_nodes=8)
+    rep = exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), n_nodes=8)
     assert rep.measurements["rho_bound_ok"]
     assert widths and set(widths) == {16}
 
@@ -260,7 +267,7 @@ def test_conservation_failure_path(grid):
 
 def test_gauge_equivalence_small(grid):
     u0 = make_initial_data("modulated_gaussian", grid, amplitude=0.3, width=1.0, carrier=3.0)
-    rep = exp_gauge_equivalence(1.0, 0.0, u0, 0.1, 2e-3)
+    rep = exp_gauge_equivalence(EquationSpec("NdNLS", alpha=1.0), u0, 0.1, 2e-3)
     assert rep.passed
     assert rep.measurements["max_relative_residual"] <= 1e-4
 
@@ -276,29 +283,53 @@ def test_gauge_equivalence_reports_the_earlier_blowup(grid, monkeypatch, times, 
 
     monkeypatch.setattr(experiments, "solve", blowing_up)
     u0 = make_initial_data("modulated_gaussian", grid, amplitude=0.3, width=1.0, carrier=3.0)
-    rep = exp_gauge_equivalence(1.0, 0.0, u0, 0.5, 1e-3)
+    rep = exp_gauge_equivalence(EquationSpec("NdNLS", alpha=1.0), u0, 0.5, 1e-3)
     assert rep.measurements == {"max_relative_residual": np.inf, "blown_up": True,
                                 "blowup_time": first}
     assert not rep.passed
 
 
+def test_every_experiment_takes_its_equation_first():
+    # before: gauge_equivalence took (alpha, beta, u0, ...), support_invariance
+    # (spec, eps0, u0, ...), scaling_global (u0, s, sigma, eps0, lambdas, spec=None,
+    # T_max=0.5, dt=2e-3, ...), picard_window (u0_family, spec, ...) and
+    # norm_inflation (..., spec=None, ...)
+    for fn, n in [(exp_conservation, 4), (exp_gauge_equivalence, 4), (exp_support_invariance, 4),
+                  (exp_scaling_global, 4), (exp_picard_window, 1), (exp_norm_inflation, 1)]:
+        head = list(inspect.signature(fn).parameters.values())[:n]
+        assert [p.name for p in head] == ["spec", "u0", "T", "dt"][:n]
+        assert all(p.default is p.empty for p in head)
+
+
+@pytest.mark.parametrize("kind", ["NNLS", "GaugedNdNLS", "GaugedGNdNLS"])
+def test_gauge_equivalence_refuses_other_kinds(grid, monkeypatch, kind):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    u0 = make_initial_data("modulated_gaussian", grid, amplitude=0.3, width=1.0, carrier=3.0)
+    with pytest.raises(ValueError, match="runs the NdNLS or gNdNLS pair, not equation.kind %r"
+                       % kind):
+        exp_gauge_equivalence(EquationSpec(kind), u0, 0.1, 2e-3)
+
+
 def test_support_invariance_precondition(grid, gaussian):
     spec = EquationSpec("NdNLS", alpha=1.0)
     with pytest.raises(ValueError):
-        exp_support_invariance(spec, 1.0, gaussian, 0.1, 1e-3)
+        exp_support_invariance(spec, gaussian, 0.1, 1e-3, 1.0)
 
 
 def test_support_invariance_runs(grid):
     spec = EquationSpec("NdNLS", alpha=1.0)
     u0 = make_initial_data("halfline_bump", grid, amplitude=0.5, lo=1.5, hi=3.0)
-    rep = exp_support_invariance(spec, 1.0, u0, 0.2, 2e-3)
+    rep = exp_support_invariance(spec, u0, 0.2, 2e-3, 1.0)
     assert rep.passed
     assert rep.measurements["max_leakage"] <= 1e-10
 
 
 def test_scaling_skips_overflowing_lambda(grid):
     u0 = make_initial_data("modulated_gaussian", grid, amplitude=1.0, width=2.0, carrier=4.5)
-    rep = exp_scaling_global(u0, -1.0, 0.5, 1.0, [1, 2, 32], T_max=0.05)
+    rep = exp_scaling_global(EquationSpec("NNLS"), u0, 0.05, 2e-3, -1.0, 0.5, 1.0, [1, 2, 32])
     assert 32 in rep.measurements["skipped"]
     assert 2 not in rep.measurements["skipped"]
 
@@ -319,7 +350,7 @@ def test_scaling_refuses_bad_values_before_any_solve(grid, monkeypatch, s, sigma
     monkeypatch.setattr(experiments, "solve_batch", no_solve)
     u0 = make_initial_data("modulated_gaussian", grid, amplitude=1.0, width=2.0, carrier=4.5)
     with pytest.raises(ValueError, match=message):
-        exp_scaling_global(u0, s, sigma, eps0, lambdas)
+        exp_scaling_global(EquationSpec("NNLS"), u0, 0.5, 2e-3, s, sigma, eps0, lambdas)
 
 
 def criterion_5_data():
@@ -336,7 +367,8 @@ def test_scaling_dilates_each_factor_once(monkeypatch):
         return dilate(fld, lam)
 
     monkeypatch.setattr(experiments, "dilate", counting)
-    rep = exp_scaling_global(criterion_5_data(), -1.0, 0.5, 1.0, [1, 2, 4, 8], T_max=0.02)
+    rep = exp_scaling_global(EquationSpec("NNLS"), criterion_5_data(), 0.02, 2e-3, -1.0, 0.5, 1.0,
+                             [1, 2, 4, 8])
     assert sorted(calls) == [2, 4, 8]
     assert sorted(rep.measurements["ratios"]) == [2, 4, 8]
 
@@ -350,9 +382,9 @@ def test_scaling_solves_each_horizon_as_one_batch(grid, monkeypatch):
 
     monkeypatch.setattr(experiments, "solve_batch", recording)
     u0 = make_initial_data("modulated_gaussian", grid, amplitude=1.0, width=2.0, carrier=4.5)
-    # horizon min(T_max, 2^sqrt(lam)): 1.63 for lam = 0.5 and 1.8 for lam = 1
+    # horizon min(T, 2^sqrt(lam)): 1.63 for lam = 0.5 and 1.8 for lam = 1
     # and 2, the 2 listed twice and solved once
-    rep = exp_scaling_global(u0, -1.0, 0.5, 1.0, [0.5, 1, 2, 2.0], T_max=1.8, dt=0.05)
+    rep = exp_scaling_global(EquationSpec("NNLS"), u0, 1.8, 0.05, -1.0, 0.5, 1.0, [0.5, 1, 2, 2.0])
     assert batches == [(1, 2.0 ** np.sqrt(0.5)), (2, 1.8)]
     assert rep.measurements["skipped"] == ()
 
@@ -370,48 +402,48 @@ def test_largest_contracting_time_monotone_in_amplitude(grid):
 def test_picard_window_needs_enough_points(grid):
     spec = EquationSpec("NNLS", alpha=1.0)
     fam = [make_initial_data("gaussian", grid, amplitude=a) for a in (0.5, 1.0)]
-    rep = exp_picard_window(fam, spec)
+    rep = exp_picard_window(spec, fam)
     assert not rep.passed  # fewer than three usable points
 
 
 def test_norm_inflation_small_case():
-    rep = exp_norm_inflation(k_list=(4, 8), n_nodes=8)
+    rep = exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), n_nodes=8)
     assert rep.measurements["monotone"]
     assert rep.measurements["rho_bound_ok"]
     assert rep.measurements["norms"][1] > rep.measurements["norms"][0]
     with pytest.raises(ValueError):
-        exp_norm_inflation(s=0.5)
+        exp_norm_inflation(EquationSpec("NNLS"), s=0.5)
     with pytest.raises(ValueError):
-        exp_norm_inflation(kappa=0.5)
+        exp_norm_inflation(EquationSpec("NNLS"), kappa=0.5)
 
 
 def test_norm_inflation_rejects_non_integral_k():
     # before: k = 4.5 ran the k = 4 data at t = kappa/4.5^2 and passed
     with pytest.raises(ValueError, match="k must be a positive integer"):
-        exp_norm_inflation(k_list=(4.5, 8), n_nodes=8)
+        exp_norm_inflation(EquationSpec("NNLS"), k_list=(4.5, 8), n_nodes=8)
 
 
 @pytest.mark.parametrize("k_list", [(8,), (), (16, 8), (8, 8, 16)])
 def test_norm_inflation_needs_increasing_k_list(k_list):
     with pytest.raises(ValueError, match="at least two strictly increasing"):
-        exp_norm_inflation(k_list=k_list, n_nodes=8)
+        exp_norm_inflation(EquationSpec("NNLS"), k_list=k_list, n_nodes=8)
 
 
 @pytest.mark.parametrize("kappa", [0.0, -0.05, np.nan, 0.1000001])
 def test_norm_inflation_rejects_kappa_outside_range(kappa):
     with pytest.raises(ValueError, match=r"kappa must be in \(0, 0.1\]"):
-        exp_norm_inflation(k_list=(4, 8), kappa=kappa, n_nodes=8)
+        exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), kappa=kappa, n_nodes=8)
 
 
 @pytest.mark.parametrize("n_nodes", [0, -2, 2.5, np.nan])
 def test_norm_inflation_rejects_bad_node_count(n_nodes):
     with pytest.raises(ValueError, match="n_nodes must be an integer >= 1"):
-        exp_norm_inflation(k_list=(4, 8), n_nodes=n_nodes)
+        exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), n_nodes=n_nodes)
 
 
 def test_norm_inflation_derivative_grows_faster():
-    a = exp_norm_inflation(k_list=(4, 8), n_nodes=8, spec=EquationSpec("NNLS"))
-    b = exp_norm_inflation(k_list=(4, 8), n_nodes=8, spec=EquationSpec("NdNLS"))
+    a = exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), n_nodes=8)
+    b = exp_norm_inflation(EquationSpec("NdNLS"), k_list=(4, 8), n_nodes=8)
     assert b.measurements["slope"] > a.measurements["slope"]
 
 
