@@ -17,6 +17,7 @@ import argparse
 import collections
 import copy
 import csv
+import functools
 import inspect
 import math
 import multiprocessing
@@ -276,13 +277,8 @@ def _run_trajectory(name):
 
 
 def _run_picard_window(cfg, exp):
-    grid = build_grid(cfg)
-    spec = build_equation(cfg)
-    exp = dict(exp)
-    amplitudes = exp.pop("amplitudes", (4.0, 12.6, 40.0, 126.0, 400.0))
-    family = [build_initial_data(cfg, grid, amplitude=a)
-              for a in _numbers("experiment.amplitudes", amplitudes)]
-    return _call(experiments.exp_picard_window, "experiment", exp, spec, family)
+    make_u0 = functools.partial(build_initial_data, cfg, build_grid(cfg))
+    return _call(experiments.exp_picard_window, "experiment", exp, build_equation(cfg), make_u0)
 
 
 def _run_norm_inflation(cfg, exp):

@@ -356,10 +356,15 @@ def _linefit(x, y):
 _WINDOW_R2_MIN = 0.9  # least r^2 of the log-log window fit
 
 
-def exp_picard_window(spec, u0_family, s=-1.0, sigma=0.0):
-    """Fit the contracting-window size against the data norm across a family."""
+def exp_picard_window(spec, make_u0, amplitudes=(4.0, 12.6, 40.0, 126.0, 400.0), s=-1.0,
+                      sigma=0.0):
+    """Fit the contracting-window size against the data norm across a family.
+
+    Member i of the family is ``make_u0(amplitude=amplitudes[i])``.
+    """
+    family = [make_u0(amplitude=a) for a in amplitudes]  # each built before any solve
     norms, windows, excluded = [], [], []
-    for i, u0 in enumerate(u0_family):
+    for i, u0 in enumerate(family):
         T_star = largest_contracting_time(u0, spec)
         if T_star is None:
             excluded.append(i)

@@ -146,17 +146,20 @@ class ProductPlan:
     ``samples`` and ``product`` transform their own arrays in place
     (``overwrite_x=True``); ``coeffs`` leaves the caller's samples alone.
 
-    The plan owns a grow-only work buffer.  ``products`` pads its k
-    coefficient rows into one ``(k,) + lead + (n_fine,)`` block of it,
-    transforms the whole block with one inverse FFT, multiplies each term's
-    samples left to right into an accumulator of its own behind them and
-    forward transforms every accumulator at once: two
-    FFT calls whatever the degree and the number of terms, and a repeated
-    call allocates only its result.  ``product`` is the one term of its
-    distinct factors.  The buffer keeps the size of the largest call made so
-    far, and the plan is not reentrant across threads.  Every array the plan
-    returns is freshly allocated, or the caller's ``out``; no caller ever
-    holds a view of the buffer.
+    The plan keeps two arrays between calls: a grow-only buffer and ``scale``
+    repeated to the last lead shape, as numpy buffers a contiguous batch
+    multiplied by the 1-D ``scale``.  ``products`` pads its k coefficient
+    rows into one ``(k,) + lead + (n_fine,)`` block of the buffer, through
+    views built on each call, transforms the whole block with one inverse FFT,
+    multiplies each term's samples left to right into an accumulator of its
+    own behind them and forward transforms every accumulator at once: two FFT
+    calls whatever the degree and the number of terms, and a warm call
+    allocates only its result, apart from numpy's transient iterator buffer
+    for padding the strided half rows of a batch.  ``product`` is the one term
+    of its distinct factors.  The buffer keeps the size of the largest call
+    made so far, and the plan is not reentrant across threads.  Every array
+    the plan returns is freshly allocated, or the caller's ``out``; no caller
+    ever holds a view of the buffer.
     """
 
     def __init__(self, grid, degree):
@@ -176,63 +179,24 @@ class ProductPlan:
         for a in (self.signs, self.pad, self.scale):
             a.flags.writeable = False  # shared by every caller of the cache
         self._buffer = np.empty(0, dtype=np.complex128)
-        self._repeated = None  # pad and scale repeated to the last lead shape
-        self._work = None  # (key, views) of the last products call
+        # scale repeated to the last lead shape of products: with the 1-D scale numpy
+        # buffers the scaling of a (33, 256) batch (132 KB a call against none), and
+        # 14,600 minor faults per picard_window pass came back in 6 processes of 8
+        # (numpy 2.4).  A repeated pad buys nothing: strided half rows are buffered
+        # either way.
+        self._scales = self.scale
 
-    def _pad_into(self, coeffs, pad, f):
+    def _pad_into(self, coeffs, f):
         """Write ``coeffs * pad`` into the head and tail of the fine array ``f``."""
-        np.multiply(coeffs[self.upper], pad[self.upper], out=f[self.head])
-        np.multiply(coeffs[self.head], pad[self.head], out=f[self.tail])
+        np.multiply(coeffs[self.upper], self.pad[self.upper], out=f[self.head])
+        np.multiply(coeffs[self.head], self.pad[self.head], out=f[self.tail])
 
     def _retained(self, fine, scale):
-        """Fresh retained coefficients of the forward-transformed ``fine``.
-
-        ``fine`` may have one axis more than ``scale``, the terms of
-        ``products``; each term is scaled on its own, without broadcasting.
-        """
+        """Fresh retained coefficients of the forward-transformed ``fine``, times ``scale``."""
         out = np.empty(fine.shape[:-1] + (self.n,), dtype=np.complex128)
         out[self.head] = fine[self.tail]
         out[self.upper] = fine[self.head]
-        if out.ndim == scale.ndim:
-            return np.multiply(scale, out, out=out)
-        for term in out:
-            np.multiply(scale, term, out=term)
-        return out
-
-    def _work_arrays(self, lead, n_rows, n_terms):
-        """Views of the work buffer for ``products``, kept for the next call with the same key.
-
-        ``(pads, scale, targets, middle, rows, acc)``: ``pads`` are
-        the upper and head halves of ``pad`` and ``scale`` is ``scale``, both
-        repeated to ``lead + (n,)`` and kept while ``lead`` stays the same.
-        ``rows`` is the ``(n_rows,) + lead + (n_fine,)`` block the
-        coefficient rows are padded into, at the ``(head, tail)`` views in
-        ``targets``, with its unpadded middle ``middle``.  ``acc`` holds the
-        ``n_terms`` accumulators.
-        """
-        key = (lead, n_rows, n_terms)
-        if self._work is not None and self._work[0] == key:
-            return self._work[1]
-        shape = lead + (self.n,)
-        if self._repeated is None or self._repeated[0].shape != shape:
-            # numpy allocates an iterator buffer for every ufunc call that
-            # broadcasts.  The copies are arrays of their own; folded into the
-            # flat buffer, they left glibc trimming the heap (17,500-20,400
-            # minor faults per picard_window pass against under 10; numpy
-            # 2.4, glibc)
-            self._repeated = (np.broadcast_to(self.pad, shape).copy(),
-                              np.broadcast_to(self.scale, shape).copy())
-        pad, scale = self._repeated
-        size = math.prod(lead) * self.n_fine
-        count = n_rows + n_terms
-        if self._buffer.size < count * size:
-            self._buffer = np.empty(count * size, dtype=np.complex128)
-        fine = self._buffer[:count * size].reshape((count,) + lead + (self.n_fine,))
-        rows, acc = fine[:n_rows], fine[n_rows:]
-        views = ((pad[self.upper], pad[self.head]), scale,
-                 [(f[self.head], f[self.tail]) for f in rows], rows[self.middle], rows, acc)
-        self._work = (key, views)
-        return views
+        return np.multiply(scale, out, out=out)
 
     def samples(self, coeffs, out=None):
         """Fine-grid samples of the field(s) with ``coeffs`` zero padded.
@@ -243,7 +207,7 @@ class ProductPlan:
         f = out
         if f is None:
             f = np.empty(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
-        self._pad_into(coeffs, self.pad, f)
+        self._pad_into(coeffs, f)
         f[self.middle] = 0.0
         return scipy.fft.ifft(f, overwrite_x=True)
 
@@ -273,19 +237,24 @@ class ProductPlan:
         forward FFT transforms every accumulator.  The result stacks one
         coefficient array per term along a new first axis.
         """
-        (pad_upper, pad_head), scale, targets, middle, block, acc = self._work_arrays(
-            rows[0].shape[:-1], len(rows), len(terms))
-        upper, head = self.upper, self.head
-        for (f_head, f_tail), c in zip(targets, rows):
-            np.multiply(c[upper], pad_upper, out=f_head)
-            np.multiply(c[head], pad_head, out=f_tail)
-        middle[...] = 0.0
+        lead = rows[0].shape[:-1]
+        if self._scales.shape[:-1] != lead:
+            self._scales = np.broadcast_to(self.scale, lead + (self.n,)).copy()
+        count = len(rows) + len(terms)
+        size = count * math.prod(lead) * self.n_fine
+        if self._buffer.size < size:
+            self._buffer = np.empty(size, dtype=np.complex128)
+        fine = self._buffer[:size].reshape((count,) + lead + (self.n_fine,))
+        block, acc = fine[:len(rows)], fine[len(rows):]
+        for c, f in zip(rows, block):
+            self._pad_into(c, f)
+        block[self.middle] = 0.0
         samples = scipy.fft.ifft(block, overwrite_x=True)
         for out, term in zip(acc, terms):
             prod = samples[term[0]]
             for i in term[1:]:
                 prod = np.multiply(prod, samples[i], out=out)
-        return self._retained(scipy.fft.fft(acc, overwrite_x=True), scale)
+        return self._retained(scipy.fft.fft(acc, overwrite_x=True), self._scales)
 
 
 @functools.lru_cache(maxsize=64)

@@ -684,6 +684,25 @@ def test_non_number_in_picard_window_is_exit_2_before_any_solve(tmp_path, capsys
     assert not out.exists()
 
 
+def test_picard_window_without_amplitudes_runs_the_signature_defaults(tmp_path, monkeypatch):
+    # before: the command line kept its own copy of the five amplitudes
+    seen = []
+
+    def no_window(u0, spec):
+        seen.append(u0.coeffs)
+        return None
+
+    monkeypatch.setattr(experiments, "largest_contracting_time", no_window)
+    cfg = load_config(os.path.join(CONFIGS, "picard_window.yaml"))
+    del cfg["experiment"]["amplitudes"]
+    report = run_experiment("picard_window", cfg, str(tmp_path))
+    defaults = inspect.signature(experiments.exp_picard_window).parameters["amplitudes"].default
+    grid = build_grid(cfg)
+    assert len(defaults) == 5 and report.measurements["excluded"] == (0, 1, 2, 3, 4)
+    for coeffs, a in zip(seen, defaults, strict=True):
+        assert np.array_equal(coeffs, build_initial_data(cfg, grid, amplitude=a).coeffs)
+
+
 @pytest.mark.parametrize("override, message", [
     ("experiment.n_nodes=true", "experiment.n_nodes must be a number, got True"),
     ("experiment.n_nodes=abc", "experiment.n_nodes must be a number, got 'abc'"),

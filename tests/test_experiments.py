@@ -1,5 +1,6 @@
 """Tests for the experiment drivers and the third-derivative quadrature."""
 
+import functools
 import inspect
 
 import numpy as np
@@ -401,8 +402,8 @@ def test_largest_contracting_time_monotone_in_amplitude(grid):
 
 def test_picard_window_needs_enough_points(grid):
     spec = EquationSpec("NNLS", alpha=1.0)
-    fam = [make_initial_data("gaussian", grid, amplitude=a) for a in (0.5, 1.0)]
-    rep = exp_picard_window(spec, fam)
+    make_u0 = functools.partial(make_initial_data, "gaussian", grid)
+    rep = exp_picard_window(spec, make_u0, amplitudes=(0.5, 1.0))
     assert not rep.passed  # fewer than three usable points
 
 
