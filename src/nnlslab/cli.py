@@ -64,13 +64,21 @@ def _number(name, value):
     return value
 
 
+def _finite(name, value):
+    """``value``; ConfigError naming the config key ``name`` unless ``_number`` accepts
+    it and it is a finite float (YAML reads ``.nan`` as nan and ``1e309`` as inf)."""
+    if not abs(_number(name, value)) <= sys.float_info.max:  # nan compares false
+        raise ConfigError("%s must be finite, got %r" % (name, value))
+    return value
+
+
 def _numbers(name, value, what="numbers"):
     """``value``; ConfigError naming the config key ``name`` unless it is a list of
-    numbers, or naming the entry that is not one."""
+    finite numbers, or naming the entry that is not one."""
     if not isinstance(value, (list, tuple)):
         raise ConfigError("%s must be a list of %s, got %r" % (name, what, value))
     for i, v in enumerate(value):
-        _number("%s[%d]" % (name, i), v)
+        _finite("%s[%d]" % (name, i), v)
     return value
 
 
@@ -93,7 +101,7 @@ def _call(fn, where, section, *args, **kwargs):
     """``fn(*args, **kwargs, **section)``; a key of config ``section`` that is not a
     parameter of ``fn`` left free by ``args`` and ``kwargs`` raises ConfigError, and
     so does a value that does not match its parameter's default: a number default
-    (not a bool) takes a number, and a tuple default a list of numbers, of
+    (not a bool) takes a finite number, and a tuple default a list of them, of
     integers when every entry of the default is one."""
     params = inspect.signature(fn).parameters
     free = [p for p in list(params)[len(args):] if p not in kwargs]
@@ -103,7 +111,7 @@ def _call(fn, where, section, *args, **kwargs):
             ints = all(isinstance(v, int) for v in default)
             _numbers(name, value, "integers" if ints else "numbers")
         elif isinstance(default, numbers.Real) and not isinstance(default, bool):
-            _number(name, value)
+            _finite(name, value)
     return fn(*args, **kwargs, **section)
 
 
@@ -183,8 +191,8 @@ def build_initial_data(cfg, grid, **params):
     sec = _section(cfg, "initial_data", required=True)
     given = _section(sec, "params", "initial_data")
     for key, value in given.items():
-        # every data kind's parameters are numbers
-        _number("initial_data.params.%s" % key, value)
+        # every data kind's parameters are finite numbers
+        _finite("initial_data.params.%s" % key, value)
     kind = _require(sec, "kind", "initial_data")
     if kind not in DATA_KINDS:
         raise ConfigError("initial_data.kind %r not one of %s" % (kind, (DATA_KINDS,)))
@@ -208,8 +216,8 @@ def _evolution(cfg):
             isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in norms):
         raise ConfigError("evolution.norms must be a list of [s, sigma] pairs, got %r"
                           % (norms,))
-    norms = [tuple(_float("evolution.norms[%d][%d]" % (i, j), v) for j, v in enumerate(pair))
-             for i, pair in enumerate(norms)]
+    norms = [tuple(float(_finite("evolution.norms[%d][%d]" % (i, j), v))
+                   for j, v in enumerate(pair)) for i, pair in enumerate(norms)]
     # %g keeps six significant digits: two such pairs would share a CSV column
     if len({"%g,%g" % p for p in norms}) < len(norms):
         raise ConfigError("evolution.norms %r repeat a diagnostics key" % (norms,))
@@ -340,7 +348,7 @@ def run_experiment(name, cfg, out_dir):
 
 def cmd_solve(cfg, out_dir):
     spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
-    eps0 = _number("experiment.eps0", _section(cfg, "experiment").get("eps0", 0.0))
+    eps0 = _finite("experiment.eps0", _section(cfg, "experiment").get("eps0", 0.0))
     support_leakage(u0, eps0)  # refuses a negative eps0 before the solve
     traj = solve(u0, T, dt, spec, sample_every=sample_every)
     os.makedirs(out_dir, exist_ok=True)

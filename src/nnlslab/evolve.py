@@ -139,8 +139,8 @@ def solve_batch(fields, T, dt, spec, sample_every=1):
     The fields are stacked into a ``(k, n_modes)`` array and stepped by the
     Lawson-RK4 stage function (local error O(dt^5)), so each row rounds
     exactly as its own solve.  Time 0, every ``sample_every``-th step and T
-    are recorded.  When T is not a whole number of steps dt (to 1e-9 relative),
-    a final shortened step ends the trajectories exactly at T.  A row that
+    itself are recorded.  When T is not a whole number of steps dt (to 1e-9
+    relative), a final shortened step ends the trajectories at T.  A row that
     goes non-finite is marked ``blown_up`` at the end of that step, its state
     before the step is recorded unless its time already is, and the row is
     dropped; the other rows go on.
@@ -173,7 +173,8 @@ def solve_batch(fields, T, dt, spec, sample_every=1):
     t = 0.0
     stage = None
     for i in range(1, n_steps + 1):
-        h, t_next = (dt, i * dt) if i <= n_full else (T - n_full * dt, T)
+        h = dt if i <= n_full else T - n_full * dt
+        t_next = T if i == n_steps else i * dt  # n_full * dt may round off T
         if stage is None or (stage.dt, stage.shape) != (h, w.shape):
             stage = _LawsonStage(grid, spec, h, w.shape)
         stepped = stage(w)

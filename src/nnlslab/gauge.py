@@ -29,8 +29,10 @@ def gauge_forward(fld, delta):
     if delta == 0:
         return SpectralField(fld.grid, fld.coeffs)
     grid, c = fld.grid, fld.coeffs
+    plan = product_plan(grid, 2)
     with np.errstate(over="ignore", invalid="ignore"):
-        density = product_plan(grid, 2).product([c, np.conj(c)])
+        u, us = plan.samples(np.stack([c, np.conj(c)]))
+        density = plan.coeffs(u * us)
     if not np.all(np.isfinite(density)):
         raise FloatingPointError("the density u u* overflows")
     density = SpectralField(grid, density)

@@ -10,18 +10,17 @@ uniform frequency grid ``xi_m = m * 2*pi/L`` for
 
 so that ``u(x_j) = (1/L) * sum_m coeffs[m] exp(i xi_m x_j)``.
 
-:class:`ProductPlan` is the one place that spells this convention out, as
-index slices and sign and ``dx`` vectors: the plan of degree 1 has no
-padding, and its ``coeffs`` and ``samples`` are :func:`forward_transform`
-and :func:`inverse_transform`.  Higher degrees pad for dealiased products:
-one inverse transform of a block holding every distinct factor and one
-forward transform of the products made from it, whatever their degree and
-number.  The Lawson stage's N(u) in ``equations`` takes only the padded size
-and ``dx_fine`` of a plan: it pads without the sign vector, the samples then
-lying at x_j = j dx_fine, and folds every constant into one output scale.
-The transforms are ``scipy.fft``'s, which keeps its
-plans between calls where ``numpy.fft`` sets one up on every call; the two
-agree bit for bit (both run pocketfft, as a unit test checks).
+:class:`ProductPlan` spells this convention out as index slices and sign and
+``dx`` vectors: the plan of degree 1 has no padding, and its ``coeffs`` and
+``samples`` are :func:`forward_transform` and :func:`inverse_transform`.
+Higher degrees pad for dealiased products: one inverse transform of a block
+holding every factor and one forward transform of the products made from
+it, whatever their degree and number.  The Lawson stage's sign-free padding
+lives in ``equations._Nonlinearity``, which takes only the padded size and
+``dx_fine`` of a plan: its samples lie at x_j = j dx_fine, and it folds every
+constant into one output scale.  The transforms are ``scipy.fft``'s, which
+keeps its plans between calls where ``numpy.fft`` sets one up on every call;
+the two agree bit for bit (both run pocketfft, as a unit test checks).
 """
 
 from __future__ import annotations
@@ -143,7 +142,7 @@ class ProductPlan:
     The transforms are ``scipy.fft``'s and are called as module attributes
     (``scipy.fft.ifft``), looked up at each call, so that a profiler or a
     test that rebinds them, such as ``perfbench/tracer.py``, sees every one.
-    ``samples`` and ``product`` transform their own arrays in place
+    ``samples`` and ``products`` transform their own arrays in place
     (``overwrite_x=True``); ``coeffs`` leaves the caller's samples alone.
 
     The plan keeps two arrays between calls: a grow-only buffer and ``scale``
@@ -155,11 +154,10 @@ class ProductPlan:
     own behind them and forward transforms every accumulator at once: two FFT
     calls whatever the degree and the number of terms, and a warm call
     allocates only its result, apart from numpy's transient iterator buffer
-    for padding the strided half rows of a batch.  ``product`` is the one term
-    of its distinct factors.  The buffer keeps the size of the largest call
-    made so far, and the plan is not reentrant across threads.  Every array
-    the plan returns is freshly allocated, or the caller's ``out``; no caller
-    ever holds a view of the buffer.
+    for padding the strided half rows of a batch.  The buffer keeps the size
+    of the largest call made so far, and the plan is not reentrant across
+    threads.  Every array the plan returns is freshly allocated, or the
+    caller's ``out``; no caller ever holds a view of the buffer.
     """
 
     def __init__(self, grid, degree):
@@ -214,18 +212,6 @@ class ProductPlan:
     def coeffs(self, samples):
         """Retained coefficients of the fine-grid ``samples``."""
         return self._retained(scipy.fft.fft(samples), self.scale)
-
-    def product(self, factors):
-        """Retained coefficients of the product of two or more coefficient arrays.
-
-        The factors share one shape.  Each distinct array (by identity) takes
-        one row of the block; the samples are multiplied left to right.
-        """
-        rows = {}
-        for c in factors:
-            rows.setdefault(id(c), (len(rows), c))
-        term = tuple(rows[id(c)][0] for c in factors)
-        return self.products([c for _, c in rows.values()], (term,))[0]
 
     def products(self, rows, terms):
         """Retained coefficients of several products of the same sample rows.

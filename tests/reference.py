@@ -281,7 +281,8 @@ def reference_solve(u0, T, dt, spec, sample_every=1):
         n_steps = n_full + 1
     u, t = u0, 0.0
     for i in range(1, n_steps + 1):
-        h, t_next = (dt, i * dt) if i <= n_full else (T - n_full * dt, T)
+        h = dt if i <= n_full else T - n_full * dt
+        t_next = T if i == n_steps else i * dt
         try:
             u = reference_step(u, h, spec)
         except FloatingPointError:

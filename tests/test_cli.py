@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
+import nnlslab.cli as cli
 import nnlslab.experiments as experiments
 from nnlslab.cli import (EXPERIMENTS, ConfigError, build_equation, build_grid,
                          build_initial_data, load_config, main, run_experiment,
@@ -680,6 +681,37 @@ def test_non_number_in_picard_window_is_exit_2_before_any_solve(tmp_path, capsys
     out = tmp_path / "out"
     assert main(["experiment", "picard_window", "--config", config, "--out", str(out),
                  "--override", override]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, override, message", [
+    (["experiment", "picard_window"], "experiment.amplitudes=[4.0,12.6,40.0,1e309]",
+     "experiment.amplitudes[3] must be finite, got inf"),
+    (["experiment", "support_invariance"], "experiment.tolerance=.nan",
+     "experiment.tolerance must be finite, got nan"),
+    (["experiment", "support_invariance"], "initial_data.params.amplitude=.inf",
+     "initial_data.params.amplitude must be finite, got inf"),
+    (["experiment", "scaling_global"], "experiment.lambdas=[1.0,.nan]",
+     "experiment.lambdas[1] must be finite, got nan"),
+    (["solve"], "experiment.eps0=.nan", "experiment.eps0 must be finite, got nan"),
+    (["solve"], "evolution.norms=[[.nan,0.0]]", "evolution.norms[0][0] must be finite, got nan"),
+])
+def test_non_finite_number_is_exit_2_before_any_solve(tmp_path, capsys, monkeypatch, command,
+                                                      override, message):
+    # before: the infinite amplitude warned from numpy and was refused as
+    # non-finite coefficients, naming no key, and a nan tolerance ran the
+    # whole solve and reported a failed claim with exit 1
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for name in ("solve", "solve_batch", "picard_solve"):
+        monkeypatch.setattr(experiments, name, no_solve)
+    monkeypatch.setattr(cli, "solve", no_solve)
+    name = command[-1] if command[0] == "experiment" else "conservation"
+    config = os.path.join(CONFIGS, name + ".yaml")
+    out = tmp_path / "out"
+    assert main(command + ["--config", config, "--out", str(out), "--override", override]) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
 

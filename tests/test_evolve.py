@@ -132,6 +132,18 @@ def test_solve_ends_exactly_at_T():
     assert np.array_equal(traj.states[-1].coeffs, u.coeffs)
 
 
+def test_solve_records_the_last_whole_step_at_T():
+    # 700 * 1e-3 is 0.7000000000000001: the steps stay whole, and the last
+    # one is recorded at T, not at n * dt
+    gaussian = coarse_gaussian()
+    traj = solve(gaussian, 0.7, 1e-3, NNLS, sample_every=700)
+    assert traj.times == [0.0, 0.7]
+    u = gaussian
+    for _ in range(700):
+        u = reference_step(u, 1e-3, NNLS)
+    assert np.array_equal(traj.states[-1].coeffs, u.coeffs)
+
+
 def test_solve_horizon_shorter_than_dt():
     gaussian = coarse_gaussian()
     traj = solve(gaussian, 0.01, 0.03, NNLS)
@@ -141,9 +153,10 @@ def test_solve_horizon_shorter_than_dt():
 
 def test_solve_commensurate_horizon_keeps_whole_steps():
     gaussian = coarse_gaussian()
-    # 0.3 / 0.1 is 3 to rounding: three whole steps, times i * dt as before
+    # 0.3 / 0.1 is 3 to rounding: three whole steps, the last recorded at T
+    # and not at 3 * 0.1 = 0.30000000000000004
     traj = solve(gaussian, 0.3, 0.1, NNLS)
-    assert traj.times == [0.0, 0.1, 0.2, 3 * 0.1]
+    assert traj.times == [0.0, 0.1, 0.2, 0.3]
     u = gaussian
     for _ in range(3):
         u = reference_step(u, 0.1, NNLS)

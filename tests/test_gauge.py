@@ -48,7 +48,7 @@ def test_gauge_modulus_identity(grid):
     # the residual is set by spectral truncation of the exponential factor
     def density(fld):
         c = fld.coeffs
-        return SpectralField(grid, product_plan(grid, 2).product([c, np.conj(c)]))
+        return SpectralField(grid, product_plan(grid, 2).products([c, np.conj(c)], ((0, 1),))[0])
 
     f = decayed_field(grid)
     uu = density(f)

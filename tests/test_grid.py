@@ -172,21 +172,21 @@ def test_nonlocal_conjugate_samples(grid):
 
 def test_dealiased_product_identity(grid, gaussian):
     one = forward_transform(np.ones(grid.n_modes, complex), grid)
-    prod = product_plan(grid, 2).product([gaussian.coeffs, one.coeffs])
+    prod = product_plan(grid, 2).products([gaussian.coeffs, one.coeffs], ((0, 1),))[0]
     assert np.max(np.abs(prod - gaussian.coeffs)) < 1e-11
 
 
 def test_dealiased_product_mode_addition():
     g = FrequencyGrid(64, 2 * np.pi)
     c = forward_transform(np.exp(1j * g.points), g).coeffs
-    cube = product_plan(g, 3).product([c, c, c])
+    cube = product_plan(g, 3).products([c], ((0, 0, 0),))[0]
     expect = forward_transform(np.exp(3j * g.points), g)
     assert np.max(np.abs(cube - expect.coeffs)) < 1e-10
 
 
 def test_dealiased_product_fine_grid_oracle(grid):
     fields = [random_field(grid, s, decay=3.0) for s in (1, 2, 3)]
-    prod = product_plan(grid, 3).product([f.coeffs for f in fields])
+    prod = product_plan(grid, 3).products([f.coeffs for f in fields], ((0, 1, 2),))[0]
     fine = FrequencyGrid(4 * grid.n_modes, grid.length)
     n, nf = grid.n_modes, fine.n_modes
     off = nf // 2 - n // 2
@@ -214,7 +214,7 @@ def test_dealiased_product_matches_reference_bit_for_bit(n, pattern, seed):
     g = FrequencyGrid(n, 30.0)
     pool = [random_field(g, seed + k) for k in range(3)]
     fields = [pool[k] for k in pattern]
-    prod = product_plan(g, len(fields)).product([f.coeffs for f in fields])
+    prod = product_plan(g, len(fields)).products([f.coeffs for f in pool], (tuple(pattern),))[0]
     assert np.array_equal(prod, reference_product(fields).coeffs)
 
 
@@ -269,8 +269,8 @@ def _batch(rng, n, rows):
 
 def test_product_work_arrays_never_leak():
     # one plan grows its work buffer, reuses a prefix of it and goes back to
-    # 1-D, twice over; the cubic plan takes a single distinct factor and a
-    # block that grows from 2 to 3 distinct factors under one batch shape; no
+    # 1-D, twice over; the cubic plan takes a single row and a block that
+    # grows from 2 to 3 rows under one batch shape; no
     # result or input may show a later call's work
     g = FrequencyGrid(256, 30.0)
     rng = np.random.default_rng(21)
@@ -285,7 +285,7 @@ def test_product_work_arrays_never_leak():
             pool = [u, np.conj(u), _batch(rng, g.n_modes, rows)]
             before = [p.copy() for p in pool]
             factors = [pool[k] for k in pattern]
-            out = plan.product(factors)
+            out = plan.products(pool[:max(pattern) + 1], (pattern,))[0]
             for p, b in zip(pool, before):
                 assert np.array_equal(p, b)
             by_row = [np.atleast_2d(f) for f in factors]
@@ -327,8 +327,8 @@ def test_batched_product_allocates_only_its_result():
     # (33, 256) cubic product allocates its result and the padding buffer only
     g = FrequencyGrid(256, 40.0)
     u = _batch(np.random.default_rng(5), g.n_modes, 33)
-    factors = [u, u, np.conj(u)]
-    result, peak = _warm_peak(lambda: product_plan(g, 3).product(factors))
+    rows = [u, np.conj(u)]
+    result, peak = _warm_peak(lambda: product_plan(g, 3).products(rows, ((0, 0, 1),))[0])
     assert peak < result.nbytes + _SCALE_MARGIN
 
 
@@ -348,7 +348,7 @@ def test_dealiased_product_support_arithmetic(grid):
     xi = grid.frequencies
     a = SpectralField(grid, ((xi >= 1) & (xi <= 2)).astype(complex))
     b = SpectralField(grid, ((xi >= 3) & (xi <= 4)).astype(complex))
-    prod = product_plan(grid, 2).product([a.coeffs, b.coeffs])
+    prod = product_plan(grid, 2).products([a.coeffs, b.coeffs], ((0, 1),))[0]
     power = np.abs(prod) ** 2
     below = power[xi < 4.0 - grid.dxi / 2].sum()
     assert below <= 1e-12 * power.sum()
@@ -357,8 +357,8 @@ def test_dealiased_product_support_arithmetic(grid):
 def test_dealiased_product_conjugate_morphism(grid):
     u, v = random_field(grid, 5).coeffs, random_field(grid, 6).coeffs
     pair = product_plan(grid, 2)
-    lhs = SpectralField(grid, np.conj(pair.product([u, v])))
-    rhs = SpectralField(grid, pair.product([np.conj(u), np.conj(v)]))
+    lhs = SpectralField(grid, np.conj(pair.products([u, v], ((0, 1),))[0]))
+    rhs = SpectralField(grid, pair.products([np.conj(u), np.conj(v)], ((0, 1),))[0])
     assert l2_distance(lhs, rhs) <= 1e-12 * l2_norm(lhs)
 
 

@@ -76,3 +76,15 @@ def test_only_equations_knows_how_n_of_u_is_evaluated():
     names = {alias.name for node in ast.walk(tree)
              if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     assert not names & {"_recipe", "DU", "product_plan", "derivative_symbol", "scipy.fft"}
+
+
+def test_only_equations_calls_the_product_plans_products():
+    # the gauge reads a plan's samples and coeffs; products serves N(u) alone
+    callers = []
+    for path in MODULES:
+        with open(path) as fh:
+            tree = ast.parse(fh.read())
+        if any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+               and node.func.attr == "products" for node in ast.walk(tree)):
+            callers.append(os.path.basename(path))
+    assert callers == ["equations.py"]
