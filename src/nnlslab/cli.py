@@ -84,7 +84,10 @@ def _numbers(name, value, what="numbers"):
 
 def _float(name, value):
     """``float(value)`` of a value that ``_number`` accepts for the config key ``name``."""
-    return float(_number(name, value))
+    try:
+        return float(_number(name, value))
+    except OverflowError:  # an int beyond the float range
+        raise ConfigError("%s must be finite, got %r" % (name, value)) from None
 
 
 def _known(section, where, keys):

@@ -120,12 +120,15 @@ class _LawsonStage:
 
 @dataclass
 class Trajectory:
-    """Recorded times and states; a blown-up one ends with its last finite state."""
+    """Recorded times and states; a blown-up one has its ``blowup_time`` and last finite state."""
 
     times: list
     states: list
-    blown_up: bool = False
     blowup_time: float | None = None
+
+    @property
+    def blown_up(self):
+        return self.blowup_time is not None
 
 
 def solve(u0, T, dt, spec, sample_every=1):
@@ -141,7 +144,7 @@ def solve_batch(fields, T, dt, spec, sample_every=1):
     exactly as its own solve.  Time 0, every ``sample_every``-th step and T
     itself are recorded.  When T is not a whole number of steps dt (to 1e-9
     relative), a final shortened step ends the trajectories at T.  A row that
-    goes non-finite is marked ``blown_up`` at the end of that step, its state
+    goes non-finite gets the end of that step as its ``blowup_time``, its state
     before the step is recorded unless its time already is, and the row is
     dropped; the other rows go on.
     """
@@ -182,7 +185,6 @@ def solve_batch(fields, T, dt, spec, sample_every=1):
         if not finite.all():
             for traj, row, ok in zip(live, w, finite):
                 if not ok:
-                    traj.blown_up = True
                     traj.blowup_time = t + h
                     if traj.times[-1] != t:  # its last finite state
                         traj.times.append(t)

@@ -436,13 +436,13 @@ def _min_neg_im_rho(t, e, r, A, A2, Bg):
     return t * float(np.min(2.0 * r2.imag - r.imag))
 
 
-def _combo_integrals(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track):
+def _combo_integrals(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track):
     """Integral over xi1 in b1, xi2 in b2, xi - xi1 - xi2 in b3 of the kernel, per xi.
 
     The xi1 range of each xi is cut where the xi2 range changes form, and the
-    n1 Gauss nodes x1_i of every panel of every xi become the rows of one
-    array.  Row i has the n2 inner nodes x2_ij = mid_i + h_i g_j.  The code
-    relies on two facts:
+    n Gauss nodes x1_i of every panel of every xi become the rows of one
+    array.  Row i has the inner nodes x2_ij = mid_i + h_i g_j of the same
+    n-point rule g_j.  The code relies on two facts:
 
     - the kernel phase z_ij = 2t(xi - x1_i)(xi - x2_ij) = A_i - B_i g_j is
       affine in g_j, and so is the rho phase 2t(xi - x1_i)(x1_i + x2_ij)
@@ -450,7 +450,7 @@ def _combo_integrals(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track):
     - the ``leggauss`` nodes are exactly antisymmetric: g[::-1] == -g bit for
       bit, and the middle node of an odd count is 0.
 
-    So z_ij + z_i(n2-1-j) = 2 A_i, and e^{iz} is evaluated on the lower half
+    So z_ij + z_i(n-1-j) = 2 A_i, and e^{iz} is evaluated on the lower half
     of j only (the middle node included); the upper half is e^{2iA_i} times
     the conjugate of the lower half, reversed.  The rho exponential is
     e^{i(A2_i - A_i)} times e^{iz} reversed, and -Im rho comes from the two
@@ -472,12 +472,11 @@ def _combo_integrals(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track):
     cuts = np.stack([a, np.minimum(c1, c2), np.maximum(c1, c2), b], axis=1)
     pa, pb = cuts[:, :-1], cuts[:, 1:]
     keep = (pb - pa > 1e-15) & (b > a)[:, None]
-    g1, w1 = _gl(n1)
-    g2, w2 = _gl(n2)
+    g, wg = _gl(n)
     pa, pb = pa[keep][:, None], pb[keep][:, None]
-    x1 = (0.5 * (pa + pb) + 0.5 * (pb - pa) * g1).ravel()
-    wx1 = (0.5 * (pb - pa) * w1).ravel()
-    xr = xi[np.repeat(np.nonzero(keep)[0], n1)]
+    x1 = (0.5 * (pa + pb) + 0.5 * (pb - pa) * g).ravel()
+    wx1 = (0.5 * (pb - pa) * wg).ravel()
+    xr = xi[np.repeat(np.nonzero(keep)[0], n)]
     in_lo = np.maximum(lo2, xr - x1 - hi3)
     in_hi = np.minimum(hi2, xr - x1 - lo3)
     h = 0.5 * (in_hi - in_lo)
@@ -488,77 +487,75 @@ def _combo_integrals(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track):
     w = wx1 * h
     if with_xi2_factor:
         # i x2_ij = i (mid_i + h_i g_j): a mid_i column and an h_i g_j column
-        wm, wh, w2g = w * mid, w * h, w2 * g2
+        wm, wh, wgg = w * mid, w * h, wg * g
     if rho_track:
         A2 = d * (x1 + mid)
     rows = np.empty(x1.shape, dtype=np.complex128)
     min_rho = np.inf
-    half = (n2 + 1) // 2
-    step = max(1, _QUAD_NODES // n2)
+    half = (n + 1) // 2
+    step = max(1, _QUAD_NODES // n)
     for s in range(0, x1.size, step):
         c = slice(s, s + step)
         Ac = A[c, None]
-        Bg = dh[c, None] * g2
+        Bg = dh[c, None] * g
         z = Ac - Bg
         e = np.empty(z.shape, dtype=np.complex128)
         np.cos(z[:, :half], out=e.real[:, :half])
         np.sin(z[:, :half], out=e.imag[:, :half])
-        np.multiply(np.exp(2j * Ac), np.conjugate(e[:, :n2 // 2][:, ::-1]), out=e[:, half:])
+        np.multiply(np.exp(2j * Ac), np.conjugate(e[:, :n // 2][:, ::-1]), out=e[:, half:])
         r = _ratio(e, z)
         # per-row dot products (vecdot conjugates its real first argument, a
         # no-op); unlike a gemv their rounding does not depend on the row's
         # place in the chunk, so an xi's value does not depend on its block
         if with_xi2_factor:
-            rows[c] = wm[c] * np.vecdot(w2, r) + wh[c] * np.vecdot(w2g, r)
+            rows[c] = wm[c] * np.vecdot(wg, r) + wh[c] * np.vecdot(wgg, r)
         else:
-            rows[c] = w[c] * np.vecdot(w2, r)
+            rows[c] = w[c] * np.vecdot(wg, r)
         if rho_track:
             min_rho = min(min_rho, _min_neg_im_rho(t, e, r, Ac, A2[c, None], Bg))
-    n_rows = keep.sum(axis=1) * n1
+    n_rows = keep.sum(axis=1) * n
     has = n_rows > 0
     totals = np.zeros(xi.shape, dtype=np.complex128)
     totals[has] = np.add.reduceat(rows, (np.cumsum(n_rows) - n_rows)[has])
     return (1j * t if with_xi2_factor else t) * totals, min_rho
 
 
-def third_derivative_field(phi, t, equation=NNLS, xi=None, n_outer=24, n_inner=24, alpha=1.0,
-                           track_rho=True):
+def third_derivative_field(phi, t, spec, xi, n_nodes, track_rho=True):
     """Third directional derivative of the data-to-solution map, in Fourier space.
 
-    Returns (xi, values, min_neg_im_rho): the spectral values on the output
-    band near [1/2, 1] and the worst value of -Im rho over the symmetric-box
-    quadrature nodes (inf when ``track_rho`` is false, or at t = 0).
+    Returns (values, min_neg_im_rho) for the NNLS or NdNLS ``spec``: the
+    spectral values at the output frequencies ``xi`` and the worst -Im rho over
+    the symmetric-box quadrature nodes (inf when ``track_rho`` is false, or at
+    t = 0).  One ``n_nodes``-point Gauss rule serves the outer and inner panels.
 
     The output frequencies are evaluated in blocks: one block holds at most
     ``_QUAD_NODES`` outer Gauss rows (three box combinations of up to three
-    panels of ``n_outer`` rows per xi), and its kernel runs over chunks of at
+    panels of ``n_nodes`` rows per xi), and its kernel runs over chunks of at
     most ``_QUAD_NODES`` nodes.  The bound keeps every temporary at or under
     128 KiB: a whole band at once costs peak RSS, and larger chunks page faults.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative, got %r" % (t,))
-    if equation not in (NNLS, NDNLS):
+    if spec.kind not in (NNLS, NDNLS):
         raise ValueError("third derivative is available for NNLS and NdNLS")
-    if xi is None:
-        xi = np.linspace(0.5, 1.0, 65)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     up, dn = phi.upper_box, phi.lower_box
     combos = [(up, up, dn), (dn, up, up), (up, dn, up)]
-    with_factor = equation == NDNLS
+    with_factor = spec.kind == NDNLS
     values = np.zeros(xi.shape, dtype=np.complex128)
     min_rho = np.inf
-    pref = 6.0 * alpha * phi.amplitude ** 3 / (4.0 * np.pi ** 2)
-    block = max(1, _QUAD_NODES // (3 * n_outer))
+    pref = 6.0 * spec.alpha * phi.amplitude ** 3 / (4.0 * np.pi ** 2)
+    block = max(1, _QUAD_NODES // (3 * n_nodes))
     for start in range(0, xi.size, block):
         xb = xi[start:start + block]
         acc = 0.0 + 0.0j
         for j, (b1, b2, b3) in enumerate(combos):
-            val, mr = _combo_integrals(xb, t, b1, b2, b3, n_outer, n_inner, with_factor,
+            val, mr = _combo_integrals(xb, t, b1, b2, b3, n_nodes, with_factor,
                                        rho_track=(track_rho and j == 0 and t > 0))
             acc += val
             min_rho = min(min_rho, mr)
         values[start:start + block] = pref * np.exp(-1j * t * xb ** 2) * acc
-    return xi, values, min_rho
+    return values, min_rho
 
 
 _BAND_CUTS = (0.5, 0.625, 0.75, 0.875, 1.0)
@@ -575,12 +572,9 @@ def _band_nodes(n_per_segment):
 
 def _band_norm(phi, t, spec, sprime, sigmaprime, n_nodes, track_rho):
     xi, w = _band_nodes(n_nodes)
-    _, vals, min_rho = third_derivative_field(phi, t, spec.kind, xi=xi, n_outer=n_nodes,
-                                              n_inner=n_nodes, alpha=spec.alpha,
-                                              track_rho=track_rho)
+    vals, min_rho = third_derivative_field(phi, t, spec, xi, n_nodes, track_rho)
     weight = (1.0 + xi ** 2) ** sigmaprime * 4.0 ** (sprime * np.abs(xi))
-    norm = float(np.sqrt(np.sum(w * weight * np.abs(vals) ** 2)))
-    return norm, min_rho
+    return float(np.sqrt(np.sum(w * weight * np.abs(vals) ** 2))), min_rho
 
 
 _QUAD_TOL = 1e-6  # largest relative change of a band norm when the nodes double

@@ -286,7 +286,6 @@ def reference_solve(u0, T, dt, spec, sample_every=1):
         try:
             u = reference_step(u, h, spec)
         except FloatingPointError:
-            traj.blown_up = True
             traj.blowup_time = t + h
             if traj.times[-1] != t:
                 traj.times.append(t)

@@ -187,6 +187,17 @@ def test_non_finite_grid_length_is_exit_2(tmp_path, capsys, command, length):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["grid.length", "grid.n_modes", "evolution.T", "evolution.dt"])
+def test_int_beyond_the_float_range_is_exit_2(tmp_path, capsys, key):
+    # before: float() raised OverflowError, a traceback with exit 1
+    path = write_cfg(tmp_path, BASE_CFG)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", path, "--out", str(out),
+                 "--override", "%s=1%s" % (key, "0" * 400)]) == 2
+    assert "%s must be finite, got 1000" % key in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("amplitude", [1.0, 100.0])
 def test_timeseries_columns_match_the_references_bit_for_bit(tmp_path, amplitude):
     # each row is computed from its recorded state: the mass and energy as

@@ -141,26 +141,27 @@ def test_rho_kernel_lower_bound():
 
 def test_third_derivative_zero_time():
     prof = TwoBumpData(8, -1.0)
-    xi, vals, _ = third_derivative_field(prof, 0.0)
+    band = np.linspace(0.5, 1.0, 65)
+    vals, _ = third_derivative_field(prof, 0.0, EquationSpec("NNLS"), band, 24)
     assert np.all(np.isfinite(vals))
     with pytest.raises(ValueError):
-        third_derivative_field(prof, -1.0)
+        third_derivative_field(prof, -1.0, EquationSpec("NNLS"), band, 24)
     with pytest.raises(ValueError):
-        third_derivative_field(prof, 0.1, equation="gNdNLS")
+        third_derivative_field(prof, 0.1, EquationSpec("gNdNLS"), band, 24)
 
 
 @pytest.mark.parametrize("t", [np.nan, np.inf])
 def test_third_derivative_rejects_non_finite_time(t):
     with pytest.raises(ValueError, match="t must be finite and nonnegative"):
-        third_derivative_field(TwoBumpData(8, -1.0), t)
+        third_derivative_field(TwoBumpData(8, -1.0), t, EquationSpec("NNLS"), [0.7], 24)
 
 
 def test_third_derivative_quadrature_converges():
     prof = TwoBumpData(8, -1.0)
     t = 0.1 / 64.0
     xi = np.array([0.7])
-    _, coarse, _ = third_derivative_field(prof, t, xi=xi, n_outer=12, n_inner=12)
-    _, fine, _ = third_derivative_field(prof, t, xi=xi, n_outer=24, n_inner=24)
+    coarse, _ = third_derivative_field(prof, t, EquationSpec("NNLS"), xi, 12)
+    fine, _ = third_derivative_field(prof, t, EquationSpec("NNLS"), xi, 24)
     assert abs(coarse[0] - fine[0]) <= 1e-8 * abs(fine[0])
 
 
@@ -171,21 +172,19 @@ def test_third_derivative_quadrature_converges():
 @settings(max_examples=40, deadline=None)
 @given(
     k=st.sampled_from([4, 8, 16, 32]),
-    n_outer=st.sampled_from([1, 2, 7, 12, 33, 64]),
-    n_inner=st.sampled_from([1, 2, 7, 12, 33, 64]),
+    n=st.sampled_from([1, 2, 7, 12, 33, 64]),
     equation=st.sampled_from(["NNLS", "NdNLS"]),
     kappa=st.sampled_from([0.0, 0.07, 0.1]),
     band=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=4),
 )
-def test_third_derivative_matches_panel_oracle(k, n_outer, n_inner, equation, kappa, band):
+def test_third_derivative_matches_panel_oracle(k, n, equation, kappa, band):
     prof = TwoBumpData(k, -1.0)
     t = kappa / k ** 2
     # the last two output frequencies lie outside every box combination's support
     xi = np.array(band + [-10.0 * k, 10.0 * k])
-    _, got, got_rho = third_derivative_field(prof, t, equation, xi=xi,
-                                             n_outer=n_outer, n_inner=n_inner)
+    got, got_rho = third_derivative_field(prof, t, EquationSpec(equation), xi, n)
     _, want, want_rho = reference_third_derivative_field(prof, t, equation, xi=xi,
-                                                         n_outer=n_outer, n_inner=n_inner)
+                                                         n_outer=n, n_inner=n)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.all(got[-2:] == 0) and np.all(want[-2:] == 0)
     if np.isfinite(want_rho):
@@ -197,41 +196,37 @@ def test_third_derivative_matches_panel_oracle(k, n_outer, n_inner, equation, ka
 @settings(max_examples=30, deadline=None)
 @given(
     k=st.sampled_from([4, 8, 16, 32]),
-    n_outer=st.sampled_from([1, 2, 7, 33, 64]),
-    n_inner=st.sampled_from([1, 2, 7, 33, 64]),
+    n=st.sampled_from([1, 2, 7, 12, 33, 64]),
     equation=st.sampled_from(["NNLS", "NdNLS"]),
     kappa=st.sampled_from([0.0, 0.07, 0.1]),
     band=st.lists(st.floats(0.5, 1.0), min_size=1, max_size=48),
 )
 # at k = 2 an interior cut of the second and third combinations lands 4.4e-16
 # from a panel end for xi = 1/2 + 3e-16 and 1/2 + 4e-16: that thin panel is dropped
-@example(k=2, n_outer=12, n_inner=12, equation="NNLS", kappa=0.1,
-         band=[0.5 + 3e-16, 0.5 + 4e-16, 0.75])
+@example(k=2, n=12, equation="NNLS", kappa=0.1, band=[0.5 + 3e-16, 0.5 + 4e-16, 0.75])
 # -80 and 80 lie outside every combination's support
-@example(k=8, n_outer=7, n_inner=7, equation="NdNLS", kappa=0.1, band=[0.7, -80.0, 0.9, 80.0])
-@example(k=4, n_outer=1, n_inner=12, equation="NdNLS", kappa=0.07, band=[0.6, 0.8])
-# more output frequencies than one block holds at n_outer = 64
-@example(k=16, n_outer=64, n_inner=33, equation="NNLS", kappa=0.1,
-         band=list(np.linspace(0.5, 1.0, 48)))
-def test_third_derivative_band_matches_one_xi_at_a_time(k, n_outer, n_inner, equation, kappa,
-                                                         band):
+@example(k=8, n=7, equation="NdNLS", kappa=0.1, band=[0.7, -80.0, 0.9, 80.0])
+@example(k=4, n=1, equation="NdNLS", kappa=0.07, band=[0.6, 0.8])
+@example(k=4, n=12, equation="NdNLS", kappa=0.07, band=[0.6, 0.8])
+# more output frequencies than one block holds at n = 64
+@example(k=16, n=64, equation="NNLS", kappa=0.1, band=list(np.linspace(0.5, 1.0, 48)))
+def test_third_derivative_band_matches_one_xi_at_a_time(k, n, equation, kappa, band):
     prof = TwoBumpData(k, -1.0)
     t = kappa / k ** 2
-    _, got, got_rho = third_derivative_field(prof, t, equation, xi=band,
-                                             n_outer=n_outer, n_inner=n_inner)
-    alone = [third_derivative_field(prof, t, equation, xi=[x], n_outer=n_outer, n_inner=n_inner)
-             for x in band]
-    want = np.array([vals[0] for _, vals, _ in alone])
+    spec = EquationSpec(equation)
+    got, got_rho = third_derivative_field(prof, t, spec, band, n)
+    alone = [third_derivative_field(prof, t, spec, [x], n) for x in band]
+    want = np.array([vals[0] for vals, _ in alone])
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-    assert got_rho == min(rho for _, _, rho in alone)
+    assert got_rho == min(rho for _, rho in alone)
 
 
 def test_coarse_pass_skips_rho(monkeypatch):
     # the report reads the rho bound of the fine pass (2 * n_nodes) only
     prof, t = TwoBumpData(8, -1.0), 0.1 / 64.0
-    _, tracked, min_rho = third_derivative_field(prof, t, n_outer=8, n_inner=8)
-    _, untracked, skipped = third_derivative_field(prof, t, n_outer=8, n_inner=8,
-                                                   track_rho=False)
+    spec, band = EquationSpec("NNLS"), np.linspace(0.5, 1.0, 65)
+    tracked, min_rho = third_derivative_field(prof, t, spec, band, 8)
+    untracked, skipped = third_derivative_field(prof, t, spec, band, 8, track_rho=False)
     assert np.isfinite(min_rho) and skipped == np.inf
     assert np.array_equal(tracked, untracked)
     widths = []
@@ -280,7 +275,7 @@ def test_gauge_equivalence_reports_the_earlier_blowup(grid, monkeypatch, times, 
 
     def blowing_up(u0, T, dt, spec, sample_every=1):
         t = next(blowups)
-        return Trajectory([0.0], [u0], blown_up=t is not None, blowup_time=t)
+        return Trajectory([0.0], [u0], blowup_time=t)
 
     monkeypatch.setattr(experiments, "solve", blowing_up)
     u0 = make_initial_data("modulated_gaussian", grid, amplitude=0.3, width=1.0, carrier=3.0)
