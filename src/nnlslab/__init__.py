@@ -40,8 +40,7 @@ from .grid import (
     inverse_transform,
     l2_distance,
     l2_norm,
-    spectral_mass,
 )
-from .spaces import dilate, esigma_norm, scaling_bound_check
+from .spaces import dilate, esigma_norm
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ from .equations import (
 from .evolve import picard_solve, solve, solve_batch
 from .gauge import gauge_forward
 from .grid import EndpointDecayWarning, SpectralField, forward_transform, l2_distance, l2_norm
-from .spaces import _check_scaling_data, _scaling_ratio, dilate, esigma_norm
+from .spaces import dilate, esigma_norm
 
 
 @dataclass
@@ -63,6 +63,9 @@ class TwoBumpData:
         object.__setattr__(self, "k", int(self.k))
         if not self.s < 0:
             raise ValueError("s must be negative")
+        if not -self.s * self.k / 2.0 < 1024:  # 2.0 ** x is a finite float for x < 1024
+            raise ValueError("k = %d: the amplitude 2^(-s k/2) overflows at s = %r"
+                             % (self.k, self.s))
 
     @property
     def amplitude(self):
@@ -239,11 +242,14 @@ def exp_scaling_global(spec, u0, T, dt, s=-1.0, sigma=0.0, eps0=1.0,
                        lambdas=(1.0, 2.0, 4.0, 8.0), sample_every=25):
     """Dilation-bound ratios plus decay of the lam-weighted norm along solves.
 
-    The solve of factor lam runs to min(T, 2^sqrt(lam)).  A factor lam whose
-    dilation leaves the grid band is skipped; every other refused value
-    raises before any solve.  Each factor is dilated once, and the factors
-    that share a horizon are solved as one batch.  The run passes only if
-    some lam > 1 was checked.
+    For ``u0`` with spectrum in [eps0, inf) and s <= 0, the ratio of factor
+    lam is ||D_lam u0|| / (lam^(-1/2+max(sigma,0)) 2^(s lam eps0/2) ||u0||) in
+    the E^s_sigma norm, checked for every lam > 1; the L2 identity is the same
+    ratio at s = sigma = 0 and lam = 2.  The solve of factor lam runs to
+    min(T, 2^sqrt(lam)).  A factor lam whose dilation leaves the grid band is
+    skipped; every other refused value raises before any solve.  Each factor
+    is dilated once, and the factors that share a horizon are solved as one
+    batch.  The run passes only if some lam > 1 was checked.
     """
     for name, value in (("s", s), ("sigma", sigma), ("eps0", eps0)):
         if not np.isfinite(value):
@@ -253,10 +259,19 @@ def exp_scaling_global(spec, u0, T, dt, s=-1.0, sigma=0.0, eps0=1.0,
     for lam in lambdas:
         if not (np.isfinite(lam) and lam > 0):
             raise ValueError("dilation factors must be positive and finite, got %r" % (lam,))
-    # refuses a zero field, eps0 < 0 or low support before any dilation
-    _check_scaling_data(u0, eps0)
+    # before any dilation; first, since support_leakage reads 0 for a zero field
+    if np.sum(np.abs(u0.coeffs) ** 2) * u0.grid.dxi == 0:
+        raise ValueError("scaling check requires a nonzero field")
+    leakage = support_leakage(u0, eps0)  # refuses eps0 < 0
+    if leakage > 1e-10:
+        raise ValueError("spectrum not supported in [eps0, inf): leakage %.3g" % leakage)
     scaled = {2.0: dilate(u0, 2.0)}  # the L2 identity's; raises when 2 leaves the band
-    l2_ratio = _scaling_ratio(esigma_norm(u0, 0.0, 0.0), scaled[2.0], 0.0, 0.0, 2.0, eps0)
+
+    def ratio(lam, s, sigma, base):
+        return esigma_norm(scaled[lam], s, sigma) / (
+            lam ** (-0.5 + max(sigma, 0.0)) * 2.0 ** (s * lam * eps0 / 2.0) * base)
+
+    l2_ratio = ratio(2.0, 0.0, 0.0, esigma_norm(u0, 0.0, 0.0))
     skipped = []
     for lam in lambdas:
         if lam not in scaled:
@@ -269,7 +284,7 @@ def exp_scaling_global(spec, u0, T, dt, s=-1.0, sigma=0.0, eps0=1.0,
     kept = [lam for lam in lambdas if lam not in skipped]
     checked = [lam for lam in kept if lam > 1]
     base = esigma_norm(u0, s, sigma) if checked else None
-    ratios = {lam: _scaling_ratio(base, scaled[lam], s, sigma, lam, eps0) for lam in checked}
+    ratios = {lam: ratio(lam, s, sigma, base) for lam in checked}
     # each sup starts from the norm of its data, so an overflowing weight
     # refuses before any solve
     norms = {lam: [esigma_norm(scaled[lam], s * lam, sigma)] for lam in kept}
@@ -363,13 +378,15 @@ def exp_picard_window(spec, make_u0, amplitudes=(4.0, 12.6, 40.0, 126.0, 400.0),
     Member i of the family is ``make_u0(amplitude=amplitudes[i])``.
     """
     family = [make_u0(amplitude=a) for a in amplitudes]  # each built before any solve
+    # every norm before any search, so an overflowing weight refuses first
+    family_norms = [esigma_norm(u0, s, sigma) for u0 in family]
     norms, windows, excluded = [], [], []
-    for i, u0 in enumerate(family):
+    for i, (u0, norm) in enumerate(zip(family, family_norms)):
         T_star = largest_contracting_time(u0, spec)
         if T_star is None:
             excluded.append(i)
             continue
-        norms.append(esigma_norm(u0, s, sigma))
+        norms.append(norm)
         windows.append(T_star)
     ok = len(norms) >= 3
     slope, r2 = (np.nan, 0.0)
@@ -595,6 +612,12 @@ def exp_norm_inflation(spec, s=-1.0, k_list=(8, 16, 32), kappa=0.1, sprime=-1.0,
     if len(phis) < 2 or any(b.k <= a.k for a, b in zip(phis, phis[1:])):
         raise ValueError("k_list must hold at least two strictly increasing values, got %r"
                          % (tuple(k_list),))
+    for phi in phis:
+        try:
+            phi.amplitude ** 3  # the scale of third_derivative_field
+        except OverflowError:
+            raise ValueError("k = %d: the cubed amplitude 2^(-3 s k/2) overflows at s = %r"
+                             % (phi.k, s)) from None
     n_nodes = int(n_nodes)
     norms, rho_ok, quad_ok = [], True, True
     for phi in phis:

@@ -319,7 +319,3 @@ def l2_distance(a, b):
         raise GridMismatchError("fields live on different grids")
     return float(np.sqrt(np.sum(np.abs(a.coeffs - b.coeffs) ** 2) / a.grid.length))
 
-
-def spectral_mass(fld):
-    """Total squared spectral mass sum |uhat|^2 dxi."""
-    return float(np.sum(np.abs(fld.coeffs) ** 2) * fld.grid.dxi)

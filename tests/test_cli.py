@@ -771,6 +771,39 @@ def test_non_integer_in_norm_inflation_is_exit_2_before_any_quadrature(tmp_path,
 
 
 @pytest.mark.parametrize("command, override, message", [
+    (["solve"], "evolution.norms=[[-1.0, 300.0]]", "overflows at s = -1.0, sigma = 300.0"),
+    (["experiment", "scaling_global"], "experiment.sigma=300.0",
+     "overflows at s = -1.0, sigma = 300.0"),
+    (["experiment", "picard_window"], "experiment.sigma=400.0",
+     "overflows at s = -1.0, sigma = 400.0"),
+    (["experiment", "norm_inflation"], "experiment.k_list=[8,16,5000]",
+     "k = 5000: the amplitude 2^(-s k/2) overflows"),
+    (["experiment", "norm_inflation"], "experiment.k_list=[8,16,700]",
+     "k = 700: the cubed amplitude 2^(-3 s k/2) overflows"),
+    (["solve"], "initial_data={kind: two_bump, params: {k: 3000, s: -1.0}}",
+     "k = 3000: the amplitude 2^(-s k/2) overflows"),
+])
+def test_overflowing_weight_or_amplitude_is_exit_2_before_any_solve(tmp_path, capsys, monkeypatch,
+                                                                    command, override, message):
+    # before: the solve printed a numpy RuntimeWarning and wrote a nan norm
+    # with exit 0, scaling_global solved and then failed its claim on nan
+    # ratios, picard_window bisected and then failed in np.polyfit, and each
+    # overflowing k ended in an OverflowError traceback
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    for name in ("solve", "solve_batch", "picard_solve", "third_derivative_field"):
+        monkeypatch.setattr(experiments, name, no_solve)
+    monkeypatch.setattr(cli, "solve", no_solve)
+    name = command[-1] if command[0] == "experiment" else "conservation"
+    config = os.path.join(CONFIGS, name + ".yaml")
+    out = tmp_path / "out"
+    assert main(command + ["--config", config, "--out", str(out), "--override", override]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, override, message", [
     (["experiment", "scaling_global"], "experiment.lambdas=5",
      "experiment.lambdas must be a list of numbers, got 5"),
     (["experiment", "scaling_global"], "experiment.lambdas=[abc]",

@@ -24,7 +24,7 @@ from nnlslab.experiments import (
     third_derivative_field,
 )
 from nnlslab.evolve import Trajectory, picard_solve, solve, solve_batch
-from nnlslab.grid import FrequencyGrid, inverse_transform
+from nnlslab.grid import FrequencyGrid, SpectralField, forward_transform, inverse_transform
 from nnlslab.spaces import dilate, esigma_norm
 
 
@@ -349,6 +349,34 @@ def test_scaling_refuses_bad_values_before_any_solve(grid, monkeypatch, s, sigma
         exp_scaling_global(EquationSpec("NNLS"), u0, 0.5, 2e-3, s, sigma, eps0, lambdas)
 
 
+def test_scaling_bound_modulated_bump():
+    # spectrum sitting just above eps0 saturates the bound within a small factor
+    g = FrequencyGrid(1024, 80.0)
+    x = g.points
+    s = np.exp(-x * x / 32.0) * np.exp(4.0j * x)  # tight bump centered at xi = 4
+    f = forward_transform(s, g)
+    rep = exp_scaling_global(EquationSpec("NNLS"), f, 0.01, 2e-3, -1.0, 0.5, 1.0, [2.0, 4.0])
+    ratios = rep.measurements["ratios"]
+    assert sorted(ratios) == [2.0, 4.0]
+    assert all(0.0 < r <= 10.0 for r in ratios.values())
+
+
+@pytest.mark.parametrize("zero, message", [
+    (False, "spectrum not supported in \\[eps0, inf\\): leakage"),
+    (True, "scaling check requires a nonzero field"),
+], ids=["low_support", "zero_field"])
+def test_scaling_refuses_low_support_and_a_zero_field_before_any_solve(grid, gaussian, monkeypatch,
+                                                                       zero, message):
+    # the Gaussian is centred at xi = 0, so most of its mass lies below eps0
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(experiments, "solve_batch", no_solve)
+    u0 = SpectralField(grid, np.zeros(grid.n_modes)) if zero else gaussian
+    with pytest.raises(ValueError, match=message):
+        exp_scaling_global(EquationSpec("NNLS"), u0, 0.05, 2e-3, -1.0, 0.0, 1.0, [1, 2])
+
+
 def criterion_5_data():
     g = FrequencyGrid(1024, 40.0)
     return make_initial_data("modulated_gaussian", g, amplitude=1.0, width=2.0, carrier=4.5)
@@ -395,6 +423,17 @@ def test_largest_contracting_time_monotone_in_amplitude(grid):
     assert t_big < t_small
 
 
+def test_picard_window_refuses_an_overflowing_weight_before_any_search(grid, monkeypatch):
+    # before: the bisections ran, and the overflowing norms then failed in np.polyfit
+    def no_search(*args, **kwargs):
+        raise AssertionError("a search ran")
+
+    monkeypatch.setattr(experiments, "largest_contracting_time", no_search)
+    make_u0 = functools.partial(make_initial_data, "gaussian", grid)
+    with pytest.raises(ValueError, match="sigma = 400.0"):
+        exp_picard_window(EquationSpec("NNLS"), make_u0, sigma=400.0)
+
+
 def test_picard_window_needs_enough_points(grid):
     spec = EquationSpec("NNLS", alpha=1.0)
     make_u0 = functools.partial(make_initial_data, "gaussian", grid)
@@ -411,6 +450,30 @@ def test_norm_inflation_small_case():
         exp_norm_inflation(EquationSpec("NNLS"), s=0.5)
     with pytest.raises(ValueError):
         exp_norm_inflation(EquationSpec("NNLS"), kappa=0.5)
+
+
+def test_two_bump_refuses_an_overflowing_amplitude():
+    # before: the amplitude property raised OverflowError on first use
+    assert TwoBumpData(2046, -1.0).amplitude == 2.0 ** 1023
+    with pytest.raises(ValueError, match="k = 2048: the amplitude"):
+        TwoBumpData(2048, -1.0)
+    with pytest.raises(ValueError, match="k = 1: the amplitude"):
+        TwoBumpData(1, -np.inf)
+
+
+@pytest.mark.parametrize("k_list, message", [
+    ((8, 16, 5000), "k = 5000: the amplitude"),
+    ((8, 16, 700), "k = 700: the cubed amplitude"),
+])
+def test_norm_inflation_refuses_an_overflowing_amplitude_before_any_quadrature(monkeypatch, k_list,
+                                                                               message):
+    # before: an OverflowError traceback, for k = 700 from inside the quadrature
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(experiments, "third_derivative_field", no_quadrature)
+    with pytest.raises(ValueError, match=message):
+        exp_norm_inflation(EquationSpec("NNLS"), k_list=k_list)
 
 
 def test_norm_inflation_rejects_non_integral_k():

@@ -26,7 +26,6 @@ from nnlslab.grid import (
     l2_distance,
     l2_norm,
     product_plan,
-    spectral_mass,
 )
 
 
@@ -436,4 +435,3 @@ def test_plancherel(grid, gaussian):
     s = inverse_transform(gaussian)
     direct = np.sqrt(np.sum(np.abs(s) ** 2) * grid.dx)
     assert abs(l2_norm(gaussian) - direct) <= 1e-12
-    assert spectral_mass(SpectralField(grid, np.zeros(grid.n_modes))) == 0.0

@@ -88,3 +88,30 @@ def test_only_equations_calls_the_product_plans_products():
                and node.func.attr == "products" for node in ast.walk(tree)):
             callers.append(os.path.basename(path))
     assert callers == ["equations.py"]
+
+
+def private_imports(source):
+    """The underscore names that ``source``, a package module, imports from another package
+    module, as (module, name) pairs."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("nnlslab")):
+            module = (node.module or "").removeprefix("nnlslab").lstrip(".")
+            out |= {(module, alias.name) for alias in node.names if alias.name.startswith("_")}
+    return out
+
+
+def test_private_imports_are_found():
+    source = ("from .spaces import _weights, dilate\nfrom nnlslab.grid import _x as y\n"
+              "from numpy import _core\n")
+    assert private_imports(source) == {("spaces", "_weights"), ("grid", "_x")}
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_no_module_imports_a_private_name_of_another(path):
+    # a name another module needs is public, or the code that needs it moves;
+    # the stepper's N(u) evaluator is the one listed exception
+    allowed = {"evolve.py": {("equations", "_Nonlinearity")}}
+    with open(path) as fh:
+        found = private_imports(fh.read())
+    assert found <= allowed.get(os.path.basename(path), set())

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import nnlslab.spaces as spaces
 from nnlslab.grid import FrequencyGrid, SpectralField, forward_transform, l2_norm
-from nnlslab.spaces import dilate, esigma_norm, scaling_bound_check
+from nnlslab.spaces import dilate, esigma_norm
 from reference import reference_dilate
 
 
@@ -78,6 +78,15 @@ def test_esigma_weights_are_cached_read_only_and_bit_for_bit(n, length, s, sigma
     f = gaussian_hat(g)
     fresh = spaces._weights(g.frequencies, s, sigma)
     assert esigma_norm(f, s, sigma) == float(np.sqrt(np.sum(np.abs(fresh * f.coeffs) ** 2) * g.dxi))
+
+
+@pytest.mark.parametrize("s, sigma", [(-1.0, 300.0), (0.0, 400.0)])
+def test_esigma_refuses_a_weight_that_overflows_through_sigma(s, sigma):
+    # before: |s| xi_max ln 2 passed the guard, and the norm read nan with a
+    # numpy RuntimeWarning (or inf once the field decayed)
+    f = gaussian_hat(FrequencyGrid(256, 40.0))
+    with pytest.raises(ValueError, match="overflows at s = %r, sigma = %r" % (s, sigma)):
+        esigma_norm(f, s, sigma)
 
 
 def test_esigma_overflow_guard_runs_before_the_weight_cache(monkeypatch):
@@ -208,29 +217,4 @@ def test_dilate_is_one_inverse_transform_and_three_ffts(monkeypatch, fft_log):
     assert inverse == ["inverse"]
     assert sorted(name for name, _ in fft_log) == ["fft", "fft", "ifft", "ifft"]
     assert peak < 64 * g.n_modes * 16  # well under a (64, n) complex block
-
-
-def test_scaling_bound_modulated_bump():
-    # spectrum sitting just above eps0 saturates the bound within a small factor
-    g = FrequencyGrid(1024, 80.0)
-    x = g.points
-    s = np.exp(-x * x / 32.0) * np.exp(4.0j * x)  # tight bump centered at xi = 4
-    f = forward_transform(s, g)
-    for lam in (2.0, 4.0):
-        ratio = scaling_bound_check(f, -1.0, 0.5, lam, 1.0)
-        assert 0.0 < ratio <= 10.0
-
-
-def test_scaling_bound_rejects_low_support(grid, gaussian):
-    with pytest.raises(ValueError):
-        scaling_bound_check(gaussian, -1.0, 0.0, 2.0, 1.0)
-
-
-def test_scaling_bound_validation(grid, gaussian):
-    with pytest.raises(ValueError):
-        scaling_bound_check(gaussian, -1.0, 0.0, 0.5, 1.0)
-    with pytest.raises(ValueError):
-        scaling_bound_check(gaussian, 0.5, 0.0, 2.0, 1.0)
-    with pytest.raises(ValueError, match="nonzero field"):
-        scaling_bound_check(SpectralField(grid, np.zeros(grid.n_modes)), -1.0, 0.0, 2.0, 1.0)
 
