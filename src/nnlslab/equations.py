@@ -20,9 +20,9 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
 
-from .grid import derivative_symbol, product_plan
+from .grid import LAST_AXIS, derivative_symbol, product_plan
 
 NNLS = "NNLS"
 NDNLS = "NdNLS"
@@ -154,13 +154,21 @@ class _Nonlinearity:
 
     A call ``(c, k, out)`` writes i N(c) into ``out``, not ``c``: as it is for
     k = 0, over ``divisors[k-1]`` for k >= 1; each row rounds as it would alone.
-    Rows are copied into one fine block per product degree of ``_recipe``
-    without the sign vector (u_x as c * i xi), so the inverse FFT gives
-    dx_fine times the samples of u at x_j = j dx_fine, where x -> -x is
+    Rows are copied into a zero padded input block per product degree of
+    ``_recipe`` without the sign vector (u_x as c * i xi), so the inverse FFT
+    gives dx_fine times the samples of u at x_j = j dx_fine, where x -> -x is
     j -> (n_fine - j) mod n_fine: u* and (u*)_x = -(u_x)* are the conjugated
     samples reversed, index 0 kept, written row by row (numpy buffers a unary
     ufunc on strided batch views).  A term of p factors gets one scale,
     i coeff dx_fine^(1-p), over the divisor, multiplied into each half.
+
+    Everything but the call's own ``c`` and ``out`` is built once here.  The
+    input blocks are zeroed once and a call writes only their heads and
+    tails; the inverse transform runs out of place from them into the
+    sample blocks, so their zero middles are kept between calls.  The views
+    of every pad, mirror, product factor and output half are listed here, so
+    a call runs flat loops of ufuncs and two ``pypocketfft.c2c`` calls per
+    product degree, each about 1 us of dispatch (see ``grid``).
     """
 
     def __init__(self, grid, spec, shape, divisors=()):
@@ -168,59 +176,59 @@ class _Nonlinearity:
         self._h = h = n // 2
         d = derivative_symbol(grid)
         self._d = (d[h:], d[:h])
-        self._groups = []
+        self._copies, self._derivatives, self._groups = [], [], []
+        outputs = [[] for _ in range(1 + len(divisors))]  # per k: (tail, head, lo, hi)
         for degree, rows, reflected, terms, coefficients in _recipe(spec)[0]:
             plan = product_plan(grid, degree)
             nf = plan.n_fine
+            padded = np.zeros((len(rows),) + shape[:-1] + (nf,), dtype=np.complex128)
             block = np.empty((len(rows) + len(reflected) + len(terms),) + shape[:-1] + (nf,),
                              dtype=np.complex128)
-            mirrors = [(i, r, [(row[1:], row[:1]) for row in r.reshape(-1, nf)])
-                       for i, r in zip(reflected, block[len(rows):])]
-            scales = []
-            for coeff in coefficients:
+            samples, acc = block[:len(rows) + len(reflected)], block[len(rows) + len(reflected):]
+            for name, f in zip(rows, padded):
+                (self._derivatives if name == DU else self._copies).append(
+                    (f[..., :h], f[..., nf - h:]))
+            mirrors, products = [], []
+            for i, r in zip(reflected, samples[len(rows):]):
+                for row, mirror in zip(samples[i].reshape(-1, nf), r.reshape(-1, nf)):
+                    mirrors += [(row[:0:-1], mirror[1:]), (row[:1], mirror[:1])]
+            for a, term in zip(acc, terms):
+                products.append((samples[term[0]], samples[term[1]], a))
+                products += [(a, samples[i], a) for i in term[2:]]
+            self._groups.append((padded, block[:len(rows)], mirrors, products, acc))
+            for a, coeff in zip(acc, coefficients):
                 s = 1j * coeff * plan.dx_fine ** (1 - degree)
-                scales.append([(a[:h], a[h:])
-                               for a in [np.full(n, s)] + [s / q for q in divisors]])
-            self._groups.append((
-                [(f == DU, b[..., :h], b[..., nf - h:]) for f, b in zip(rows, block)],
-                block[:len(rows)], block[:len(rows), ..., h:nf - h], mirrors,
-                block[len(rows) + len(reflected):], terms, scales))
+                for views, scale in zip(outputs, [np.full(n, s)] + [s / q for q in divisors]):
+                    views.append((a[..., nf - h:], a[..., :h], scale[:h], scale[h:]))
+        self._outputs = [(views[0], views[1:]) if views else None for views in outputs]
 
     def __call__(self, c, k, out):
-        h, (d_upper, d_head) = self._h, self._d
-        c_upper, c_head, out_head, out_upper = c[..., h:], c[..., :h], out[..., :h], out[..., h:]
-        if not self._groups:
+        h, outputs = self._h, self._outputs[k]
+        if outputs is None:
             out.fill(0.0)  # every coefficient is 0
-        written = False
-        for pads, rows, middle, mirrors, acc, terms, scales in self._groups:
-            for derivative, f_head, f_tail in pads:
-                if derivative:
-                    np.multiply(c_upper, d_upper, out=f_head)
-                    np.multiply(c_head, d_head, out=f_tail)
-                else:
-                    f_head[...] = c_upper
-                    f_tail[...] = c_head
-            middle.fill(0.0)
-            samples = list(scipy.fft.ifft(rows, overwrite_x=True))
-            for i, r, views in mirrors:
-                for s, (rest, first) in zip(samples[i].reshape(len(views), -1), views):
-                    np.conjugate(s[:0:-1], out=rest)
-                    np.conjugate(s[:1], out=first)
-                samples.append(r)
-            for a, term in zip(acc, terms):
-                prod = samples[term[0]]
-                for i in term[1:]:
-                    prod = np.multiply(prod, samples[i], out=a)
-            for spectrum, scale in zip(scipy.fft.fft(acc, overwrite_x=True), scales):
-                lo, hi = scale[k]
-                tail, head = spectrum[..., -h:], spectrum[..., :h]
-                if written:
-                    np.add(out_head, np.multiply(tail, lo, out=tail), out=out_head)
-                    np.add(out_upper, np.multiply(head, hi, out=head), out=out_upper)
-                else:
-                    np.multiply(tail, lo, out=out_head)
-                    np.multiply(head, hi, out=out_upper)
-                    written = True
+            return
+        c_upper, c_head = c[..., h:], c[..., :h]
+        for f_head, f_tail in self._copies:
+            f_head[...] = c_upper
+            f_tail[...] = c_head
+        d_upper, d_head = self._d
+        for f_head, f_tail in self._derivatives:
+            np.multiply(c_upper, d_upper, out=f_head)
+            np.multiply(c_head, d_head, out=f_tail)
+        for padded, samples, mirrors, products, acc in self._groups:
+            pypocketfft.c2c(padded, LAST_AXIS, False, 2, samples, 1)
+            for row, mirror in mirrors:
+                np.conjugate(row, out=mirror)
+            for a, b, product in products:
+                np.multiply(a, b, out=product)
+            pypocketfft.c2c(acc, LAST_AXIS, True, 0, acc, 1)
+        (tail, head, lo, hi), rest = outputs
+        out_head, out_upper = out[..., :h], out[..., h:]
+        np.multiply(tail, lo, out=out_head)
+        np.multiply(head, hi, out=out_upper)
+        for tail, head, lo, hi in rest:
+            np.add(out_head, np.multiply(tail, lo, out=tail), out=out_head)
+            np.add(out_upper, np.multiply(head, hi, out=head), out=out_upper)
 
 
 @functools.lru_cache(maxsize=16)

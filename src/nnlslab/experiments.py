@@ -591,7 +591,13 @@ def _band_norm(phi, t, spec, sprime, sigmaprime, n_nodes, track_rho):
     xi, w = _band_nodes(n_nodes)
     vals, min_rho = third_derivative_field(phi, t, spec, xi, n_nodes, track_rho)
     weight = (1.0 + xi ** 2) ** sigmaprime * 4.0 ** (sprime * np.abs(xi))
-    return float(np.sqrt(np.sum(w * weight * np.abs(vals) ** 2))), min_rho
+    # each value weighted, then scaled by the largest before squaring: the
+    # norm is finite wherever the weighted values are, though |vals|^2 may not be
+    weighted = np.sqrt(w * weight) * np.abs(vals)
+    top = weighted.max()
+    if top == 0:
+        return 0.0, min_rho
+    return float(top * np.sqrt(np.sum((weighted / top) ** 2))), min_rho
 
 
 _QUAD_TOL = 1e-6  # largest relative change of a band norm when the nodes double

@@ -17,10 +17,21 @@ Higher degrees pad for dealiased products: one inverse transform of a block
 holding every factor and one forward transform of the products made from
 it, whatever their degree and number.  The Lawson stage's sign-free padding
 lives in ``equations._Nonlinearity``, which takes only the padded size and
-``dx_fine`` of a plan: its samples lie at x_j = j dx_fine, and it folds every
-constant into one output scale.  The transforms are ``scipy.fft``'s, which
-keeps its plans between calls where ``numpy.fft`` sets one up on every call;
-the two agree bit for bit (both run pocketfft, as a unit test checks).
+``dx_fine`` of a plan: its samples lie at x_j = j dx_fine, it folds every
+constant into one output scale, and it keeps its zero padded input blocks
+between calls, writing only their heads and tails.
+
+Every transform of the package is one call of
+``scipy.fft._pocketfft.pypocketfft.c2c``, the pocketfft kernel behind
+``scipy.fft.fft`` and ``ifft``, with the same plan cache and the same bits.
+Called directly it takes about 1 us, against about 5 us through
+``scipy.fft``'s dispatch and Python wrappers, and a Lawson right-hand side
+makes up to four of them.  ``numpy.fft`` is no alternative: it sets a plan
+up on every call, about 75 us more at 8192 points.  The kernel is called as
+a module attribute, ``pypocketfft.c2c(a, axes, forward, inorm, out,
+nthreads)``, so that a test or a profiler that rebinds it sees every call.
+Its inputs are ``complex128`` (a real input gets a real-to-complex
+transform), and an ``out`` that is not ``a`` itself must not overlap it.
 """
 
 from __future__ import annotations
@@ -31,7 +42,9 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
+
+LAST_AXIS = (-1,)  # the transformed axis of every pypocketfft.c2c call
 
 
 class GridMismatchError(ValueError):
@@ -139,11 +152,10 @@ class ProductPlan:
 
     Coefficient arrays are ``(n,)`` or ``(batch, n)``; every transform runs
     along the last axis, row by row, so a batch rounds exactly as its rows.
-    The transforms are ``scipy.fft``'s and are called as module attributes
-    (``scipy.fft.ifft``), looked up at each call, so that a profiler or a
-    test that rebinds them, such as ``perfbench/tracer.py``, sees every one.
-    ``samples`` and ``products`` transform their own arrays in place
-    (``overwrite_x=True``); ``coeffs`` leaves the caller's samples alone.
+    The transforms are ``pypocketfft.c2c`` calls (see the module docstring),
+    the inverse with ``inorm=2``, a division by the transform length, as
+    ``scipy.fft.ifft`` has it.  ``samples`` and ``products`` transform their
+    own arrays in place; ``coeffs`` leaves the caller's samples alone.
 
     The plan keeps two arrays between calls: a grow-only buffer and ``scale``
     repeated to the last lead shape, as numpy buffers a contiguous batch
@@ -157,7 +169,11 @@ class ProductPlan:
     for padding the strided half rows of a batch.  The buffer keeps the size
     of the largest call made so far, and the plan is not reentrant across
     threads.  Every array the plan returns is freshly allocated, or the
-    caller's ``out``; no caller ever holds a view of the buffer.
+    caller's ``out``; no caller ever holds a view of the buffer.  Unlike
+    ``equations._Nonlinearity``, the plan zeroes the middle of its padded
+    block on every call and transforms it in place: the buffer is shared by
+    every batch shape, and the Picard pass, which calls ``products`` on
+    (33, n) batches, stays free of page faults only by its heap layout.
     """
 
     def __init__(self, grid, degree):
@@ -207,11 +223,11 @@ class ProductPlan:
             f = np.empty(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
         self._pad_into(coeffs, f)
         f[self.middle] = 0.0
-        return scipy.fft.ifft(f, overwrite_x=True)
+        return pypocketfft.c2c(f, LAST_AXIS, False, 2, f, 1)
 
     def coeffs(self, samples):
         """Retained coefficients of the fine-grid ``samples``."""
-        return self._retained(scipy.fft.fft(samples), self.scale)
+        return self._retained(pypocketfft.c2c(samples, LAST_AXIS, True, 0, None, 1), self.scale)
 
     def products(self, rows, terms):
         """Retained coefficients of several products of the same sample rows.
@@ -235,12 +251,12 @@ class ProductPlan:
         for c, f in zip(rows, block):
             self._pad_into(c, f)
         block[self.middle] = 0.0
-        samples = scipy.fft.ifft(block, overwrite_x=True)
+        samples = pypocketfft.c2c(block, LAST_AXIS, False, 2, block, 1)
         for out, term in zip(acc, terms):
             prod = samples[term[0]]
             for i in term[1:]:
                 prod = np.multiply(prod, samples[i], out=out)
-        return self._retained(scipy.fft.fft(acc, overwrite_x=True), self._scales)
+        return self._retained(pypocketfft.c2c(acc, LAST_AXIS, True, 0, acc, 1), self._scales)
 
 
 @functools.lru_cache(maxsize=64)

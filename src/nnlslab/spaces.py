@@ -21,8 +21,9 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
 
-from .grid import SpectralField, inverse_transform
+from .grid import LAST_AXIS, SpectralField, inverse_transform
 
 _LN2 = np.log(2.0)
 _OVERFLOW_LIMIT = 700.0  # exp argument bound for the <xi>^sigma 2^{s|xi|} weight
@@ -48,11 +49,15 @@ def _grid_weights(grid, s, sigma):
 def esigma_norm(fld, s, sigma):
     """Exponentially weighted spectral norm with parameters (s, sigma); inf, and no
     warning, for a field too large to square.  A weight that overflows at some
-    grid frequency, through s or through sigma, raises ValueError."""
-    if abs(s) * fld.grid.xi_max * _LN2 >= _OVERFLOW_LIMIT:
+    grid frequency, through s or through sigma, raises ValueError.
+
+    Only s > 0 can overflow through s, so a weight that grows with |xi| is
+    refused in O(1) before the weights are built; for s <= 0 the weight
+    2^(s|xi|) is at most 1 and ``_weights`` checks the exact exponent."""
+    if s * fld.grid.xi_max * _LN2 >= _OVERFLOW_LIMIT:
         raise ValueError(
-            "weight 2^(s|xi|) overflows: |s|*xi_max*ln2 = %.3g >= %.0f"
-            % (abs(s) * fld.grid.xi_max * _LN2, _OVERFLOW_LIMIT)
+            "weight 2^(s|xi|) overflows: s*xi_max*ln2 = %.3g >= %.0f"
+            % (s * fld.grid.xi_max * _LN2, _OVERFLOW_LIMIT)
         )
     w = _grid_weights(fld.grid, s, sigma)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -97,8 +102,11 @@ def _czt(samples, p, q):
     kernel = np.zeros(size, dtype=np.complex128)
     kernel[:n] = c.conj()
     kernel[size - n + 1:] = c[:0:-1].conj()  # lags -(n-1) .. -1
-    spectrum = scipy.fft.fft(samples * c_m, size) * scipy.fft.fft(kernel, overwrite_x=True)
-    conv = scipy.fft.ifft(spectrum, overwrite_x=True)
+    padded = np.zeros(size, dtype=np.complex128)
+    np.multiply(samples, c_m, out=padded[:n])
+    spectrum = pypocketfft.c2c(padded, LAST_AXIS, True, 0, padded, 1)
+    spectrum *= pypocketfft.c2c(kernel, LAST_AXIS, True, 0, kernel, 1)
+    conv = pypocketfft.c2c(spectrum, LAST_AXIS, False, 2, spectrum, 1)
     return c_m * conv[:n]
 
 

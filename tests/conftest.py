@@ -1,9 +1,8 @@
 """Shared fixtures for the test suite."""
 
 import numpy as np
-import numpy.fft
 import pytest
-import scipy.fft
+from scipy.fft._pocketfft import pypocketfft
 
 from nnlslab.grid import FrequencyGrid, forward_transform
 
@@ -15,24 +14,21 @@ def grid():
 
 @pytest.fixture
 def fft_log(monkeypatch):
-    """Every ``fft``/``ifft`` call through ``numpy.fft`` or ``scipy.fft``.
+    """Every transform through ``pypocketfft.c2c``, the one binding of the package.
 
-    Each call is logged as ``(name, rows)``, ``rows`` being the number of
-    one-dimensional transforms along the last axis.
+    Each call is logged as ``(name, rows)``: ``name`` is ``"fft"`` for a
+    forward and ``"ifft"`` for an inverse transform, and ``rows`` the number
+    of one-dimensional transforms along the last axis.  ``scipy.fft``'s
+    ``fft`` and ``ifft`` call the same binding, so they are logged too.
     """
     log = []
+    c2c = pypocketfft.c2c
 
-    def counting(fn):
-        def counted(a, *args, **kwargs):
-            a = np.asarray(a)
-            log.append((fn.__name__, a.size // a.shape[-1]))
-            return fn(a, *args, **kwargs)
+    def counted(a, axes=None, forward=True, *args, **kwargs):
+        log.append(("fft" if forward else "ifft", a.size // a.shape[-1]))
+        return c2c(a, axes, forward, *args, **kwargs)
 
-        return counted
-
-    for module in (numpy.fft, scipy.fft):
-        for name in ("fft", "ifft"):
-            monkeypatch.setattr(module, name, counting(getattr(module, name)))
+    monkeypatch.setattr(pypocketfft, "c2c", counted)
     return log
 
 

@@ -803,6 +803,38 @@ def test_overflowing_weight_or_amplitude_is_exit_2_before_any_solve(tmp_path, ca
     assert not out.exists()
 
 
+def test_strongly_negative_s_gives_a_finite_norm_column(tmp_path):
+    # before: the weight guard bounded |s| xi_max ln 2 and exited 2 at
+    # s = -60, whose weight 2^(s|xi|) is at most 1
+    config = os.path.join(CONFIGS, "conservation.yaml")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out),
+                 "--override", "evolution.norms=[[-60.0, 0.0]]",
+                 "--override", "evolution.T=0.01"]) == 0
+    with open(out / "timeseries.csv") as fh:
+        rows = list(csv.reader(fh))
+    column = [name for name in rows[0] if name.startswith("Es(")]
+    assert column == ["Es(-60,0)"]
+    values = [float(row[rows[0].index(column[0])]) for row in rows[1:]]
+    assert values and all(0 < v < np.inf for v in values)
+
+
+def test_norm_inflation_of_a_large_k_is_finite(tmp_path):
+    # before: the band norm squared the unweighted third derivative, which
+    # overflows at k = 500 although the weighted norm is finite: norms read
+    # inf, the slope nan, and numpy warned on the way
+    config = os.path.join(CONFIGS, "norm_inflation.yaml")
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["experiment", "norm_inflation", "--config", config, "--out", str(out),
+                     "--override", "experiment.k_list=[8,16,500]"]) == 0
+    report = _report(out / "report.txt")
+    norms = [float(v) for v in report["measurements.norms"].split()]
+    assert len(norms) == 3 and all(0 < v < np.inf for v in norms)
+    assert np.isfinite(float(report["measurements.slope"]))
+
+
 @pytest.mark.parametrize("command, override, message", [
     (["experiment", "scaling_global"], "experiment.lambdas=5",
      "experiment.lambdas must be a list of numbers, got 5"),

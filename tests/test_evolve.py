@@ -370,6 +370,27 @@ def test_lawson_stage_rhs_without_terms_is_zero(grid, kind):
         assert np.all(out == 0)
 
 
+@pytest.mark.parametrize("rows", [None, 3], ids=["1-D", "3-rows"])
+@pytest.mark.parametrize("kind", KINDS)
+def test_lawson_stage_rhs_keeps_its_zero_padding(grid, kind, rows):
+    # a call writes only the heads and tails of its padded input blocks and
+    # transforms them out of place, so their zero middles must survive it:
+    # a second call gives the bits of a fresh evaluator
+    rng = np.random.default_rng(7)
+    shape = (grid.n_modes,) if rows is None else (rows, grid.n_modes)
+    first, second = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+                     for _ in range(2))
+    half = _free_phase(grid, 0.005)
+    spec = EquationSpec(kind, alpha=1.0, beta=0.3)
+    for k in range(3):
+        used = _Nonlinearity(grid, spec, shape, (half, half * half))
+        used(first, k, np.empty(shape, dtype=np.complex128))
+        got, want = np.empty(shape, dtype=np.complex128), np.empty(shape, dtype=np.complex128)
+        used(second, k, got)
+        _Nonlinearity(grid, spec, shape, (half, half * half))(second, k, want)
+        assert got.tobytes() == want.tobytes(), k
+
+
 @pytest.mark.parametrize("kind, log", [
     pytest.param("NNLS", [("ifft", 1), ("fft", 1)], id="NNLS-2"),
     pytest.param("NdNLS", [("ifft", 2), ("fft", 1)], id="NdNLS-3"),

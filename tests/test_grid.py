@@ -10,6 +10,7 @@ import pytest
 import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft._pocketfft import pypocketfft
 
 from conftest import random_field
 from reference import reference_forward_transform, reference_inverse_transform, reference_product
@@ -17,6 +18,7 @@ from nnlslab.equations import EquationSpec, nonlinear_coeffs
 from nnlslab.grid import (
     EndpointDecayWarning,
     FrequencyGrid,
+    LAST_AXIS,
     GridMismatchError,
     SpectralField,
     antiderivative_symmetric,
@@ -219,18 +221,26 @@ def test_dealiased_product_matches_reference_bit_for_bit(n, pattern, seed):
 
 @pytest.mark.parametrize("n", [8, 10, 32, 62, 64, 128, 256, 512, 1024, 2048, 4096])
 def test_scipy_fft_matches_numpy_fft_bit_for_bit(n):
-    # the plans transform through scipy.fft and the reference oracles through
-    # numpy.fft; their bitwise agreement rests on both running pocketfft
+    # the package transforms through pypocketfft.c2c, the kernel behind
+    # scipy.fft, in place and out of place, and the reference oracles through
+    # numpy.fft; their bitwise agreement rests on all of them running pocketfft
     rng = np.random.default_rng(n)
     # the padded sizes of degrees 1 to 5: n, 1.5n, 2n, 2.5n and 3n, made even
     sizes = {product_plan(FrequencyGrid(n, 1.0), p).n_fine for p in range(1, 6)}
     for m in sorted(sizes) + ([262144] if n == 4096 else []):
-        for shape in ((m,), (3, m), (2, 3, m)):
+        # one row, a batch of rows, and blocks of factor rows of one row or a batch
+        for shape in ((m,), (3, m), (2, m), (2, 3, m)):
             x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            for name in ("fft", "ifft"):
-                want = getattr(numpy.fft, name)(x)
+            for name, forward, inorm in (("fft", True, 0), ("ifft", False, 2)):
+                want = getattr(numpy.fft, name)(x).tobytes()
                 got = getattr(scipy.fft, name)(x.copy(), overwrite_x=True)
-                assert want.tobytes() == got.tobytes(), (name, shape)
+                assert got.tobytes() == want, (name, shape)
+                out = np.empty_like(x)
+                got = pypocketfft.c2c(x, LAST_AXIS, forward, inorm, out, 1)
+                assert got is out and got.tobytes() == want, (name, shape, "out of place")
+                y = x.copy()
+                got = pypocketfft.c2c(y, LAST_AXIS, forward, inorm, y, 1)
+                assert got is y and got.tobytes() == want, (name, shape, "in place")
 
 
 _EDGE = st.sampled_from((0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e300,

@@ -115,3 +115,55 @@ def test_no_module_imports_a_private_name_of_another(path):
     with open(path) as fh:
         found = private_imports(fh.read())
     assert found <= allowed.get(os.path.basename(path), set())
+
+
+BINDING = "scipy.fft._pocketfft.pypocketfft.c2c"
+
+
+def transform_calls(source):
+    """The calls in ``source`` of a ``numpy.fft`` or ``scipy.fft`` function other than
+    ``BINDING`` and ``scipy.fft.next_fast_len``, as (line, dotted name), import aliases
+    resolved."""
+    tree = ast.parse(source)
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                top = alias.name.split(".")[0]
+                bound[alias.asname or top] = alias.name if alias.asname else top
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            for alias in node.names:
+                bound[alias.asname or alias.name] = node.module + "." + alias.name
+
+    def dotted(node):
+        if isinstance(node, ast.Name):
+            return bound.get(node.id, node.id)
+        if isinstance(node, ast.Attribute):
+            base = dotted(node.value)
+            return base and base + "." + node.attr
+        return None
+
+    calls = []
+    for node in ast.walk(tree):
+        name = dotted(node.func) if isinstance(node, ast.Call) else None
+        if (name and name.startswith(("numpy.fft.", "scipy.fft."))
+                and name not in (BINDING, "scipy.fft.next_fast_len")):
+            calls.append((node.lineno, name))
+    return sorted(calls)
+
+
+def test_transform_calls_are_found():
+    source = ("import numpy as np\nimport scipy.fft\nfrom scipy import fft as sf\n"
+              "from numpy.fft import ifft\nfrom scipy.fft._pocketfft import pypocketfft\n"
+              "a = np.fft.fftfreq(8)\nb = scipy.fft.fft(a)\nc = sf.ifft(b)\nd = ifft(c)\n"
+              "e = scipy.fft.next_fast_len(9)\nf = pypocketfft.c2c(a, (-1,), True, 0, None, 1)\n")
+    assert transform_calls(source) == [(6, "numpy.fft.fftfreq"), (7, "scipy.fft.fft"),
+                                       (8, "scipy.fft.ifft"), (9, "numpy.fft.ifft")]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
+def test_every_transform_goes_through_the_one_binding(path):
+    # the package transforms only through pypocketfft.c2c, which a test or a
+    # profiler rebinds to see every call; scipy.fft's sizes stay allowed
+    with open(path) as fh:
+        assert transform_calls(fh.read()) == []

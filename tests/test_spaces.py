@@ -99,6 +99,15 @@ def test_esigma_overflow_guard_runs_before_the_weight_cache(monkeypatch):
         esigma_norm(f, 12.0, 0.0)
 
 
+def test_esigma_of_a_strongly_negative_s_is_finite():
+    # before: the O(1) guard bounded |s| xi_max ln 2 and refused s = -60,
+    # whose weight 2^(s|xi|) only decays from 1 at xi = 0
+    f = gaussian_hat(FrequencyGrid(256, 40.0))
+    weight = 2.0 ** (-60.0 * np.abs(f.grid.frequencies))
+    want = np.sqrt(np.sum(np.abs(weight * f.coeffs) ** 2) * f.grid.dxi)
+    assert esigma_norm(f, -60.0, 0.0) == pytest.approx(want, rel=1e-14)
+
+
 def test_dilate_identity(grid, gaussian):
     same = dilate(gaussian, 1.0)
     assert np.array_equal(same.coeffs, gaussian.coeffs)
