@@ -20,9 +20,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft._pocketfft import pypocketfft
 
-from .grid import LAST_AXIS, derivative_symbol, product_plan
+from .grid import LAST_AXIS, derivative_symbol, product_plan, pypocketfft
 
 NNLS = "NNLS"
 NDNLS = "NdNLS"

@@ -21,28 +21,67 @@ lives in ``equations._Nonlinearity``, which takes only the padded size and
 constant into one output scale, and it keeps its zero padded input blocks
 between calls, writing only their heads and tails.
 
-Every transform of the package is one call of
-``scipy.fft._pocketfft.pypocketfft.c2c``, the pocketfft kernel behind
-``scipy.fft.fft`` and ``ifft``, with the same plan cache and the same bits.
-Called directly it takes about 1 us, against about 5 us through
-``scipy.fft``'s dispatch and Python wrappers, and a Lawson right-hand side
-makes up to four of them.  ``numpy.fft`` is no alternative: it sets a plan
-up on every call, about 75 us more at 8192 points.  The kernel is called as
-a module attribute, ``pypocketfft.c2c(a, axes, forward, inorm, out,
-nthreads)``, so that a test or a profiler that rebinds it sees every call.
-Its inputs are ``complex128`` (a real input gets a real-to-complex
+Every transform of the package is one call of ``pypocketfft.c2c``, the
+pocketfft kernel behind ``scipy.fft.fft`` and ``ifft``, with the same plan
+cache and the same bits.  Called directly it takes about 1 us, against about
+5 us through ``scipy.fft``'s dispatch and Python wrappers, and a Lawson
+right-hand side makes up to four of them.  ``numpy.fft`` is no alternative:
+it sets a plan up on every call, about 75 us more at 8192 points.  The
+kernel is called as a module attribute, ``pypocketfft.c2c(a, axes, forward,
+inorm, out, nthreads)``, so that a test or a profiler that rebinds it sees
+every call.  Its inputs are ``complex128`` (a real input gets a real-to-complex
 transform), and an ``out`` that is not ``a`` itself must not overlap it.
+
+The kernel is loaded from its extension file in scipy's install, not through
+``import scipy.fft``: that package import pulls in scipy's array-API layer,
+``numpy.f2py``, ``numpy.testing`` and ``scipy.special``, about 0.3 s and
+25 MB resident on a 2-core host, while the file alone loads in about 1 ms.
+It is registered in ``sys.modules`` under its canonical name,
+``scipy.fft._pocketfft.pypocketfft``, so a later ``import scipy.fft`` binds
+the same module object.  A module scipy has already loaded is reused, and
+the plain import is the fallback where the file is not found.  Without that
+import's frees, glibc's dynamic mmap and trim thresholds stay low and the
+hot loops' temporaries would be mapped and trimmed on every call, so the
+package pins them once (see ``nnlslab/__init__.py``).
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft._pocketfft import pypocketfft
+
+_KERNEL = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _load_kernel():
+    """scipy's pocketfft extension module, loaded from its file without ``import scipy.fft``."""
+    if _KERNEL in sys.modules:
+        return sys.modules[_KERNEL]
+    scipy_spec = importlib.util.find_spec("scipy")
+    roots = scipy_spec.submodule_search_locations if scipy_spec else None
+    for root in roots or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(root, "fft", "_pocketfft", "pypocketfft" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(_KERNEL, path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(_KERNEL, path, loader=loader))
+                loader.exec_module(module)
+                sys.modules[_KERNEL] = module
+                return module
+    from scipy.fft._pocketfft import pypocketfft
+    return pypocketfft
+
+
+pypocketfft = _load_kernel()
 
 LAST_AXIS = (-1,)  # the transformed axis of every pypocketfft.c2c call
 
@@ -277,13 +316,13 @@ def derivative_symbol(grid):
 def _smoothstep(x, center, width, xi_max, x_lo, x_hi):
     # erf ramp pinned to exactly 0 at x_lo and 1 at x_hi; the width is chosen
     # so the Gaussian spectral tail beyond xi_max balances the endpoint
-    # derivative residual, keeping differentiation ringing near roundoff
-    from scipy.special import erf
-
+    # derivative residual, keeping differentiation ringing near roundoff;
+    # math.erf elementwise, since scipy.special costs 0.3 s of import
     sigma = np.sqrt(width / xi_max)
-    e0 = erf((x_lo - center) / sigma)
-    e1 = erf((x_hi - center) / sigma)
-    return (erf((x - center) / sigma) - e0) / (e1 - e0)
+    e0 = math.erf((x_lo - center) / sigma)
+    e1 = math.erf((x_hi - center) / sigma)
+    z = (x - center) / sigma
+    return (np.fromiter(map(math.erf, z), float, z.size) - e0) / (e1 - e0)
 
 
 _BLEND_FRACTION = 0.08  # share of each domain end given to the smooth step

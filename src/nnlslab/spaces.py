@@ -20,10 +20,8 @@ import functools
 from fractions import Fraction
 
 import numpy as np
-import scipy.fft
-from scipy.fft._pocketfft import pypocketfft
 
-from .grid import LAST_AXIS, SpectralField, inverse_transform
+from .grid import LAST_AXIS, SpectralField, inverse_transform, pypocketfft
 
 _LN2 = np.log(2.0)
 _OVERFLOW_LIMIT = 700.0  # exp argument bound for the <xi>^sigma 2^{s|xi|} weight
@@ -98,7 +96,7 @@ def _czt(samples, p, q):
     n = samples.size
     c = _chirp(p, q, n)
     c_m = np.concatenate((c[n // 2:0:-1], c[:n // 2]))  # c(|m|) in mode order
-    size = scipy.fft.next_fast_len(2 * n - 1)
+    size = pypocketfft.good_size(2 * n - 1, False)  # scipy.fft.next_fast_len(2n - 1)
     kernel = np.zeros(size, dtype=np.complex128)
     kernel[:n] = c.conj()
     kernel[size - n + 1:] = c[:0:-1].conj()  # lags -(n-1) .. -1

@@ -16,6 +16,8 @@ from conftest import random_field
 from reference import reference_forward_transform, reference_inverse_transform, reference_product
 from nnlslab.equations import EquationSpec, nonlinear_coeffs
 from nnlslab.grid import (
+    _BLEND_FRACTION,
+    _smoothstep,
     EndpointDecayWarning,
     FrequencyGrid,
     LAST_AXIS,
@@ -432,6 +434,24 @@ def test_antiderivative_differentiates_back(grid):
     interior = np.abs(x) <= 0.4 * grid.length
     scale = np.max(np.abs(s))
     assert np.max(np.abs(back[interior] - s[interior])) <= 1e-6 * scale
+
+
+@pytest.mark.parametrize("n, length", [(256, 40.0), (1024, 80.0)])
+def test_smooth_step_matches_scipy_erf_and_keeps_its_ends(n, length):
+    # math.erf elementwise stands in for scipy.special.erf, which costs 0.3 s
+    # of import; the two agree to an ulp or so, and the ends stay exact
+    from scipy.special import erf
+
+    g = FrequencyGrid(n, length)
+    w = _BLEND_FRACTION * length
+    center, x_lo, x_hi = length / 2 - w / 2, -length / 2, length / 2
+    sigma = np.sqrt(w / g.xi_max)
+    e0, e1 = erf((x_lo - center) / sigma), erf((x_hi - center) / sigma)
+    want = (erf((g.points - center) / sigma) - e0) / (e1 - e0)
+    got = _smoothstep(g.points, center, w, g.xi_max, x_lo, x_hi)
+    assert np.max(np.abs(got - want)) <= 4.5e-16
+    ends = _smoothstep(np.array([x_lo, x_hi]), center, w, g.xi_max, x_lo, x_hi)
+    assert ends[0] == 0.0 and ends[1] == 1.0
 
 
 def test_antiderivative_endpoint_warning(grid):

@@ -117,15 +117,17 @@ def test_no_module_imports_a_private_name_of_another(path):
     assert found <= allowed.get(os.path.basename(path), set())
 
 
-BINDING = "scipy.fft._pocketfft.pypocketfft.c2c"
+KERNEL = "scipy.fft._pocketfft.pypocketfft"
+ALLOWED = (KERNEL + ".c2c", KERNEL + ".good_size")  # the one transform and its size query
 
 
 def transform_calls(source):
     """The calls in ``source`` of a ``numpy.fft`` or ``scipy.fft`` function other than
-    ``BINDING`` and ``scipy.fft.next_fast_len``, as (line, dotted name), import aliases
-    resolved."""
+    those in ``ALLOWED``, as (line, dotted name), import aliases resolved.  The name
+    ``pypocketfft`` is the kernel unless an import binds it otherwise: ``grid`` loads
+    it under that name and the other modules import it from ``grid``."""
     tree = ast.parse(source)
-    bound = {}
+    bound = {"pypocketfft": KERNEL}
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
@@ -147,7 +149,7 @@ def transform_calls(source):
     for node in ast.walk(tree):
         name = dotted(node.func) if isinstance(node, ast.Call) else None
         if (name and name.startswith(("numpy.fft.", "scipy.fft."))
-                and name not in (BINDING, "scipy.fft.next_fast_len")):
+                and name not in ALLOWED):
             calls.append((node.lineno, name))
     return sorted(calls)
 
@@ -156,14 +158,18 @@ def test_transform_calls_are_found():
     source = ("import numpy as np\nimport scipy.fft\nfrom scipy import fft as sf\n"
               "from numpy.fft import ifft\nfrom scipy.fft._pocketfft import pypocketfft\n"
               "a = np.fft.fftfreq(8)\nb = scipy.fft.fft(a)\nc = sf.ifft(b)\nd = ifft(c)\n"
-              "e = scipy.fft.next_fast_len(9)\nf = pypocketfft.c2c(a, (-1,), True, 0, None, 1)\n")
+              "e = scipy.fft.next_fast_len(9)\nf = pypocketfft.c2c(a, (-1,), True, 0, None, 1)\n"
+              "g = pypocketfft.good_size(9, False)\n")
     assert transform_calls(source) == [(6, "numpy.fft.fftfreq"), (7, "scipy.fft.fft"),
-                                       (8, "scipy.fft.ifft"), (9, "numpy.fft.ifft")]
+                                       (8, "scipy.fft.ifft"), (9, "numpy.fft.ifft"),
+                                       (10, "scipy.fft.next_fast_len")]
+    source = "from .grid import pypocketfft\nb = pypocketfft.r2c(a, (-1,), True, 0, None, 1)\n"
+    assert transform_calls(source) == [(2, KERNEL + ".r2c")]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=os.path.basename)
 def test_every_transform_goes_through_the_one_binding(path):
     # the package transforms only through pypocketfft.c2c, which a test or a
-    # profiler rebinds to see every call; scipy.fft's sizes stay allowed
+    # profiler rebinds to see every call
     with open(path) as fh:
         assert transform_calls(fh.read()) == []

@@ -8,7 +8,7 @@ from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import nnlslab.spaces as spaces
-from nnlslab.grid import FrequencyGrid, SpectralField, forward_transform, l2_norm
+from nnlslab.grid import FrequencyGrid, SpectralField, forward_transform, l2_norm, pypocketfft
 from nnlslab.spaces import dilate, esigma_norm
 from reference import reference_dilate
 
@@ -198,6 +198,16 @@ def test_dilate_matches_dense_reference(n, lam, spread, carrier):
     got = dilate(f, lam).coeffs
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.all(got[np.abs(g.frequencies / lam) > g.xi_max] == 0.0)
+
+
+def test_chirp_z_pads_to_scipys_fast_length():
+    # _czt sizes its transforms with the kernel's good_size, the function that
+    # scipy.fft.next_fast_len wraps, so that it need not import scipy.fft
+    import scipy.fft
+
+    targets = [2 * n - 1 for n in range(8, 8193, 2)]
+    assert ([pypocketfft.good_size(t, False) for t in targets]
+            == [scipy.fft.next_fast_len(t) for t in targets])
 
 
 def test_dilate_is_one_inverse_transform_and_three_ffts(monkeypatch, fft_log):
