@@ -3,9 +3,10 @@
 Importing the package pins glibc's malloc thresholds for the whole process:
 blocks below 32 MiB come from the heap, and the heap top is trimmed only
 past 64 MiB of free space.  The Picard temporaries of (33, 256) complex
-values and the quadrature's 128 KiB chunks sit near glibc's initial 128 KiB
-mmap threshold; left to its dynamic thresholds, glibc maps, unmaps and
-trims them on every call, at thousands of minor page faults per pass.
+values, the quadrature's 128 KiB chunks and the diagnostics' 256 KiB
+blocks at n = 4096 sit near glibc's initial 128 KiB mmap threshold; left
+to its dynamic thresholds, glibc maps, unmaps and trims them on every
+call, at thousands of minor page faults per pass.
 Where libc has no ``mallopt`` the pin does nothing.
 """
 

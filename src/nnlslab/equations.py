@@ -230,31 +230,21 @@ class _Nonlinearity:
             np.add(out_upper, np.multiply(head, hi, out=head), out=out_upper)
 
 
-@functools.lru_cache(maxsize=16)
-def _diagnostic_blocks(grid):
-    """The reused ``(4, n_modes)`` coefficient and sample blocks of ``mass_energy_coeffs``.
-
-    Every caller gets the same arrays, so ``mass_energy_coeffs`` is not
-    reentrant across threads, as the product plans are not.
-    """
-    return (np.empty((4, grid.n_modes), dtype=np.complex128),
-            np.empty((4, grid.n_modes), dtype=np.complex128))
-
-
 def mass_energy_coeffs(coeffs, grid, alpha):
     """``(mass, energy)`` of the raw ``(n_modes,)`` coefficients ``coeffs``.
 
     M(u) = int u u* dx, complex-valued in general, and
     E(u) = int (du)(du)* + (alpha/2) u^2 (u*)^2 dx.  One inverse FFT
-    transforms u, u*, du and (du)*, in blocks kept per grid.  A state too
-    large for the integrands gives a non-finite value and no warning.
+    transforms u, u*, du and (du)*, stacked in a block of the call's own,
+    so the function is reentrant.  A state too large for the integrands
+    gives a non-finite value and no warning.
     """
-    block, samples = _diagnostic_blocks(grid)
+    block = np.empty((4, grid.n_modes), dtype=np.complex128)
     block[0] = coeffs
     np.conj(coeffs, out=block[1])
     np.multiply(coeffs, derivative_symbol(grid), out=block[2])
     np.conj(block[2], out=block[3])
-    u, us, du, dus = product_plan(grid, 1).samples(block, out=samples)
+    u, us, du, dus = product_plan(grid, 1).samples(block)
     with np.errstate(over="ignore", invalid="ignore"):
         integrand = du * dus + (alpha / 2.0) * (u * us) ** 2
         return complex(np.sum(u * us) * grid.dx), complex(np.sum(integrand) * grid.dx)
@@ -263,8 +253,8 @@ def mass_energy_coeffs(coeffs, grid, alpha):
 def support_leakage(fld, eps0):
     """Fraction of squared spectral mass at frequencies below eps0; nan, and no
     warning, for a state too large to square."""
-    if eps0 < 0:
-        raise ValueError("eps0 must be nonnegative")
+    if not (np.isfinite(eps0) and eps0 >= 0):  # nan would select no frequency
+        raise ValueError("eps0 must be finite and nonnegative, got %r" % (eps0,))
     with np.errstate(over="ignore", invalid="ignore"):
         power = np.abs(fld.coeffs) ** 2
         total = power.sum()

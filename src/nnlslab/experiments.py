@@ -410,7 +410,11 @@ def exp_picard_window(spec, make_u0, amplitudes=(4.0, 12.6, 40.0, 126.0, 400.0),
 
 @functools.lru_cache(maxsize=None)
 def _gl(n):
-    return np.polynomial.legendre.leggauss(n)
+    """The read-only ``n``-point Gauss-Legendre nodes and weights, computed once per n."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _phase_ratio(z):
@@ -437,12 +441,13 @@ def _ratio(e, z):
     return out
 
 
-# Nodes per 2-D quadrature temporary, and outer rows per block of xi.  8192
-# complex values are 128 KiB, glibc's default mmap threshold.  On an n_nodes =
-# 32 norm-inflation pass, one block for the whole band raised peak RSS from
-# 59.5 to about 62 MB and took 6,000-8,000 minor faults per pass, and chunks of
-# 12,288 nodes or more took 31,000 or more, as glibc handed back and refaulted
-# their pages; with this bound a pass usually takes none.
+# Nodes per 2-D quadrature temporary, and outer rows per block of xi: 8192
+# complex values are 128 KiB.  With the allocator pin no chunk size faults
+# until a temporary passes its 32 MiB, so the bound is kept for peak RSS and
+# cache locality.  Warm n_nodes = 32 norm-inflation passes, 2 cores, equal
+# norms: 33.5 MB peak RSS at 8192 nodes, 35.0 MB at 16,384 and 37.8 MB at
+# 32,768, each at 0.37-0.55 s a pass; one block for the whole band 181 MB,
+# 44,000 minor faults and 1.16-1.24 s a pass.
 _QUAD_NODES = 8192
 
 
@@ -549,7 +554,7 @@ def third_derivative_field(phi, t, spec, xi, n_nodes, track_rho=True):
     ``_QUAD_NODES`` outer Gauss rows (three box combinations of up to three
     panels of ``n_nodes`` rows per xi), and its kernel runs over chunks of at
     most ``_QUAD_NODES`` nodes.  The bound keeps every temporary at or under
-    128 KiB: a whole band at once costs peak RSS, and larger chunks page faults.
+    128 KiB: a whole band at once costs peak RSS and time.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative, got %r" % (t,))

@@ -15,11 +15,13 @@ so that ``u(x_j) = (1/L) * sum_m coeffs[m] exp(i xi_m x_j)``.
 ``samples`` are :func:`forward_transform` and :func:`inverse_transform`.
 Higher degrees pad for dealiased products: one inverse transform of a block
 holding every factor and one forward transform of the products made from
-it, whatever their degree and number.  The Lawson stage's sign-free padding
-lives in ``equations._Nonlinearity``, which takes only the padded size and
-``dx_fine`` of a plan: its samples lie at x_j = j dx_fine, it folds every
-constant into one output scale, and it keeps its zero padded input blocks
-between calls, writing only their heads and tails.
+it, whatever their degree and number.  A plan holds read-only constants
+only and every call allocates its own arrays, so plans are reentrant.  The
+Lawson stage's sign-free padding lives in ``equations._Nonlinearity``, which
+takes only the padded size and ``dx_fine`` of a plan: its samples lie at
+x_j = j dx_fine, it folds every constant into one output scale, and it
+keeps its zero padded input blocks between calls, writing only their heads
+and tails.
 
 Every transform of the package is one call of ``pypocketfft.c2c``, the
 pocketfft kernel behind ``scipy.fft.fft`` and ``ifft``, with the same plan
@@ -193,26 +195,17 @@ class ProductPlan:
     along the last axis, row by row, so a batch rounds exactly as its rows.
     The transforms are ``pypocketfft.c2c`` calls (see the module docstring),
     the inverse with ``inorm=2``, a division by the transform length, as
-    ``scipy.fft.ifft`` has it.  ``samples`` and ``products`` transform their
-    own arrays in place; ``coeffs`` leaves the caller's samples alone.
+    ``scipy.fft.ifft`` has it.  ``samples`` and ``products`` transform
+    arrays of their own in place; ``coeffs`` leaves the caller's samples
+    alone.
 
-    The plan keeps two arrays between calls: a grow-only buffer and ``scale``
-    repeated to the last lead shape, as numpy buffers a contiguous batch
-    multiplied by the 1-D ``scale``.  ``products`` pads its k coefficient
-    rows into one ``(k,) + lead + (n_fine,)`` block of the buffer, through
-    views built on each call, transforms the whole block with one inverse FFT,
-    multiplies each term's samples left to right into an accumulator of its
-    own behind them and forward transforms every accumulator at once: two FFT
-    calls whatever the degree and the number of terms, and a warm call
-    allocates only its result, apart from numpy's transient iterator buffer
-    for padding the strided half rows of a batch.  The buffer keeps the size
-    of the largest call made so far, and the plan is not reentrant across
-    threads.  Every array the plan returns is freshly allocated, or the
-    caller's ``out``; no caller ever holds a view of the buffer.  Unlike
-    ``equations._Nonlinearity``, the plan zeroes the middle of its padded
-    block on every call and transforms it in place: the buffer is shared by
-    every batch shape, and the Picard pass, which calls ``products`` on
-    (33, n) batches, stays free of page faults only by its heap layout.
+    A plan holds read-only constants only, and each call allocates its own
+    arrays, so one plan serves any number of callers at once.  ``products``
+    pads its k coefficient rows into one fresh ``(k,) + lead + (n_fine,)``
+    block, transforms it with one inverse FFT, multiplies each term's
+    samples left to right into an accumulator of its own behind them and
+    forward transforms every accumulator at once: two FFT calls whatever
+    the degree and the number of terms.
     """
 
     def __init__(self, grid, degree):
@@ -231,42 +224,29 @@ class ProductPlan:
         self.scale = self.dx_fine * self.signs
         for a in (self.signs, self.pad, self.scale):
             a.flags.writeable = False  # shared by every caller of the cache
-        self._buffer = np.empty(0, dtype=np.complex128)
-        # scale repeated to the last lead shape of products: with the 1-D scale numpy
-        # buffers the scaling of a (33, 256) batch (132 KB a call against none), and
-        # 14,600 minor faults per picard_window pass came back in 6 processes of 8
-        # (numpy 2.4).  A repeated pad buys nothing: strided half rows are buffered
-        # either way.
-        self._scales = self.scale
 
     def _pad_into(self, coeffs, f):
         """Write ``coeffs * pad`` into the head and tail of the fine array ``f``."""
         np.multiply(coeffs[self.upper], self.pad[self.upper], out=f[self.head])
         np.multiply(coeffs[self.head], self.pad[self.head], out=f[self.tail])
 
-    def _retained(self, fine, scale):
+    def _retained(self, fine):
         """Fresh retained coefficients of the forward-transformed ``fine``, times ``scale``."""
         out = np.empty(fine.shape[:-1] + (self.n,), dtype=np.complex128)
         out[self.head] = fine[self.tail]
         out[self.upper] = fine[self.head]
-        return np.multiply(scale, out, out=out)
+        return np.multiply(self.scale, out, out=out)
 
-    def samples(self, coeffs, out=None):
-        """Fine-grid samples of the field(s) with ``coeffs`` zero padded.
-
-        ``out``, of the samples' shape, is transformed in place instead of a
-        fresh array.
-        """
-        f = out
-        if f is None:
-            f = np.empty(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
+    def samples(self, coeffs):
+        """Fine-grid samples of the field(s) with ``coeffs`` zero padded."""
+        f = np.empty(coeffs.shape[:-1] + (self.n_fine,), dtype=np.complex128)
         self._pad_into(coeffs, f)
         f[self.middle] = 0.0
         return pypocketfft.c2c(f, LAST_AXIS, False, 2, f, 1)
 
     def coeffs(self, samples):
         """Retained coefficients of the fine-grid ``samples``."""
-        return self._retained(pypocketfft.c2c(samples, LAST_AXIS, True, 0, None, 1), self.scale)
+        return self._retained(pypocketfft.c2c(samples, LAST_AXIS, True, 0, None, 1))
 
     def products(self, rows, terms):
         """Retained coefficients of several products of the same sample rows.
@@ -278,14 +258,8 @@ class ProductPlan:
         forward FFT transforms every accumulator.  The result stacks one
         coefficient array per term along a new first axis.
         """
-        lead = rows[0].shape[:-1]
-        if self._scales.shape[:-1] != lead:
-            self._scales = np.broadcast_to(self.scale, lead + (self.n,)).copy()
-        count = len(rows) + len(terms)
-        size = count * math.prod(lead) * self.n_fine
-        if self._buffer.size < size:
-            self._buffer = np.empty(size, dtype=np.complex128)
-        fine = self._buffer[:size].reshape((count,) + lead + (self.n_fine,))
+        fine = np.empty((len(rows) + len(terms),) + rows[0].shape[:-1] + (self.n_fine,),
+                        dtype=np.complex128)
         block, acc = fine[:len(rows)], fine[len(rows):]
         for c, f in zip(rows, block):
             self._pad_into(c, f)
@@ -295,7 +269,7 @@ class ProductPlan:
             prod = samples[term[0]]
             for i in term[1:]:
                 prod = np.multiply(prod, samples[i], out=out)
-        return self._retained(pypocketfft.c2c(acc, LAST_AXIS, True, 0, acc, 1), self._scales)
+        return self._retained(pypocketfft.c2c(acc, LAST_AXIS, True, 0, acc, 1))
 
 
 @functools.lru_cache(maxsize=64)

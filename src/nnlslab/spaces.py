@@ -51,7 +51,11 @@ def esigma_norm(fld, s, sigma):
 
     Only s > 0 can overflow through s, so a weight that grows with |xi| is
     refused in O(1) before the weights are built; for s <= 0 the weight
-    2^(s|xi|) is at most 1 and ``_weights`` checks the exact exponent."""
+    2^(s|xi|) is at most 1 and ``_weights`` checks the exact exponent.  A
+    non-finite s or sigma raises ValueError."""
+    for name, value in (("s", s), ("sigma", sigma)):
+        if not np.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     if s * fld.grid.xi_max * _LN2 >= _OVERFLOW_LIMIT:
         raise ValueError(
             "weight 2^(s|xi|) overflows: s*xi_max*ln2 = %.3g >= %.0f"

@@ -209,5 +209,13 @@ def test_support_leakage(grid):
     assert support_leakage(low, 1.0) == 1.0
     zero = SpectralField(grid, np.zeros(grid.n_modes, complex))
     assert support_leakage(zero, 1.0) == 0.0
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="eps0 must be finite and nonnegative, got -1.0"):
         support_leakage(high, -1.0)
+
+
+@pytest.mark.parametrize("eps0", [np.nan, np.inf, -np.inf])
+def test_support_leakage_refuses_a_non_finite_eps0(grid, eps0):
+    # before: nan selected no frequency and read 0.0, inf read 1.0
+    low = SpectralField(grid, (grid.frequencies <= -2.0).astype(complex))
+    with pytest.raises(ValueError, match="eps0 must be finite and nonnegative, got %r" % eps0):
+        support_leakage(low, eps0)

@@ -309,10 +309,26 @@ def test_gauge_equivalence_refuses_other_kinds(grid, monkeypatch, kind):
         exp_gauge_equivalence(EquationSpec(kind), u0, 0.1, 2e-3)
 
 
+def test_cached_gauss_rules_are_read_only():
+    # every caller of the cache shares the same nodes and weights
+    assert not any(a.flags.writeable for a in experiments._gl(16))
+
+
 def test_support_invariance_precondition(grid, gaussian):
     spec = EquationSpec("NdNLS", alpha=1.0)
     with pytest.raises(ValueError):
         exp_support_invariance(spec, gaussian, 0.1, 1e-3, 1.0)
+
+
+def test_support_invariance_refuses_a_nan_eps0_before_any_solve(grid, monkeypatch):
+    # before: the leakage below nan read 0.0, and the check passed
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(experiments, "solve", no_solve)
+    u0 = make_initial_data("halfline_bump", grid, amplitude=0.5, lo=1.5, hi=3.0)
+    with pytest.raises(ValueError, match="eps0 must be finite and nonnegative, got nan"):
+        exp_support_invariance(EquationSpec("NNLS"), u0, 0.05, 1e-3, eps0=np.nan)
 
 
 def test_support_invariance_runs(grid):

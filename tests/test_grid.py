@@ -14,7 +14,7 @@ from scipy.fft._pocketfft import pypocketfft
 
 from conftest import random_field
 from reference import reference_forward_transform, reference_inverse_transform, reference_product
-from nnlslab.equations import EquationSpec, nonlinear_coeffs
+from nnlslab.equations import EquationSpec, mass_energy_coeffs, nonlinear_coeffs
 from nnlslab.grid import (
     _BLEND_FRACTION,
     _smoothstep,
@@ -279,10 +279,9 @@ def _batch(rng, n, rows):
 
 
 def test_product_work_arrays_never_leak():
-    # one plan grows its work buffer, reuses a prefix of it and goes back to
-    # 1-D, twice over; the cubic plan takes a single row and a block that
-    # grows from 2 to 3 rows under one batch shape; no
-    # result or input may show a later call's work
+    # each plan runs 1-D and batched calls of changing shapes, the quintic
+    # plan twice over, and the cubic plan takes a single row and 2 or 3 rows
+    # under one batch shape; no result or input may show a later call's work
     g = FrequencyGrid(256, 30.0)
     rng = np.random.default_rng(21)
     quintic = 2 * ((None, (0, 0, 0, 1, 1)), (65, (0, 1, 2, 1, 0)),
@@ -309,7 +308,8 @@ def test_product_work_arrays_never_leak():
 
 
 def _warm_peak(call):
-    """Result of a second ``call()`` and the tracemalloc peak above its start."""
+    """Result of a second ``call()``, the tracemalloc peak above its start and
+    the traced memory it leaves behind."""
     call()
     tracing = tracemalloc.is_tracing()
     if not tracing:
@@ -318,41 +318,74 @@ def _warm_peak(call):
         tracemalloc.reset_peak()
         start = tracemalloc.get_traced_memory()[0]
         result = call()
-        peak = tracemalloc.get_traced_memory()[1] - start
+        current, peak = tracemalloc.get_traced_memory()
     finally:
         if not tracing:
             tracemalloc.stop()
-    return result, peak
+    return result, peak - start, current - start
 
 
 # numpy buffers a ufunc call that broadcasts a 1-D operand over a (33, 256)
-# batch: 204,144 B for each padding multiply into the strided half rows, which
-# the plan still pays but frees before the products exist, and about 132 KB
-# for scaling the products by a 1-D scale, which the repeated scale avoids
-# (numpy 2.4).  The margin admits the first and not the second.
-_SCALE_MARGIN = 96 * 1024
+# batch: 204,144 B for a padding multiply into the strided half rows, and
+# 132,176 B for scaling the retained coefficients by the 1-D scale; each is
+# transient, and the larger bounds what is live beside a block (numpy 2.4)
+_ITER_BUFFER = 204_144
+_OBJECT_BYTES = 1024  # array headers and views, about 200 B measured
 
 
-def test_batched_product_allocates_only_its_result():
-    # after a warm-up the plan pads and transforms in its own buffer, so a
-    # (33, 256) cubic product allocates its result and the padding buffer only
+def _block_bytes(plan, rows):
+    """Bytes of the (rows, 33, n_fine) block that ``products`` pads and transforms."""
+    return rows * 33 * plan.n_fine * 16
+
+
+def test_batched_product_allocates_its_block_and_keeps_its_result_only():
+    # a warm (33, 256) cubic product: 2 padded rows and 1 accumulator in a
+    # block of its own, the result and numpy's transient buffer; measured
+    # 1,078,976 B at the peak (bound 1,150,320) and 135,360 B after the call
     g = FrequencyGrid(256, 40.0)
     u = _batch(np.random.default_rng(5), g.n_modes, 33)
     rows = [u, np.conj(u)]
-    result, peak = _warm_peak(lambda: product_plan(g, 3).products(rows, ((0, 0, 1),))[0])
-    assert peak < result.nbytes + _SCALE_MARGIN
+    plan = product_plan(g, 3)
+    result, peak, kept = _warm_peak(lambda: plan.products(rows, ((0, 0, 1),))[0])
+    assert peak <= _block_bytes(plan, 3) + result.nbytes + _ITER_BUFFER
+    assert kept <= result.nbytes + _OBJECT_BYTES
 
 
-@pytest.mark.parametrize("kind, arrays", [("NNLS", 2), ("NdNLS", 3), ("GaugedNdNLS", 4)])
-def test_batched_nonlinear_coeffs_allocates_no_scale_buffer(kind, arrays):
-    # the Picard shape: while its products are scaled, N(u) holds ``arrays``
-    # (33, 256) arrays (the rows it builds, such as u_x and conj(u), the sum
-    # of a two-term kind and the fresh products) and nothing more
+@pytest.mark.parametrize("kind, arrays, degree, rows", [
+    ("NNLS", 2, 3, 3), ("NdNLS", 3, 3, 4), ("GaugedNdNLS", 4, 5, 3)])
+def test_batched_nonlinear_coeffs_allocates_per_call_and_keeps_its_result_only(
+        kind, arrays, degree, rows):
+    # the Picard shape: at its peak N(u) holds ``arrays`` (33, 256) arrays
+    # (the rows it builds, such as u_x and conj(u), the sum of a two-term
+    # kind and the fresh products), the block of its largest ``degree`` with
+    # ``rows`` rows and numpy's transient buffer; measured 70-71 KB under
+    # each bound
     g = FrequencyGrid(256, 40.0)
     u = _batch(np.random.default_rng(5), g.n_modes, 33)
     spec = EquationSpec(kind)
-    result, peak = _warm_peak(lambda: nonlinear_coeffs(u, g, spec))
-    assert peak < arrays * result.nbytes + _SCALE_MARGIN
+    result, peak, kept = _warm_peak(lambda: nonlinear_coeffs(u, g, spec))
+    block = _block_bytes(product_plan(g, degree), rows)
+    assert peak <= arrays * result.nbytes + block + _ITER_BUFFER
+    assert kept <= result.nbytes + _OBJECT_BYTES
+
+
+def test_cached_plans_hold_read_only_constants_only():
+    # after the Picard batch at _T_CAP (1025 nodes), 1-D and batched rows of
+    # degree-3 and degree-5 kinds and the diagnostics, every array a cached
+    # plan holds is read-only, and its bytes are those of signs, pad and
+    # scale; the degree-3 plan used to keep a 25.2 MB work buffer and a
+    # writeable 4.2 MB repeated scale after the 1025-node call
+    g = FrequencyGrid(256, 40.0)
+    rng = np.random.default_rng(8)
+    for kind in ("NNLS", "GaugedNdNLS"):
+        for rows in (None, 33, 65):
+            nonlinear_coeffs(_batch(rng, g.n_modes, rows), g, EquationSpec(kind))
+    nonlinear_coeffs(_batch(rng, g.n_modes, 1025), g, EquationSpec("NNLS"))
+    mass_energy_coeffs(_batch(rng, g.n_modes, None), g, 1.0)
+    for degree in (1, 3, 5):
+        arrays = [a for a in vars(product_plan(g, degree)).values() if isinstance(a, np.ndarray)]
+        assert not any(a.flags.writeable for a in arrays), degree
+        assert sum(a.nbytes for a in arrays) == 3 * g.n_modes * 16, degree
 
 
 def test_dealiased_product_support_arithmetic(grid):

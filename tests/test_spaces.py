@@ -89,6 +89,17 @@ def test_esigma_refuses_a_weight_that_overflows_through_sigma(s, sigma):
         esigma_norm(f, s, sigma)
 
 
+@pytest.mark.parametrize("s, sigma, message", [
+    (np.nan, 0.0, "s must be finite, got nan"), (-np.inf, 0.0, "s must be finite, got -inf"),
+    (-1.0, np.nan, "sigma must be finite, got nan"), (-1.0, np.inf, "sigma must be finite, got inf")])
+def test_esigma_refuses_a_non_finite_parameter(s, sigma, message):
+    # before: nan read nan with no warning, and -inf * 0 at xi = 0 raised
+    # numpy's invalid-value warning
+    f = gaussian_hat(FrequencyGrid(256, 40.0))
+    with pytest.raises(ValueError, match=message):
+        esigma_norm(f, s, sigma)
+
+
 def test_esigma_overflow_guard_runs_before_the_weight_cache(monkeypatch):
     def no_weights(*args):
         raise AssertionError("the weights were looked up")
