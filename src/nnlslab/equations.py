@@ -151,15 +151,15 @@ def nonlinear_coeffs(coeffs, grid, spec):
 class _Nonlinearity:
     """i N(u) of ``spec`` on raw rows of one ``shape``, with its blocks and scales kept.
 
-    A call ``(c, k, out)`` writes i N(c) into ``out``, not ``c``: as it is for
-    k = 0, over ``divisors[k-1]`` for k >= 1; each row rounds as it would alone.
-    Rows are copied into a zero padded input block per product degree of
-    ``_recipe`` without the sign vector (u_x as c * i xi), so the inverse FFT
-    gives dx_fine times the samples of u at x_j = j dx_fine, where x -> -x is
-    j -> (n_fine - j) mod n_fine: u* and (u*)_x = -(u_x)* are the conjugated
-    samples reversed, index 0 kept, written row by row (numpy buffers a unary
-    ufunc on strided batch views).  A term of p factors gets one scale,
-    i coeff dx_fine^(1-p), over the divisor, multiplied into each half.
+    A call ``(c, out)`` writes i N(c) into ``out``, not ``c``; each row rounds
+    as it would alone.  Rows are copied into a zero padded input block per
+    product degree of ``_recipe`` without the sign vector (u_x as c * i xi),
+    so the inverse FFT gives dx_fine times the samples of u at
+    x_j = j dx_fine, where x -> -x is j -> (n_fine - j) mod n_fine: u* and
+    (u*)_x = -(u_x)* are the conjugated samples reversed, index 0 kept,
+    written row by row (numpy buffers a unary ufunc on strided batch views).
+    A term of p factors gets one scalar scale, i coeff dx_fine^(1-p),
+    multiplied into each half of its retained coefficients.
 
     Everything but the call's own ``c`` and ``out`` is built once here.  The
     input blocks are zeroed once and a call writes only their heads and
@@ -170,13 +170,11 @@ class _Nonlinearity:
     product degree, each about 1 us of dispatch (see ``grid``).
     """
 
-    def __init__(self, grid, spec, shape, divisors=()):
-        n = grid.n_modes
-        self._h = h = n // 2
+    def __init__(self, grid, spec, shape):
+        self._h = h = grid.n_modes // 2
         d = derivative_symbol(grid)
         self._d = (d[h:], d[:h])
-        self._copies, self._derivatives, self._groups = [], [], []
-        outputs = [[] for _ in range(1 + len(divisors))]  # per k: (tail, head, lo, hi)
+        self._copies, self._derivatives, self._groups, outputs = [], [], [], []
         for degree, rows, reflected, terms, coefficients in _recipe(spec)[0]:
             plan = product_plan(grid, degree)
             nf = plan.n_fine
@@ -196,14 +194,13 @@ class _Nonlinearity:
                 products += [(a, samples[i], a) for i in term[2:]]
             self._groups.append((padded, block[:len(rows)], mirrors, products, acc))
             for a, coeff in zip(acc, coefficients):
-                s = 1j * coeff * plan.dx_fine ** (1 - degree)
-                for views, scale in zip(outputs, [np.full(n, s)] + [s / q for q in divisors]):
-                    views.append((a[..., nf - h:], a[..., :h], scale[:h], scale[h:]))
-        self._outputs = [(views[0], views[1:]) if views else None for views in outputs]
+                scale = 1j * coeff * plan.dx_fine ** (1 - degree)
+                outputs.append((a[..., nf - h:], a[..., :h], scale))
+        self._outputs = (outputs[0], outputs[1:]) if outputs else None
 
-    def __call__(self, c, k, out):
-        h, outputs = self._h, self._outputs[k]
-        if outputs is None:
+    def __call__(self, c, out):
+        h = self._h
+        if self._outputs is None:
             out.fill(0.0)  # every coefficient is 0
             return
         c_upper, c_head = c[..., h:], c[..., :h]
@@ -221,13 +218,13 @@ class _Nonlinearity:
             for a, b, product in products:
                 np.multiply(a, b, out=product)
             pypocketfft.c2c(acc, LAST_AXIS, True, 0, acc, 1)
-        (tail, head, lo, hi), rest = outputs
+        (tail, head, scale), rest = self._outputs
         out_head, out_upper = out[..., :h], out[..., h:]
-        np.multiply(tail, lo, out=out_head)
-        np.multiply(head, hi, out=out_upper)
-        for tail, head, lo, hi in rest:
-            np.add(out_head, np.multiply(tail, lo, out=tail), out=out_head)
-            np.add(out_upper, np.multiply(head, hi, out=head), out=out_upper)
+        np.multiply(tail, scale, out=out_head)
+        np.multiply(head, scale, out=out_upper)
+        for tail, head, scale in rest:
+            np.add(out_head, np.multiply(tail, scale, out=tail), out=out_head)
+            np.add(out_upper, np.multiply(head, scale, out=head), out=out_upper)
 
 
 def mass_energy_coeffs(coeffs, grid, alpha):

@@ -8,9 +8,9 @@ others go on.  ``solve`` is the batch of one.  A trajectory holds the
 recorded times and states only; the code that reports mass, energy, leakage
 or norms computes them from the states.  Each step size and batch
 shape gets one ``_LawsonStage``, which holds the phases and buffers of its
-steps and goes with the solve.  Its N(u) is ``equations._Nonlinearity``:
-sign-free padding, the nonlocal conjugate u* read from the samples of u,
-and one output scale per term.
+steps and goes with the solve, and applies the integrating factor itself.
+Its N(u) is ``equations._Nonlinearity``, plain i N(u): sign-free padding,
+the nonlocal conjugate u* read from the samples of u, one scale per term.
 
 A completely separate engine iterates the Duhamel integral formulation with
 composite-Simpson quadrature in time; the two discretization families share
@@ -74,53 +74,61 @@ class _LawsonStage:
     comes back non-finite.  ``tests/reference.py::reference_lawson`` is the
     same arithmetic written as expressions.
 
-    ``rhs`` is an ``equations._Nonlinearity`` that divides by the phases
-    e^{(dt/2)L} and e^{dt L}, which the interaction picture undoes.  numpy
-    buffers a row broadcast over a batch, so the phases are repeated to it.
+    It is Lawson-RK4 in the original variables (Lawson 1967; Kassam and
+    Trefethen 2005), with E = e^{dt L}, E2 = e^{(dt/2) L} and k = ``rhs``:
+
+        k1 = k(w), k2 = k(E2 (w + dt/2 k1)), k3 = k(E2 w + dt/2 k2), k4 = k(E w + dt E2 k3)
+        w' = E (w + dt/6 k1) + (dt/3) E2 (k2 + k3) + dt/6 k4
+
+    numpy buffers a row broadcast over a batch, so the phases are repeated to it.
     """
 
     def __init__(self, grid, spec, dt, shape):
         self.dt, self.shape = dt, shape
         half = _free_phase(grid, dt / 2.0)
         full = half * half
-        self._phases = (half, full, (dt / 2.0) * half, dt * full)
+        self._phases = (half, full, dt * half, (dt / 3.0) * half)
         if math.prod(shape[:-1]) > 1:
             self._phases = tuple(np.broadcast_to(a, shape).copy() for a in self._phases)
         self._buffers = tuple(np.empty(shape, dtype=np.complex128) for _ in range(5))
-        self.rhs = _Nonlinearity(grid, spec, shape, (half, full))
+        self.rhs = _Nonlinearity(grid, spec, shape)
 
     def __call__(self, w):
-        half, full, half_dt, full_dt = self._phases
+        half, full, dt_half, third_half = self._phases
         k1, k2, k3, arg, k4 = self._buffers
         dt = self.dt
-        # interaction picture: g(tau, w) = e^{-tau L} N(e^{tau L} w)
         with np.errstate(over="ignore", invalid="ignore"):
-            self.rhs(w, 0, k1)
+            self.rhs(w, k1)
             np.multiply(dt / 2.0, k1, out=arg)
             np.add(w, arg, out=arg)
-            np.multiply(half, arg, out=arg)  # half * (w + (dt/2) k1)
-            self.rhs(arg, 1, k2)
+            np.multiply(half, arg, out=arg)  # E2 (w + dt/2 k1)
+            self.rhs(arg, k2)
             np.multiply(half, w, out=arg)
-            np.multiply(half_dt, k2, out=k4)
-            np.add(arg, k4, out=arg)  # half * w + (dt/2) half * k2
-            self.rhs(arg, 1, k3)
+            np.multiply(dt / 2.0, k2, out=k4)
+            np.add(arg, k4, out=arg)  # E2 w + dt/2 k2
+            self.rhs(arg, k3)
             np.multiply(full, w, out=arg)
-            np.multiply(full_dt, k3, out=k4)
-            np.add(arg, k4, out=arg)  # full * w + dt full * k3
-            self.rhs(arg, 2, k4)
-            np.multiply(2, k2, out=arg)
-            np.add(k1, arg, out=arg)
-            np.multiply(2, k3, out=k2)
-            np.add(arg, k2, out=arg)
-            np.add(arg, k4, out=arg)  # k1 + 2 k2 + 2 k3 + k4
-            np.multiply(dt / 6.0, arg, out=arg)
+            np.multiply(dt_half, k3, out=k4)
+            np.add(arg, k4, out=arg)  # E w + dt E2 k3
+            self.rhs(arg, k4)
+            np.multiply(dt / 6.0, k1, out=arg)
             np.add(w, arg, out=arg)
-            return np.multiply(full, arg)
+            np.multiply(full, arg, out=arg)  # E (w + dt/6 k1)
+            np.add(k2, k3, out=k2)
+            np.multiply(third_half, k2, out=k2)  # (dt/3) E2 (k2 + k3)
+            np.add(arg, k2, out=arg)
+            np.multiply(dt / 6.0, k4, out=k4)
+            return np.add(arg, k4)
 
 
 @dataclass
 class Trajectory:
-    """Recorded times and states; a blown-up one has its ``blowup_time`` and last finite state."""
+    """Recorded times and states; a blown-up one has its ``blowup_time`` and last finite state.
+
+    ``blowup_time`` is the end of the step on which the state went non-finite, not a
+    singular time: it does not converge in n or dt, and past a singularity it moves
+    with roundoff.
+    """
 
     times: list
     states: list

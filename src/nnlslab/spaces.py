@@ -28,9 +28,11 @@ _OVERFLOW_LIMIT = 700.0  # exp argument bound for the <xi>^sigma 2^{s|xi|} weigh
 
 
 def _weights(xi, s, sigma):
-    arg = s * np.abs(xi) * _LN2 + 0.5 * sigma * np.log1p(xi * xi)
-    top = arg.max()
-    if top >= _OVERFLOW_LIMIT:
+    # an exponent that overflows reads inf, and inf - inf reads nan: both refused
+    with np.errstate(over="ignore", invalid="ignore"):
+        arg = s * np.abs(xi) * _LN2 + 0.5 * sigma * np.log1p(xi * xi)
+        top = arg.max()
+    if not top < _OVERFLOW_LIMIT:
         raise ValueError("weight <xi>^sigma 2^(s|xi|) overflows at s = %r, sigma = %r: "
                          "exponent %.3g >= %.0f" % (s, sigma, top, _OVERFLOW_LIMIT))
     return np.exp(arg)
@@ -46,21 +48,12 @@ def _grid_weights(grid, s, sigma):
 
 def esigma_norm(fld, s, sigma):
     """Exponentially weighted spectral norm with parameters (s, sigma); inf, and no
-    warning, for a field too large to square.  A weight that overflows at some
-    grid frequency, through s or through sigma, raises ValueError.
-
-    Only s > 0 can overflow through s, so a weight that grows with |xi| is
-    refused in O(1) before the weights are built; for s <= 0 the weight
-    2^(s|xi|) is at most 1 and ``_weights`` checks the exact exponent.  A
-    non-finite s or sigma raises ValueError."""
+    warning, for a field too large to square.  A weight whose exact exponent
+    s|xi| ln2 + (sigma/2) ln(1 + xi^2) overflows at some grid frequency
+    raises ValueError, and so does a non-finite s or sigma."""
     for name, value in (("s", s), ("sigma", sigma)):
         if not np.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (name, value))
-    if s * fld.grid.xi_max * _LN2 >= _OVERFLOW_LIMIT:
-        raise ValueError(
-            "weight 2^(s|xi|) overflows: s*xi_max*ln2 = %.3g >= %.0f"
-            % (s * fld.grid.xi_max * _LN2, _OVERFLOW_LIMIT)
-        )
     w = _grid_weights(fld.grid, s, sigma)
     with np.errstate(over="ignore", invalid="ignore"):
         return float(np.sqrt(np.sum(np.abs(w * fld.coeffs) ** 2) * fld.grid.dxi))

@@ -26,16 +26,21 @@ the exponential form.  The planned and batched kernels in ``nnlslab.grid``,
 operations in the same order, so they must agree with these bit for bit.
 
 ``reference_lawson`` is the Lawson-RK4 stage written as array expressions,
-one row at a time, with its phases built per call.  Its N(u) follows
-``_recipe(spec)`` term by term: each coefficient row is copied into a
-fresh zero-padded fine array without the sign vector (u_x as c * i xi),
+one row at a time, with its phases built per call: the integrating-factor
+RK4 in the original variables, whose N(u) is plain i N(u).  That N(u)
+follows ``_recipe(spec)`` term by term: each coefficient row is copied into
+a fresh zero-padded fine array without the sign vector (u_x as c * i xi),
 u* and (u*)_x are the conjugated samples of u and u_x reversed with index 0
 kept, and each term's retained coefficients are multiplied by one scale,
-i coeff dx_fine^(1-p), divided by the stage's phase where it has one.
-``nnlslab.evolve._LawsonStage``, with ``nnlslab.equations._Nonlinearity``
-as its N(u), performs the same operations in the same operand order in
-arrays it keeps, so the two agree bit for bit.
-``reference_conj_row_lawson`` is the same Lawson-RK4 arithmetic on
+i coeff dx_fine^(1-p).  ``nnlslab.evolve._LawsonStage``, with
+``nnlslab.equations._Nonlinearity`` as its N(u), performs the same
+operations in the same operand order in arrays it keeps, so the two agree
+bit for bit.
+``reference_divided_lawson`` is the same method in the interaction picture,
+g(tau, w) = e^{-tau L} N(e^{tau L} w), the stage's former arithmetic: the
+same N(u) with each term's scale divided by the stage's phase.  It is an
+algebraic identity away from the stage and agrees with it to roundoff.
+``reference_conj_row_lawson`` is that interaction-picture arithmetic on
 ``1j * nonlinear_coeffs``, divided by the phase: signed padding and u*
 transformed as conj(coeffs) in every right-hand side.  It agrees
 with the stage to roundoff only, and is the oracle that the sign-free
@@ -223,21 +228,37 @@ def _stage_rhs(c, grid, spec, phase):
                 prod = prod * samples[i]
             spectrum = np.fft.fft(prod)
             scale = 1j * coeff * dx_fine ** (1 - degree)
-            scale = np.full(n, scale) if phase is None else scale / phase
+            if phase is not None:
+                scale = scale / phase
             term_coeffs = np.concatenate((spectrum[-h:], spectrum[:h])) * scale
             out = term_coeffs if out is None else out + term_coeffs
     return np.zeros(n, dtype=np.complex128) if out is None else out
 
 
 def _rk4(w, dt, grid, nl):
-    # the Lawson-RK4 stage with nl(coeffs, phase) = i N(coeffs) / phase
+    # the Lawson-RK4 stage in the original variables, nl(coeffs) = i N(coeffs)
     half = _free_phase(grid, dt / 2.0)
     full = half * half
-    # interaction picture: g(tau, w) = e^{-tau L} N(e^{tau L} w)
     with np.errstate(over="ignore", invalid="ignore"):
-        k1 = nl(w, None)
+        k1 = nl(w)
         # bound to a name: numpy would multiply a temporary of 256 KiB or more
         # in place, as it * half, and that is not bitwise half * it
+        mid = w + (dt / 2.0) * k1
+        k2 = nl(half * mid)
+        k3 = nl(half * w + (dt / 2.0) * k2)
+        k4 = nl(full * w + dt * half * k3)
+        first = w + (dt / 6.0) * k1
+        inner = k2 + k3
+        return full * first + (dt / 3.0) * half * inner + (dt / 6.0) * k4
+
+
+def _divided_rk4(w, dt, grid, nl):
+    # the same method in the interaction picture, g(tau, w) = e^{-tau L} N(e^{tau L} w),
+    # with nl(coeffs, phase) = i N(coeffs) / phase
+    half = _free_phase(grid, dt / 2.0)
+    full = half * half
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = nl(w, None)
         mid = w + (dt / 2.0) * k1
         a = half * mid
         k2 = nl(a, half)
@@ -252,7 +273,13 @@ def _rk4(w, dt, grid, nl):
 def reference_lawson(w, dt, grid, spec):
     if w.ndim == 2:
         return np.stack([reference_lawson(row, dt, grid, spec) for row in w])
-    return _rk4(w, dt, grid, lambda c, phase: _stage_rhs(c, grid, spec, phase))
+    return _rk4(w, dt, grid, lambda c: _stage_rhs(c, grid, spec, None))
+
+
+def reference_divided_lawson(w, dt, grid, spec):
+    if w.ndim == 2:
+        return np.stack([reference_divided_lawson(row, dt, grid, spec) for row in w])
+    return _divided_rk4(w, dt, grid, lambda c, phase: _stage_rhs(c, grid, spec, phase))
 
 
 def reference_conj_row_lawson(w, dt, grid, spec):
@@ -260,7 +287,7 @@ def reference_conj_row_lawson(w, dt, grid, spec):
         out = 1j * nonlinear_coeffs(c, grid, spec)
         return out if phase is None else out / phase
 
-    return _rk4(w, dt, grid, nl)
+    return _divided_rk4(w, dt, grid, nl)
 
 
 def reference_step(fld, dt, spec):

@@ -100,14 +100,31 @@ def test_esigma_refuses_a_non_finite_parameter(s, sigma, message):
         esigma_norm(f, s, sigma)
 
 
-def test_esigma_overflow_guard_runs_before_the_weight_cache(monkeypatch):
-    def no_weights(*args):
-        raise AssertionError("the weights were looked up")
-
-    monkeypatch.setattr(spaces, "_grid_weights", no_weights)
+@pytest.mark.parametrize("s, sigma", [(12.0, 0.0), (1e308, 0.0), (1e308, -1e308),
+                                      (-1e308, 1e308)])
+def test_esigma_refusal_caches_no_weights(s, sigma):
+    # the exact exponent is the only check: one that overflows to inf, or
+    # reads nan from inf - inf, is refused with no numpy warning and leaves
+    # nothing in the weight cache (before: (-1e308, 1e308) passed the O(1)
+    # guard and raised numpy's overflow warning)
+    spaces._grid_weights.cache_clear()
     f = gaussian_hat(FrequencyGrid(256, 4.0))  # xi_max ~ 100
-    with pytest.raises(ValueError, match="overflows"):
-        esigma_norm(f, 12.0, 0.0)
+    with pytest.raises(ValueError, match="overflows at s = "):
+        esigma_norm(f, s, sigma)
+    assert spaces._grid_weights.cache_info().currsize == 0
+
+
+def test_esigma_weight_is_checked_by_its_exact_exponent():
+    # before: the O(1) guard read s xi_max ln 2 = 836 >= 700 on this grid and
+    # refused (30, -100), whose largest exponent is 466.7; the direct sum
+    # squares the weight's square root, each factor representable
+    f = gaussian_hat(FrequencyGrid(1024, 80.0))
+    xi = f.grid.frequencies
+    root = 2.0 ** (15.0 * np.abs(xi)) * (1.0 + xi * xi) ** -25.0
+    want = np.sqrt(np.sum(np.abs(root * root * f.coeffs) ** 2) * f.grid.dxi)
+    got = esigma_norm(f, 30.0, -100.0)
+    assert np.isfinite(got)
+    assert got == pytest.approx(want, rel=1e-14)
 
 
 def test_esigma_of_a_strongly_negative_s_is_finite():
