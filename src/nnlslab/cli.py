@@ -230,7 +230,7 @@ def _fmt(x):
     return "%.17g" % x
 
 
-def write_timeseries(path, traj, alpha, eps0=0.0, norms=()):
+def write_timeseries(path, traj, alpha, eps0, norms):
     """One CSV row per recorded state of ``traj``: t, the mass and energy for ``alpha``,
     the leakage below ``eps0`` and the E^s_sigma norm of each (s, sigma) in ``norms``."""
     header = ["t", "Re M", "Im M", "Re E", "Im E", "leakage"]

@@ -7,10 +7,11 @@ All equations are stored in evolution form
 with the nonlocal conjugate u*(x) = conj(u(-x)) entering every nonlinearity.
 Products are dealiased by zero padding and derivatives are spectral.  The
 terms of N(u) are listed once, in ``_terms``, and ``_recipe`` turns them
-into transformed rows, mirrors and products for the two evaluators of N(u)
-on raw coefficients, one field or a batch of rows: ``_Nonlinearity``, the
-Lawson stage's, pads without the sign vector and reads u* from the samples
-of u; ``nonlinear_coeffs``, the Duhamel map's, transforms u* as the row of
+into transformed rows, mirrors, products and coefficients i coeff for the
+two evaluators of i N(u) on raw coefficients, one field or a batch of rows,
+which differ in u* and padding only: ``_Nonlinearity``, the Lawson stage's,
+pads without the sign vector and reads u* from the samples of u;
+``nonlinear_coeffs``, the Duhamel map's, transforms u* as the signed row of
 conj(coeffs).  ``mass_energy_coeffs`` gives the mass and energy of one field.
 """
 
@@ -90,19 +91,18 @@ def _terms(spec):
 
 @functools.lru_cache(maxsize=64)
 def _recipe(spec):
-    """``(groups, accumulate)``: how N(u) of ``spec`` is evaluated from transformed rows.
+    """How i N(u) of ``spec`` is evaluated from transformed rows, as its groups.
 
     One ``(degree, rows, reflected, terms, coefficients)`` group per product
     degree of the nonzero terms: ``rows`` names the factors u and u_x that
     are transformed as rows of their own, and each term indexes the sample
     rows, ``rows`` then one mirror per index in ``reflected``.  u* mirrors
     the row u and (u*)_x = -(u_x)* the row u_x, its sign moved into the
-    coefficient.  ``accumulate`` is set for the kinds of two terms, which
-    sum into a zeroed array.
+    coefficient.  Each coefficient is i coeff, so every evaluator returns
+    i N(u) with the factor i written here only.
     """
-    table = _terms(spec)
     groups = {}
-    for coeff, factors in table:
+    for coeff, factors in _terms(spec):
         if coeff != 0:
             groups.setdefault(len(factors), []).append((coeff, factors))
     mirrored = {US: U, DUS: DU}  # factor -> the row it mirrors
@@ -116,12 +116,12 @@ def _recipe(spec):
         recipe.append((
             degree, tuple(rows), tuple(rows.index(mirrored[f]) for f in starred),
             tuple(tuple(index[f] for f in factors) for _, factors in terms),
-            tuple(-coeff if DUS in factors else coeff for coeff, factors in terms)))
-    return tuple(recipe), len(table) > 1
+            tuple(1j * (-coeff if DUS in factors else coeff) for coeff, factors in terms)))
+    return tuple(recipe)
 
 
 def nonlinear_coeffs(coeffs, grid, spec):
-    """N(u) in the evolution form u_t = i u_xx + i N(u), on raw Fourier coefficients.
+    """i N(u), the nonlinear part of u_t = i u_xx + i N(u), on raw Fourier coefficients.
 
     ``coeffs`` is one field ``(n_modes,)`` or a batch ``(batch, n_modes)``;
     each row of a batch gives the bits of its own 1-D call.  Neither the
@@ -129,12 +129,12 @@ def nonlinear_coeffs(coeffs, grid, spec):
     without building a :class:`SpectralField` per substep.  Every u* factor
     is the transformed row of conj(coeffs) through the signed padding of
     ``ProductPlan.products``, bit for bit as the test references build it;
-    only the rows some term reads are transformed.
+    only the rows some term reads are transformed.  The first term's
+    products array is the result and later terms add into it.
     """
-    groups, accumulate = _recipe(spec)
-    out = np.zeros(coeffs.shape, dtype=np.complex128) if accumulate else None
+    out = None
     d = derivative_symbol(grid)
-    for degree, rows, reflected, terms, coefficients in groups:
+    for degree, rows, reflected, terms, coefficients in _recipe(spec):
         arrays = [coeffs if f == U else coeffs * d for f in rows]
         arrays += [np.conj(arrays[i]) for i in reflected]
         read = sorted({i for term in terms for i in term})  # u_x may serve its mirror only
@@ -142,9 +142,7 @@ def nonlinear_coeffs(coeffs, grid, spec):
             [arrays[i] for i in read], [tuple(map(read.index, term)) for term in terms])
         for coeff, p in zip(coefficients, products):
             np.multiply(coeff, p, out=p)  # coeff * p, in the fresh products array
-            if out is None:
-                return p
-            out += p
+            out = p if out is None else np.add(out, p, out=out)
     return np.zeros(coeffs.shape, dtype=np.complex128) if out is None else out
 
 
@@ -158,8 +156,8 @@ class _Nonlinearity:
     x_j = j dx_fine, where x -> -x is j -> (n_fine - j) mod n_fine: u* and
     (u*)_x = -(u_x)* are the conjugated samples reversed, index 0 kept,
     written row by row (numpy buffers a unary ufunc on strided batch views).
-    A term of p factors gets one scalar scale, i coeff dx_fine^(1-p),
-    multiplied into each half of its retained coefficients.
+    A term of p factors gets one scalar scale, its recipe coefficient times
+    dx_fine^(1-p), multiplied into each half of its retained coefficients.
 
     Everything but the call's own ``c`` and ``out`` is built once here.  The
     input blocks are zeroed once and a call writes only their heads and
@@ -175,7 +173,7 @@ class _Nonlinearity:
         d = derivative_symbol(grid)
         self._d = (d[h:], d[:h])
         self._copies, self._derivatives, self._groups, outputs = [], [], [], []
-        for degree, rows, reflected, terms, coefficients in _recipe(spec)[0]:
+        for degree, rows, reflected, terms, coefficients in _recipe(spec):
             plan = product_plan(grid, degree)
             nf = plan.n_fine
             padded = np.zeros((len(rows),) + shape[:-1] + (nf,), dtype=np.complex128)
@@ -194,7 +192,7 @@ class _Nonlinearity:
                 products += [(a, samples[i], a) for i in term[2:]]
             self._groups.append((padded, block[:len(rows)], mirrors, products, acc))
             for a, coeff in zip(acc, coefficients):
-                scale = 1j * coeff * plan.dx_fine ** (1 - degree)
+                scale = coeff * plan.dx_fine ** (1 - degree)
                 outputs.append((a[..., nf - h:], a[..., :h], scale))
         self._outputs = (outputs[0], outputs[1:]) if outputs else None
 

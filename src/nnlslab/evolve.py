@@ -9,16 +9,17 @@ recorded times and states only; the code that reports mass, energy, leakage
 or norms computes them from the states.  Each step size and batch
 shape gets one ``_LawsonStage``, which holds the phases and buffers of its
 steps and goes with the solve, and applies the integrating factor itself.
-Its N(u) is ``equations._Nonlinearity``, plain i N(u): sign-free padding,
+Its i N(u) is ``equations._Nonlinearity``: sign-free padding,
 the nonlocal conjugate u* read from the samples of u, one scale per term.
 
 A completely separate engine iterates the Duhamel integral formulation with
 composite-Simpson quadrature in time; the two discretization families share
-no code beyond the recipe of N(u) in ``equations``, so their agreement is a
+no code beyond the recipe of i N(u) in ``equations``, so their agreement is a
 genuine cross-check.  Its right-hand sides are ``nonlinear_coeffs``, which
-transforms u* as the row of conj(coeffs), bit for bit as the test
-references do, so the two engines also get u* in different ways, equal to
-roundoff.
+transforms u* as the signed row of conj(coeffs), bit for bit as the test
+references do, so the two engines get u* in different ways, equal to
+roundoff.  The Duhamel map works in the arrays that ``nonlinear_coeffs``
+and ``cumulative_simpson`` return.
 
 The Duhamel quadrature is scipy's cumulative composite Simpson rule for
 unequal intervals, rebuilt here: its coefficients depend only on the time
@@ -218,14 +219,13 @@ class PicardReport:
     converged: bool = False
 
 
-def _simpson_coefficients(dx):
-    """scipy's ``_cumulative_simpson_unequal_intervals`` weights for spacings ``dx``.
+def _simpson_coefficients(x21, x32):
+    """scipy's ``_cumulative_simpson_unequal_intervals`` weights for spacings ``x21``, ``x32``.
 
-    Row i integrates over [x_i, x_{i+1}] from the samples at x_i, x_{i+1} and
-    x_{i+2} (Cartwright, J. Math. Sci. Math. Educ. 12(2), eqn (8)).
+    Row i integrates over the interval of length x21[i] next to the one of
+    length x32[i], from the samples at their three ends (Cartwright,
+    J. Math. Sci. Math. Educ. 12(2), eqn (8)).
     """
-    x21 = dx[:-1]
-    x32 = dx[1:]
     x31 = x21 + x32
     x21_x31 = x21 / x31
     x21_x32 = x21 / x32
@@ -237,16 +237,16 @@ def _simpson_weights(times):
     """The weights ``cumulative_simpson`` needs on the odd-length node array ``times``.
 
     scipy integrates each even sub-interval [x_{2j}, x_{2j+1}] with the
-    forward coefficients and each odd one [x_{2j+1}, x_{2j+2}] with those of
-    the reversed spacing; only those rows are kept, as (k, 1) columns.
+    coefficients of (x21, x32) = (dx[2j], dx[2j+1]) and each odd one
+    [x_{2j+1}, x_{2j+2}] with those of (dx[2j+1], dx[2j]); only those rows
+    are kept, as (k, 1) columns.
     """
     n = len(times)
     if n < 3 or n % 2 == 0:
         raise ValueError("cumulative Simpson needs an odd node count >= 3, got %d" % n)
     dx = np.diff(times)
-    forward = [w[::2, None] for w in _simpson_coefficients(dx)]
-    # the reversed-spacing row for [x_{i+1}, x_{i+2}] sits at index n-3-i
-    backward = [w[::-1][::2, None] for w in _simpson_coefficients(dx[::-1])]
+    forward = [w[::2, None] for w in _simpson_coefficients(dx[:-1], dx[1:])]
+    backward = [w[::2, None] for w in _simpson_coefficients(dx[1:], dx[:-1])]
     return forward, backward
 
 
@@ -298,14 +298,13 @@ def _duhamel(coeffs, c0, nodes, grid, spec):
     exactly as the same node evaluated on its own.
     """
     weights, plus, minus = nodes
-    nl = 1j * nonlinear_coeffs(coeffs, grid, spec)
+    nl = nonlinear_coeffs(coeffs, grid, spec)
+    np.multiply(plus, nl, out=nl)
     # one cumulative_simpson call on the complex integrand, with the weights
     # computed once per solve
-    cum = cumulative_simpson(plus * nl, weights)
-    # bound to a name: numpy would reuse a large temporary sum in place and
-    # round total * minus, which is not bitwise minus * total
-    total = c0 + cum
-    return minus * total
+    cum = cumulative_simpson(nl, weights)
+    np.add(c0, cum, out=cum)
+    return np.multiply(minus, cum, out=cum)
 
 
 def picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):

@@ -326,7 +326,6 @@ def antiderivative_symmetric(fld):
     xi = grid.frequencies
     with np.errstate(divide="ignore", invalid="ignore"):
         h = np.where(xi != 0, fld.coeffs / (1j * xi), 0.0)
-    h[grid.n_modes // 2] = 0.0
     mean_free = plan.samples(h)
     x = grid.points
     x_min = -grid.length / 2

@@ -14,9 +14,11 @@ bit for bit.
 ``reference_product`` embeds every factor in a freshly built fine grid,
 transforms each factor separately with the reference transforms and crops
 the forward transform of the product; ``reference_nonlinear_term`` builds
-every right-hand side from it, kind by kind.  ``reference_picard_map`` and
-``reference_picard_solve`` are the Duhamel/Picard engine node by node, one
-validated field per node.  ``reference_gauge_forward`` and
+every N(u) from it, kind by kind, without reading ``_recipe``, so
+``nonlinear_coeffs``, which returns i N(u), must equal 1j times it bit for
+bit.  ``reference_picard_map`` and ``reference_picard_solve`` are the
+Duhamel/Picard engine node by node, one validated field per node.
+``reference_gauge_forward`` and
 ``reference_gauge_taylor`` build the gauge transform and its truncated
 Taylor series from validated fields and ``reference_product``; the series,
 which the library does not carry, is criterion 8's independent oracle for
@@ -27,12 +29,13 @@ operations in the same order, so they must agree with these bit for bit.
 
 ``reference_lawson`` is the Lawson-RK4 stage written as array expressions,
 one row at a time, with its phases built per call: the integrating-factor
-RK4 in the original variables, whose N(u) is plain i N(u).  That N(u)
+RK4 in the original variables, whose right-hand side is i N(u).  It
 follows ``_recipe(spec)`` term by term: each coefficient row is copied into
 a fresh zero-padded fine array without the sign vector (u_x as c * i xi),
 u* and (u*)_x are the conjugated samples of u and u_x reversed with index 0
 kept, and each term's retained coefficients are multiplied by one scale,
-i coeff dx_fine^(1-p).  ``nnlslab.evolve._LawsonStage``, with
+the recipe's coefficient i coeff times dx_fine^(1-p).
+``nnlslab.evolve._LawsonStage``, with
 ``nnlslab.equations._Nonlinearity`` as its N(u), performs the same
 operations in the same operand order in arrays it keeps, so the two agree
 bit for bit.
@@ -41,7 +44,7 @@ g(tau, w) = e^{-tau L} N(e^{tau L} w), the stage's former arithmetic: the
 same N(u) with each term's scale divided by the stage's phase.  It is an
 algebraic identity away from the stage and agrees with it to roundoff.
 ``reference_conj_row_lawson`` is that interaction-picture arithmetic on
-``1j * nonlinear_coeffs``, divided by the phase: signed padding and u*
+``nonlinear_coeffs``, i N(u) divided by the phase: signed padding and u*
 transformed as conj(coeffs) in every right-hand side.  It agrees
 with the stage to roundoff only, and is the oracle that the sign-free
 padding, the reflection and the folded scales change nothing but rounding.
@@ -55,8 +58,8 @@ the same operations on each row, so each of its trajectories must agree
 with this bit for bit.
 
 ``reference_rhs`` is the full right-hand side i u_xx + i N(u) as a field, with
-N(u) from ``nnlslab.equations.nonlinear_coeffs``; criterion 3 compares two of
-them.
+i N(u) from ``nnlslab.equations.nonlinear_coeffs``; criterion 3 compares two
+of them.
 
 ``reference_cumulative_simpson`` is scipy's cumulative Simpson rule on the
 real and imaginary parts, the quadrature ``reference_picard_map`` uses.
@@ -209,7 +212,7 @@ def _stage_rhs(c, grid, spec, phase):
     d = 1j * grid.frequencies
     d[0] = 0.0
     out = None
-    for degree, rows, reflected, terms, coefficients in _recipe(spec)[0]:
+    for degree, rows, reflected, terms, coefficients in _recipe(spec):
         n_fine = int(np.ceil((degree + 1) * n / 2))
         n_fine += n_fine % 2
         dx_fine = grid.length / n_fine
@@ -227,7 +230,7 @@ def _stage_rhs(c, grid, spec, phase):
             for i in term[1:]:
                 prod = prod * samples[i]
             spectrum = np.fft.fft(prod)
-            scale = 1j * coeff * dx_fine ** (1 - degree)
+            scale = coeff * dx_fine ** (1 - degree)
             if phase is not None:
                 scale = scale / phase
             term_coeffs = np.concatenate((spectrum[-h:], spectrum[:h])) * scale
@@ -284,7 +287,7 @@ def reference_divided_lawson(w, dt, grid, spec):
 
 def reference_conj_row_lawson(w, dt, grid, spec):
     def nl(c, phase):
-        out = 1j * nonlinear_coeffs(c, grid, spec)
+        out = nonlinear_coeffs(c, grid, spec)
         return out if phase is None else out / phase
 
     return _divided_rk4(w, dt, grid, nl)
@@ -329,7 +332,7 @@ def reference_rhs(fld, spec):
     """du/dt = i u_xx + i N(u) as a validated field."""
     xi = fld.grid.frequencies
     lin = -1j * xi ** 2 * fld.coeffs
-    return SpectralField(fld.grid, lin + 1j * nonlinear_coeffs(fld.coeffs, fld.grid, spec))
+    return SpectralField(fld.grid, lin + nonlinear_coeffs(fld.coeffs, fld.grid, spec))
 
 
 def _reference_primitive_samples(fld):
@@ -377,7 +380,7 @@ def reference_picard_map(states, u0, T, spec):
     xi = grid.frequencies
     integrand = np.empty((n, grid.n_modes), dtype=np.complex128)
     for i, (t, u) in enumerate(zip(times, states)):
-        nl = 1j * nonlinear_coeffs(u.coeffs, grid, spec)
+        nl = nonlinear_coeffs(u.coeffs, grid, spec)
         integrand[i] = np.exp(1j * t * xi ** 2) * nl
     cum = reference_cumulative_simpson(integrand, times)
     out = []

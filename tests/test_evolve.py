@@ -349,7 +349,7 @@ def test_lawson_stage_rhs_matches_nonlinear_coeffs(n, kind):
     rows = np.stack([random_field(g, seed).coeffs for seed in range(3)])
     for mode in COEFFICIENT_MODES:
         spec = EquationSpec(kind, alpha=0.8, beta=0.3, gauged_coefficient_mode=mode)
-        want = 1j * nonlinear_coeffs(rows, g, spec)
+        want = nonlinear_coeffs(rows, g, spec)
         got = np.empty_like(rows)
         _Nonlinearity(g, spec, rows.shape)(rows, got)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), spec
@@ -686,6 +686,7 @@ import resource, sys
 import numpy as np
 from nnlslab import EquationSpec, picard_solve
 from nnlslab.equations import mass_energy_coeffs
+from nnlslab.experiments import TwoBumpData, _band_norm
 from nnlslab.grid import FrequencyGrid, forward_transform
 
 picard = sys.argv[1] == "picard"
@@ -694,6 +695,9 @@ x = grid.points
 u0 = forward_transform(np.exp(-x ** 2 / 2.0 + 0.3j * x), grid)
 if picard:
     call, calls = lambda: picard_solve(u0, 0.1, EquationSpec("NNLS"), n_nodes=33), 20
+elif sys.argv[1] == "quadrature":
+    phi = TwoBumpData(8, -1.0)
+    call, calls = lambda: _band_norm(phi, 0.1 / 64, EquationSpec("NNLS"), -1.0, 0.0, 32, True), 10
 else:
     call, calls = lambda: mass_energy_coeffs(u0.coeffs, grid, 1.0), 200
 for _ in range(3):
@@ -706,15 +710,18 @@ print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="the pin is glibc's mallopt")
-def test_allocator_pin_keeps_warm_picard_solves_fault_free():
-    # minor faults of 20 warm Picard solves at (33, 256) and of 200 warm
-    # diagnostics at n = 4096, two 256 KiB blocks a call, each in a fresh
-    # process: 0 and 0 with the pin.  Without it the diagnostics take 25,600
-    # (128 a call), as glibc trims its blocks off the heap top and faults
-    # them in again; the Picard solves take 0, because freeing their 811 KB
-    # product block raises glibc's dynamic thresholds above every later
-    # temporary (2,000 while the plans kept that block)
+def test_allocator_pin_keeps_warm_picard_quadrature_and_diagnostics_fault_free():
+    # minor faults, each input in a fresh process: 20 warm Picard solves at
+    # (33, 256), 10 warm norm-inflation band norms on 32 nodes and 200 warm
+    # diagnostics at n = 4096 (two 256 KiB blocks a call) take 0, at most 1
+    # and 0 with the pin.  Without it the band norms take 14,400 to 24,000
+    # and the diagnostics 25,600 (128 a call), as glibc trims their blocks
+    # and faults them in again; the Picard solves take 0, because freeing
+    # their 811 KB product block raises glibc's dynamic thresholds above
+    # every later temporary (2,000 while the plans kept that block).  On 16
+    # nodes the band norms take 0 either way.
     assert int(run_fresh(PIN_FAULTS, "picard")) < 200
+    assert int(run_fresh(PIN_FAULTS, "quadrature")) < 200
     assert int(run_fresh(PIN_FAULTS, "diagnostics")) < 200
 
 

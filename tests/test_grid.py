@@ -352,12 +352,12 @@ def test_batched_product_allocates_its_block_and_keeps_its_result_only():
 
 
 @pytest.mark.parametrize("kind, arrays, degree, rows", [
-    ("NNLS", 2, 3, 3), ("NdNLS", 3, 3, 4), ("GaugedNdNLS", 4, 5, 3)])
+    ("NNLS", 2, 3, 3), ("NdNLS", 3, 3, 4), ("GaugedNdNLS", 3, 5, 3)])
 def test_batched_nonlinear_coeffs_allocates_per_call_and_keeps_its_result_only(
         kind, arrays, degree, rows):
     # the Picard shape: at its peak N(u) holds ``arrays`` (33, 256) arrays
-    # (the rows it builds, such as u_x and conj(u), the sum of a two-term
-    # kind and the fresh products), the block of its largest ``degree`` with
+    # (the rows it builds, such as u_x and conj(u), the first term's result
+    # and the fresh products), the block of its largest ``degree`` with
     # ``rows`` rows and numpy's transient buffer; measured 70-71 KB under
     # each bound
     g = FrequencyGrid(256, 40.0)
