@@ -41,6 +41,7 @@ from .evolve import (
     picard_solve,
     solve,
     solve_batch,
+    stream,
 )
 from .experiments import (
     ExperimentReport,

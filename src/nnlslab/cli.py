@@ -30,10 +30,10 @@ import yaml
 
 from .equations import (EquationSpec, GAUGED_GNDNLS, GNDNLS, KINDS, NNLS, mass_energy_coeffs,
                         support_leakage)
-from .evolve import solve
+from .evolve import stream
 from . import experiments
 from .experiments import DATA_KINDS, make_initial_data
-from .grid import FrequencyGrid
+from .grid import FrequencyGrid, SpectralField
 from .spaces import esigma_norm
 
 
@@ -230,19 +230,29 @@ def _fmt(x):
     return "%.17g" % x
 
 
+def _timeseries_writer(fh, norms):
+    """A CSV writer on ``fh`` that has written the time series header for ``norms``."""
+    writer = csv.writer(fh)
+    writer.writerow(["t", "Re M", "Im M", "Re E", "Im E", "leakage"]
+                    + ["Es(%g,%g)" % p for p in norms])
+    return writer
+
+
+def _timeseries_row(t, u, alpha, eps0, norms):
+    """The time series row of the state ``u`` at time ``t``, as numbers: t, the mass and
+    energy for ``alpha``, the leakage below ``eps0`` and the E^s_sigma norm of each
+    (s, sigma) in ``norms``."""
+    m, e = mass_energy_coeffs(u.coeffs, u.grid, alpha)
+    row = [t, m.real, m.imag, e.real, e.imag, support_leakage(u, eps0)]
+    return row + [esigma_norm(u, s, sigma) for s, sigma in norms]
+
+
 def write_timeseries(path, traj, alpha, eps0, norms):
-    """One CSV row per recorded state of ``traj``: t, the mass and energy for ``alpha``,
-    the leakage below ``eps0`` and the E^s_sigma norm of each (s, sigma) in ``norms``."""
-    header = ["t", "Re M", "Im M", "Re E", "Im E", "leakage"]
-    header += ["Es(%g,%g)" % p for p in norms]
+    """One CSV row per recorded state of ``traj``, as ``_timeseries_row`` computes it."""
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
+        writer = _timeseries_writer(fh, norms)
         for t, u in zip(traj.times, traj.states):
-            m, e = mass_energy_coeffs(u.coeffs, u.grid, alpha)
-            row = [t, m.real, m.imag, e.real, e.imag, support_leakage(u, eps0)]
-            row += [esigma_norm(u, s, sigma) for s, sigma in norms]
-            w.writerow([_fmt(v) for v in row])
+            writer.writerow([_fmt(v) for v in _timeseries_row(t, u, alpha, eps0, norms)])
 
 
 def _flat(prefix, value, out):
@@ -349,20 +359,35 @@ def run_experiment(name, cfg, out_dir):
 
 
 def cmd_solve(cfg, out_dir):
+    """Run one solve, writing ``timeseries.csv`` while it steps, then ``report.txt``.
+
+    Every input is checked, by the config readers and by ``stream``, before
+    the output directory is made, so a refused run writes nothing.  Each row
+    is written as ``stream`` yields its state, so memory holds one state,
+    not one per sample.  The report repeats the time, mass and energy of the
+    last row.
+    """
     spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
     eps0 = _finite("experiment.eps0", _section(cfg, "experiment").get("eps0", 0.0))
     support_leakage(u0, eps0)  # refuses a negative eps0 before the solve
-    traj = solve(u0, T, dt, spec, sample_every=sample_every)
+    events = stream([u0], T, dt, spec, sample_every=sample_every)
     os.makedirs(out_dir, exist_ok=True)
-    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, spec.alpha, eps0, norms)
-    m, e = mass_energy_coeffs(traj.states[-1].coeffs, u0.grid, spec.alpha)
+    blown_up = False
+    with open(os.path.join(out_dir, "timeseries.csv"), "w", newline="") as fh:
+        writer = _timeseries_writer(fh, norms)
+        for _, t, coeffs in events:
+            if coeffs is None:  # the last event of a blown-up solve
+                blown_up = True
+            else:
+                row = _timeseries_row(t, SpectralField(u0.grid, coeffs), spec.alpha, eps0, norms)
+                writer.writerow([_fmt(v) for v in row])
     write_report(os.path.join(out_dir, "report.txt"), {
-        "blown_up": traj.blown_up,
-        "final_time": traj.times[-1],
-        "final_mass_re": m.real,
-        "final_energy_re": e.real,
+        "blown_up": blown_up,
+        "final_time": row[0],
+        "final_mass_re": row[1],
+        "final_energy_re": row[3],
     })
-    return 0 if not traj.blown_up else 1
+    return 0 if not blown_up else 1
 
 
 def _sweep_job(args):

@@ -1,10 +1,13 @@
 """Two independent time-evolution engines and trajectory recording.
 
 The workhorse stepper is a classical integrating-factor (Lawson) RK4 on the
-Fourier coefficients, run by ``solve_batch`` on raw coefficient arrays: it
+Fourier coefficients, run by ``stream`` on raw coefficient arrays: it
 steps a family of fields on one grid as the rows of one array, each row
 rounds exactly as its own solve, and a row that blows up is dropped while the
-others go on.  ``solve`` is the batch of one.  A trajectory holds the
+others go on.  ``stream`` yields each recorded state as it is produced and
+keeps none of them, so a caller that writes its rows as they come holds one
+state per field, not one per sample.  ``solve_batch`` collects the events
+into trajectories, and ``solve`` is the batch of one.  A trajectory holds the
 recorded times and states only; the code that reports mass, energy, leakage
 or norms computes them from the states.  Each step size and batch
 shape gets one ``_LawsonStage``, which holds the phases and buffers of its
@@ -33,6 +36,7 @@ the same sequence, so the floats are the same.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -68,7 +72,7 @@ def _free_phase(grid, t):
 class _LawsonStage:
     """Lawson-RK4 steps of raw rows of one ``shape``, for one grid, spec and step ``dt``.
 
-    ``solve_batch`` builds one per step size and batch shape, and its
+    ``stream`` builds one per step size and batch shape, and its
     constants and buffers go with it.  A call steps ``w``, ``(n_modes,)`` or
     ``(batch, n_modes)``, into a fresh array with every other array kept in
     the stage; each row rounds as it would alone, and a row that overflows
@@ -148,14 +152,41 @@ def solve(u0, T, dt, spec, sample_every=1):
 def solve_batch(fields, T, dt, spec, sample_every=1):
     """Step fields that share a grid from 0 to T together; one Trajectory per field.
 
-    The fields are stacked into a ``(k, n_modes)`` array and stepped by the
-    Lawson-RK4 stage function (local error O(dt^5)), so each row rounds
-    exactly as its own solve.  Time 0, every ``sample_every``-th step and T
-    itself are recorded.  When T is not a whole number of steps dt (to 1e-9
-    relative), a final shortened step ends the trajectories at T.  A row that
-    goes non-finite gets the end of that step as its ``blowup_time``, its state
-    before the step is recorded unless its time already is, and the row is
-    dropped; the other rows go on.
+    The trajectories collect the events of ``stream``, which says what is
+    recorded: each state becomes a ``SpectralField`` and a blow-up event the
+    trajectory's ``blowup_time``.
+    """
+    fields = list(fields)
+    events = stream(fields, T, dt, spec, sample_every)
+    grid = fields[0].grid
+    # the first events are the fields at t = 0, which are recorded as they are
+    trajs = [Trajectory([0.0], [f]) for f in fields]
+    for i, t, coeffs in itertools.islice(events, len(fields), None):
+        if coeffs is None:
+            trajs[i].blowup_time = t
+        else:
+            trajs[i].times.append(t)
+            trajs[i].states.append(SpectralField(grid, coeffs))
+    return trajs
+
+
+def stream(fields, T, dt, spec, sample_every=1):
+    """Step fields that share a grid from 0 to T together, yielding each recorded state.
+
+    The arguments are checked when ``stream`` is called, so a refused solve
+    raises before the generator it returns yields anything.  The fields are
+    stacked into a ``(k, n_modes)`` array and stepped by the Lawson-RK4
+    stage function (local error O(dt^5)), so each row rounds exactly as its
+    own solve.  Time 0, every ``sample_every``-th step and T itself are
+    recorded.  When T is not a whole number of steps dt (to 1e-9 relative),
+    a final shortened step ends the solve at T.
+
+    The generator yields ``(index, t, coeffs)`` per recorded state of field
+    ``index``, with ``coeffs`` a read-only row of the batch; the stepper
+    keeps no state it has yielded.  A row that goes non-finite on the step
+    from t to t + h yields its state at t unless that time is already
+    recorded, then ``(index, t + h, None)``, and is dropped; the other rows
+    go on.
     """
     if not (math.isfinite(dt) and dt > 0):
         raise ValueError("dt must be finite and positive, got %r" % (dt,))
@@ -165,14 +196,11 @@ def solve_batch(fields, T, dt, spec, sample_every=1):
         raise ValueError("sample_every must be an integer >= 1, got %r" % (sample_every,))
     fields = list(fields)
     if not fields:
-        raise ValueError("solve_batch needs at least one field")
+        raise ValueError("a solve needs at least one field")
     grid = fields[0].grid
     if any(f.grid != grid for f in fields):
         raise GridMismatchError("fields live on different grids")
-    trajs = [Trajectory([0.0], [f]) for f in fields]
-    if T == 0:
-        return trajs
-    if dt * grid.xi_max ** 2 > CFL_LIMIT:
+    if T > 0 and dt * grid.xi_max ** 2 > CFL_LIMIT:
         raise ValueError("dt * xi_max^2 = %.3g exceeds the guard %.0f"
                          % (dt * grid.xi_max ** 2, CFL_LIMIT))
     n_full = int(round(T / dt))
@@ -180,34 +208,39 @@ def solve_batch(fields, T, dt, spec, sample_every=1):
     if abs(T / dt - n_full) > 1e-9 * (T / dt):
         n_full = int(T // dt)
         n_steps = n_full + 1
-    live = trajs  # the trajectory of each row of w
-    w = np.stack([f.coeffs for f in fields])
-    t = 0.0
-    stage = None
-    for i in range(1, n_steps + 1):
-        h = dt if i <= n_full else T - n_full * dt
-        t_next = T if i == n_steps else i * dt  # n_full * dt may round off T
-        if stage is None or (stage.dt, stage.shape) != (h, w.shape):
-            stage = _LawsonStage(grid, spec, h, w.shape)
-        stepped = stage(w)
-        finite = np.isfinite(stepped).all(axis=1)
-        if not finite.all():
-            for traj, row, ok in zip(live, w, finite):
-                if not ok:
-                    traj.blowup_time = t + h
-                    if traj.times[-1] != t:  # its last finite state
-                        traj.times.append(t)
-                        traj.states.append(SpectralField(grid, row))
-            live = [traj for traj, ok in zip(live, finite) if ok]
-            if not live:
-                break
-            stepped = stepped[finite]
-        w, t = stepped, t_next
-        if i % sample_every == 0 or i == n_steps:
-            for traj, row in zip(live, w):
-                traj.times.append(t)
-                traj.states.append(SpectralField(grid, row))
-    return trajs
+
+    def steps():
+        w = np.stack([f.coeffs for f in fields])
+        w.flags.writeable = False
+        live = list(range(len(fields)))  # the field index of each row of w
+        yield from ((index, 0.0, row) for index, row in zip(live, w))
+        t = 0.0
+        recorded = 0.0  # the time of the last recorded states of the live rows
+        stage = None
+        for i in range(1, n_steps + 1):
+            h = dt if i <= n_full else T - n_full * dt
+            t_next = T if i == n_steps else i * dt  # n_full * dt may round off T
+            if stage is None or (stage.dt, stage.shape) != (h, w.shape):
+                stage = _LawsonStage(grid, spec, h, w.shape)
+            stepped = stage(w)
+            finite = np.isfinite(stepped).all(axis=1)
+            if not finite.all():
+                for index, row, ok in zip(live, w, finite):
+                    if not ok:
+                        if recorded != t:  # its last finite state
+                            yield index, t, row
+                        yield index, t + h, None
+                live = [index for index, ok in zip(live, finite) if ok]
+                if not live:
+                    return
+                stepped = stepped[finite]
+            w, t = stepped, t_next
+            w.flags.writeable = False
+            if i % sample_every == 0 or i == n_steps:
+                recorded = t
+                yield from ((index, t, row) for index, row in zip(live, w))
+
+    return steps()
 
 
 @dataclass

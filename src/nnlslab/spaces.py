@@ -48,15 +48,28 @@ def _grid_weights(grid, s, sigma):
 
 def esigma_norm(fld, s, sigma):
     """Exponentially weighted spectral norm with parameters (s, sigma); inf, and no
-    warning, for a field too large to square.  A weight whose exact exponent
+    warning, where a weighted coefficient overflows.  A weight whose exact exponent
     s|xi| ln2 + (sigma/2) ln(1 + xi^2) overflows at some grid frequency
-    raises ValueError, and so does a non-finite s or sigma."""
+    raises ValueError, and so does a non-finite s or sigma.
+
+    The weighted values are squared and summed as they are; only where that
+    sum overflows, though every value is finite, is the norm taken as the
+    largest value times the norm of the ratios to it, so every norm that the
+    plain sum gives keeps its bits."""
     for name, value in (("s", s), ("sigma", sigma)):
         if not np.isfinite(value):
             raise ValueError("%s must be finite, got %r" % (name, value))
     w = _grid_weights(fld.grid, s, sigma)
+    dxi = fld.grid.dxi
     with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sqrt(np.sum(np.abs(w * fld.coeffs) ** 2) * fld.grid.dxi))
+        weighted = np.abs(w * fld.coeffs)
+        norm = float(np.sqrt(np.sum(weighted ** 2) * dxi))
+        if np.isfinite(norm):
+            return norm
+        top = weighted.max()
+        if not np.isfinite(top):
+            return float(top)
+        return float(top * np.sqrt(np.sum((weighted / top) ** 2) * dxi))
 
 
 _SUPPORT_REL_TOL = 1e-13  # a coefficient below this fraction of the peak is off support

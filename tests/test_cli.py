@@ -5,6 +5,7 @@ import functools
 import glob
 import inspect
 import os
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -13,10 +14,10 @@ import yaml
 
 import nnlslab.cli as cli
 import nnlslab.experiments as experiments
-from nnlslab.cli import (EXPERIMENTS, ConfigError, build_equation, build_grid,
-                         build_initial_data, load_config, main, run_experiment,
-                         write_timeseries)
-from nnlslab.equations import EquationSpec, support_leakage
+from nnlslab.cli import (EXPERIMENTS, ConfigError, _trajectory_inputs, build_equation,
+                         build_grid, build_initial_data, load_config, main, run_experiment,
+                         write_report, write_timeseries)
+from nnlslab.equations import EquationSpec, mass_energy_coeffs, support_leakage
 from nnlslab.evolve import solve
 from nnlslab.gauge import gauge_forward
 from nnlslab.spaces import esigma_norm
@@ -171,6 +172,75 @@ def test_solve_report_repeats_the_last_timeseries_row(tmp_path, amplitude, code)
     assert lines["blown_up"] == str(code == 1)
     assert lines["final_time"] == last["t"]
     assert (lines["final_mass_re"], lines["final_energy_re"]) == (last["Re M"], last["Re E"])
+
+
+def solve_as_collected(cfg, out_dir):
+    """``cmd_solve`` as it was before it streamed: ``write_timeseries`` of the whole
+    trajectory, then the report of the last state's mass and energy."""
+    spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
+    eps0 = cfg.get("experiment", {}).get("eps0", 0.0)
+    traj = solve(u0, T, dt, spec, sample_every=sample_every)
+    os.makedirs(out_dir)
+    write_timeseries(os.path.join(out_dir, "timeseries.csv"), traj, spec.alpha, eps0, norms)
+    m, e = mass_energy_coeffs(traj.states[-1].coeffs, u0.grid, spec.alpha)
+    write_report(os.path.join(out_dir, "report.txt"), {
+        "blown_up": traj.blown_up,
+        "final_time": traj.times[-1],
+        "final_mass_re": m.real,
+        "final_energy_re": e.real,
+    })
+    return 0 if not traj.blown_up else 1
+
+
+@pytest.mark.parametrize("overrides, code, n_rows", [
+    ([], 0, 6),
+    (["initial_data.params.amplitude=1.0e+150"], 1, None),
+    (["evolution.sample_every=3", "experiment.eps0=0.5"], 0, 18),
+    (["evolution.T=0.0999", "evolution.norms=[[-1.0,0.0],[0.0,1.0]]"], 0, 6),
+], ids=["plain", "blow-up", "sample_every-3", "shortened-last-step"])
+def test_streamed_solve_writes_the_collected_solve_byte_for_byte(tmp_path, overrides, code,
+                                                                 n_rows):
+    # the old path, a whole trajectory written after the solve, is the oracle
+    # of the rows written while the solve steps
+    path = write_cfg(tmp_path, BASE_CFG)
+    cfg = load_config(path, overrides)
+    streamed, collected = tmp_path / "streamed", tmp_path / "collected"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["solve", "--config", path, "--out", str(streamed)]
+                    + [arg for o in overrides for arg in ("--override", o)]) == code
+        assert solve_as_collected(cfg, str(collected)) == code
+    for name in ("timeseries.csv", "report.txt"):
+        assert (streamed / name).read_bytes() == (collected / name).read_bytes()
+    if n_rows is not None:
+        assert len((streamed / "timeseries.csv").read_text().splitlines()) == 1 + n_rows
+
+
+def traced_peak(fn):
+    """tracemalloc's peak above its level at the call of ``fn()``."""
+    tracemalloc.start()
+    try:
+        current, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current
+
+
+def test_streamed_solve_memory_does_not_grow_with_the_sample_count(tmp_path):
+    # a 64 KiB state per step at n = 4096: the collected trajectory held 50
+    # more states at T = 0.1 than at T = 0.05, about 3.3 MB; the stream holds
+    # the state it is writing
+    def run(T):
+        cfg = load_config(os.path.join(CONFIGS, "conservation.yaml"),
+                          ["grid.n_modes=4096", "evolution.sample_every=1",
+                           "evolution.T=%r" % T])
+        return traced_peak(lambda: cli.cmd_solve(cfg, str(tmp_path / ("T%r" % T))))
+
+    run(0.01)  # the per-grid caches
+    short, long = run(0.05), run(0.1)
+    assert abs(long - short) < 4 * 65536, (short, long)
 
 
 @pytest.mark.parametrize("command", [["solve"], ["experiment", "conservation"],
@@ -718,7 +788,7 @@ def test_non_finite_number_is_exit_2_before_any_solve(tmp_path, capsys, monkeypa
 
     for name in ("solve", "solve_batch", "picard_solve"):
         monkeypatch.setattr(experiments, name, no_solve)
-    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(cli, "stream", no_solve)
     name = command[-1] if command[0] == "experiment" else "conservation"
     config = os.path.join(CONFIGS, name + ".yaml")
     out = tmp_path / "out"
@@ -794,7 +864,7 @@ def test_overflowing_weight_or_amplitude_is_exit_2_before_any_solve(tmp_path, ca
 
     for name in ("solve", "solve_batch", "picard_solve", "third_derivative_field"):
         monkeypatch.setattr(experiments, name, no_solve)
-    monkeypatch.setattr(cli, "solve", no_solve)
+    monkeypatch.setattr(cli, "stream", no_solve)
     name = command[-1] if command[0] == "experiment" else "conservation"
     config = os.path.join(CONFIGS, name + ".yaml")
     out = tmp_path / "out"
@@ -817,6 +887,29 @@ def test_strongly_negative_s_gives_a_finite_norm_column(tmp_path):
     assert column == ["Es(-60,0)"]
     values = [float(row[rows[0].index(column[0])]) for row in rows[1:]]
     assert values and all(0 < v < np.inf for v in values)
+
+
+def test_norm_whose_squares_overflow_gives_a_finite_column(tmp_path):
+    # before: the weighted roundoff tail near xi_max squared past the float
+    # range, and every row of the column read inf
+    config = os.path.join(CONFIGS, "conservation.yaml")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out),
+                 "--override", "evolution.norms=[[30.0, -100.0]]",
+                 "--override", "evolution.T=0.1"]) == 0
+    with open(out / "timeseries.csv") as fh:
+        rows = list(csv.reader(fh))
+    values = [float(row[rows[0].index("Es(30,-100)")]) for row in rows[1:]]
+    assert len(values) == 3 and all(0 < v < np.inf for v in values)
+
+
+def test_cfl_refusal_is_exit_2_before_any_output(tmp_path, capsys):
+    config = os.path.join(CONFIGS, "conservation.yaml")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", config, "--out", str(out),
+                 "--override", "evolution.dt=1.0"]) == 2
+    assert "exceeds the guard" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_norm_inflation_of_a_large_k_is_finite(tmp_path):

@@ -42,6 +42,7 @@ from nnlslab.evolve import (
     picard_solve,
     solve,
     solve_batch,
+    stream,
 )
 from nnlslab.grid import (
     FrequencyGrid,
@@ -486,6 +487,38 @@ def test_solve_batch_validates_its_members(grid, gaussian):
         solve_batch([gaussian, other], 0.1, 0.01, NNLS)
     with pytest.raises(ValueError, match="exceeds the guard"):
         solve_batch([gaussian], 1.0, 1.0, NNLS)
+
+
+@pytest.mark.parametrize("args, message", [
+    ((1.0, 1.0, NNLS), "exceeds the guard"),
+    ((np.nan, 0.01, NNLS), "T must be finite"),
+    ((0.1, 0.0, NNLS), "dt must be finite and positive"),
+    ((0.1, 0.01, NNLS, 0), "sample_every must be an integer"),
+])
+def test_stream_refuses_when_called_not_when_first_stepped(gaussian, args, message):
+    # a caller opens its output only after stream has accepted the arguments
+    with pytest.raises(ValueError, match=message):
+        stream([gaussian], *args)
+
+
+def test_stream_yields_each_recorded_state_in_time_order():
+    grid = FrequencyGrid(64, 40.0)
+    # the middle member overflows within a few steps of the coarse dt
+    fields = [shifted_wave(grid, 0.5), even_gaussian(grid, amp=1e4), random_field(grid, 3)]
+    events = list(stream(fields, 0.5, 0.05, NNLS, sample_every=3))
+    assert [i for i, _, _ in events[:3]] == [0, 1, 2]
+    times = [t for _, t, _ in events]
+    assert times == sorted(times)
+    for index, u0 in enumerate(fields):
+        mine = [(t, c) for i, t, c in events if i == index]
+        want = reference_solve(u0, 0.5, 0.05, NNLS, sample_every=3)
+        if want.blown_up:
+            assert mine[-1] == (want.blowup_time, None)
+            mine = mine[:-1]
+        assert [t for t, _ in mine] == want.times
+        assert [c.tobytes() for _, c in mine] == [u.coeffs.tobytes() for u in want.states]
+        assert not any(c.flags.writeable for _, c in mine)
+    assert [i for i, _, c in events if c is None] == [1]
 
 
 @pytest.mark.parametrize("kind", ["NNLS", "NdNLS", "GaugedNdNLS"])

@@ -78,6 +78,17 @@ def test_only_equations_knows_how_n_of_u_is_evaluated():
     assert not names & {"_recipe", "DU", "product_plan", "derivative_symbol", "scipy.fft"}
 
 
+def test_the_lawson_stage_is_built_in_stream_alone():
+    # one stepping loop: solve_batch and the CLI collect or write its events
+    path = os.path.join(os.path.dirname(nnlslab.__file__), "evolve.py")
+    with open(path) as fh:
+        tree = ast.parse(fh.read())
+    builders = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef)
+                for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name) and node.func.id == "_LawsonStage"}
+    assert builders == {"stream"}
+
+
 def test_only_equations_calls_the_product_plans_products():
     # the gauge reads a plan's samples and coeffs; products serves N(u) alone
     callers = []

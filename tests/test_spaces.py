@@ -1,6 +1,8 @@
 """Tests for the weighted-norm calculus and dilation machinery."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -78,6 +80,39 @@ def test_esigma_weights_are_cached_read_only_and_bit_for_bit(n, length, s, sigma
     f = gaussian_hat(g)
     fresh = spaces._weights(g.frequencies, s, sigma)
     assert esigma_norm(f, s, sigma) == float(np.sqrt(np.sum(np.abs(fresh * f.coeffs) ** 2) * g.dxi))
+
+
+def fsum_esigma_norm(fld, s, sigma):
+    """The E^s_sigma norm with each weight from ``math.exp`` of its exponent and the
+    squares summed by ``math.fsum`` after scaling by the largest weighted value."""
+    values = [math.exp(s * abs(xi) * math.log(2.0) + 0.5 * sigma * math.log1p(xi * xi)) * abs(c)
+              for xi, c in zip(fld.grid.frequencies.tolist(), fld.coeffs.tolist())]
+    top = max(values)
+    return top * math.sqrt(math.fsum((v / top) ** 2 for v in values) * fld.grid.dxi)
+
+
+@pytest.mark.parametrize("floor", [1e-17, 1e-30])
+def test_esigma_is_finite_where_only_the_squares_overflow(floor):
+    # before: the weighted roundoff tail near xi_max, floor * e^466.7, squared
+    # past the float range and the norm read inf
+    g = FrequencyGrid(1024, 80.0)
+    f = SpectralField(g, gaussian_hat(g).coeffs + floor)
+    w = spaces._grid_weights(g, 30.0, -100.0)
+    with np.errstate(over="ignore"):
+        assert np.sum(np.abs(w * f.coeffs) ** 2) == np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        norm = esigma_norm(f, 30.0, -100.0)
+    want = fsum_esigma_norm(f, 30.0, -100.0)
+    assert np.isfinite(norm) and abs(norm - want) <= 1e-14 * want
+
+
+def test_esigma_is_inf_where_a_weighted_value_overflows():
+    g = FrequencyGrid(1024, 80.0)
+    f = SpectralField(g, np.full(g.n_modes, 1e300 + 0j))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert esigma_norm(f, 30.0, -100.0) == np.inf
 
 
 @pytest.mark.parametrize("s, sigma", [(-1.0, 300.0), (0.0, 400.0)])
