@@ -161,13 +161,33 @@ def _apply_override(cfg, key, value):
     node[parts[-1]] = value
 
 
-# the keys of the sections that no signature describes
-_GRID_KEYS = ("n_modes", "length")
-_EVOLUTION_KEYS = ("T", "dt", "sample_every", "norms")
+# the sections of a config, with the keys of each that no signature describes;
+# the keys of equation and experiment are the parameters of their functions
+_SECTIONS = {
+    "grid": ("n_modes", "length"),
+    "equation": None,
+    "initial_data": ("kind", "params"),
+    "evolution": ("T", "dt", "sample_every", "norms"),
+    "experiment": None,
+    "sweep": ("overrides",),
+}
+
+
+def _check_sections(cfg):
+    """ConfigError naming the first section of ``cfg`` that ``_SECTIONS`` does not
+    list, or the first key that its entry does not (a misspelt section or key would
+    otherwise run on the defaults)."""
+    for where in cfg:
+        if where not in _SECTIONS:
+            raise ConfigError("unknown section '%s'; a config takes %s"
+                              % (where, ", ".join(_SECTIONS)))
+    for where, keys in _SECTIONS.items():
+        if keys is not None:
+            _known(_section(cfg, where), where, keys)
 
 
 def build_grid(cfg):
-    sec = _known(_section(cfg, "grid", required=True), "grid", _GRID_KEYS)
+    sec = _section(cfg, "grid", required=True)
     n_modes = _float("grid.n_modes", _require(sec, "n_modes", "grid"))
     length = _float("grid.length", _require(sec, "length", "grid"))
     if not n_modes.is_integer():
@@ -202,7 +222,7 @@ def build_initial_data(cfg, grid, **params):
 
 
 def _evolution(cfg):
-    sec = _known(_section(cfg, "evolution"), "evolution", _EVOLUTION_KEYS)
+    sec = _section(cfg, "evolution")
     T = _float("evolution.T", sec.get("T", 1.0))
     dt = _float("evolution.dt", sec.get("dt", 1e-3))
     sample_every = sec.get("sample_every", 50)
@@ -343,8 +363,7 @@ def run_experiment(name, cfg, out_dir):
     run = _experiment(name).run
     # checked even where the runner does not read them: picard_window reads
     # no evolution and norm_inflation no grid
-    _known(_section(cfg, "grid"), "grid", _GRID_KEYS)
-    _known(_section(cfg, "evolution"), "evolution", _EVOLUTION_KEYS)
+    _check_sections(cfg)
     exp = {k: v for k, v in _section(cfg, "experiment").items() if k != "name"}
     report = run(cfg, exp)
     runtime = time.perf_counter() - t0
@@ -367,6 +386,7 @@ def cmd_solve(cfg, out_dir):
     not one per sample.  The report repeats the time, mass and energy of the
     last row.
     """
+    _check_sections(cfg)  # any experiment key passes: solve shares the experiments' configs
     spec, u0, T, dt, sample_every, norms = _trajectory_inputs(cfg)
     eps0 = _finite("experiment.eps0", _section(cfg, "experiment").get("eps0", 0.0))
     support_leakage(u0, eps0)  # refuses a negative eps0 before the solve
@@ -410,6 +430,7 @@ def cmd_sweep(cfg, out_dir, jobs):
         sub = copy.deepcopy(cfg)
         for key, value in entry.items():
             _apply_override(sub, key, value)
+        _check_sections(sub)
         tasks.append((name, sub, os.path.join(out_dir, "job_%03d" % i)))
     if jobs > 1:
         import multiprocessing  # about 11 ms of import that only parallel sweeps use

@@ -55,18 +55,8 @@ def _count(x, least):
 
 
 def _free_phase(grid, t):
-    """The free-flow symbol e^{-i t xi^2}; an array ``t`` of shape (k, 1) gives k rows.
-
-    Only the modes m >= 0 and the Nyquist mode m = -n/2 are evaluated: xi_{-m}
-    is exactly -xi_m, so each column m < 0 is a copy of column -m.
-    """
-    xi = grid.frequencies
-    h = len(xi) // 2  # the column of m = 0
-    out = np.empty(np.broadcast_shapes(np.shape(t), xi.shape), dtype=np.complex128)
-    out[..., h:] = np.exp(-1j * t * xi[h:] ** 2)
-    out[..., :1] = np.exp(-1j * t * xi[:1] ** 2)
-    out[..., 1:h] = out[..., :h:-1]
-    return out
+    """The free-flow symbol e^{-i t xi^2}; an array ``t`` of shape (k, 1) gives k rows."""
+    return np.exp(-1j * t * grid.frequencies ** 2)
 
 
 class _LawsonStage:
@@ -85,16 +75,15 @@ class _LawsonStage:
         k1 = k(w), k2 = k(E2 (w + dt/2 k1)), k3 = k(E2 w + dt/2 k2), k4 = k(E w + dt E2 k3)
         w' = E (w + dt/6 k1) + (dt/3) E2 (k2 + k3) + dt/6 k4
 
-    numpy buffers a row broadcast over a batch, so the phases are repeated to it.
+    The phases are built at ``shape``, one row per batch row, since numpy buffers a
+    row broadcast over a batch.
     """
 
     def __init__(self, grid, spec, dt, shape):
         self.dt, self.shape = dt, shape
-        half = _free_phase(grid, dt / 2.0)
+        half = _free_phase(grid, np.full(shape[:-1] + (1,), dt / 2.0))
         full = half * half
         self._phases = (half, full, dt * half, (dt / 3.0) * half)
-        if math.prod(shape[:-1]) > 1:
-            self._phases = tuple(np.broadcast_to(a, shape).copy() for a in self._phases)
         self._buffers = tuple(np.empty(shape, dtype=np.complex128) for _ in range(5))
         self.rhs = _Nonlinearity(grid, spec, shape)
 

@@ -265,29 +265,25 @@ def exp_scaling_global(spec, u0, T, dt, s=-1.0, sigma=0.0, eps0=1.0,
     leakage = support_leakage(u0, eps0)  # refuses eps0 < 0
     if leakage > 1e-10:
         raise ValueError("spectrum not supported in [eps0, inf): leakage %.3g" % leakage)
-    scaled = {2.0: dilate(u0, 2.0)}  # the L2 identity's; raises when 2 leaves the band
+    two = dilate(u0, 2.0)  # the L2 identity's; raises when 2 leaves the band
 
-    def ratio(lam, s, sigma, base):
-        return esigma_norm(scaled[lam], s, sigma) / (
+    def ratio(field, lam, s, sigma, base):
+        return esigma_norm(field, s, sigma) / (
             lam ** (-0.5 + max(sigma, 0.0)) * 2.0 ** (s * lam * eps0 / 2.0) * base)
 
-    l2_ratio = ratio(2.0, 0.0, 0.0, esigma_norm(u0, 0.0, 0.0))
-    skipped = []
-    for lam in lambdas:
-        if lam not in scaled:
-            try:
-                scaled[lam] = u0 if lam == 1 else dilate(u0, lam)
-            except ValueError:  # the dilated spectrum leaves the grid band
-                scaled[lam] = None
-        if scaled[lam] is None:
+    l2_ratio = ratio(two, 2.0, 0.0, 0.0, esigma_norm(u0, 0.0, 0.0))
+    scaled, skipped = {}, []
+    for lam in dict.fromkeys(lambdas):  # a factor listed twice is checked once
+        try:
+            scaled[lam] = u0 if lam == 1 else two if lam == 2 else dilate(u0, lam)
+        except ValueError:  # the dilated spectrum leaves the grid band
             skipped.append(lam)
-    kept = [lam for lam in lambdas if lam not in skipped]
-    checked = [lam for lam in kept if lam > 1]
+    checked = [lam for lam in scaled if lam > 1]
     base = esigma_norm(u0, s, sigma) if checked else None
-    ratios = {lam: ratio(lam, s, sigma, base) for lam in checked}
+    ratios = {lam: ratio(scaled[lam], lam, s, sigma, base) for lam in checked}
     # each sup starts from the norm of its data, so an overflowing weight
     # refuses before any solve
-    norms = {lam: [esigma_norm(scaled[lam], s * lam, sigma)] for lam in kept}
+    norms = {lam: [esigma_norm(f, s * lam, sigma)] for lam, f in scaled.items()}
     batches = {}
     for lam in norms:
         batches.setdefault(min(T, 2.0 ** np.sqrt(lam)), []).append(lam)
@@ -297,7 +293,7 @@ def exp_scaling_global(spec, u0, T, dt, s=-1.0, sigma=0.0, eps0=1.0,
         for lam, traj in zip(batch, trajs):
             norms[lam] += [esigma_norm(x, s * lam, sigma) for x in traj.states[1:]]
     sup_norms = {lam: float(np.max(v)) for lam, v in norms.items()}
-    seq = [sup_norms[lam] for lam in kept]
+    seq = list(sup_norms.values())
     monotone = all(b < a for a, b in zip(seq, seq[1:]))
     ratio_ok = bool(ratios) and all(r <= _SCALING_RATIO_BOUND for r in ratios.values())
     identity_ok = abs(l2_ratio - 1.0) <= 1e-10

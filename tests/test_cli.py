@@ -14,9 +14,9 @@ import yaml
 
 import nnlslab.cli as cli
 import nnlslab.experiments as experiments
-from nnlslab.cli import (EXPERIMENTS, ConfigError, _trajectory_inputs, build_equation,
-                         build_grid, build_initial_data, load_config, main, run_experiment,
-                         write_report, write_timeseries)
+from nnlslab.cli import (EXPERIMENTS, ConfigError, _check_sections, _trajectory_inputs,
+                         build_equation, build_grid, build_initial_data, load_config, main,
+                         run_experiment, write_report, write_timeseries)
 from nnlslab.equations import EquationSpec, mass_energy_coeffs, support_leakage
 from nnlslab.evolve import solve
 from nnlslab.gauge import gauge_forward
@@ -443,9 +443,11 @@ def test_scaling_without_a_checked_lambda_fails(tmp_path):
     assert "passed=False" in (tmp_path / "report.txt").read_text().splitlines()
 
 
-@pytest.mark.parametrize("entry", [{"grid.n_modes.x.y": 1}, "equation.alpha=0.5"])
+@pytest.mark.parametrize("entry", [{"grid.n_modes.x.y": 1}, "equation.alpha=0.5",
+                                   {"evolutoin.T": 0.01}])
 def test_bad_sweep_entry_is_exit_2(tmp_path, capsys, entry):
-    # sweep entries go through the same override applier as --override
+    # sweep entries go through the same override applier as --override, and
+    # every job's sections are checked before the first one runs
     cfg = dict(BASE_CFG)
     cfg["sweep"] = {"overrides": [{"equation.alpha": 0.5}, entry]}
     path = write_cfg(tmp_path, cfg)
@@ -557,6 +559,44 @@ def test_valid_key_of_an_unread_section_is_accepted(tmp_path, monkeypatch):
     assert main(["experiment", "picard_window", "--config", config, "--out", str(tmp_path),
                  "--override", "evolution.T=0.01"]) == 1  # equal windows fit no slope
     assert (tmp_path / "report.txt").exists()
+
+
+@pytest.mark.parametrize("command, override, named", [
+    (["solve", "--config", os.path.join(CONFIGS, "conservation.yaml"),
+      "--override", "grid.n_modes=256"], "evolutoin.T=0.01", "unknown section 'evolutoin'"),
+    (["experiment", "norm_inflation", "--config", os.path.join(CONFIGS, "norm_inflation.yaml")],
+     "experimnt.kappa=0.05", "unknown section 'experimnt'"),
+    (["experiment", "support_invariance",
+      "--config", os.path.join(CONFIGS, "support_invariance.yaml")],
+     "initial_data.prams.amplitude=500", "unknown key 'initial_data.prams'"),
+], ids=["solve", "norm_inflation", "support_invariance"])
+def test_misspelt_section_or_initial_data_key_is_exit_2(tmp_path, capsys, command, override,
+                                                        named):
+    # before: each ran on the defaults and exited 0 (solve stepped to t = 1,
+    # norm_inflation passed at kappa = 0.1 and support_invariance at amplitude 0.5)
+    out = tmp_path / "out"
+    assert main(command + ["--out", str(out), "--override", override]) == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("config", sorted(glob.glob(os.path.join(CONFIGS, "*.yaml"))),
+                         ids=lambda p: os.path.basename(p)[:-len(".yaml")])
+def test_every_shipped_config_passes_the_section_check(config):
+    _check_sections(load_config(config))
+
+
+def test_scaling_checks_a_repeated_factor_once(tmp_path):
+    # before: the decay check compared lam = 2 with itself, and the run
+    # printed FAIL and exited 1 with monotone_decay=False
+    config = os.path.join(CONFIGS, "scaling_global.yaml")
+    assert main(["experiment", "scaling_global", "--config", config, "--out", str(tmp_path),
+                 "--override", "experiment.lambdas=[1, 2, 2, 4]"]) == 0
+    report = _report(tmp_path / "report.txt")
+    assert report["measurements.monotone_decay"] == "True"
+    assert report["parameters.lambdas"] == "1 2 2 4"
+    assert [k for k in report if k.startswith("measurements.sup_norms.")] == [
+        "measurements.sup_norms.%d" % lam for lam in (1, 2, 4)]
 
 
 @pytest.mark.parametrize("kind, reads_beta", [("NNLS", False), ("NdNLS", False),

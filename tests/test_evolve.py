@@ -644,11 +644,34 @@ def test_cumulative_simpson_matches_scipy_bit_for_bit(n, T, columns, seed):
 @pytest.mark.parametrize("t", [1e-3, 0.37, 5.0, 123.456, np.linspace(0.0, 3.1, 33)[:, None],
                                np.array([[2e-3], [256.0]])])
 def test_free_phase_matches_the_direct_exponential_bit_for_bit(n_modes, length, t):
-    # _free_phase copies each column m < 0 from column -m; this is the
-    # formula evaluated on every mode
+    # the formula evaluated on every mode, for a scalar time and a column of times
     xi = FrequencyGrid(n_modes, length).frequencies
     want = np.exp(-1j * t * xi ** 2)
     got = _free_phase(FrequencyGrid(n_modes, length), t)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def mirrored_free_phase(grid, t):
+    """The free-flow symbol as it was once built: the modes m >= 0 and the Nyquist
+    mode evaluated, and each column m < 0 copied from column -m."""
+    xi = grid.frequencies
+    h = len(xi) // 2  # the column of m = 0
+    out = np.empty(np.broadcast_shapes(np.shape(t), xi.shape), dtype=np.complex128)
+    out[..., h:] = np.exp(-1j * t * xi[h:] ** 2)
+    out[..., :1] = np.exp(-1j * t * xi[:1] ** 2)
+    out[..., 1:h] = out[..., :h:-1]
+    return out
+
+
+@pytest.mark.parametrize("n_modes", [8, 10, 62, 256, 1024, 4096])
+@pytest.mark.parametrize("t", [0.0, 1e-3, 0.35, np.linspace(0.0, 0.35, 33)[:, None]],
+                         ids=["0", "1e-3", "0.35", "nodes"])
+def test_free_phase_matches_the_mirrored_construction_bit_for_bit(n_modes, t):
+    # xi_{-m} is exactly -xi_m, so the whole-row formula rounds as the mirror did
+    grid = FrequencyGrid(n_modes, 40.0)
+    got = _free_phase(grid, t)
+    want = mirrored_free_phase(grid, t)
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()
 

@@ -427,6 +427,9 @@ def test_scaling_solves_each_horizon_as_one_batch(grid, monkeypatch):
     rep = exp_scaling_global(EquationSpec("NNLS"), u0, 1.8, 0.05, -1.0, 0.5, 1.0, [0.5, 1, 2, 2.0])
     assert batches == [(1, 2.0 ** np.sqrt(0.5)), (2, 1.8)]
     assert rep.measurements["skipped"] == ()
+    # before: the decay check compared lam = 2 with itself and failed
+    assert list(rep.measurements["sup_norms"]) == [0.5, 1, 2]
+    assert rep.measurements["monotone_decay"] and rep.passed
 
 
 def test_largest_contracting_time_monotone_in_amplitude(grid):
