@@ -235,6 +235,13 @@ def exp_support_invariance(spec, u0, T, dt, eps0=1.0, tolerance=1e-10, sample_ev
     )
 
 
+def _require_finite(**values):
+    """ValueError naming the first of the keyword ``values`` that is not finite."""
+    for name, value in values.items():
+        if not np.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
+
+
 _SCALING_RATIO_BOUND = 10.0  # largest accepted ratio to the dilation bound
 
 
@@ -251,9 +258,7 @@ def exp_scaling_global(spec, u0, T, dt, s=-1.0, sigma=0.0, eps0=1.0,
     is dilated once, and the factors that share a horizon are solved as one
     batch.  The run passes only if some lam > 1 was checked.
     """
-    for name, value in (("s", s), ("sigma", sigma), ("eps0", eps0)):
-        if not np.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
+    _require_finite(s=s, sigma=sigma, eps0=eps0)
     if s > 0:
         raise ValueError("s must be <= 0, got %r" % (s,))
     for lam in lambdas:
@@ -441,9 +446,9 @@ def _ratio(e, z):
 # complex values are 128 KiB.  With the allocator pin no chunk size faults
 # until a temporary passes its 32 MiB, so the bound is kept for peak RSS and
 # cache locality.  Warm n_nodes = 32 norm-inflation passes, 2 cores, equal
-# norms: 33.5 MB peak RSS at 8192 nodes, 35.0 MB at 16,384 and 37.8 MB at
-# 32,768, each at 0.37-0.55 s a pass; one block for the whole band 181 MB,
-# 44,000 minor faults and 1.16-1.24 s a pass.
+# norms: 33.4 MB peak RSS at 8192 nodes, 35.0 MB at 16,384 and 38.0 MB at
+# 32,768, each at 0.23-0.27 s a pass (one outlier at 0.35 s); one block for
+# the whole band 181 MB, 34,000-36,000 minor faults and 0.52-0.57 s a pass.
 _QUAD_NODES = 8192
 
 
@@ -454,8 +459,17 @@ def _min_neg_im_rho(t, e, r, A, A2, Bg):
     return t * float(np.min(2.0 * r2.imag - r.imag))
 
 
-def _combo_integrals(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track):
+def _combo_integrals(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track, mirrored):
     """Integral over xi1 in b1, xi2 in b2, xi - xi1 - xi2 in b3 of the kernel, per xi.
+
+    The kernel t (e^{iz} - 1)/z and its phase z = 2t(xi - xi1)(xi - xi2) are
+    symmetric under xi1 <-> xi2, since N(u) has two interchangeable factors u;
+    only the factor f of the NdNLS integrand, i xi2, is not.  So the
+    combination (b2, b1, b3) is the mirror image of (b1, b2, b3): swapping the
+    variables turns its integral into one over (b1, b2, b3) with f(xi2, xi1).
+    When ``mirrored``, the integral returned is that of the combination plus
+    its mirror image, with the symmetrised factor f(xi1, xi2) + f(xi2, xi1):
+    2 for NNLS, exact in floating point, and i (xi1 + xi2) for NdNLS.
 
     The xi1 range of each xi is cut where the xi2 range changes form, and the
     n Gauss nodes x1_i of every panel of every xi become the rows of one
@@ -504,8 +518,11 @@ def _combo_integrals(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track):
     dh = d * h
     w = wx1 * h
     if with_xi2_factor:
-        # i x2_ij = i (mid_i + h_i g_j): a mid_i column and an h_i g_j column
-        wm, wh, wgg = w * mid, w * h, wg * g
+        # i x2_ij = i (mid_i + h_i g_j): a mid_i column and an h_i g_j column;
+        # the mirror's i (x1_i + x2_ij) adds x1_i to the mid_i column
+        wm, wh, wgg = w * (mid + x1 if mirrored else mid), w * h, wg * g
+    elif mirrored:
+        w = 2.0 * w
     if rho_track:
         A2 = d * (x1 + mid)
     rows = np.empty(x1.shape, dtype=np.complex128)
@@ -546,11 +563,18 @@ def third_derivative_field(phi, t, spec, xi, n_nodes, track_rho=True):
     the symmetric-box quadrature nodes (inf when ``track_rho`` is false, or at
     t = 0).  One ``n_nodes``-point Gauss rule serves the outer and inner panels.
 
-    The output frequencies are evaluated in blocks: one block holds at most
-    ``_QUAD_NODES`` outer Gauss rows (three box combinations of up to three
-    panels of ``n_nodes`` rows per xi), and its kernel runs over chunks of at
-    most ``_QUAD_NODES`` nodes.  The bound keeps every temporary at or under
-    128 KiB: a whole band at once costs peak RSS and time.
+    Of the three box combinations, (up, up, dn) is its own mirror image under
+    xi1 <-> xi2, and (dn, up, up) and (up, dn, up) are each other's, so two
+    passes cover all three: (up, up, dn), which alone tracks rho, and
+    (dn, up, up) with its mirror (see ``_combo_integrals``).
+
+    The output frequencies are evaluated in blocks of at most
+    ``_QUAD_NODES // (3 n_nodes)``: the combinations run one at a time, and
+    each has up to three panels of ``n_nodes`` outer Gauss rows per xi, so
+    one combination of a block has at most ``_QUAD_NODES`` outer rows.  Its
+    kernel runs over chunks of at most ``_QUAD_NODES`` nodes.  The bound keeps
+    every temporary at or under 128 KiB: a whole band at once costs peak RSS
+    and time.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative, got %r" % (t,))
@@ -558,7 +582,7 @@ def third_derivative_field(phi, t, spec, xi, n_nodes, track_rho=True):
         raise ValueError("third derivative is available for NNLS and NdNLS")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
     up, dn = phi.upper_box, phi.lower_box
-    combos = [(up, up, dn), (dn, up, up), (up, dn, up)]
+    combos = [(up, up, dn, False), (dn, up, up, True)]
     with_factor = spec.kind == NDNLS
     values = np.zeros(xi.shape, dtype=np.complex128)
     min_rho = np.inf
@@ -567,9 +591,10 @@ def third_derivative_field(phi, t, spec, xi, n_nodes, track_rho=True):
     for start in range(0, xi.size, block):
         xb = xi[start:start + block]
         acc = 0.0 + 0.0j
-        for j, (b1, b2, b3) in enumerate(combos):
+        for b1, b2, b3, mirrored in combos:
             val, mr = _combo_integrals(xb, t, b1, b2, b3, n_nodes, with_factor,
-                                       rho_track=(track_rho and j == 0 and t > 0))
+                                       rho_track=(track_rho and not mirrored and t > 0),
+                                       mirrored=mirrored)
             acc += val
             min_rho = min(min_rho, mr)
         values[start:start + block] = pref * np.exp(-1j * t * xb ** 2) * acc
@@ -607,6 +632,7 @@ _QUAD_TOL = 1e-6  # largest relative change of a band norm when the nodes double
 def exp_norm_inflation(spec, s=-1.0, k_list=(8, 16, 32), kappa=0.1, sprime=-1.0,
                        sigmaprime=0.0, n_nodes=16):
     """Growth in k of the weighted band norm of the third derivative at t = kappa/k^2."""
+    _require_finite(sprime=sprime, sigmaprime=sigmaprime)
     if not s < 0:
         raise ValueError("s must be negative")
     if spec.alpha == 0:

@@ -66,11 +66,20 @@ real and imaginary parts, the quadrature ``reference_picard_map`` uses.
 ``nnlslab.evolve.cumulative_simpson`` applies the same coefficients in the
 same order to the complex array in one pass, so the two agree bit for bit.
 
-``reference_third_derivative_field`` is the norm-inflation quadrature panel by
-panel, one complex exponential per kernel value and ``rho_kernel``, the
-oscillatory kernel combination of the norm-inflation claim, at every node.
+``reference_mirrored_third_derivative_field`` is the norm-inflation
+quadrature panel by panel, one complex exponential per kernel value and
+``rho_kernel``, the oscillatory kernel combination of the norm-inflation
+claim, at every node.  Like ``nnlslab.experiments`` it integrates two box
+combinations: (up, up, dn), and (dn, up, up) together with its xi1 <-> xi2
+mirror image (up, dn, up) through the symmetrised factor.
 ``nnlslab.experiments`` factors the Gauss-node phase instead, which reorders
 the arithmetic, so the two agree to roundoff, not bit for bit.
+``reference_third_derivative_field`` is the same quadrature with each of the
+three combinations integrated on its own, the rule before the symmetry was
+used.  The two rules integrate the mirror pair over different panels, so
+they differ by quadrature error, which shows at n <= 2 only, and by how the
+box edges round: xi - xi1 - hi3 rounds at the scale of the boxes, about 2k,
+unless xi is a short dyadic fraction such as those of the default band.
 
 ``reference_dilate`` resamples a smooth spectrum at xi/lam by the dense
 trapezoid transform, one (256, n) block of complex exponentials at a time.
@@ -432,7 +441,9 @@ def rho_kernel(t, xi, xi1, xi2):
     return first - second
 
 
-def _reference_combo_integral(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track=False):
+def _reference_combo_integral(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_track, mirrored):
+    # when mirrored, the combination plus its xi1 <-> xi2 mirror image (b2, b1, b3):
+    # the factor i xi2 becomes i (xi1 + xi2), and 1 becomes 2
     lo1, hi1 = b1
     lo2, hi2 = b2
     lo3, hi3 = b3
@@ -459,7 +470,9 @@ def _reference_combo_integral(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_tr
         w = (wx1 * h)[:, None] * w2[None, :]
         vals = _kernel(xi, x1[:, None], x2, t)
         if with_xi2_factor:
-            vals = vals * (1j * x2)
+            vals = vals * (1j * (x1[:, None] + x2 if mirrored else x2))
+        elif mirrored:
+            vals = 2.0 * vals
         total += complex(np.sum(w * vals))
         if rho_track:
             rho = rho_kernel(t, xi, x1[:, None], x2)
@@ -469,20 +482,31 @@ def _reference_combo_integral(xi, t, b1, b2, b3, n1, n2, with_xi2_factor, rho_tr
 
 def reference_third_derivative_field(phi, t, equation=NNLS, xi=None, n_outer=24, n_inner=24,
                                      alpha=1.0):
+    up, dn = phi.upper_box, phi.lower_box
+    combos = [(up, up, dn, False), (dn, up, up, False), (up, dn, up, False)]
+    return _reference_field(phi, t, equation, xi, n_outer, n_inner, alpha, combos)
+
+
+def reference_mirrored_third_derivative_field(phi, t, equation=NNLS, xi=None, n_outer=24,
+                                              n_inner=24, alpha=1.0):
+    up, dn = phi.upper_box, phi.lower_box
+    combos = [(up, up, dn, False), (dn, up, up, True)]
+    return _reference_field(phi, t, equation, xi, n_outer, n_inner, alpha, combos)
+
+
+def _reference_field(phi, t, equation, xi, n_outer, n_inner, alpha, combos):
     if xi is None:
         xi = np.linspace(0.5, 1.0, 65)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    up, dn = phi.upper_box, phi.lower_box
-    combos = [(up, up, dn), (dn, up, up), (up, dn, up)]
     with_factor = equation == NDNLS
     values = np.zeros(xi.shape, dtype=np.complex128)
     min_rho = np.inf
     pref = 6.0 * alpha * phi.amplitude ** 3 / (4.0 * np.pi ** 2)
     for i, x in enumerate(xi):
         acc = 0.0 + 0.0j
-        for j, (b1, b2, b3) in enumerate(combos):
+        for j, (b1, b2, b3, mirrored) in enumerate(combos):
             val, mr = _reference_combo_integral(x, t, b1, b2, b3, n_outer, n_inner,
-                                                with_factor, rho_track=(j == 0 and t > 0))
+                                                with_factor, (j == 0 and t > 0), mirrored)
             acc += val
             min_rho = min(min_rho, mr)
         values[i] = pref * np.exp(-1j * t * x ** 2) * acc

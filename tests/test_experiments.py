@@ -8,7 +8,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from reference import reference_third_derivative_field, rho_kernel
+from reference import (
+    reference_mirrored_third_derivative_field,
+    reference_third_derivative_field,
+    rho_kernel,
+)
 from nnlslab import experiments
 from nnlslab.equations import EquationSpec
 from nnlslab.experiments import (
@@ -166,7 +170,7 @@ def test_third_derivative_quadrature_converges():
 
 
 # kappa stays >= 0.07: below about 0.05 the NdNLS value cancels to leading
-# order across the three box combinations, and both quadratures carry roundoff
+# order across the box combinations, and both quadratures carry roundoff
 # of about eps/z^2 relative to it (at kappa = 0.01 each is 2-4e-14 away from
 # an exactly rounded phase ratio, and they are 4e-14 apart)
 @settings(max_examples=40, deadline=None)
@@ -183,14 +187,39 @@ def test_third_derivative_matches_panel_oracle(k, n, equation, kappa, band):
     # the last two output frequencies lie outside every box combination's support
     xi = np.array(band + [-10.0 * k, 10.0 * k])
     got, got_rho = third_derivative_field(prof, t, EquationSpec(equation), xi, n)
-    _, want, want_rho = reference_third_derivative_field(prof, t, equation, xi=xi,
-                                                         n_outer=n, n_inner=n)
+    _, want, want_rho = reference_mirrored_third_derivative_field(prof, t, equation, xi=xi,
+                                                                  n_outer=n, n_inner=n)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
     assert np.all(got[-2:] == 0) and np.all(want[-2:] == 0)
     if np.isfinite(want_rho):
         assert abs(got_rho - want_rho) <= 1e-14 * abs(want_rho)
     else:  # t = 0, or no rho node: the first combination has no support
         assert got_rho == want_rho
+
+
+# The band is the oracle's default, multiples of 1/128: the box edges computed
+# from such an xi, like xi - hi3 - lo2 and xi - xi1 - hi3, keep all of its bits,
+# so the two rules differ by quadrature error and arithmetic alone.  At a general
+# xi those edges round off its low bits at the boxes' scale, about 2k, and the
+# two rules round the mirror pair's edges differently: for k <= 32
+# and n >= 7 they differ by up to 1.5e-14 (NNLS) and 6e-13 (NdNLS, kappa = 0.05)
+# of max |want|.
+@pytest.mark.parametrize("kappa", [0.0, 0.05, 0.07, 0.1])
+@pytest.mark.parametrize("equation", ["NNLS", "NdNLS"])
+def test_mirrored_pass_matches_the_three_combination_rule(equation, kappa):
+    spec = EquationSpec(equation)
+    for k in (2, 4, 8, 16, 32):
+        prof = TwoBumpData(k, -1.0)
+        t = kappa / k ** 2
+        for n in (7, 12, 33):
+            xi, want, want_rho = reference_third_derivative_field(prof, t, equation,
+                                                                  n_outer=n, n_inner=n)
+            got, got_rho = third_derivative_field(prof, t, spec, xi, n)
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+            if np.isfinite(want_rho):
+                assert abs(got_rho - want_rho) <= 1e-14 * abs(want_rho)
+            else:  # t = 0
+                assert got_rho == want_rho
 
 
 @settings(max_examples=30, deadline=None)
@@ -240,6 +269,29 @@ def test_coarse_pass_skips_rho(monkeypatch):
     rep = exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), n_nodes=8)
     assert rep.measurements["rho_bound_ok"]
     assert widths and set(widths) == {16}
+
+
+def test_band_makes_two_combination_passes_per_block(monkeypatch):
+    # (up, up, dn), which alone tracks rho, then (dn, up, up) with its mirror;
+    # 65 frequencies at n = 64 are two blocks of at most 8192 // 192 = 42
+    prof, t = TwoBumpData(8, -1.0), 0.1 / 64.0
+    up, dn = prof.upper_box, prof.lower_box
+    calls = []
+    combo = experiments._combo_integrals
+
+    def counting(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track, mirrored):
+        calls.append((xi.size, (b1, b2, b3), rho_track, mirrored))
+        return combo(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track, mirrored)
+
+    monkeypatch.setattr(experiments, "_combo_integrals", counting)
+    band = np.linspace(0.5, 1.0, 65)
+    for kind in ("NNLS", "NdNLS"):
+        calls.clear()
+        _, min_rho = third_derivative_field(prof, t, EquationSpec(kind), band, 64)
+        assert np.isfinite(min_rho)
+        assert [size for size, *_ in calls] == [42, 42, 23, 23]
+        assert [rest for _, *rest in calls] == 2 * [[(up, up, dn), True, False],
+                                                    [(dn, up, up), False, True]]
 
 
 def test_conservation_experiment(grid):
@@ -493,6 +545,25 @@ def test_norm_inflation_refuses_an_overflowing_amplitude_before_any_quadrature(m
     monkeypatch.setattr(experiments, "third_derivative_field", no_quadrature)
     with pytest.raises(ValueError, match=message):
         exp_norm_inflation(EquationSpec("NNLS"), k_list=k_list)
+
+
+@pytest.mark.parametrize("sprime, sigmaprime, message", [
+    (np.nan, 0.0, "sprime must be finite, got nan"),
+    (-np.inf, 0.0, "sprime must be finite, got -inf"),
+    (-1.0, np.inf, "sigmaprime must be finite, got inf"),
+    (-1.0, np.nan, "sigmaprime must be finite, got nan"),
+])
+def test_norm_inflation_refuses_a_non_finite_weight_before_any_quadrature(monkeypatch, sprime,
+                                                                          sigmaprime, message):
+    # before: sprime = nan read nan norms and failed, and sigmaprime = inf or
+    # sprime = -inf leaked RuntimeWarnings from the weights and the log2
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(experiments, "third_derivative_field", no_quadrature)
+    with pytest.raises(ValueError, match=message):
+        exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), sprime=sprime,
+                           sigmaprime=sigmaprime, n_nodes=8)
 
 
 def test_norm_inflation_rejects_non_integral_k():
