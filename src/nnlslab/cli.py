@@ -253,8 +253,7 @@ def _fmt(x):
 def _timeseries_writer(fh, norms):
     """A CSV writer on ``fh`` that has written the time series header for ``norms``."""
     writer = csv.writer(fh)
-    writer.writerow(["t", "Re M", "Im M", "Re E", "Im E", "leakage"]
-                    + ["Es(%g,%g)" % p for p in norms])
+    writer.writerow(list(_TIMESERIES_COLUMNS) + ["Es(%g,%g)" % p for p in norms])
     return writer
 
 
@@ -327,19 +326,19 @@ def _run_norm_inflation(cfg, exp):
 
 # name -> (claim, runner(cfg, experiment section) -> ExperimentReport, description, CSV columns)
 Experiment = collections.namedtuple("Experiment", "claim run about csv", defaults=("report only",))
+_TIMESERIES_COLUMNS = ("t", "Re M", "Im M", "Re E", "Im E", "leakage")  # then the norms
+_TIMESERIES_CSV = ", ".join(_TIMESERIES_COLUMNS) + ", plus one column per requested (s, sigma) norm"
 
 EXPERIMENTS = {
     "conservation": Experiment(
         "mass-energy-conservation", _run_trajectory("conservation"),
-        "mass (and energy for the cubic equation) stay constant along the flow",
-        "t, Re M, Im M, Re E, Im E, leakage, plus one column per requested (s, sigma) norm"),
+        "mass (and energy for the cubic equation) stay constant along the flow", _TIMESERIES_CSV),
     "gauge_equivalence": Experiment(
         "gauge-equivalence", _run_trajectory("gauge_equivalence"),
         "evolving the gauged data by the gauged equation matches gauging the evolved data"),
     "support_invariance": Experiment(
         "halfline-support-invariance", _run_trajectory("support_invariance"),
-        "spectral support above a positive frequency threshold is preserved",
-        "t, Re M, Im M, Re E, Im E, leakage, plus one column per requested (s, sigma) norm"),
+        "spectral support above a positive frequency threshold is preserved", _TIMESERIES_CSV),
     "scaling_global": Experiment(
         "dilation-scaling-bound", _run_trajectory("scaling_global"),
         "dilation norm bound holds and the dilation-weighted norm decays along solves"),

@@ -27,7 +27,7 @@ from .equations import (
 from .evolve import picard_solve, solve, solve_batch
 from .gauge import gauge_forward
 from .grid import EndpointDecayWarning, SpectralField, forward_transform, l2_distance, l2_norm
-from .spaces import dilate, esigma_norm
+from .spaces import dilate, esigma_norm, esigma_weights, weighted_l2
 
 
 @dataclass
@@ -615,15 +615,9 @@ def _band_nodes(n_per_segment):
 
 def _band_norm(phi, t, spec, sprime, sigmaprime, n_nodes, track_rho):
     xi, w = _band_nodes(n_nodes)
+    weight = np.sqrt(w) * esigma_weights(xi, sprime, sigmaprime)  # refused before any quadrature
     vals, min_rho = third_derivative_field(phi, t, spec, xi, n_nodes, track_rho)
-    weight = (1.0 + xi ** 2) ** sigmaprime * 4.0 ** (sprime * np.abs(xi))
-    # each value weighted, then scaled by the largest before squaring: the
-    # norm is finite wherever the weighted values are, though |vals|^2 may not be
-    weighted = np.sqrt(w * weight) * np.abs(vals)
-    top = weighted.max()
-    if top == 0:
-        return 0.0, min_rho
-    return float(top * np.sqrt(np.sum((weighted / top) ** 2))), min_rho
+    return weighted_l2(weight, vals), min_rho
 
 
 _QUAD_TOL = 1e-6  # largest relative change of a band norm when the nodes double

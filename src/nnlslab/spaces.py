@@ -7,7 +7,8 @@ The central object is the weighted spectral norm
 computed as a Riemann sum over the frequency grid.  The L^2_xi measure is
 plain dxi; every quadrature oracle in the test-suite uses the same choice.
 The dilation bound that the two together satisfy on half-line data is
-checked by ``experiments.exp_scaling_global``.
+checked by ``experiments.exp_scaling_global``.  The norm's weight and sum
+are public: the norm-inflation band norm uses both.
 
 :func:`dilate` resamples a smooth spectrum at xi/lam with a chirp-z transform
 (Rabiner, Schafer and Rader 1969; Bluestein 1970): three FFTs of about 2n
@@ -24,52 +25,58 @@ import numpy as np
 from .grid import LAST_AXIS, SpectralField, inverse_transform, pypocketfft
 
 _LN2 = np.log(2.0)
-_OVERFLOW_LIMIT = 700.0  # exp argument bound for the <xi>^sigma 2^{s|xi|} weight
+_EXP_LIMIT = 700.0  # |exp argument| bound for the <xi>^sigma 2^{s|xi|} weight
+_SUM_FLOOR = np.finfo(float).tiny / np.finfo(float).eps  # underflow is below its last bit
 
 
-def _weights(xi, s, sigma):
+def esigma_weights(xi, s, sigma):
+    """<xi>^sigma 2^{s|xi|} at the frequencies ``xi``, from its exact exponent
+    s|xi| ln 2 + (sigma/2) ln(1 + xi^2).  A non-finite s or sigma raises ValueError,
+    and so does an exponent that reaches 700 at some xi or is at most -700 at every
+    xi (the weight would overflow, or underflow everywhere; on a grid the exponent
+    is 0 at xi = 0)."""
+    for name, value in (("s", s), ("sigma", sigma)):
+        if not np.isfinite(value):
+            raise ValueError("%s must be finite, got %r" % (name, value))
     # an exponent that overflows reads inf, and inf - inf reads nan: both refused
     with np.errstate(over="ignore", invalid="ignore"):
         arg = s * np.abs(xi) * _LN2 + 0.5 * sigma * np.log1p(xi * xi)
         top = arg.max()
-    if not top < _OVERFLOW_LIMIT:
-        raise ValueError("weight <xi>^sigma 2^(s|xi|) overflows at s = %r, sigma = %r: "
-                         "exponent %.3g >= %.0f" % (s, sigma, top, _OVERFLOW_LIMIT))
+    if not -_EXP_LIMIT < top < _EXP_LIMIT:
+        raise ValueError("weight <xi>^sigma 2^(s|xi|) %s at s = %r, sigma = %r: exponent %.3g"
+                         % ("underflows everywhere" if top < 0 else "overflows", s, sigma, top))
     return np.exp(arg)
 
 
 @functools.lru_cache(maxsize=64)
 def _grid_weights(grid, s, sigma):
-    """The read-only ``_weights`` of ``grid``'s frequencies, computed once per (grid, s, sigma)."""
-    w = _weights(grid.frequencies, s, sigma)
+    """The read-only ``esigma_weights`` of ``grid``'s frequencies, once per (grid, s, sigma)."""
+    w = esigma_weights(grid.frequencies, s, sigma)
     w.flags.writeable = False
     return w
 
 
-def esigma_norm(fld, s, sigma):
-    """Exponentially weighted spectral norm with parameters (s, sigma); inf, and no
-    warning, where a weighted coefficient overflows.  A weight whose exact exponent
-    s|xi| ln2 + (sigma/2) ln(1 + xi^2) overflows at some grid frequency
-    raises ValueError, and so does a non-finite s or sigma.
-
-    The weighted values are squared and summed as they are; only where that
-    sum overflows, though every value is finite, is the norm taken as the
-    largest value times the norm of the ratios to it, so every norm that the
-    plain sum gives keeps its bits."""
-    for name, value in (("s", s), ("sigma", sigma)):
-        if not np.isfinite(value):
-            raise ValueError("%s must be finite, got %r" % (name, value))
-    w = _grid_weights(fld.grid, s, sigma)
-    dxi = fld.grid.dxi
-    with np.errstate(over="ignore", invalid="ignore"):
-        weighted = np.abs(w * fld.coeffs)
-        norm = float(np.sqrt(np.sum(weighted ** 2) * dxi))
-        if np.isfinite(norm):
-            return norm
+def weighted_l2(weight, values, measure=1.0):
+    """sqrt(measure * sum |weight * values|^2), with no numpy warning: inf where a
+    weighted value overflows.  Wherever the plain sum of squares is finite and at
+    least ``_SUM_FLOOR`` it is the result, bit for bit; outside that range, where
+    squares overflow or underflow, the norm is the largest weighted value times the
+    norm of the ratios to it, so a tiny field keeps its norm."""
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        weighted = np.abs(weight * values)
+        total = np.sum(weighted ** 2) * measure
+        if _SUM_FLOOR <= total < np.inf:
+            return float(np.sqrt(total))
         top = weighted.max()
-        if not np.isfinite(top):
+        if top == 0 or not np.isfinite(top):
             return float(top)
-        return float(top * np.sqrt(np.sum((weighted / top) ** 2) * dxi))
+        return float(top * np.sqrt(np.sum((weighted / top) ** 2) * measure))
+
+
+def esigma_norm(fld, s, sigma):
+    """Exponentially weighted spectral norm with parameters (s, sigma): the
+    ``weighted_l2`` of the coefficients under ``esigma_weights``, measure dxi."""
+    return weighted_l2(_grid_weights(fld.grid, s, sigma), fld.coeffs, fld.grid.dxi)
 
 
 _SUPPORT_REL_TOL = 1e-13  # a coefficient below this fraction of the peak is off support

@@ -81,6 +81,13 @@ they differ by quadrature error, which shows at n <= 2 only, and by how the
 box edges round: xi - xi1 - hi3 rounds at the scale of the boxes, about 2k,
 unless xi is a short dyadic fraction such as those of the default band.
 
+``reference_band_norm`` is the weighted band norm of the norm-inflation
+claim as it was first written: the squared weight (1 + xi^2)^sigma'
+4^{s'|xi|} under the square root of each quadrature weight, and the squares
+always summed after scaling by the largest weighted value.
+``nnlslab.experiments`` weights by ``nnlslab.spaces.esigma_weights`` and sums
+through ``nnlslab.spaces.weighted_l2``, so the two agree to roundoff.
+
 ``reference_dilate`` resamples a smooth spectrum at xi/lam by the dense
 trapezoid transform, one (256, n) block of complex exponentials at a time.
 ``nnlslab.spaces.dilate`` computes the same sums as a chirp-z transform, so
@@ -511,6 +518,15 @@ def _reference_field(phi, t, equation, xi, n_outer, n_inner, alpha, combos):
             min_rho = min(min_rho, mr)
         values[i] = pref * np.exp(-1j * t * x ** 2) * acc
     return xi, values, min_rho
+
+
+def reference_band_norm(xi, w, vals, sprime, sigmaprime):
+    weight = (1.0 + xi ** 2) ** sigmaprime * 4.0 ** (sprime * np.abs(xi))
+    weighted = np.sqrt(w * weight) * np.abs(vals)
+    top = weighted.max()
+    if top == 0:
+        return 0.0
+    return float(top * np.sqrt(np.sum((weighted / top) ** 2)))
 
 
 def reference_dilate(fld, lam):

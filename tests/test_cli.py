@@ -413,6 +413,18 @@ def test_non_integral_bump_frequency_is_exit_2(capsys):
     assert "k must be a positive integer" in capsys.readouterr().err
 
 
+def test_norm_inflation_weight_overflow_is_exit_2_before_any_quadrature(monkeypatch, capsys):
+    # before: the run leaked numpy's "overflow encountered in power" warning
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("a quadrature ran")
+
+    monkeypatch.setattr(experiments, "third_derivative_field", no_quadrature)
+    config = os.path.join(CONFIGS, "norm_inflation.yaml")
+    assert main(["experiment", "norm_inflation", "--config", config,
+                 "--override", "experiment.sprime=1e4"]) == 2
+    assert "overflows at s = 10000.0, sigma = 0.0" in capsys.readouterr().err
+
+
 def test_zero_field_scaling_check_is_exit_2(tmp_path, capsys):
     # the bound of a zero field is 0: refused, not a division by zero
     config = os.path.join(CONFIGS, "scaling_global.yaml")

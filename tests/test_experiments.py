@@ -2,6 +2,7 @@
 
 import functools
 import inspect
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reference import (
+    reference_band_norm,
     reference_mirrored_third_derivative_field,
     reference_third_derivative_field,
     rho_kernel,
@@ -564,6 +566,58 @@ def test_norm_inflation_refuses_a_non_finite_weight_before_any_quadrature(monkey
     with pytest.raises(ValueError, match=message):
         exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), sprime=sprime,
                            sigmaprime=sigmaprime, n_nodes=8)
+
+
+@pytest.mark.parametrize("weight, message", [
+    ({"sprime": 1e4}, "overflows at s = 10000.0, sigma = 0.0"),
+    ({"sigmaprime": 1e4}, "overflows at s = -1.0, sigma = 10000.0"),
+    ({"sprime": -1e4}, "underflows everywhere at s = -10000.0, sigma = 0.0"),
+])
+def test_norm_inflation_refuses_an_extreme_weight_before_any_quadrature(monkeypatch, weight,
+                                                                       message):
+    # before: the band weight raised "overflow encountered in power" (1e4), and
+    # np.log2 "divide by zero" once every weighted value underflowed (-1e4)
+    calls = []
+    monkeypatch.setattr(experiments, "third_derivative_field", lambda *a, **k: calls.append(a))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), n_nodes=8, **weight)
+    assert calls == []
+
+
+def test_norm_inflation_weight_that_underflows_at_some_nodes_keeps_finite_norms():
+    # before: 4^(-1500 |xi|) underflowed at every band node, the norms read 0
+    # and np.log2 warned; 2^(-1500 |xi|) is normal near xi = 0.5
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), n_nodes=8,
+                                    sprime=-1500.0)
+    norms = report.measurements["norms"]
+    assert all(np.isfinite(v) and v > 0 for v in norms)
+
+
+@pytest.mark.parametrize("kind", ["NNLS", "NdNLS"])
+@pytest.mark.parametrize("n_nodes", [16, 32])
+@pytest.mark.parametrize("sprime, sigmaprime", [(-1.0, 0.0), (-0.5, 0.25), (1.0, 2.0)])
+def test_band_norm_matches_the_squared_weight_oracle(monkeypatch, kind, n_nodes, sprime,
+                                                     sigmaprime):
+    # the band values are recorded as _band_norm computes them, so the oracle
+    # checks the weight and the sum alone
+    fields = []
+
+    def recorded(*args):
+        fields.append(third_derivative_field(*args))
+        return fields[-1]
+
+    monkeypatch.setattr(experiments, "third_derivative_field", recorded)
+    spec = EquationSpec(kind)
+    xi, w = experiments._band_nodes(n_nodes)
+    for k in (4, 8, 16, 32):
+        got, _ = experiments._band_norm(TwoBumpData(k, -1.0), 0.1 / k ** 2, spec, sprime,
+                                        sigmaprime, n_nodes, False)
+        want = reference_band_norm(xi, w, fields[-1][0], sprime, sigmaprime)
+        assert abs(got - want) <= 1e-15 * want
 
 
 def test_norm_inflation_rejects_non_integral_k():

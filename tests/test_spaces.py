@@ -75,10 +75,10 @@ def test_esigma_weights_are_cached_read_only_and_bit_for_bit(n, length, s, sigma
     g = FrequencyGrid(n, length)
     w = spaces._grid_weights(g, s, sigma)
     assert not w.flags.writeable
-    assert w.tobytes() == spaces._weights(g.frequencies, s, sigma).tobytes()
+    assert w.tobytes() == spaces.esigma_weights(g.frequencies, s, sigma).tobytes()
     assert spaces._grid_weights(FrequencyGrid(n, length), s, sigma) is w  # an equal grid hits
     f = gaussian_hat(g)
-    fresh = spaces._weights(g.frequencies, s, sigma)
+    fresh = spaces.esigma_weights(g.frequencies, s, sigma)
     assert esigma_norm(f, s, sigma) == float(np.sqrt(np.sum(np.abs(fresh * f.coeffs) ** 2) * g.dxi))
 
 
@@ -169,6 +169,26 @@ def test_esigma_of_a_strongly_negative_s_is_finite():
     weight = 2.0 ** (-60.0 * np.abs(f.grid.frequencies))
     want = np.sqrt(np.sum(np.abs(weight * f.coeffs) ** 2) * f.grid.dxi)
     assert esigma_norm(f, -60.0, 0.0) == pytest.approx(want, rel=1e-14)
+
+
+@pytest.mark.parametrize("s, sigma", [(0.0, 0.0), (-1.0, 0.5)])
+@pytest.mark.parametrize("amplitude", [1e-160, 1e-170, 1e-300])
+def test_esigma_of_a_tiny_field_scales_with_its_amplitude(s, sigma, amplitude):
+    # before: the squares underflowed, and at (0, 0) the norm read 3.5e-6 off
+    # at 1e-160 and 0.0 at 1e-170
+    f = gaussian_hat(FrequencyGrid(256, 40.0))
+    want = amplitude * esigma_norm(f, s, sigma)
+    got = esigma_norm(SpectralField(f.grid, amplitude * f.coeffs), s, sigma)
+    assert abs(got - want) <= 1e-15 * want
+
+
+def test_weight_refuses_an_exponent_that_underflows_everywhere():
+    # a band away from xi = 0 can lie wholly below exp(-700); a grid cannot
+    band = np.linspace(0.5, 1.0, 9)
+    with pytest.raises(ValueError, match="underflows everywhere at s = -3000.0, sigma = 0.0"):
+        spaces.esigma_weights(band, -3000.0, 0.0)
+    assert spaces.esigma_weights(band, -1500.0, 0.0)[0] > 0
+    assert esigma_norm(gaussian_hat(FrequencyGrid(256, 40.0)), -3000.0, 0.0) > 0
 
 
 def test_dilate_identity(grid, gaussian):
