@@ -338,6 +338,8 @@ def picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
     """
     if not _count(n_iter, 1):
         raise ValueError("n_iter must be an integer >= 1, got %r" % (n_iter,))
+    if not tol >= 0:  # a nan tol would never be met
+        raise ValueError("tol must be >= 0, got %r" % (tol,))
     grid = u0.grid
     nodes = _duhamel_nodes(T, n_nodes, grid)
     _, _, minus = nodes

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import inspect
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -442,21 +443,197 @@ def _ratio(e, z):
     return out
 
 
-# Nodes per 2-D quadrature temporary, and outer rows per block of xi: 8192
-# complex values are 128 KiB.  With the allocator pin no chunk size faults
-# until a temporary passes its 32 MiB, so the bound is kept for peak RSS and
-# cache locality.  Warm n_nodes = 32 norm-inflation passes, 2 cores, equal
-# norms: 33.4 MB peak RSS at 8192 nodes, 35.0 MB at 16,384 and 38.0 MB at
-# 32,768, each at 0.23-0.27 s a pass (one outlier at 0.35 s); one block for
-# the whole band 181 MB, 34,000-36,000 minor faults and 0.52-0.57 s a pass.
+# Outer rows per block of xi and nodes per 2-D temporary of the node path:
+# 8192 complex values are 128 KiB.  The moment path's temporaries hold one
+# value per row, so the bound is kept for peak RSS.  Warm n_nodes = 32
+# norm-inflation passes, 2 cores, equal norms: 33.1 MB peak RSS at 8192 rows,
+# 34.5 MB at 16,384, 36.5 MB at 32,768 and 38.2 MB with the whole band in one
+# block, each at 0.03-0.05 s a pass (the node-by-node sums read 33.5 MB and
+# 0.23-0.32 s at 8192, 128 MB and 0.46-0.56 s in one block).
 _QUAD_NODES = 8192
 
+# The moment path's range.  With |A| <= 4 and |B| <= 1 its sums are within
+# 6.4e-16 of 40-digit ones, relative to the sum, at n = 1, 2, 7, 33 and 64;
+# with |A| up to 8 within 1.4e-13, and up to 16 only 3.1e-6, since the
+# downward recurrence amplifies the rounding of I_K by up to |A|^k/k!.
+# |B| <= 1 keeps the series in B at most 21 terms long.
+_MOMENT_MAX_A = 4.0
+_MOMENT_MAX_B = 1.0
 
-def _min_neg_im_rho(t, e, r, A, A2, Bg):
-    # -Im rho = t (2 Im r2 - Im r1), r1 = r and r2 the ratio at the rho phase
-    # A2 + Bg, whose exponential is e^{i(A2 - A)} times e^{iz} reversed
-    r2 = _ratio(np.exp(1j * (A2 - A)) * e[:, ::-1], A2 + Bg)
-    return t * float(np.min(2.0 * r2.imag - r.imag))
+
+def _terms(x):
+    """The least K with x^(K+1)/(K+1)! below 2^-64, for 0 <= x <= 4.
+
+    Summed to the power K, a series whose k-th term is at most x^k/k! of its
+    scale omits far less than one rounding.
+    """
+    k, term = 0, x
+    while term >= 2.0 ** -64:
+        k += 1
+        term *= x / (k + 1)
+    return k
+
+
+_MAX_ORDER = _terms(_MOMENT_MAX_B)
+
+
+@functools.lru_cache(maxsize=None)
+def _series_coeffs(n):
+    """The coefficients in B of the ``n``-point rule's two inner sums (see ``_moment_sums``).
+
+    With M_k = sum_j wg_j g_j^k, the moments of the rule itself, c0[k] =
+    (-1)^(k/2) M_k / k! for even k and c1[k] = (-1)^((k-1)/2) M_(k+1) / k!
+    for odd k.  The odd moments of the symmetric rule are 0, so c0 is 0 at odd
+    k and c1 at even k.
+    """
+    g, wg = _gl(n)
+    c0, c1 = [0.0] * (_MAX_ORDER + 1), [0.0] * (_MAX_ORDER + 1)
+    for k in range(_MAX_ORDER + 1):
+        moment = float(np.dot(wg, g ** (k + k % 2)))
+        sign = -1.0 if (k // 2) % 2 else 1.0
+        (c1 if k % 2 else c0)[k] = sign * moment / math.factorial(k)
+    return tuple(c0), tuple(c1)
+
+
+def _horner(x, coeffs):
+    """sum_j coeffs[j] x^j at every element of the real array ``x``."""
+    out = np.full(x.shape, coeffs[-1])
+    for c in coeffs[-2::-1]:
+        out *= x
+        out += c
+    return out
+
+
+def _phase_moments(A, K):
+    """I_K(A), I_(K-1)(A), ..., I_0(A), one at a time: I_k(A) = int_0^1 s^k e^{isA} ds.
+
+    I_K comes from its power series sum_m (iA)^m / (m! (K + m + 1)), and the
+    lower moments from the downward recurrence I_(k-1) = (e^{iA} - iA I_k)/k,
+    which amplifies the rounding of I_K by up to |A|^k/k!: for |A| <= 4.
+    """
+    M = _terms(float(np.max(np.abs(A))))
+    sq = A * A
+    # the even powers of iA are real and the odd ones imaginary
+    re = _horner(sq, [(-1.0) ** j / (math.factorial(2 * j) * (K + 2 * j + 1))
+                      for j in range(M // 2 + 1)])
+    im = _horner(sq, [(-1.0) ** j / (math.factorial(2 * j + 1) * (K + 2 * j + 2))
+                      for j in range(M // 2 + 1)])
+    moment = re + 1j * (A * im)
+    yield moment
+    iA = 1j * A
+    e = np.exp(iA)
+    for k in range(K, 0, -1):
+        moment = (e - iA * moment) * (1.0 / k)
+        yield moment
+
+
+def _moment_sums(A, B, n, with_g):
+    """Per row i, sum_j wg_j f(A_i - B_i g_j) and sum_j wg_j g_j f(A_i - B_i g_j).
+
+    f(z) = (e^{iz} - 1)/z = i int_0^1 e^{isz} ds, and g_j, wg_j is the
+    ``n``-point Gauss rule; the second sum is None unless ``with_g``.
+    Expanding e^{-isBg} gives f(A - B g) = sum_k i^(k+1) (-B g)^k I_k(A) / k!
+    with the moments I_k(A) = int_0^1 s^k e^{isA} ds, so the node sums are
+    series in B over the rule's moments M_k:
+
+        sum_j wg_j f(A - B g_j)     = sum_k i^(k+1) (-B)^k M_k I_k(A) / k!
+        sum_j wg_j g_j f(A - B g_j) = sum_k i^(k+1) (-B)^k M_(k+1) I_k(A) / k!
+
+    The rule's own moments make them the n-point sums, not the exact
+    integrals.  The series run to K = ``_terms(max |B|)``, and both are
+    accumulated by Horner's rule in B^2 as ``_phase_moments`` steps down from
+    I_K, so no temporary is larger than one complex value per row.  For
+    |A| <= ``_MOMENT_MAX_A`` and |B| <= ``_MOMENT_MAX_B``.
+    """
+    c0, c1 = _series_coeffs(n)
+    K = _terms(float(np.max(np.abs(B))))
+    b2 = B * B
+    s0 = np.zeros(A.shape, dtype=np.complex128)
+    s1 = np.zeros(A.shape, dtype=np.complex128) if with_g else None
+    for k, moment in zip(range(K, -1, -1), _phase_moments(A, K)):
+        if k % 2 == 0:
+            s0 *= b2
+            s0 += c0[k] * moment
+        elif with_g:
+            s1 *= b2
+            s1 += c1[k] * moment
+    s0 *= 1j
+    if with_g:
+        s1 *= B
+    return s0, s1
+
+
+def _node_sums(A, B, n, with_g):
+    """The sums of ``_moment_sums``, node by node, for phases of any size.
+
+    The rows are taken in chunks of at most ``_QUAD_NODES`` nodes.  The
+    ``leggauss`` nodes are exactly antisymmetric, g[::-1] == -g bit for bit
+    with 0 the middle node of an odd count, so z_ij + z_i(n-1-j) = 2 A_i:
+    e^{iz} is evaluated on the lower half of j only (the middle node
+    included), and the upper half is e^{2iA_i} times the conjugate of the
+    lower half, reversed.
+    """
+    g, wg = _gl(n)
+    s0 = np.empty(A.shape, dtype=np.complex128)
+    s1 = np.empty(A.shape, dtype=np.complex128) if with_g else None
+    half = (n + 1) // 2
+    step = max(1, _QUAD_NODES // n)
+    for s in range(0, A.size, step):
+        c = slice(s, s + step)
+        Ac = A[c, None]
+        z = Ac - B[c, None] * g
+        e = np.empty(z.shape, dtype=np.complex128)
+        np.cos(z[:, :half], out=e.real[:, :half])
+        np.sin(z[:, :half], out=e.imag[:, :half])
+        np.multiply(np.exp(2j * Ac), np.conjugate(e[:, :n // 2][:, ::-1]), out=e[:, half:])
+        r = _ratio(e, z)
+        # per-row dot products (vecdot conjugates its real first argument, a
+        # no-op); unlike a gemv their rounding does not depend on the row's
+        # place in the chunk, so an xi's value does not depend on its block
+        s0[c] = np.vecdot(wg, r)
+        if with_g:
+            s1[c] = np.vecdot(wg * g, r)
+    return s0, s1
+
+
+def _sinc(x):
+    # S(x) = sin x / x = Im (e^{ix} - 1)/x, with S(0) = 1
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+
+
+def _dsinc(x):
+    # S'(x) = (cos x - S(x))/x, from its Taylor series where that difference cancels
+    out = np.empty_like(x)
+    small = np.abs(x) < 0.5
+    q = x[small] ** 2
+    out[small] = x[small] * _horner(q, [-1 / 3, 1 / 30, -1 / 840, 1 / 45360, -1 / 3991680])
+    xl = x[~small]
+    out[~small] = (np.cos(xl) - np.sin(xl) / xl) / xl
+    return out
+
+
+def _min_rho(t, A, A2, B, g):
+    """-Im rho at its least node: t min_ij (2 S(A2_i + B_i g_j) - S(A_i - B_i g_j)).
+
+    S(x) = sin x / x is the imaginary part of the phase ratio (e^{ix} - 1)/x
+    at the rho phase A2 + B g and the kernel phase A - B g.  Along a row the
+    g-derivative is B (2 S'(A2 + B g) + S'(A - B g)), which moves by at most
+    B^2 over [-1, 1] since |S''| <= 1/3.  So a row whose slope certificate
+    |B (2 S'(A2) + S'(A))| > 2 B^2 holds is monotone on [-1, 1], and its least
+    node is one of the two end nodes; every other row is evaluated at every
+    node, in chunks of at most ``_QUAD_NODES`` nodes.
+    """
+    def at(rows, nodes):
+        Bg = B[rows, None] * nodes
+        return 2.0 * _sinc(A2[rows, None] + Bg) - _sinc(A[rows, None] - Bg)
+
+    certified = np.abs(B * (2.0 * _dsinc(A2) + _dsinc(A))) > 2.0 * B * B
+    least = np.min(at(certified, g[[0, -1]]), initial=np.inf)
+    rest = np.flatnonzero(~certified)
+    step = max(1, _QUAD_NODES // g.size)
+    for s in range(0, rest.size, step):
+        least = min(least, np.min(at(rest[s:s + step], g)))
+    return t * float(least)
 
 
 def _combo_integrals(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track, mirrored):
@@ -474,23 +651,20 @@ def _combo_integrals(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track, mirrored)
     The xi1 range of each xi is cut where the xi2 range changes form, and the
     n Gauss nodes x1_i of every panel of every xi become the rows of one
     array.  Row i has the inner nodes x2_ij = mid_i + h_i g_j of the same
-    n-point rule g_j.  The code relies on two facts:
-
-    - the kernel phase z_ij = 2t(xi - x1_i)(xi - x2_ij) = A_i - B_i g_j is
-      affine in g_j, and so is the rho phase 2t(xi - x1_i)(x1_i + x2_ij)
-      = A2_i + B_i g_j, with the same B_i;
-    - the ``leggauss`` nodes are exactly antisymmetric: g[::-1] == -g bit for
-      bit, and the middle node of an odd count is 0.
-
-    So z_ij + z_i(n-1-j) = 2 A_i, and e^{iz} is evaluated on the lower half
-    of j only (the middle node included); the upper half is e^{2iA_i} times
-    the conjugate of the lower half, reversed.  The rho exponential is
-    e^{i(A2_i - A_i)} times e^{iz} reversed, and -Im rho comes from the two
-    phase ratios; the combination itself, ``rho_kernel`` in
+    n-point rule g_j.  The kernel phase z_ij = 2t(xi - x1_i)(xi - x2_ij)
+    = A_i - B_i g_j is affine in g_j, and so is the rho phase
+    2t(xi - x1_i)(x1_i + x2_ij) = A2_i + B_i g_j, with the same B_i.  So a
+    row's inner sums of the kernel and of i x2_ij = i (mid_i + h_i g_j) are
+    series in B_i over the rule's moments (``_moment_sums``) while every
+    |A_i| <= ``_MOMENT_MAX_A`` and |B_i| <= ``_MOMENT_MAX_B``, as on every
+    call ``exp_norm_inflation`` makes; a call whose phases leave that range
+    sums node by node (``_node_sums``).  Either way the rounding of a row
+    depends on its own phases and the call's largest ones only, never on its
+    place in the call.  -Im rho is bounded at the certified end nodes of each
+    row (``_min_rho``); the combination itself, ``rho_kernel`` in
     ``tests/reference.py``, is evaluated only by the per-xi test oracle.  The
-    rows are weighted in chunks of at most ``_QUAD_NODES`` nodes by per-row
-    dot products and summed back to their xi.  Returns (integrals, min of -Im
-    rho over the nodes when rho_track, else inf).
+    weighted rows are summed back to their xi.  Returns (integrals, min of
+    -Im rho over the nodes when rho_track, else inf).
     """
     lo1, hi1 = b1
     lo2, hi2 = b2
@@ -504,6 +678,9 @@ def _combo_integrals(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track, mirrored)
     cuts = np.stack([a, np.minimum(c1, c2), np.maximum(c1, c2), b], axis=1)
     pa, pb = cuts[:, :-1], cuts[:, 1:]
     keep = (pb - pa > 1e-15) & (b > a)[:, None]
+    totals = np.zeros(xi.shape, dtype=np.complex128)
+    if not keep.any():
+        return totals, np.inf
     g, wg = _gl(n)
     pa, pb = pa[keep][:, None], pb[keep][:, None]
     x1 = (0.5 * (pa + pb) + 0.5 * (pb - pa) * g).ravel()
@@ -515,42 +692,19 @@ def _combo_integrals(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track, mirrored)
     mid = 0.5 * (in_hi + in_lo)
     d = 2.0 * t * (xr - x1)
     A = d * (xr - mid)
-    dh = d * h
+    B = d * h
+    in_range = np.max(np.abs(A)) <= _MOMENT_MAX_A and np.max(np.abs(B)) <= _MOMENT_MAX_B
+    s0, s1 = (_moment_sums if in_range else _node_sums)(A, B, n, with_xi2_factor)
     w = wx1 * h
     if with_xi2_factor:
         # i x2_ij = i (mid_i + h_i g_j): a mid_i column and an h_i g_j column;
         # the mirror's i (x1_i + x2_ij) adds x1_i to the mid_i column
-        wm, wh, wgg = w * (mid + x1 if mirrored else mid), w * h, wg * g
-    elif mirrored:
-        w = 2.0 * w
-    if rho_track:
-        A2 = d * (x1 + mid)
-    rows = np.empty(x1.shape, dtype=np.complex128)
-    min_rho = np.inf
-    half = (n + 1) // 2
-    step = max(1, _QUAD_NODES // n)
-    for s in range(0, x1.size, step):
-        c = slice(s, s + step)
-        Ac = A[c, None]
-        Bg = dh[c, None] * g
-        z = Ac - Bg
-        e = np.empty(z.shape, dtype=np.complex128)
-        np.cos(z[:, :half], out=e.real[:, :half])
-        np.sin(z[:, :half], out=e.imag[:, :half])
-        np.multiply(np.exp(2j * Ac), np.conjugate(e[:, :n // 2][:, ::-1]), out=e[:, half:])
-        r = _ratio(e, z)
-        # per-row dot products (vecdot conjugates its real first argument, a
-        # no-op); unlike a gemv their rounding does not depend on the row's
-        # place in the chunk, so an xi's value does not depend on its block
-        if with_xi2_factor:
-            rows[c] = wm[c] * np.vecdot(wg, r) + wh[c] * np.vecdot(wgg, r)
-        else:
-            rows[c] = w[c] * np.vecdot(wg, r)
-        if rho_track:
-            min_rho = min(min_rho, _min_neg_im_rho(t, e, r, Ac, A2[c, None], Bg))
+        rows = w * (mid + x1 if mirrored else mid) * s0 + w * h * s1
+    else:
+        rows = (2.0 * w if mirrored else w) * s0
+    min_rho = _min_rho(t, A, d * (x1 + mid), B, g) if rho_track else np.inf
     n_rows = keep.sum(axis=1) * n
     has = n_rows > 0
-    totals = np.zeros(xi.shape, dtype=np.complex128)
     totals[has] = np.add.reduceat(rows, (np.cumsum(n_rows) - n_rows)[has])
     return (1j * t if with_xi2_factor else t) * totals, min_rho
 
@@ -571,16 +725,24 @@ def third_derivative_field(phi, t, spec, xi, n_nodes, track_rho=True):
     The output frequencies are evaluated in blocks of at most
     ``_QUAD_NODES // (3 n_nodes)``: the combinations run one at a time, and
     each has up to three panels of ``n_nodes`` outer Gauss rows per xi, so
-    one combination of a block has at most ``_QUAD_NODES`` outer rows.  Its
-    kernel runs over chunks of at most ``_QUAD_NODES`` nodes.  The bound keeps
-    every temporary at or under 128 KiB: a whole band at once costs peak RSS
-    and time.
+    one combination of a block has at most ``_QUAD_NODES`` outer rows.  Each
+    row's inner sum is a series over the rule's moments while the block's
+    phases stay in its range, which covers every t <= 0.1/k^2; otherwise the
+    kernel runs node by node over chunks of at most ``_QUAD_NODES`` nodes.
+    The bound keeps every temporary at or under 128 KiB: a whole band at once
+    costs peak RSS and time.  A bad argument raises ValueError before any
+    quadrature.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative, got %r" % (t,))
     if spec.kind not in (NNLS, NDNLS):
         raise ValueError("third derivative is available for NNLS and NdNLS")
+    if not (_integral(n_nodes) and n_nodes >= 1):
+        raise ValueError("n_nodes must be an integer >= 1, got %r" % (n_nodes,))
+    n_nodes = int(n_nodes)
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("output frequencies xi must be finite")
     up, dn = phi.upper_box, phi.lower_box
     combos = [(up, up, dn, False), (dn, up, up, True)]
     with_factor = spec.kind == NDNLS

@@ -617,6 +617,13 @@ def test_picard_solve_rejects_bad_iteration_count(gaussian, n_iter):
         picard_solve(gaussian, 0.1, NNLS, n_iter=n_iter)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1e-10, -np.inf])
+def test_picard_solve_rejects_bad_tolerance(gaussian, tol):
+    # before: tol = nan ran every iteration and reported converged=False
+    with pytest.raises(ValueError, match="tol must be >= 0"):
+        picard_solve(gaussian, 0.1, NNLS, tol=tol)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     n=st.integers(4, 64).map(lambda k: 2 * k + 1),

@@ -162,6 +162,115 @@ def test_third_derivative_rejects_non_finite_time(t):
         third_derivative_field(TwoBumpData(8, -1.0), t, EquationSpec("NNLS"), [0.7], 24)
 
 
+@pytest.mark.parametrize("n_nodes", [0, -3, 2.5, np.nan, True, np.True_])
+def test_third_derivative_rejects_bad_node_count(monkeypatch, n_nodes):
+    # before: 0 raised ZeroDivisionError, 2.5 TypeError, and True ran as 1
+    monkeypatch.setattr(experiments, "_combo_integrals", _no_quadrature)
+    with pytest.raises(ValueError, match="n_nodes must be an integer >= 1"):
+        third_derivative_field(TwoBumpData(8, -1.0), 0.1 / 64, EquationSpec("NNLS"), [0.7],
+                               n_nodes)
+
+
+@pytest.mark.parametrize("xi", [[np.nan], [0.7, np.inf], [-np.inf, 0.7]])
+def test_third_derivative_rejects_non_finite_frequencies(monkeypatch, xi):
+    # before: nan read nan with rho inf, and inf warned "invalid value" in a multiply
+    monkeypatch.setattr(experiments, "_combo_integrals", _no_quadrature)
+    with pytest.raises(ValueError, match="xi must be finite"):
+        third_derivative_field(TwoBumpData(8, -1.0), 0.1 / 64, EquationSpec("NNLS"), xi, 8)
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("a quadrature ran")
+
+
+def _accurate_node_sums(A, B, n):
+    # (e^{iz} - 1)/z = i e^{iz/2} S(z/2), S(x) = sin x / x: no cancellation near z = 0
+    g, wg = experiments._gl(n)
+    z = A[:, None] - B[:, None] * g
+    f = 1j * np.exp(0.5j * z) * experiments._sinc(0.5 * z)
+    return f * wg, f * (wg * g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 7, 33, 64]),
+    A=st.lists(st.floats(0.15, 4.0), min_size=1, max_size=8),
+    signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=8, max_size=8),
+    B=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+)
+@example(n=7, A=[0.15, 4.0], signs=[1.0, -1.0] + 6 * [1.0], B=[1.0, -1.0] + 6 * [0.0])
+@example(n=33, A=[1.0], signs=8 * [1.0], B=8 * [0.0])
+def test_moment_sums_match_node_sums(n, A, signs, B):
+    # the series over the rule's moments against the node-by-node sums it replaces,
+    # for the 1 and the g columns
+    A = np.array(A) * signs[:len(A)]
+    B = np.array(B[:len(A)])
+    got = experiments._moment_sums(A, B, n, True)
+    want = experiments._node_sums(A, B, n, True)
+    exact = _accurate_node_sums(A, B, n)
+    g, wg = experiments._gl(n)
+    z = np.abs(A[:, None] - B[:, None] * g)
+    for got_col, want_col, terms, gc in zip(got, want, exact, (1.0, np.abs(g))):
+        scale = np.sum(np.abs(terms), axis=1)
+        assert np.all(np.abs(got_col - terms.sum(axis=1)) <= 1e-14 * scale)
+        # the node sums round (e^{iz} - 1)/z to about 4 eps/|z| near z = 0
+        near_zero = np.sum(wg * gc * 4.0 * np.finfo(float).eps / np.maximum(z, 1e-300), axis=1)
+        assert np.all(np.abs(got_col - want_col) <= 1e-14 * scale + near_zero)
+
+
+def test_large_phases_sum_node_by_node(monkeypatch):
+    # at kappa = 2 the second combination's phases reach |A| = 7.5, where the
+    # moment recurrence loses digits: that call sums node by node, the first
+    # by moments, and the field still matches the panel oracle
+    prof, n = TwoBumpData(4, -1.0), 12
+    t = 2.0 / 16
+    calls = []
+
+    def spying(path):
+        inner = getattr(experiments, path)
+
+        def spy(A, B, *rest):
+            calls.append((path, float(np.max(np.abs(A))), float(np.max(np.abs(B)))))
+            return inner(A, B, *rest)
+        return spy
+
+    for path in ("_node_sums", "_moment_sums"):
+        monkeypatch.setattr(experiments, path, spying(path))
+    xi = np.linspace(0.5, 1.0, 9)
+    for equation in ("NNLS", "NdNLS"):
+        calls.clear()
+        got, got_rho = third_derivative_field(prof, t, EquationSpec(equation), xi, n)
+        _, want, want_rho = reference_mirrored_third_derivative_field(prof, t, equation, xi=xi,
+                                                                      n_outer=n, n_inner=n)
+        assert [path for path, *_ in calls] == ["_moment_sums", "_node_sums"]
+        (_, a_moment, b_moment), (_, a_node, _) = calls
+        assert a_node > experiments._MOMENT_MAX_A
+        assert a_moment <= experiments._MOMENT_MAX_A and b_moment <= experiments._MOMENT_MAX_B
+        assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+        assert abs(got_rho - want_rho) <= 1e-14 * abs(want_rho)
+
+
+def test_uncertified_rows_take_their_least_node():
+    # rows 0 and 1 have zero slope at g = 0 (S'(0) = 0, and S' vanishes at the
+    # first extremum 4.4934 of S): their least node is the middle one, which
+    # the end nodes miss; row 2 is monotone and certified
+    t, n = 0.5, 7
+    g, _ = experiments._gl(n)
+    A = np.array([0.0, 0.0, 0.3])
+    A2 = np.array([4.493409457909064, 0.0, 0.2])
+    B = np.array([1.0, 1e-3, 0.05])
+
+    def values(i):
+        S = experiments._sinc
+        return t * (2.0 * S(A2[i] + B[i] * g) - S(A[i] - B[i] * g))
+
+    assert np.argmin(values(0)) == n // 2 and values(0)[n // 2] < min(values(0)[[0, -1]])
+    assert np.argmin(values(2)) in (0, n - 1)
+    for i in range(3):
+        assert experiments._min_rho(t, A[i:i + 1], A2[i:i + 1], B[i:i + 1], g) == min(values(i))
+    assert experiments._min_rho(t, A, A2, B, g) == min(min(values(i)) for i in range(3))
+
+
 def test_third_derivative_quadrature_converges():
     prof = TwoBumpData(8, -1.0)
     t = 0.1 / 64.0
@@ -261,15 +370,16 @@ def test_coarse_pass_skips_rho(monkeypatch):
     assert np.isfinite(min_rho) and skipped == np.inf
     assert np.array_equal(tracked, untracked)
     widths = []
-    rho_step = experiments._min_neg_im_rho
+    min_rho = experiments._min_rho
 
-    def counting(t, e, *rest):
-        widths.append(e.shape[1])
-        return rho_step(t, e, *rest)
+    def counting(t, A, A2, B, g):
+        widths.append(g.size)
+        return min_rho(t, A, A2, B, g)
 
-    monkeypatch.setattr(experiments, "_min_neg_im_rho", counting)
+    monkeypatch.setattr(experiments, "_min_rho", counting)
     rep = exp_norm_inflation(EquationSpec("NNLS"), k_list=(4, 8), n_nodes=8)
     assert rep.measurements["rho_bound_ok"]
+    # one call per block of the fine pass's rho-tracking combination, none coarse
     assert widths and set(widths) == {16}
 
 
