@@ -18,6 +18,7 @@ conj(coeffs).  ``mass_energy_coeffs`` gives the mass and energy of one field.
 from __future__ import annotations
 
 import functools
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,6 +47,10 @@ class EquationSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError("unknown equation kind %r; expected one of %s" % (self.kind, (KINDS,)))
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+                raise ValueError("%s must be a real number, got %r" % (name, value))
         if not (np.isfinite(self.alpha) and np.isfinite(self.beta)):
             raise ValueError("alpha and beta must be finite")
         if self.gauged_coefficient_mode not in COEFFICIENT_MODES:

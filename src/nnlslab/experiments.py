@@ -91,12 +91,19 @@ def _bump_profile(xi, lo, hi):
     return out
 
 
+def _require_positive_width(width):
+    if not width > 0:  # 0 divides by zero, and nan compares false
+        raise ValueError("width must be positive, got %r" % (width,))
+
+
 def _gaussian(grid, amplitude=1.0, width=1.0):
+    _require_positive_width(width)
     x = grid.points
     return forward_transform(amplitude * np.exp(-(x / width) ** 2 / 2.0).astype(complex), grid)
 
 
 def _modulated_gaussian(grid, amplitude=1.0, width=1.0, carrier=3.0):
+    _require_positive_width(width)
     x = grid.points
     s = amplitude * np.exp(1j * carrier * x) * np.exp(-(x / width) ** 2 / 2.0)
     return forward_transform(s, grid)
@@ -419,59 +426,28 @@ def _gl(n):
     return rule
 
 
-def _phase_ratio(z):
-    # (e^{iz} - 1)/z with its series continuation through z = 0
-    z = np.asarray(z, dtype=float)
-    out = np.empty(z.shape, dtype=np.complex128)
-    small = np.abs(z) < 1e-6
-    zs = z[small]
-    out[small] = 1j * (1.0 + 1j * zs / 2.0 - zs * zs / 6.0)
-    zl = z[~small]
-    out[~small] = (np.exp(1j * zl) - 1.0) / zl
-    return out
-
-
-def _ratio(e, z):
-    # (e - 1)/z for e = e^{iz}; _phase_ratio's series takes over where |z| < 1e-6
-    small = np.abs(z) < 1e-6
-    out = e - 1.0
-    if small.any():
-        out *= 1.0 / np.where(small, 1.0, z)
-        out[small] = _phase_ratio(z[small])
-    else:
-        out *= 1.0 / z  # a real factor, cheaper than a complex division
-    return out
-
-
-# Outer rows per block of xi and nodes per 2-D temporary of the node path:
-# 8192 complex values are 128 KiB.  The moment path's temporaries hold one
-# value per row, so the bound is kept for peak RSS.  Warm n_nodes = 32
+# Outer rows per block of xi, and nodes per 2-D temporary of ``_min_rho``'s
+# uncertified rows: 8192 complex values are 128 KiB.  Warm n_nodes = 32
 # norm-inflation passes, 2 cores, equal norms: 33.1 MB peak RSS at 8192 rows,
-# 34.5 MB at 16,384, 36.5 MB at 32,768 and 38.2 MB with the whole band in one
-# block, each at 0.03-0.05 s a pass (the node-by-node sums read 33.5 MB and
-# 0.23-0.32 s at 8192, 128 MB and 0.46-0.56 s in one block).
+# 38.2 MB with the whole band in one block, each at 0.03-0.05 s a pass.
 _QUAD_NODES = 8192
 
-# The moment path's range.  With |A| <= 4 and |B| <= 1 its sums are within
-# 6.4e-16 of 40-digit ones, relative to the sum, at n = 1, 2, 7, 33 and 64;
-# with |A| up to 8 within 1.4e-13, and up to 16 only 3.1e-6, since the
-# downward recurrence amplifies the rounding of I_K by up to |A|^k/k!.
-# |B| <= 1 keeps the series in B at most 21 terms long.
-_MOMENT_MAX_A = 4.0
+# |B| <= 1 keeps the moment sums' series in B at most 21 terms long; |A| is free
 _MOMENT_MAX_B = 1.0
 
 
-def _terms(x):
-    """The least K with x^(K+1)/(K+1)! below 2^-64, for 0 <= x <= 4.
+def _terms(x, first=1):
+    """The least M with x^(M+1) / (first (first + 1) ... (first + M)) below 2^-64.
 
-    Summed to the power K, a series whose k-th term is at most x^k/k! of its
-    scale omits far less than one rounding.
+    Summed to the power M, a series whose m-th term is at most
+    x^m / (first ... (first + m - 1)) of its scale (x^m/m! at ``first`` = 1)
+    omits far less than one rounding, once the terms fall.
     """
-    k, term = 0, x
+    m, term = 0, x / first
     while term >= 2.0 ** -64:
-        k += 1
-        term *= x / (k + 1)
-    return k
+        m += 1
+        term *= x / (first + m)
+    return m
 
 
 _MAX_ORDER = _terms(_MOMENT_MAX_B)
@@ -495,6 +471,14 @@ def _series_coeffs(n):
     return tuple(c0), tuple(c1)
 
 
+@functools.lru_cache(maxsize=None)
+def _kummer_coeffs(K, M):
+    """Kummer's series of I_K to the power max(M, 1): its even and its odd terms'
+    coefficients (-1)^(m//2) / ((K+1)...(K+m+1)), each one rounding of an integer."""
+    c = [(-1.0) ** (m // 2) / math.prod(range(K + 1, K + m + 2)) for m in range(max(M, 1) + 1)]
+    return tuple(c[0::2]), tuple(c[1::2])
+
+
 def _horner(x, coeffs):
     """sum_j coeffs[j] x^j at every element of the real array ``x``."""
     out = np.full(x.shape, coeffs[-1])
@@ -504,27 +488,53 @@ def _horner(x, coeffs):
     return out
 
 
+def _sinc(x):
+    # S(x) = sin x / x = Im (e^{ix} - 1)/x, with S(0) = 1
+    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
+
+
 def _phase_moments(A, K):
     """I_K(A), I_(K-1)(A), ..., I_0(A), one at a time: I_k(A) = int_0^1 s^k e^{isA} ds.
 
-    I_K comes from its power series sum_m (iA)^m / (m! (K + m + 1)), and the
-    lower moments from the downward recurrence I_(k-1) = (e^{iA} - iA I_k)/k,
-    which amplifies the rounding of I_K by up to |A|^k/k!: for |A| <= 4.
+    Each recurrence runs only where it damps rounding.  For k >= |A| a moment
+    comes down from I_K by I_(k-1) = (e^{iA} - iA I_k)/k, which scales an
+    error by |A|/k, with I_K from Kummer's series e^{iA} sum_m (-iA)^m /
+    ((K+1)(K+2)...(K+m+1)), whose terms fall from the first while |A| <= K + 1.
+    For k < |A| it comes up from I_0 = e^{iA/2} S(A/2) by I_k = (e^{iA} -
+    k I_(k-1))/(iA), which scales an error by k/|A|; that pass runs only when
+    some |A| > 1, serves only the rows with |A| > 1, so that a row's moments
+    do not depend on the other rows, and keeps one array per moment
+    k < max |A|, at most K + 1.  A row with |A| > K + 1 takes every moment
+    from it, and its series is summed at A = +-(K + 1) and discarded.  Within
+    4.4e-16 of 150-digit values, relative, at 31 chosen and 1000 random
+    values of |A| <= 1000 and every K <= 22.
     """
-    M = _terms(float(np.max(np.abs(A))))
-    sq = A * A
-    # the even powers of iA are real and the odd ones imaginary
-    re = _horner(sq, [(-1.0) ** j / (math.factorial(2 * j) * (K + 2 * j + 1))
-                      for j in range(M // 2 + 1)])
-    im = _horner(sq, [(-1.0) ** j / (math.factorial(2 * j + 1) * (K + 2 * j + 2))
-                      for j in range(M // 2 + 1)])
-    moment = re + 1j * (A * im)
-    yield moment
+    a = np.abs(A)
+    top = float(np.max(a))
+    cap = float(K + 1)
+    Ac = A if top <= cap else np.clip(A, -cap, cap)
+    re, im = _kummer_coeffs(K, _terms(min(top, cap), K + 2))
+    sq = Ac * Ac
     iA = 1j * A
     e = np.exp(iA)
-    for k in range(K, 0, -1):
-        moment = (e - iA * moment) * (1.0 / k)
+    moment = e * (_horner(sq, re) - 1j * (Ac * _horner(sq, im)))
+    up = []
+    if top > 1.0:
+        rising = a > 1.0
+        a = np.where(rising, a, 0.0)  # k < a never holds on the other rows
+        divisor = np.where(rising, A, 1.0)
+        moment_up = np.exp(0.5 * iA) * _sinc(0.5 * A)
+        up.append(moment_up)
+        for k in range(1, min(K, math.ceil(top) - 1) + 1):
+            # (e - k I)/(iA) = -i (e - k I)/A: multiplying by -1j is exact
+            moment_up = (e - k * moment_up) * -1j / divisor
+            up.append(moment_up)
+    for k in range(K, -1, -1):
+        if k < len(up):
+            moment = np.where(k < a, up[k], moment)
         yield moment
+        if k:
+            moment = (e - iA * moment) * (1.0 / k)
 
 
 def _moment_sums(A, B, n, with_g):
@@ -542,8 +552,8 @@ def _moment_sums(A, B, n, with_g):
     The rule's own moments make them the n-point sums, not the exact
     integrals.  The series run to K = ``_terms(max |B|)``, and both are
     accumulated by Horner's rule in B^2 as ``_phase_moments`` steps down from
-    I_K, so no temporary is larger than one complex value per row.  For
-    |A| <= ``_MOMENT_MAX_A`` and |B| <= ``_MOMENT_MAX_B``.
+    I_K, so the sums hold one complex value per row.  For |B| <=
+    ``_MOMENT_MAX_B`` and any A.
     """
     c0, c1 = _series_coeffs(n)
     K = _terms(float(np.max(np.abs(B))))
@@ -561,44 +571,6 @@ def _moment_sums(A, B, n, with_g):
     if with_g:
         s1 *= B
     return s0, s1
-
-
-def _node_sums(A, B, n, with_g):
-    """The sums of ``_moment_sums``, node by node, for phases of any size.
-
-    The rows are taken in chunks of at most ``_QUAD_NODES`` nodes.  The
-    ``leggauss`` nodes are exactly antisymmetric, g[::-1] == -g bit for bit
-    with 0 the middle node of an odd count, so z_ij + z_i(n-1-j) = 2 A_i:
-    e^{iz} is evaluated on the lower half of j only (the middle node
-    included), and the upper half is e^{2iA_i} times the conjugate of the
-    lower half, reversed.
-    """
-    g, wg = _gl(n)
-    s0 = np.empty(A.shape, dtype=np.complex128)
-    s1 = np.empty(A.shape, dtype=np.complex128) if with_g else None
-    half = (n + 1) // 2
-    step = max(1, _QUAD_NODES // n)
-    for s in range(0, A.size, step):
-        c = slice(s, s + step)
-        Ac = A[c, None]
-        z = Ac - B[c, None] * g
-        e = np.empty(z.shape, dtype=np.complex128)
-        np.cos(z[:, :half], out=e.real[:, :half])
-        np.sin(z[:, :half], out=e.imag[:, :half])
-        np.multiply(np.exp(2j * Ac), np.conjugate(e[:, :n // 2][:, ::-1]), out=e[:, half:])
-        r = _ratio(e, z)
-        # per-row dot products (vecdot conjugates its real first argument, a
-        # no-op); unlike a gemv their rounding does not depend on the row's
-        # place in the chunk, so an xi's value does not depend on its block
-        s0[c] = np.vecdot(wg, r)
-        if with_g:
-            s1[c] = np.vecdot(wg * g, r)
-    return s0, s1
-
-
-def _sinc(x):
-    # S(x) = sin x / x = Im (e^{ix} - 1)/x, with S(0) = 1
-    return np.divide(np.sin(x), x, out=np.ones_like(x), where=x != 0)
 
 
 def _dsinc(x):
@@ -655,12 +627,11 @@ def _combo_integrals(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track, mirrored)
     = A_i - B_i g_j is affine in g_j, and so is the rho phase
     2t(xi - x1_i)(x1_i + x2_ij) = A2_i + B_i g_j, with the same B_i.  So a
     row's inner sums of the kernel and of i x2_ij = i (mid_i + h_i g_j) are
-    series in B_i over the rule's moments (``_moment_sums``) while every
-    |A_i| <= ``_MOMENT_MAX_A`` and |B_i| <= ``_MOMENT_MAX_B``, as on every
-    call ``exp_norm_inflation`` makes; a call whose phases leave that range
-    sums node by node (``_node_sums``).  Either way the rounding of a row
-    depends on its own phases and the call's largest ones only, never on its
-    place in the call.  -Im rho is bounded at the certified end nodes of each
+    series in B_i over the rule's moments (``_moment_sums``), for every
+    |B_i| <= ``_MOMENT_MAX_B``, which ``third_derivative_field`` checks
+    before any quadrature, and any A_i.  The rounding of a row depends on
+    its own phases and the call's largest ones only, never on its place in
+    the call.  -Im rho is bounded at the certified end nodes of each
     row (``_min_rho``); the combination itself, ``rho_kernel`` in
     ``tests/reference.py``, is evaluated only by the per-xi test oracle.  The
     weighted rows are summed back to their xi.  Returns (integrals, min of
@@ -693,8 +664,7 @@ def _combo_integrals(xi, t, b1, b2, b3, n, with_xi2_factor, rho_track, mirrored)
     d = 2.0 * t * (xr - x1)
     A = d * (xr - mid)
     B = d * h
-    in_range = np.max(np.abs(A)) <= _MOMENT_MAX_A and np.max(np.abs(B)) <= _MOMENT_MAX_B
-    s0, s1 = (_moment_sums if in_range else _node_sums)(A, B, n, with_xi2_factor)
+    s0, s1 = _moment_sums(A, B, n, with_xi2_factor)
     w = wx1 * h
     if with_xi2_factor:
         # i x2_ij = i (mid_i + h_i g_j): a mid_i column and an h_i g_j column;
@@ -725,13 +695,18 @@ def third_derivative_field(phi, t, spec, xi, n_nodes, track_rho=True):
     The output frequencies are evaluated in blocks of at most
     ``_QUAD_NODES // (3 n_nodes)``: the combinations run one at a time, and
     each has up to three panels of ``n_nodes`` outer Gauss rows per xi, so
-    one combination of a block has at most ``_QUAD_NODES`` outer rows.  Each
-    row's inner sum is a series over the rule's moments while the block's
-    phases stay in its range, which covers every t <= 0.1/k^2; otherwise the
-    kernel runs node by node over chunks of at most ``_QUAD_NODES`` nodes.
-    The bound keeps every temporary at or under 128 KiB: a whole band at once
-    costs peak RSS and time.  A bad argument raises ValueError before any
-    quadrature.
+    one combination of a block has at most ``_QUAD_NODES`` outer rows.  The
+    bound keeps the moment sums' temporaries at one complex value per row,
+    under 128 KiB, and the phase moments' at 22 per row: a whole band at once
+    costs peak RSS and time.
+
+    Each row's inner sum is a series over the rule's moments in its phase
+    slope B = 2t (xi - xi1) h, h the half-width of its xi2 range, and is
+    summed only for |B| <= ``_MOMENT_MAX_B`` = 1.  On the support of a
+    combination (b1, b2, b3), xi - xi1 = xi2 + xi3 lies in b2 + b3 and 2h <= |b2|,
+    so |B| <= t |b2| max |b2 + b3| at every xi: (dn, up, up)'s t (2k + 1/2)/8.
+    A t above 8/(2k + 1/2), about 3.8/k (kappa <= 0.1 never reaches it), raises
+    ValueError, like any other bad argument, before any quadrature.
     """
     if not (np.isfinite(t) and t >= 0):
         raise ValueError("t must be finite and nonnegative, got %r" % (t,))
@@ -745,6 +720,12 @@ def third_derivative_field(phi, t, spec, xi, n_nodes, track_rho=True):
         raise ValueError("output frequencies xi must be finite")
     up, dn = phi.upper_box, phi.lower_box
     combos = [(up, up, dn, False), (dn, up, up, True)]
+    b_max = max(t * (hi2 - lo2) * max(abs(lo2 + lo3), abs(hi2 + hi3))
+                for _, (lo2, hi2), (lo3, hi3), _ in combos)
+    if b_max > _MOMENT_MAX_B:
+        raise ValueError("t = %r is too large: the inner phase slope could reach |B| = %.3g > %g,"
+                         " and these boxes need t <= %.4g"
+                         % (t, b_max, _MOMENT_MAX_B, t * _MOMENT_MAX_B / b_max))
     with_factor = spec.kind == NDNLS
     values = np.zeros(xi.shape, dtype=np.complex128)
     min_rho = np.inf

@@ -53,6 +53,7 @@ import functools
 import importlib.machinery
 import importlib.util
 import math
+import numbers
 import os
 import sys
 import warnings
@@ -104,6 +105,12 @@ class FrequencyGrid:
     length: float
 
     def __post_init__(self):
+        n = self.n_modes
+        if isinstance(n, (bool, np.bool_)) or not (isinstance(n, numbers.Real) and float(n).is_integer()):
+            raise ValueError("n_modes must be an integer, got %r" % (n,))
+        # an integral float would compare and hash equal to the int grid, and
+        # so share its cached plans: it is stored as the int
+        object.__setattr__(self, "n_modes", int(n))
         if self.n_modes < 8 or self.n_modes % 2 != 0:
             raise ValueError("n_modes must be even and >= 8, got %r" % (self.n_modes,))
         if not (0 < self.length < np.inf):

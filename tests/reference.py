@@ -72,6 +72,8 @@ quadrature panel by panel, one complex exponential per kernel value and
 claim, at every node.  Like ``nnlslab.experiments`` it integrates two box
 combinations: (up, up, dn), and (dn, up, up) together with its xi1 <-> xi2
 mirror image (up, dn, up) through the symmetrised factor.
+Its phase ratio (e^{iz} - 1)/z is its own, not the library's, so its
+numbers do not move with the library.
 ``nnlslab.experiments`` factors the Gauss-node phase instead, which reorders
 the arithmetic, so the two agree to roundoff, not bit for bit.
 ``reference_third_derivative_field`` is the same quadrature with each of the
@@ -108,7 +110,7 @@ from nnlslab.equations import (
     quintic_coefficient,
 )
 from nnlslab.evolve import PicardReport, Trajectory, _free_phase
-from nnlslab.experiments import _gl, _phase_ratio
+from nnlslab.experiments import _gl
 from nnlslab.grid import (
     FrequencyGrid,
     SpectralField,
@@ -434,6 +436,18 @@ def reference_picard_solve(u0, T, spec, n_nodes=33, n_iter=20, tol=1e-10):
         if growth_streak >= 3 or not np.isfinite(dist):
             break
     return current, report
+
+
+def _phase_ratio(z):
+    # (e^{iz} - 1)/z with its series continuation through z = 0
+    z = np.asarray(z, dtype=float)
+    out = np.empty(z.shape, dtype=np.complex128)
+    small = np.abs(z) < 1e-6
+    zs = z[small]
+    out[small] = 1j * (1.0 + 1j * zs / 2.0 - zs * zs / 6.0)
+    zl = z[~small]
+    out[~small] = (np.exp(1j * zl) - 1.0) / zl
+    return out
 
 
 def _kernel(xi, xi1, xi2, t):

@@ -387,6 +387,17 @@ def test_sweep_jobs_below_one_is_exit_2_before_any_job(tmp_path, capsys, jobs):
     assert not os.path.exists(out)
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "modulated_gaussian"])
+def test_zero_width_is_exit_2(tmp_path, capsys, kind):
+    # before: two RuntimeWarnings, then "coeffs contain non-finite entries"
+    cfg = dict(BASE_CFG, initial_data={"kind": kind, "params": {"amplitude": 1.0, "width": 0.0}})
+    path = write_cfg(tmp_path, cfg)
+    out = str(tmp_path / "run")
+    assert main(["solve", "--config", path, "--out", out]) == 2
+    assert "width must be positive, got 0.0" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
 def test_non_integral_mode_count_is_exit_2(tmp_path, capsys):
     path = write_cfg(tmp_path, BASE_CFG)
     out = str(tmp_path / "run")

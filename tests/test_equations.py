@@ -43,6 +43,20 @@ def test_spec_validation():
     assert EquationSpec("NdNLS", alpha=2.0).beta == 0.0
 
 
+@pytest.mark.parametrize("name", ["alpha", "beta"])
+@pytest.mark.parametrize("value", [True, np.True_, "1", None, 1j])
+def test_spec_refuses_a_coefficient_that_is_not_a_real_number(name, value):
+    # before: alpha=True ran as alpha = 1, and alpha="1" raised TypeError in np.isfinite
+    with pytest.raises(ValueError, match="%s must be a real number" % name):
+        EquationSpec("gNdNLS", **{name: value})
+
+
+@pytest.mark.parametrize("value", [2, np.int64(3), np.float64(0.5), np.float32(0.25)])
+def test_spec_takes_ints_and_numpy_floats(value):
+    spec = EquationSpec("gNdNLS", alpha=value, beta=value)
+    assert spec.alpha == value and spec.beta == value
+
+
 def test_quintic_coefficient_modes():
     # the two candidate displays differ by a factor alpha; only the rederived
     # one collapses to the derivative-free gauged equation when beta = 0

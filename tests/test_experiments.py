@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from reference import (
     reference_band_norm,
@@ -91,6 +92,15 @@ def test_make_initial_data_rejects_unknown_parameters(grid, kind, params, bad):
     # before: an unknown key was ignored and the kind's default was used
     with pytest.raises(ValueError, match="kind '%s'.*'%s'" % (kind, bad)):
         make_initial_data(kind, grid, **params)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "modulated_gaussian"])
+@pytest.mark.parametrize("width", [0.0, 0, -1.0, np.nan])
+def test_non_positive_width_is_refused(grid, kind, width):
+    # before: width 0 warned twice (divide by zero, invalid value) and then
+    # failed with "coeffs contain non-finite entries", which names no key
+    with pytest.raises(ValueError, match="width must be positive"):
+        make_initial_data(kind, grid, width=width)
 
 
 def test_make_initial_data_halfline(grid):
@@ -183,71 +193,181 @@ def _no_quadrature(*args, **kwargs):
     raise AssertionError("a quadrature ran")
 
 
+def _moments(A, K):
+    """[I_0(A), ..., I_K(A)] from ``_phase_moments``, one row per moment."""
+    return np.array(list(experiments._phase_moments(np.asarray(A, dtype=float), K))[::-1])
+
+
+def _half_angle_i0(A):
+    # I_0(A) = (e^{iA} - 1)/(iA) = e^{iA/2} S(A/2), S(x) = sin x / x: no cancellation anywhere
+    return np.exp(0.5j * A) * experiments._sinc(0.5 * A)
+
+
+def _closed_form_i1(A):
+    # I_1(A) = (e^{iA} (1 - iA) - 1)/A^2, which cancels for |A| below about 1
+    return (np.exp(1j * A) * (1.0 - 1j * A) - 1.0) / (A * A)
+
+
+# QUADPACK's oscillatory rule reads up to 7e-14 of |I_k| off the moments at
+# |A| <= 1000, in the smaller of its two parts; the closed forms and the
+# recurrence check the last digits
+_QUAD_RTOL = 2e-13
+
+
+def _quad_moment(A, k):
+    # int_0^1 s^k cos(sA) ds + i int_0^1 s^k sin(sA) ds by QUADPACK's oscillatory
+    # rule; full_output returns its "roundoff detected" message instead of warning
+    if A == 0:
+        return 1.0 / (k + 1)
+    part = functools.partial(quad, lambda s: s ** k, 0.0, 1.0, wvar=A, epsabs=0.0, epsrel=1e-13,
+                             full_output=1)
+    return part(weight="cos")[0] + 1j * part(weight="sin")[0]
+
+
+def _recurrence_residual(A, I):
+    # |iA I_k + k I_(k-1) - e^{iA}| for k >= 1, relative to the size of its terms
+    k = np.arange(1, I.shape[0])[:, None]
+    lhs = 1j * A * I[1:] + k * I[:-1]
+    return np.abs(lhs - np.exp(1j * A)) / (np.abs(A) * np.abs(I[1:]) + k * np.abs(I[:-1]) + 1.0)
+
+
+_PHASES = np.array([0.0, 0.3, 1.0, 3.9, 4.5, 6.25, 8.0, 12.0, 16.0, 20.0, 21.5, 25.0, 40.0, 64.0,
+                    100.0, 1000.0])
+
+
+@pytest.mark.parametrize("K", [0, 1, 3, 8, 21])
+def test_phase_moments_match_closed_forms(K):
+    # before: the power series for I_K cancelled past |A| = 4 (2.6e-12 at 6.25,
+    # 1.9e-5 at 16) and overflowed at 64; the closed forms round by a few eps
+    A = np.concatenate([-_PHASES[::-1], _PHASES])
+    for rows in (A, A[np.abs(A) <= 1.0]):  # with and without the upward pass
+        I = _moments(rows, K)
+        want = _half_angle_i0(rows)
+        assert np.all(np.abs(I[0] - want) <= 2e-15 * np.abs(want))
+        assert np.all(_recurrence_residual(rows, I) <= 1e-15)
+        if K >= 1:
+            big = np.abs(rows) >= 1.0
+            want = _closed_form_i1(rows[big])
+            assert np.all(np.abs(I[1][big] - want) <= 2e-15 * np.abs(want))
+
+
+def test_phase_moments_match_quadpack():
+    A = np.array([0.0, 0.3, -1.0, 3.9, 6.25, -16.0, 21.5, 25.0, 64.0, -100.0, 1000.0])
+    I = _moments(A, 21)
+    for i, a in enumerate(A):
+        for k in (0, 1, 5, 13, 21):
+            want = _quad_moment(a, k)
+            assert abs(I[k, i] - want) <= _QUAD_RTOL * abs(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    A=st.lists(st.floats(-1000.0, 1000.0), min_size=1, max_size=6),
+    K=st.integers(0, 21),
+)
+@example(A=[0.0], K=0)
+@example(A=[1.0, -1.0, 0.5], K=21)
+@example(A=[21.9, 22.1, -1000.0, 1e-9], K=21)
+def test_phase_moments_at_every_phase(A, K):
+    A = np.array(A)
+    I = _moments(A, K)
+    assert I.shape == (K + 1, A.size)
+    want = _half_angle_i0(A)
+    assert np.all(np.abs(I[0] - want) <= 2e-15 * np.abs(want))
+    assert np.all(_recurrence_residual(A, I) <= 1e-15)
+    assert np.all(np.abs(I) <= 1.0 / np.arange(1, K + 2)[:, None] + 1e-16)
+    for i, a in enumerate(A):
+        want = _quad_moment(a, K)
+        assert abs(I[K, i] - want) <= _QUAD_RTOL * abs(want)
+
+
+# The node-by-node oracle rounds its phase z = A - B g, which moves e^{iz} by
+# about |z| eps: in double that alone is 1.1e-14 of the sum at |A| = 8.  In
+# x87 extended precision the phases are rounded 2^11 times finer.
+_EXTENDED = np.finfo(np.longdouble).eps < 1e-18
+_ORACLE_MAX_A = 1000.0 if _EXTENDED else 4.0
+
+
 def _accurate_node_sums(A, B, n):
     # (e^{iz} - 1)/z = i e^{iz/2} S(z/2), S(x) = sin x / x: no cancellation near z = 0
-    g, wg = experiments._gl(n)
-    z = A[:, None] - B[:, None] * g
-    f = 1j * np.exp(0.5j * z) * experiments._sinc(0.5 * z)
+    g, wg = (x.astype(np.longdouble) for x in experiments._gl(n))
+    h = (A.astype(np.longdouble)[:, None] - B.astype(np.longdouble)[:, None] * g) / 2
+    nonzero = np.where(h == 0, 1, h)
+    S = np.where(h == 0, 1, np.sin(h) / nonzero)
+    f = (1j * np.cos(h) - np.sin(h)) * S
     return f * wg, f * (wg * g)
 
 
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.sampled_from([1, 2, 7, 33, 64]),
-    A=st.lists(st.floats(0.15, 4.0), min_size=1, max_size=8),
+    A=st.lists(st.floats(0.0, _ORACLE_MAX_A), min_size=1, max_size=8),
     signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=8, max_size=8),
     B=st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
 )
 @example(n=7, A=[0.15, 4.0], signs=[1.0, -1.0] + 6 * [1.0], B=[1.0, -1.0] + 6 * [0.0])
 @example(n=33, A=[1.0], signs=8 * [1.0], B=8 * [0.0])
+@example(n=64, A=[0.0, 30.0, 6.25], signs=8 * [-1.0], B=[1.0, -1.0, 0.5] + 5 * [0.0])
 def test_moment_sums_match_node_sums(n, A, signs, B):
-    # the series over the rule's moments against the node-by-node sums it replaces,
-    # for the 1 and the g columns
+    # the series over the rule's moments against exactly rounded node-by-node
+    # sums, for the 1 and the g columns
     A = np.array(A) * signs[:len(A)]
     B = np.array(B[:len(A)])
     got = experiments._moment_sums(A, B, n, True)
-    want = experiments._node_sums(A, B, n, True)
-    exact = _accurate_node_sums(A, B, n)
-    g, wg = experiments._gl(n)
-    z = np.abs(A[:, None] - B[:, None] * g)
-    for got_col, want_col, terms, gc in zip(got, want, exact, (1.0, np.abs(g))):
+    for got_col, terms in zip(got, _accurate_node_sums(A, B, n)):
         scale = np.sum(np.abs(terms), axis=1)
         assert np.all(np.abs(got_col - terms.sum(axis=1)) <= 1e-14 * scale)
-        # the node sums round (e^{iz} - 1)/z to about 4 eps/|z| near z = 0
-        near_zero = np.sum(wg * gc * 4.0 * np.finfo(float).eps / np.maximum(z, 1e-300), axis=1)
-        assert np.all(np.abs(got_col - want_col) <= 1e-14 * scale + near_zero)
 
 
-def test_large_phases_sum_node_by_node(monkeypatch):
-    # at kappa = 2 the second combination's phases reach |A| = 7.5, where the
-    # moment recurrence loses digits: that call sums node by node, the first
-    # by moments, and the field still matches the panel oracle
+@pytest.mark.parametrize("kappa", [2.0, 8.0])
+def test_large_phases_take_the_moment_path(monkeypatch, kappa):
+    # at kappa = 2 and 8 the second combination's phases reach |A| = 7.5 and
+    # 30, where the moments once lost digits and the sums ran node by node;
+    # |B| stays at 0.13 and 0.52, and the field matches the panel oracle
     prof, n = TwoBumpData(4, -1.0), 12
-    t = 2.0 / 16
-    calls = []
+    t = kappa / 16
+    phases = []
+    moment_sums = experiments._moment_sums
 
-    def spying(path):
-        inner = getattr(experiments, path)
+    def spy(A, B, *rest):
+        phases.append((float(np.max(np.abs(A))), float(np.max(np.abs(B)))))
+        return moment_sums(A, B, *rest)
 
-        def spy(A, B, *rest):
-            calls.append((path, float(np.max(np.abs(A))), float(np.max(np.abs(B)))))
-            return inner(A, B, *rest)
-        return spy
-
-    for path in ("_node_sums", "_moment_sums"):
-        monkeypatch.setattr(experiments, path, spying(path))
+    monkeypatch.setattr(experiments, "_moment_sums", spy)
     xi = np.linspace(0.5, 1.0, 9)
     for equation in ("NNLS", "NdNLS"):
-        calls.clear()
+        phases.clear()
         got, got_rho = third_derivative_field(prof, t, EquationSpec(equation), xi, n)
         _, want, want_rho = reference_mirrored_third_derivative_field(prof, t, equation, xi=xi,
                                                                       n_outer=n, n_inner=n)
-        assert [path for path, *_ in calls] == ["_moment_sums", "_node_sums"]
-        (_, a_moment, b_moment), (_, a_node, _) = calls
-        assert a_node > experiments._MOMENT_MAX_A
-        assert a_moment <= experiments._MOMENT_MAX_A and b_moment <= experiments._MOMENT_MAX_B
+        assert len(phases) == 2 and max(a for a, _ in phases) > 3.7 * kappa
+        assert max(b for _, b in phases) <= experiments._MOMENT_MAX_B
         assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
         assert abs(got_rho - want_rho) <= 1e-14 * abs(want_rho)
+
+
+def test_third_derivative_refuses_a_phase_slope_above_one(monkeypatch):
+    # before: t = 5 at k = 4, |B| up to 5.3, summed node by node; the bound
+    # t |up| (2k + 1/2) = 5 * 8.5 / 8 is checked before any quadrature
+    prof, spec = TwoBumpData(4, -1.0), EquationSpec("NNLS")
+    limit = 8.0 / 8.5
+    monkeypatch.setattr(experiments, "_combo_integrals", _no_quadrature)
+    for t in (5.0, 1.001 * limit):
+        with pytest.raises(ValueError, match="t = .* is too large.*t <= 0.9412"):
+            third_derivative_field(prof, t, spec, [0.7], 8)
+    monkeypatch.undo()
+    # just under it the quadrature runs, and its largest |B| is close to the bound
+    slopes = []
+    moment_sums = experiments._moment_sums
+
+    def spy(A, B, *rest):
+        slopes.append(float(np.max(np.abs(B))))
+        return moment_sums(A, B, *rest)
+
+    monkeypatch.setattr(experiments, "_moment_sums", spy)
+    vals, _ = third_derivative_field(prof, 0.999 * limit, spec, np.linspace(0.5, 1.0, 9), 8)
+    assert np.all(np.isfinite(vals))
+    assert 0.9 < max(slopes) <= experiments._MOMENT_MAX_B
 
 
 def test_uncertified_rows_take_their_least_node():

@@ -47,6 +47,25 @@ def test_grid_validation():
     assert abs(g.dxi * g.dx * g.n_modes - 2 * np.pi) < 1e-14
 
 
+def test_integral_float_mode_count_is_stored_as_int():
+    # before: the float grid compared and hashed equal to the int one, so the
+    # plan cached for it made its own transform, and every later one on the
+    # int grid, raise TypeError (216 and 41.0 appear in no other test)
+    as_float = FrequencyGrid(216.0, 41.0)
+    assert type(as_float.n_modes) is int and as_float == FrequencyGrid(216, 41.0)
+    samples = np.exp(-as_float.points ** 2).astype(complex)
+    first = forward_transform(samples, as_float)
+    as_int = FrequencyGrid(216, 41.0)
+    assert np.array_equal(forward_transform(samples, as_int).coeffs, first.coeffs)
+    assert np.allclose(inverse_transform(forward_transform(samples, as_int)), samples, atol=1e-14)
+
+
+@pytest.mark.parametrize("n_modes", [64.5, np.nan, np.inf, True, np.True_, "64", None])
+def test_non_integral_mode_count_is_refused(n_modes):
+    with pytest.raises(ValueError, match="n_modes must be an integer"):
+        FrequencyGrid(n_modes, 10.0)
+
+
 def test_field_validation(grid):
     with pytest.raises(ValueError):
         SpectralField(grid, np.zeros(10, complex))
